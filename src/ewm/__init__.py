@@ -91,7 +91,6 @@ from .simulation import (
     estimate_stopping,
     mix64,
     run_trial,
-    step_process,
     trial_rng,
     trial_seed,
 )

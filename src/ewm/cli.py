@@ -69,6 +69,14 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_table(out: str | None, write, rows) -> None:
+    if out:
+        with open(out, "w", newline="") as fh:
+            write(fh, rows)
+    else:
+        write(sys.stdout, rows)
+
+
 def parse_alpha_grid(token: str) -> list[float]:
     """``log:<start>:<end>:<count>`` for a geometric grid, or a comma list."""
     token = token.strip()
@@ -197,11 +205,7 @@ def _cmd_sweep_tau(args) -> int:
         base_seed=args.seed,
     )
     rows = simulation.estimate_stopping(config, threads=args.threads)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            simulation.write_sweep_csv(fh, rows)
-    else:
-        simulation.write_sweep_csv(sys.stdout, rows)
+    _write_table(args.out, simulation.write_sweep_csv, rows)
     return 0
 
 
@@ -215,11 +219,7 @@ def _cmd_calibrate_null(args) -> int:
         rng = simulation.trial_rng(simulation.trial_seed(args.seed, ai, 0))
         rate = simulation.calibrate_null(spec, alpha, args.trials, horizon, q_null, rng)
         rows.append((alpha, args.trials, horizon, round(rate * args.trials), rate))
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            simulation.write_calibration_csv(fh, rows)
-    else:
-        simulation.write_calibration_csv(sys.stdout, rows)
+    _write_table(args.out, simulation.write_calibration_csv, rows)
     return 0
 
 
@@ -234,11 +234,7 @@ def _cmd_generate(args) -> int:
         w = mixture_coupling(spec, decompose_target(spec, q))
     rng = simulation.trial_rng(simulation.mix64(args.seed))
     draws = sample_stream(w, args.steps, rng)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            write_stream_csv(fh, draws)
-    else:
-        write_stream_csv(sys.stdout, draws)
+    _write_table(args.out, write_stream_csv, draws)
     return 0
 
 
@@ -251,7 +247,7 @@ def _cmd_detect(args) -> int:
         report = batch_detect(optimal_evalue(spec), args.alpha, stream, budget)
     else:
         report = baseline_batch_detect(
-            args.alpha, worst_null_match_prob(spec), stream, budget
+            args.alpha, worst_null_match_prob(spec), stream, budget, n=spec.n
         )
     payload = report_to_dict(report)
     payload["method"] = args.method
@@ -263,17 +259,8 @@ def _cmd_decompose(args) -> int:
     spec = _resolve_anchor(args)
     q = make_distribution(_parse_json_weights(args.target))
     mix = decompose_target(spec, q)
-    payload = {
-        "terms": [
-            {"gain": pair.gain, "loss": pair.loss, "weight": _fmt(weight)}
-            for pair, weight in mix.terms
-        ]
-    }
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit({"terms": [{"gain": pair.gain, "loss": pair.loss, "weight": _fmt(weight)}
+                     for pair, weight in mix.terms]}, args.out)
     return 0
 
 

@@ -182,5 +182,8 @@ def read_stream_csv(fh: io.TextIOBase) -> list[tuple[int, int]]:
             continue
         if len(row) != 3:
             raise FormatError(f"malformed stream row: {row!r}")
-        out.append((int(row[1]), int(row[2])))
+        try:
+            out.append((int(row[1]), int(row[2])))
+        except ValueError as exc:
+            raise FormatError(f"non-integer stream row: {row!r}") from exc
     return out

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import binom
 
 from .errors import (
     AlreadyStoppedError,
@@ -119,61 +118,86 @@ def init_baseline(alpha: float, null_match_prob: float) -> BaselineState:
     return BaselineState(matches=0, steps=0, alpha=_check_alpha(alpha), null_match_prob=pbar)
 
 
+def _binom_sf(x, k, p):
+    """Exact binomial upper tail; scipy is imported on first use, so the package
+    and its CLI import without it."""
+    from scipy.stats import binom
+
+    return binom.sf(x, k, p)
+
+
 def baseline_observe(state: BaselineState, v: int, s: int) -> BaselineState:
     """Exact binomial upper tail on the match count vs the rejection schedule."""
     if not state.running:
         raise AlreadyStoppedError(f"baseline rejected at step {state.rejected_at}")
     matches = state.matches + (1 if v == s else 0)
     k = state.steps + 1
-    p_k = float(binom.sf(matches - 1, k, state.null_match_prob))
+    p_k = float(_binom_sf(matches - 1, k, state.null_match_prob))
     rejected_at = k if p_k < state.alpha / (k * (k + 1)) else None
     return replace(state, matches=matches, steps=k, rejected_at=rejected_at)
 
 
-def batch_detect(e: EValueTable, alpha: float, stream, budget: int) -> DetectionReport:
-    """Fold :func:`observe` over up to ``budget`` pairs from the stream."""
+def _first_crossing(inc: np.ndarray, boundary, carry=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """First column per row of ``inc`` (per-step increments, overwritten by
+    their running sums) whose sum meets ``boundary``, -1 where none does, and
+    the sums.  ``carry`` is folded into the first column, so the left-to-right
+    ``cumsum`` rounds exactly like a stepwise fold continued from it."""
+    inc[:, 0] += carry
+    cum = np.cumsum(inc, axis=1, out=inc)
+    met = cum >= boundary
+    first = met.argmax(axis=1)
+    first[~met[np.arange(met.shape[0]), first]] = -1
+    return first, cum
+
+
+def _batch_detect(stream, budget, n, increments, boundary, threshold=math.nan) -> DetectionReport:
+    """The one body of both batch detectors: the first crossing of
+    ``increments(v, s)`` over ``boundary`` within ``budget`` pairs.  A pair
+    outside ``range(n)`` raises when it falls at or before the stopping step,
+    as in a stepwise fold.  A NaN ``threshold`` reports NaN wealth."""
     if budget < 1:
         raise BadParamsError(f"budget must be >= 1, got {budget}")
     pairs = list(stream)
     if not pairs:
         raise EmptyStreamError("stream holds no observations")
-    state = init_detector(e, alpha)
-    for v, s in pairs[:budget]:
-        state = observe(state, e, int(v), int(s))
-        if not state.running:
-            break
-    decision = "undecided" if state.running else "rejected"
-    return DetectionReport(
-        decision=decision,
-        stop_step=state.rejected_at,
-        wealth=state.wealth,
-        threshold=state.threshold,
-        steps=state.steps,
-    )
+    try:
+        v, s = np.array(pairs[:budget], dtype=np.int64).T
+    except OverflowError as exc:
+        raise IndexOutOfRangeError(f"stream index beyond 64 bits: {exc}") from exc
+    bad = np.zeros(v.size, dtype=bool) if n is None else (v < 0) | (v >= n) | (s < 0) | (s >= n)
+    size = int(bad.argmax()) if bad.any() else v.size
+    if size:
+        hit, cum = _first_crossing(increments(v[:size], s[:size])[np.newaxis], boundary)
+    if size == 0 or (hit[0] < 0 and size < v.size):
+        raise IndexOutOfRangeError(f"pair ({v[size]}, {s[size]}) out of range for n={n}")
+    steps = int(hit[0]) + 1 if hit[0] >= 0 else size
+    wealth = math.nan if math.isnan(threshold) else float(cum[0, steps - 1])
+    return DetectionReport("rejected" if hit[0] >= 0 else "undecided",
+                           steps if hit[0] >= 0 else None, wealth, threshold, steps)
+
+
+def batch_detect(e: EValueTable, alpha: float, stream, budget: int) -> DetectionReport:
+    """Fold :func:`observe` over up to ``budget`` pairs, in one array pass."""
+    threshold = init_detector(e, alpha).threshold
+    with np.errstate(divide="ignore"):
+        log_scores = np.log(e.scores)
+    return _batch_detect(stream, budget, e.n, lambda v, s: log_scores[v, s], threshold, threshold)
 
 
 def baseline_batch_detect(
-    alpha: float, null_match_prob: float, stream, budget: int
+    alpha: float, null_match_prob: float, stream, budget: int, n: int | None = None
 ) -> DetectionReport:
-    """Baseline analogue of :func:`batch_detect`; wealth is reported as NaN."""
-    if budget < 1:
-        raise BadParamsError(f"budget must be >= 1, got {budget}")
-    pairs = list(stream)
-    if not pairs:
-        raise EmptyStreamError("stream holds no observations")
+    """Fold :func:`baseline_observe` over up to ``budget`` pairs, with every
+    step's tail in one array call; wealth is reported as NaN.  With ``n``,
+    symbols outside the vocabulary raise as in :func:`batch_detect`."""
     state = init_baseline(alpha, null_match_prob)
-    for v, s in pairs[:budget]:
-        state = baseline_observe(state, int(v), int(s))
-        if not state.running:
-            break
-    decision = "undecided" if state.running else "rejected"
-    return DetectionReport(
-        decision=decision,
-        stop_step=state.rejected_at,
-        wealth=float("nan"),
-        threshold=float("nan"),
-        steps=state.steps,
-    )
+
+    def below_schedule(v, s):  # the running count of such steps crosses 1 at the first
+        k = np.arange(1, v.size + 1)
+        p_k = _binom_sf(np.cumsum(v == s) - 1, k, state.null_match_prob)
+        return (p_k < state.alpha / (k * (k + 1))).astype(np.float64)
+
+    return _batch_detect(stream, budget, n, below_schedule, 1.0)
 
 
 # -- JSON wire formats --------------------------------------------------------

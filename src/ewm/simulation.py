@@ -15,26 +15,27 @@ Each trial owns an independent counter-based random stream (Philox) keyed by
 
 where ``mix64`` is the splitmix64 finalizer (xor-shift/multiply avalanche).
 Trials are therefore embarrassingly parallel, and results are identical for
-any worker count or scheduling order.  Fixed-target trials additionally take
-a vectorized fast path that consumes the per-trial stream in chunks; chunked
-and stepwise consumption of a stream coincide draw for draw, so the fast path
-reproduces the stepwise loop exactly.
+any worker count or scheduling order.  Fixed-target trials take a vectorized
+fast path: one Philox per work unit is re-keyed for each trial by assigning
+its state, the trials' chunks are drawn row by row into one matrix and
+searched in one pass, and a trial that has not crossed carries its wealth
+into its next chunk.  Chunked and stepwise draws coincide, so the fast path
+is draw-for-draw identical to the stepwise loop.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coupling import CouplingMatrix, extreme_coupling, sample_pair
-from .detection import init_detector, observe
+from .detection import _check_alpha, _first_crossing, init_detector, observe
 from .errors import (
-    BadAlphaError,
     BadParamsError,
-    InvalidPairError,
     OutsideNeighborhoodError,
 )
 from .evalue import EValueTable, jstar, optimal_evalue
@@ -43,12 +44,14 @@ from .simplex import (
     ExtremePair,
     NeighborhoodSpec,
     VocabDistribution,
+    _check_pair,
     enumerate_extremes,
     l1_distance,
 )
 
 _MASK64 = (1 << 64) - 1
 _ALPHA_STRIDE = 0x9E3779B97F4A7C15  # golden-ratio odd constant
+_BLOCK_CELLS = 16_384  # uniforms per block of trials on the fixed-pair fast path
 
 
 def mix64(x: int) -> int:
@@ -70,6 +73,23 @@ def trial_seed(base_seed: int, alpha_index: int, trial_index: int) -> int:
 def trial_rng(seed: int) -> np.random.Generator:
     """Counter-based generator for one trial; deterministic across platforms."""
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+def _rekeyer() -> Callable[..., np.random.Generator]:
+    """``rekey(seed, c=0)`` re-keys one shared generator by state assignment to
+    where ``trial_rng(seed)`` stands after ``4 * c`` uniforms (each Philox
+    counter step yields four 64-bit words, one per draw)."""
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+
+    def rekey(seed: int, counter: int = 0) -> np.random.Generator:
+        state["state"]["key"][0] = seed
+        state["state"]["counter"][0] = counter
+        bitgen.state = state
+        return gen
+
+    return rekey
 
 
 # -- adversary policies ---------------------------------------------------------
@@ -152,18 +172,13 @@ class ExperimentConfig:
         if not self.alphas:
             raise BadParamsError("need at least one alpha")
         for a in self.alphas:
-            if not (0.0 < a < 1.0):
-                raise BadAlphaError(f"alpha must lie in (0, 1), got {a!r}")
+            _check_alpha(a)
         if self.trials < 1:
             raise BadParamsError(f"trials must be >= 1, got {self.trials}")
         if self.horizon_cap is not None and self.horizon_cap < 1:
             raise BadParamsError(f"horizon cap must be >= 1, got {self.horizon_cap}")
         if isinstance(self.policy, FixedPair):
-            n = self.spec.n
-            if not (0 <= self.policy.gain < n and 0 <= self.policy.loss < n):
-                raise InvalidPairError(f"fixed pair out of range for n={n}")
-            if self.policy.gain == self.policy.loss:
-                raise InvalidPairError("fixed pair indices must differ")
+            _check_pair(self.spec, ExtremePair(self.policy.gain, self.policy.loss))
 
 
 def choose_pair(
@@ -174,22 +189,37 @@ def choose_pair(
     rng: np.random.Generator,
 ) -> ExtremePair:
     """The adversary's vertex for this step."""
-    pairs = enumerate_extremes(spec)
     if isinstance(policy, FixedPair):
         return ExtremePair(policy.gain, policy.loss)
+    pairs = enumerate_extremes(spec)
+    return pairs[_choose_index(policy, step, history, pairs, rng)]
+
+
+def _choose_index(
+    policy: AdversaryPolicy,
+    step: int,
+    history: list[StepOutcome],
+    pairs: list[ExtremePair],
+    rng: np.random.Generator,
+    played: set[int] | None = None,
+) -> int:
+    """Lexicographic index of the adversary's vertex among ``pairs``.
+
+    ``played`` is the set of pair indices in ``history``; a caller stepping
+    through one trial keeps it up to date instead of having it rebuilt."""
     if isinstance(policy, RoundRobin):
-        return pairs[step % len(pairs)]
+        return step % len(pairs)
     if isinstance(policy, RandomPair):
-        return pairs[int(rng.integers(len(pairs)))]
+        return int(rng.integers(len(pairs)))
     if isinstance(policy, HistoryGreedy):
-        recent = history[-policy.window:]
-        seen: dict[int, list[float]] = {}
-        for rec in recent:
-            seen.setdefault(rec.pair_index, []).append(rec.log_e)
-        played = {rec.pair_index for rec in history}
+        if played is None:
+            played = {rec.pair_index for rec in history}
         for idx in range(len(pairs)):
             if idx not in played:
-                return pairs[idx]
+                return idx
+        seen: dict[int, list[float]] = {}
+        for rec in history[-policy.window:]:
+            seen.setdefault(rec.pair_index, []).append(rec.log_e)
         best_idx = 0
         best_mean = math.inf
         for idx in range(len(pairs)):
@@ -198,32 +228,13 @@ def choose_pair(
             if mean < best_mean:
                 best_mean = mean
                 best_idx = idx
-        return pairs[best_idx]
+        return best_idx
     raise BadParamsError(f"unknown policy {policy!r}")
-
-
-def step_process(
-    policy: AdversaryPolicy,
-    history: list[StepOutcome],
-    spec: NeighborhoodSpec,
-    e: EValueTable,
-    rng: np.random.Generator,
-) -> tuple[VocabDistribution, CouplingMatrix, tuple[int, int]]:
-    """One adversary/generator round: target, best-response coupling, sample."""
-    pair = choose_pair(policy, len(history), history, spec, rng)
-    w = extreme_coupling(spec, pair)
-    v, s = sample_pair(w, rng)
-    return w.target, w, (v, s)
 
 
 def default_horizon(spec: NeighborhoodSpec, alpha: float) -> int:
     """Cap generous enough that censoring is negligible under steady drift."""
     return int(math.ceil(10.0 * math.log(1.0 / alpha) / jstar(spec)))
-
-
-def _pair_lex_index(pair: ExtremePair, n: int) -> int:
-    offset = pair.loss if pair.loss < pair.gain else pair.loss - 1
-    return pair.gain * (n - 1) + offset
 
 
 def _run_trial_generic(
@@ -239,12 +250,15 @@ def _run_trial_generic(
     rng = trial_rng(seed)
     state = init_detector(e, alpha)
     history: list[StepOutcome] = []
+    played: set[int] = set()
     pairs = enumerate_extremes(spec)
+    fixed = (pairs.index(ExtremePair(policy.gain, policy.loss))
+             if isinstance(policy, FixedPair) else None)
     cache = couplings if couplings is not None else {}
     log_scores = np.log(e.scores)
     while state.running and state.steps < cap:
-        pair = choose_pair(policy, state.steps, history, spec, rng)
-        idx = _pair_lex_index(pair, spec.n)
+        idx = fixed if fixed is not None else _choose_index(
+            policy, state.steps, history, pairs, rng, played)
         w = cache.get(idx)
         if w is None:
             w = extreme_coupling(spec, pairs[idx])
@@ -252,6 +266,7 @@ def _run_trial_generic(
         v, s = sample_pair(w, rng)
         state = observe(state, e, v, s)
         history.append(StepOutcome(idx, v, s, float(log_scores[v, s])))
+        played.add(idx)
     return TrialRecord(
         stop_step=state.rejected_at,
         final_wealth=state.wealth,
@@ -260,91 +275,78 @@ def _run_trial_generic(
     )
 
 
-def _run_trial_fixed(
-    cdf: np.ndarray,
-    log_flat: np.ndarray,
-    threshold: float,
-    cap: int,
-    seed: int,
-    chunk: int,
-) -> TrialRecord:
-    """Vectorized fast path for a constant coupling; stream-equivalent to the
-    stepwise loop because chunked uniform draws consume the stream in order."""
-    rng = trial_rng(seed)
+def _run_fixed(
+    spec: NeighborhoodSpec, policy: FixedPair, alpha: float, cap: int, seeds: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fast path for a constant coupling: stop steps (-1 when censored) and
+    final wealth, one per seed.  Trials run in blocks of one chunk's draws per
+    row, rows that have not crossed carry their wealth into the next chunk.
+    A chunk is about 1.25 expected stopping times in whole Philox blocks."""
+    w = extreme_coupling(spec, ExtremePair(policy.gain, policy.loss))
+    cdf = np.cumsum(w.joint.ravel())
+    log_flat = np.log(optimal_evalue(spec).scores).ravel()
     top = log_flat.size - 1
-    wealth = 0.0
-    steps = 0
-    while steps < cap:
-        k = min(chunk, cap - steps)
-        u = rng.random(k)
-        idx = np.minimum(np.searchsorted(cdf, u, side="right"), top)
-        inc = log_flat[idx]
-        # fold the carry into the first term so cumsum reproduces the exact
-        # left-to-right rounding of the stepwise loop
-        inc[0] += wealth
-        cum = np.cumsum(inc)
-        hit = np.nonzero(cum >= threshold)[0]
-        if hit.size:
-            j = int(hit[0])
-            return TrialRecord(
-                stop_step=steps + j + 1,
-                final_wealth=float(cum[j]),
-                steps_run=steps + j + 1,
-                seed=seed,
-            )
-        wealth = float(cum[-1])
-        steps += k
-    return TrialRecord(stop_step=None, final_wealth=wealth, steps_run=steps, seed=seed)
+    threshold = math.log(1.0 / alpha)
+    chunk = 4 * max(16, (int(1.25 * threshold / jstar(spec)) + 19) // 4)
+    rekey = _rekeyer()
+
+    def increments(u: np.ndarray) -> np.ndarray:
+        if cdf.size > 16:
+            idx = np.searchsorted(cdf, u, side="right")
+        else:  # counting CDF entries <= u gives the same index without a binary search
+            idx = (u >= cdf[0]).astype(np.intp)
+            for c in cdf[1:]:
+                idx += u >= c
+        return log_flat[np.minimum(idx, top, out=idx)]
+
+    stops = np.full(len(seeds), -1, dtype=np.int64)
+    wealth = np.empty(len(seeds))
+    rows = max(1, _BLOCK_CELLS // min(chunk, cap))
+    for lo in range(0, len(seeds), rows):
+        live = np.arange(lo, min(lo + rows, len(seeds)))  # trials not yet crossed
+        steps = 0
+        while live.size and steps < cap:
+            u = np.empty((live.size, min(chunk, cap - steps)))
+            for row, t in zip(u, live):
+                rekey(seeds[t], steps // 4).random(out=row)
+            hit, cum = _first_crossing(increments(u), threshold, wealth[live] if steps else 0.0)
+            wealth[live] = cum[np.arange(live.size), hit]  # column -1 when nothing crossed
+            stops[live[hit >= 0]] = steps + hit[hit >= 0] + 1
+            live = live[hit < 0]
+            steps += u.shape[1]
+    return stops, wealth
 
 
 def run_trial(
     config: ExperimentConfig, alpha: float, alpha_index: int, trial_index: int
 ) -> TrialRecord:
     """Simulate one detection run with its deterministically derived seed."""
-    if not (0.0 < alpha < 1.0):
-        raise BadAlphaError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     seed = trial_seed(config.base_seed, alpha_index, trial_index)
     spec = config.spec
-    e = optimal_evalue(spec)
     cap = config.horizon_cap or default_horizon(spec, alpha)
     if isinstance(config.policy, FixedPair):
-        w = extreme_coupling(spec, ExtremePair(config.policy.gain, config.policy.loss))
-        threshold = math.log(1.0 / alpha)
-        chunk = max(64, int(1.25 * threshold / jstar(spec)) + 16)
-        return _run_trial_fixed(
-            np.cumsum(w.joint.ravel()), np.log(e.scores).ravel(), threshold, cap, seed, chunk
-        )
-    return _run_trial_generic(spec, e, config.policy, alpha, cap, seed)
+        stops, wealth = _run_fixed(spec, config.policy, alpha, cap, [seed])
+        stop = int(stops[0])
+        return TrialRecord(stop_step=stop if stop > 0 else None, final_wealth=float(wealth[0]),
+                           steps_run=stop if stop > 0 else cap, seed=seed)
+    return _run_trial_generic(spec, optimal_evalue(spec), config.policy, alpha, cap, seed)
 
 
 def _sweep_task(args) -> tuple[int, int, np.ndarray]:
     """One (alpha, trial-range) work unit; returns stop steps, -1 = censored."""
     config, alpha, alpha_index, lo, hi = args
     spec = config.spec
-    e = optimal_evalue(spec)
     cap = config.horizon_cap or default_horizon(spec, alpha)
-    taus = np.empty(hi - lo, dtype=np.int64)
+    seeds = [trial_seed(config.base_seed, alpha_index, t) for t in range(lo, hi)]
     if isinstance(config.policy, FixedPair):
-        w = extreme_coupling(spec, ExtremePair(config.policy.gain, config.policy.loss))
-        cdf = np.cumsum(w.joint.ravel())
-        log_flat = np.log(e.scores).ravel()
-        threshold = math.log(1.0 / alpha)
-        chunk = max(64, int(1.25 * threshold / jstar(spec)) + 16)
-        for t in range(lo, hi):
-            rec = _run_trial_fixed(
-                cdf, log_flat, threshold, cap,
-                trial_seed(config.base_seed, alpha_index, t), chunk,
-            )
-            taus[t - lo] = -1 if rec.stop_step is None else rec.stop_step
-    else:
-        couplings: dict[int, CouplingMatrix] = {}
-        for t in range(lo, hi):
-            rec = _run_trial_generic(
-                spec, e, config.policy, alpha, cap,
-                trial_seed(config.base_seed, alpha_index, t), couplings,
-            )
-            taus[t - lo] = -1 if rec.stop_step is None else rec.stop_step
-    return alpha_index, lo, taus
+        return alpha_index, lo, _run_fixed(spec, config.policy, alpha, cap, seeds)[0]
+    e = optimal_evalue(spec)
+    couplings: dict[int, CouplingMatrix] = {}
+    records = [_run_trial_generic(spec, e, config.policy, alpha, cap, seed, couplings)
+               for seed in seeds]
+    return alpha_index, lo, np.array([-1 if r.stop_step is None else r.stop_step
+                                      for r in records], dtype=np.int64)
 
 
 def estimate_stopping(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
@@ -362,9 +364,7 @@ def estimate_stopping(config: ExperimentConfig, threads: int = 1) -> list[SweepR
         step = max(1, math.ceil(config.trials / max(1, threads)))
         for lo in range(0, config.trials, step):
             tasks.append((config, alpha, ai, lo, min(lo + step, config.trials)))
-    results: dict[int, np.ndarray] = {
-        ai: np.empty(config.trials, dtype=np.int64) for ai in range(len(config.alphas))
-    }
+    results = np.empty((len(config.alphas), config.trials), dtype=np.int64)
     if threads == 1:
         outputs = map(_sweep_task, tasks)
     else:
@@ -380,16 +380,7 @@ def estimate_stopping(config: ExperimentConfig, threads: int = 1) -> list[SweepR
         log_inv = math.log(1.0 / alpha)
         mean = float(filled.mean())
         std_err = float(filled.std(ddof=1) / math.sqrt(filled.size)) if filled.size > 1 else 0.0
-        rows.append(
-            SweepRow(
-                alpha=alpha,
-                log_inv_alpha=log_inv,
-                mean_tau=mean,
-                std_err=std_err,
-                ratio=mean / log_inv,
-                censored_count=censored,
-            )
-        )
+        rows.append(SweepRow(alpha, log_inv, mean, std_err, mean / log_inv, censored))
     return rows
 
 
@@ -408,8 +399,7 @@ def calibrate_null(
     anchor, which is exactly the null the score table must guard against;
     the returned rate must stay at or below alpha up to Monte Carlo noise.
     """
-    if not (0.0 < alpha < 1.0):
-        raise BadAlphaError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     if trials < 1 or horizon < 1:
         raise BadParamsError("trials and horizon must be >= 1")
     if l1_distance(q_null, spec.anchor) > spec.delta + RECONSTRUCT_ATOL:

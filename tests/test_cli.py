@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +76,15 @@ class TestJstarCommand:
         assert code == 0 and abs(json.loads(out)["jstar"] - 0.494632) < 5e-7
 
 
+class TestImport:
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy serves only the baseline detector and is imported on first use
+        src = str(Path(ewm.__file__).resolve().parents[1])
+        probe = "import sys, ewm.cli; sys.exit(int('scipy' in sys.modules))"
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
 class TestErrors:
     def test_unknown_subcommand_usage_error(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
@@ -84,6 +97,22 @@ class TestErrors:
     def test_runtime_error_exit_one(self, capsys):
         code, _, err = run(capsys, "jstar", "--anchor", "[0.5,0.6]", "--delta", "0.1")
         assert code == 1 and "error" in err
+
+    def test_non_integer_stream_row(self, capsys, tmp_path):
+        stream = tmp_path / "stream.csv"
+        stream.write_text("step,v,s\n0,a,1\n")
+        for method in ("evalue", "baseline"):
+            code, _, err = run(capsys, "detect", "--anchor", "[0.5,0.5]", "--delta", "0.1",
+                               "--alpha", "0.02", "--method", method, "--stream", str(stream))
+            assert code == 1 and "non-integer stream row" in err
+
+    def test_symbol_outside_vocabulary(self, capsys, tmp_path):
+        stream = tmp_path / "stream.csv"
+        stream.write_text("step,v,s\n0,7,1\n")
+        for method in ("evalue", "baseline"):
+            code, out, err = run(capsys, "detect", "--anchor", "[0.5,0.5]", "--delta", "0.1",
+                                 "--alpha", "0.02", "--method", method, "--stream", str(stream))
+            assert code == 1 and out == "" and "out of range for n=2" in err
 
     def test_missing_stream_file(self, capsys):
         code, _, _ = run(capsys, "detect", "--anchor", "[0.5,0.5]", "--delta", "0.1",

@@ -170,6 +170,67 @@ class TestBatchDetect:
         assert report.decision == "undecided" and report.steps == 3
 
 
+def fold(alpha, pairs, e=None, pbar=None):
+    """Stepwise reference: observe (or baseline_observe) until rejection."""
+    if e is not None:
+        state, step = ewm.init_detector(e, alpha), lambda st, v, s: ewm.observe(st, e, v, s)
+    else:
+        state, step = ewm.init_baseline(alpha, pbar), ewm.baseline_observe
+    for v, s in pairs:
+        state = step(state, v, s)
+        if not state.running:
+            break
+    return state
+
+
+class TestBatchMatchesFold:
+    SPEC = spec_of([0.5, 0.5], 0.3)  # criterion 9
+
+    def streams(self):
+        rng = np.random.default_rng(5)
+        w = ewm.extreme_coupling(self.SPEC, ewm.ExtremePair(0, 1))
+        marked = [tuple(map(int, p)) for p in ewm.sample_stream(w, 600, ewm.trial_rng(8))]
+        null = [tuple(map(int, p)) for p in rng.integers(2, size=(600, 2))]
+        return marked, null
+
+    def test_evalue_reports_equal_the_fold(self):
+        e = ewm.optimal_evalue(self.SPEC)
+        for pairs in self.streams():
+            for budget in (len(pairs), 40):
+                report = ewm.batch_detect(e, 0.02, pairs, budget)
+                state = fold(0.02, pairs[:budget], e=e)
+                assert (report.stop_step, report.steps) == (state.rejected_at, state.steps)
+                assert report.wealth == state.wealth and report.threshold == state.threshold
+
+    def test_baseline_reports_equal_the_fold(self):
+        pbar = ewm.worst_null_match_prob(self.SPEC)
+        decisions = set()
+        for pairs in self.streams():
+            report = ewm.baseline_batch_detect(0.02, pbar, pairs, len(pairs), n=2)
+            state = fold(0.02, pairs, pbar=pbar)
+            assert (report.stop_step, report.steps) == (state.rejected_at, state.steps)
+            assert math.isnan(report.wealth) and math.isnan(report.threshold)
+            decisions.add(report.decision)
+        assert decisions == {"rejected", "undecided"}
+
+    def test_out_of_range_pair_after_the_stop_is_never_read(self):
+        e = ewm.optimal_evalue(self.SPEC)
+        pbar = ewm.worst_null_match_prob(self.SPEC)
+        pairs = [(0, 0)] * 30 + [(0, 7)]
+        assert ewm.batch_detect(e, 0.02, pairs, 31).stop_step == fold(0.02, pairs, e=e).rejected_at
+        report = ewm.baseline_batch_detect(0.02, pbar, pairs, 31, n=2)
+        assert report.stop_step == fold(0.02, pairs, pbar=pbar).rejected_at
+
+    def test_out_of_range_pair_before_the_stop_raises(self):
+        e = ewm.optimal_evalue(self.SPEC)
+        pbar = ewm.worst_null_match_prob(self.SPEC)
+        for pairs in ([(0, 0), (7, 0)] + [(0, 0)] * 30, [(-1, 0)], [(0, 2**70)]):
+            with pytest.raises(IndexOutOfRangeError):
+                ewm.batch_detect(e, 0.02, pairs, len(pairs))
+            with pytest.raises(IndexOutOfRangeError):
+                ewm.baseline_batch_detect(0.02, pbar, pairs, len(pairs), n=2)
+
+
 class TestSerialization:
     def test_round_trip_and_resume(self):
         e = fair_table()

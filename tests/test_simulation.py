@@ -6,7 +6,7 @@ import pytest
 
 import ewm
 from ewm.errors import BadParamsError, InvalidPairError, OutsideNeighborhoodError
-from ewm.simulation import _run_trial_generic
+from ewm.simulation import _rekeyer, _run_trial_generic, _sweep_task
 
 
 def spec_of(weights, delta):
@@ -27,6 +27,21 @@ class TestSeeding:
         assert a == b
         assert ewm.trial_seed(7, 3, 12) != a
         assert ewm.trial_seed(7, 4, 11) != a
+
+
+class TestRekey:
+    def test_rekeyed_stream_equals_fresh_stream(self):
+        rekey = _rekeyer()
+        for seed in (0, 1, 2**63 + 5, 2**64 - 1):
+            rekey(99).random(7)  # another key first draws an odd number of values
+            assert np.array_equal(rekey(seed).random(11), ewm.trial_rng(seed).random(11))
+
+    def test_rekey_to_a_counter_continues_the_stream(self):
+        rekey = _rekeyer()
+        for seed in (0, 2**64 - 1):
+            fresh = ewm.trial_rng(seed).random(20)
+            rekey(seed).random(3)
+            assert np.array_equal(rekey(seed, 3).random(8), fresh[12:])
 
 
 class TestPolicies:
@@ -61,10 +76,13 @@ class TestPolicies:
         chosen = ewm.simulation.choose_pair(policy, 6, history, spec, rng)
         assert (chosen.gain, chosen.loss) == (0, 1)  # smallest recent log score
 
-    def test_step_process_returns_best_response(self):
+    def test_best_response_to_chosen_vertex(self):
         spec = spec_of([0.4, 0.3, 0.3], 0.1)
-        e = ewm.optimal_evalue(spec)
-        q, w, (v, s) = ewm.step_process(ewm.FixedPair(2, 1), [], spec, e, ewm.trial_rng(3))
+        rng = ewm.trial_rng(3)
+        w = ewm.extreme_coupling(
+            spec, ewm.simulation.choose_pair(ewm.FixedPair(2, 1), 0, [], spec, rng))
+        q = w.target
+        v, s = ewm.sample_pair(w, rng)
         expected = ewm.extreme_coupling(spec, ewm.ExtremePair(2, 1))
         assert np.array_equal(w.joint, expected.joint)
         assert np.array_equal(q.weights, expected.target.weights)
@@ -162,6 +180,30 @@ class TestEstimateStopping:
             spec=FAIR, alphas=(1e-3, 1e-8), trials=150, policy=ewm.FixedPair(0, 1), base_seed=11
         )
         assert ewm.estimate_stopping(config, threads=1) == ewm.estimate_stopping(config, threads=2)
+
+    def test_batched_sweep_matches_stepwise_loop(self):
+        # (anchor, delta, pair, alpha, cap, first chunk): on the 2-symbol anchor's
+        # weak, noisy drift about 12% of trials outlast their first chunk and
+        # continue from their carry; the 5-symbol table takes the binary-search
+        # lookup; both caps censor some trials
+        cases = [([0.85, 0.15], 0.14, (0, 1), 1e-5, 120, 104),
+                 ([0.6, 0.1, 0.1, 0.1, 0.1], 0.09, (1, 0), 1e-5, 14, None)]
+        for anchor, delta, pair, alpha, cap, chunk in cases:
+            spec = spec_of(anchor, delta)
+            config = ewm.ExperimentConfig(spec=spec, alphas=(alpha,), trials=300,
+                                          policy=ewm.FixedPair(*pair), horizon_cap=cap,
+                                          base_seed=31)
+            e = ewm.optimal_evalue(spec)
+            slow = [_run_trial_generic(spec, e, config.policy, alpha, cap,
+                                       ewm.trial_seed(31, 0, t)) for t in range(300)]
+            taus = np.array([-1 if r.stop_step is None else r.stop_step for r in slow])
+            assert (taus < 0).any() and (chunk is None or (taus > chunk).any())
+            assert np.array_equal(_sweep_task((config, alpha, 0, 0, 300))[2], taus)
+            row = ewm.estimate_stopping(config, threads=1)[0]
+            assert ewm.estimate_stopping(config, threads=2) == [row]
+            filled = np.where(taus < 0, cap, taus)
+            assert row.censored_count == int((taus < 0).sum())
+            assert row.mean_tau == float(filled.astype(np.float64).mean())
 
     def test_ratio_tracks_rate(self):
         config = ewm.ExperimentConfig(
