@@ -259,8 +259,13 @@ def _cmd_decompose(args) -> int:
     spec = _resolve_anchor(args)
     q = make_distribution(_parse_json_weights(args.target))
     mix = decompose_target(spec, q)
-    _emit({"terms": [{"gain": pair.gain, "loss": pair.loss, "weight": _fmt(weight)}
-                     for pair, weight in mix.terms]}, args.out)
+    payload = {
+        "terms": [
+            {"gain": pair.gain, "loss": pair.loss, "weight": _fmt(weight)}
+            for pair, weight in mix.terms
+        ]
+    }
+    _emit(payload, args.out)
     return 0
 
 

@@ -152,49 +152,64 @@ def _first_crossing(inc: np.ndarray, boundary, carry=0.0) -> tuple[np.ndarray, n
 
 def _batch_detect(stream, budget, n, increments, boundary, threshold=math.nan) -> DetectionReport:
     """The one body of both batch detectors: the first crossing of
-    ``increments(v, s)`` over ``boundary`` within ``budget`` pairs.  A pair
-    outside ``range(n)`` raises when it falls at or before the stopping step,
-    as in a stepwise fold.  A NaN ``threshold`` reports NaN wealth."""
+    ``increments(v, s, done)`` (a block's per-step statistics after ``done``
+    steps) over ``boundary`` within ``budget`` pairs.  Blocks start at 1,024
+    pairs and double, so the work tracks the stopping step rather than the
+    stream length.  A pair outside ``range(n)`` raises when it falls at or
+    before the stopping step, as in a stepwise fold.  A NaN ``threshold``
+    reports NaN wealth."""
     if budget < 1:
         raise BadParamsError(f"budget must be >= 1, got {budget}")
-    pairs = list(stream)
+    pairs = list(stream)[:budget]
     if not pairs:
         raise EmptyStreamError("stream holds no observations")
-    try:
-        v, s = np.array(pairs[:budget], dtype=np.int64).T
-    except OverflowError as exc:
-        raise IndexOutOfRangeError(f"stream index beyond 64 bits: {exc}") from exc
-    bad = np.zeros(v.size, dtype=bool) if n is None else (v < 0) | (v >= n) | (s < 0) | (s >= n)
-    size = int(bad.argmax()) if bad.any() else v.size
-    if size:
-        hit, cum = _first_crossing(increments(v[:size], s[:size])[np.newaxis], boundary)
-    if size == 0 or (hit[0] < 0 and size < v.size):
-        raise IndexOutOfRangeError(f"pair ({v[size]}, {s[size]}) out of range for n={n}")
-    steps = int(hit[0]) + 1 if hit[0] >= 0 else size
-    wealth = math.nan if math.isnan(threshold) else float(cum[0, steps - 1])
-    return DetectionReport("rejected" if hit[0] >= 0 else "undecided",
-                           steps if hit[0] >= 0 else None, wealth, threshold, steps)
+    done, width, total, stop = 0, 1024, 0.0, None
+    while done < len(pairs):
+        try:
+            v, s = np.array(pairs[done:done + width], dtype=np.int64).T
+        except OverflowError as exc:
+            raise IndexOutOfRangeError(f"stream index beyond 64 bits: {exc}") from exc
+        bad = np.zeros(v.size, dtype=bool) if n is None else (v < 0) | (v >= n) | (s < 0) | (s >= n)
+        size = int(bad.argmax()) if bad.any() else v.size
+        if size:
+            hit, cum = _first_crossing(increments(v[:size], s[:size], done)[np.newaxis],
+                                       boundary, total)
+            total = float(cum[0, hit[0]])  # the last column when nothing crossed
+            if hit[0] >= 0:
+                stop = done + int(hit[0]) + 1
+                break
+        if size < v.size:
+            raise IndexOutOfRangeError(f"pair ({v[size]}, {s[size]}) out of range for n={n}")
+        done, width = done + v.size, 2 * width
+    wealth = math.nan if math.isnan(threshold) else total
+    return DetectionReport("undecided" if stop is None else "rejected", stop, wealth,
+                           threshold, stop or done)
 
 
 def batch_detect(e: EValueTable, alpha: float, stream, budget: int) -> DetectionReport:
-    """Fold :func:`observe` over up to ``budget`` pairs, in one array pass."""
+    """Fold :func:`observe` over up to ``budget`` pairs, one array pass per block."""
     threshold = init_detector(e, alpha).threshold
     with np.errstate(divide="ignore"):
         log_scores = np.log(e.scores)
-    return _batch_detect(stream, budget, e.n, lambda v, s: log_scores[v, s], threshold, threshold)
+    return _batch_detect(stream, budget, e.n, lambda v, s, done: log_scores[v, s],
+                         threshold, threshold)
 
 
 def baseline_batch_detect(
     alpha: float, null_match_prob: float, stream, budget: int, n: int | None = None
 ) -> DetectionReport:
-    """Fold :func:`baseline_observe` over up to ``budget`` pairs, with every
-    step's tail in one array call; wealth is reported as NaN.  With ``n``,
+    """Fold :func:`baseline_observe` over up to ``budget`` pairs, with each
+    block's tails in one array call; wealth is reported as NaN.  With ``n``,
     symbols outside the vocabulary raise as in :func:`batch_detect`."""
     state = init_baseline(alpha, null_match_prob)
+    matches = 0  # carried from block to block
 
-    def below_schedule(v, s):  # the running count of such steps crosses 1 at the first
-        k = np.arange(1, v.size + 1)
-        p_k = _binom_sf(np.cumsum(v == s) - 1, k, state.null_match_prob)
+    def below_schedule(v, s, done):  # the running count of such steps crosses 1 at the first
+        nonlocal matches
+        m = matches + np.cumsum(v == s)
+        matches = int(m[-1])
+        k = np.arange(done + 1, done + v.size + 1)
+        p_k = _binom_sf(m - 1, k, state.null_match_prob)
         return (p_k < state.alpha / (k * (k + 1))).astype(np.float64)
 
     return _batch_detect(stream, budget, n, below_schedule, 1.0)

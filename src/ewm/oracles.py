@@ -147,9 +147,17 @@ def best_path_inner_value(
         raise TooLargeError(f"path enumeration supports n <= {_MAX_PATH_N}, got {spec.n}")
     _check_pair(spec, pair)
     j0 = float(spec.anchor.weights @ np.diag(m.entries))
-    best = max(map(PathSpec, _simple_paths(spec.n, pair.gain, pair.loss)),
-               key=lambda path: path_gain(m, path))  # first of equal maxima: lexicographic
-    return j0 + spec.delta / 2.0 * path_gain(m, best), best
+    best_gain = -math.inf
+    best: tuple[int, ...] | None = None
+    for verts in _simple_paths(spec.n, pair.gain, pair.loss):
+        gain = 0.0
+        for u, nxt in zip(verts[:-1], verts[1:]):
+            gain += float(m.entries[u, nxt]) - float(m.entries[nxt, nxt])
+        if gain > best_gain:
+            best_gain = gain
+            best = verts
+    assert best is not None
+    return j0 + spec.delta / 2.0 * best_gain, PathSpec(best)
 
 
 def _cycle_count(n: int, max_len: int) -> int:

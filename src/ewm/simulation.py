@@ -290,15 +290,6 @@ def _run_fixed(
     chunk = 4 * max(16, (int(1.25 * threshold / jstar(spec)) + 19) // 4)
     rekey = _rekeyer()
 
-    def increments(u: np.ndarray) -> np.ndarray:
-        if cdf.size > 16:
-            idx = np.searchsorted(cdf, u, side="right")
-        else:  # counting CDF entries <= u gives the same index without a binary search
-            idx = (u >= cdf[0]).astype(np.intp)
-            for c in cdf[1:]:
-                idx += u >= c
-        return log_flat[np.minimum(idx, top, out=idx)]
-
     stops = np.full(len(seeds), -1, dtype=np.int64)
     wealth = np.empty(len(seeds))
     rows = max(1, _BLOCK_CELLS // min(chunk, cap))
@@ -309,7 +300,8 @@ def _run_fixed(
             u = np.empty((live.size, min(chunk, cap - steps)))
             for row, t in zip(u, live):
                 rekey(seeds[t], steps // 4).random(out=row)
-            hit, cum = _first_crossing(increments(u), threshold, wealth[live] if steps else 0.0)
+            inc = log_flat[np.minimum(np.searchsorted(cdf, u, side="right"), top)]
+            hit, cum = _first_crossing(inc, threshold, wealth[live] if steps else 0.0)
             wealth[live] = cum[np.arange(live.size), hit]  # column -1 when nothing crossed
             stops[live[hit >= 0]] = steps + hit[hit >= 0] + 1
             live = live[hit < 0]
@@ -380,7 +372,16 @@ def estimate_stopping(config: ExperimentConfig, threads: int = 1) -> list[SweepR
         log_inv = math.log(1.0 / alpha)
         mean = float(filled.mean())
         std_err = float(filled.std(ddof=1) / math.sqrt(filled.size)) if filled.size > 1 else 0.0
-        rows.append(SweepRow(alpha, log_inv, mean, std_err, mean / log_inv, censored))
+        rows.append(
+            SweepRow(
+                alpha=alpha,
+                log_inv_alpha=log_inv,
+                mean_tau=mean,
+                std_err=std_err,
+                ratio=mean / log_inv,
+                censored_count=censored,
+            )
+        )
     return rows
 
 

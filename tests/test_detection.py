@@ -230,6 +230,51 @@ class TestBatchMatchesFold:
             with pytest.raises(IndexOutOfRangeError):
                 ewm.baseline_batch_detect(0.02, pbar, pairs, len(pairs), n=2)
 
+    def test_reports_equal_the_fold_across_blocks(self):
+        # blocks hold 1,024 pairs, then 2,048, 4,096, ...: at alpha 1e-300 both
+        # detectors stop in the second block of the marked stream, and the null
+        # stream runs undecided through three blocks
+        e = ewm.optimal_evalue(self.SPEC)
+        pbar = ewm.worst_null_match_prob(self.SPEC)
+        w = ewm.extreme_coupling(self.SPEC, ewm.ExtremePair(0, 1))
+        marked = [tuple(map(int, p)) for p in ewm.sample_stream(w, 4000, ewm.trial_rng(9))]
+        null = [tuple(map(int, p)) for p in np.random.default_rng(6).integers(2, size=(4000, 2))]
+        for pairs in (marked, null):
+            report = ewm.batch_detect(e, 1e-300, pairs, len(pairs))
+            state = fold(1e-300, pairs, e=e)
+            assert (report.stop_step, report.steps) == (state.rejected_at, state.steps)
+            assert report.wealth == state.wealth
+            report = ewm.baseline_batch_detect(1e-300, pbar, pairs, len(pairs), n=2)
+            state = fold(1e-300, pairs, pbar=pbar)
+            assert (report.stop_step, report.steps) == (state.rejected_at, state.steps)
+            assert report.decision == ("rejected" if pairs is marked else "undecided")
+            assert pairs is null or 1024 < report.stop_step < 3072
+        for pairs, raises in ((marked, False), (null, True)):
+            pairs = pairs[:3500] + [(0, 5)] + pairs[3500:]
+            for detect in (lambda: ewm.batch_detect(e, 1e-300, pairs, len(pairs)),
+                           lambda: ewm.baseline_batch_detect(1e-300, pbar, pairs, len(pairs), n=2)):
+                if raises:
+                    with pytest.raises(IndexOutOfRangeError):
+                        detect()
+                else:
+                    assert detect().decision == "rejected"
+
+    def test_baseline_work_tracks_the_stopping_step(self, monkeypatch):
+        from ewm import detection
+
+        sizes = []
+        real = detection._binom_sf
+
+        def counting_sf(x, k, p):
+            sizes.append(np.size(k))
+            return real(x, k, p)
+
+        monkeypatch.setattr(detection, "_binom_sf", counting_sf)
+        pbar = ewm.worst_null_match_prob(self.SPEC)
+        pairs = [(0, 0)] * 100_000
+        report = ewm.baseline_batch_detect(0.02, pbar, pairs, len(pairs), n=2)
+        assert report.stop_step < 100 and sum(sizes) == 1024
+
 
 class TestSerialization:
     def test_round_trip_and_resume(self):

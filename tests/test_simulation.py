@@ -184,8 +184,8 @@ class TestEstimateStopping:
     def test_batched_sweep_matches_stepwise_loop(self):
         # (anchor, delta, pair, alpha, cap, first chunk): on the 2-symbol anchor's
         # weak, noisy drift about 12% of trials outlast their first chunk and
-        # continue from their carry; the 5-symbol table takes the binary-search
-        # lookup; both caps censor some trials
+        # continue from their carry; the 5-symbol case has a 25-cell table;
+        # both caps censor some trials
         cases = [([0.85, 0.15], 0.14, (0, 1), 1e-5, 120, 104),
                  ([0.6, 0.1, 0.1, 0.1, 0.1], 0.09, (1, 0), 1e-5, 14, None)]
         for anchor, delta, pair, alpha, cap, chunk in cases:
