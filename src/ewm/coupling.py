@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadWeightsError, FormatError, InvalidPathError
+from .errors import BadParamsError, BadWeightsError, FormatError, InvalidPathError
 from .simplex import (
     EXACT_ATOL,
     ExtremePair,
@@ -153,6 +153,8 @@ def sample_pair(w: CouplingMatrix, rng: np.random.Generator) -> tuple[int, int]:
 def sample_stream(w: CouplingMatrix, steps: int, rng: np.random.Generator) -> np.ndarray:
     """``steps`` draws at once; consumes the stream exactly like repeated
     :func:`sample_pair`, so chunked and one-at-a-time sampling agree."""
+    if steps < 0:
+        raise BadParamsError(f"steps must be >= 0, got {steps}")
     cdf = np.cumsum(w.joint.ravel())
     u = rng.random(steps)
     idx = np.minimum(np.searchsorted(cdf, u, side="right"), w.n * w.n - 1)

@@ -153,7 +153,7 @@ def _first_crossing(inc: np.ndarray, boundary, carry=0.0) -> tuple[np.ndarray, n
 def _batch_detect(stream, budget, n, increments, boundary, threshold=math.nan) -> DetectionReport:
     """The one body of both batch detectors: the first crossing of
     ``increments(v, s, done)`` (a block's per-step statistics after ``done``
-    steps) over ``boundary`` within ``budget`` pairs.  Blocks start at 1,024
+    steps) over ``boundary`` within ``budget`` pairs.  Blocks start at 128
     pairs and double, so the work tracks the stopping step rather than the
     stream length.  A pair outside ``range(n)`` raises when it falls at or
     before the stopping step, as in a stepwise fold.  A NaN ``threshold``
@@ -163,7 +163,7 @@ def _batch_detect(stream, budget, n, increments, boundary, threshold=math.nan) -
     pairs = list(stream)[:budget]
     if not pairs:
         raise EmptyStreamError("stream holds no observations")
-    done, width, total, stop = 0, 1024, 0.0, None
+    done, width, total, stop = 0, 128, 0.0, None
     while done < len(pairs):
         try:
             v, s = np.array(pairs[done:done + width], dtype=np.int64).T
@@ -218,6 +218,9 @@ def baseline_batch_detect(
 # -- JSON wire formats --------------------------------------------------------
 
 def detector_to_json(state: DetectorState) -> str:
+    """Strict JSON; a non-finite wealth (after a zero score) has no encoding."""
+    if not math.isfinite(state.wealth):
+        raise FormatError(f"wealth {state.wealth!r} is not finite")
     return json.dumps(
         {
             "wealth": state.wealth,
@@ -225,8 +228,18 @@ def detector_to_json(state: DetectorState) -> str:
             "alpha": state.alpha,
             "status": "running" if state.running else "rejected",
             "rejected_at": state.rejected_at,
-        }
+        },
+        allow_nan=False,
     )
+
+
+def _json_number(value, kind: type):
+    """``value`` as ``kind`` if it is a JSON number of that kind (a float field
+    also takes an integer); ``int()`` and ``float()`` would also take ``true``
+    or ``"3"``, and ``int()`` would truncate 2.7."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def detector_from_json(text: str) -> DetectorState:
@@ -236,13 +249,22 @@ def detector_from_json(text: str) -> DetectorState:
         raise FormatError(f"invalid JSON: {exc}") from exc
     try:
         state = DetectorState(
-            wealth=float(payload["wealth"]),
-            steps=int(payload["steps"]),
-            alpha=_check_alpha(payload["alpha"]),
-            rejected_at=(None if payload.get("rejected_at") is None else int(payload["rejected_at"])),
+            wealth=_json_number(payload["wealth"], float),
+            steps=_json_number(payload["steps"], int),
+            alpha=_check_alpha(_json_number(payload["alpha"], float)),
+            rejected_at=(None if payload.get("rejected_at") is None
+                         else _json_number(payload["rejected_at"], int)),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"malformed detector state: {exc}") from exc
+    if not math.isfinite(state.wealth):
+        raise FormatError(f"wealth {state.wealth!r} is not finite")
+    if state.steps < 0:
+        raise FormatError(f"steps must be >= 0, got {state.steps}")
+    if state.rejected_at is not None and not 1 <= state.rejected_at <= state.steps:
+        raise FormatError(f"rejected_at {state.rejected_at} outside 1..{state.steps}")
+    if state.running and state.wealth >= state.threshold:
+        raise FormatError(f"wealth {state.wealth!r} meets the threshold but nothing rejected")
     return state
 
 

@@ -124,7 +124,10 @@ def make_distribution(weights) -> VocabDistribution:
     Weights must be nonnegative and sum to 1 within ``SIMPLEX_ATOL``; within
     that slack, they are renormalized to an exact unit sum.
     """
-    w = np.asarray(weights, dtype=np.float64)
+    try:
+        w = np.asarray(weights, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"weights must be numbers: {exc}") from exc
     if w.ndim != 1:
         raise FormatError(f"weights must be one-dimensional, got shape {w.shape}")
     if w.shape[0] < 2:

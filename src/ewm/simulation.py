@@ -19,21 +19,28 @@ any worker count or scheduling order.  Fixed-target trials take a vectorized
 fast path: one Philox per work unit is re-keyed for each trial by assigning
 its state, the trials' chunks are drawn row by row into one matrix and
 searched in one pass, and a trial that has not crossed carries its wealth
-into its next chunk.  Chunked and stepwise draws coincide, so the fast path
-is draw-for-draw identical to the stepwise loop.
+into its next chunk.  Every other trial runs the stepwise loop.  There,
+``FixedPair``, ``RoundRobin`` and ``HistoryGreedy`` draw exactly one uniform
+per step and take them in chunks, while ``RandomPair`` draws its vertex
+(``integers``) and then its uniform (``random``) at every step.  Chunked and
+one-at-a-time draws coincide, so both paths consume each trial's stream
+exactly as a loop drawing one value at a time would.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import deque
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import cycle, repeat
 
 import numpy as np
 
-from .coupling import CouplingMatrix, extreme_coupling, sample_pair
-from .detection import _check_alpha, _first_crossing, init_detector, observe
+from .coupling import extreme_coupling
+from .detection import _check_alpha, _first_crossing
 from .errors import (
     BadParamsError,
     OutsideNeighborhoodError,
@@ -52,6 +59,7 @@ from .simplex import (
 _MASK64 = (1 << 64) - 1
 _ALPHA_STRIDE = 0x9E3779B97F4A7C15  # golden-ratio odd constant
 _BLOCK_CELLS = 16_384  # uniforms per block of trials on the fixed-pair fast path
+_STEP_CHUNK = 1_024  # uniforms per draw of the stepwise loop's one-draw policies
 
 
 def mix64(x: int) -> int:
@@ -127,6 +135,10 @@ class HistoryGreedy:
 
     window: int = 32
 
+    def __post_init__(self):
+        if self.window < 1:
+            raise BadParamsError(f"greedy window must be >= 1, got {self.window}")
+
 
 AdversaryPolicy = FixedPair | RoundRobin | RandomPair | HistoryGreedy
 
@@ -192,49 +204,74 @@ def choose_pair(
     if isinstance(policy, FixedPair):
         return ExtremePair(policy.gain, policy.loss)
     pairs = enumerate_extremes(spec)
-    return pairs[_choose_index(policy, step, history, pairs, rng)]
-
-
-def _choose_index(
-    policy: AdversaryPolicy,
-    step: int,
-    history: list[StepOutcome],
-    pairs: list[ExtremePair],
-    rng: np.random.Generator,
-    played: set[int] | None = None,
-) -> int:
-    """Lexicographic index of the adversary's vertex among ``pairs``.
-
-    ``played`` is the set of pair indices in ``history``; a caller stepping
-    through one trial keeps it up to date instead of having it rebuilt."""
     if isinstance(policy, RoundRobin):
-        return step % len(pairs)
+        return pairs[step % len(pairs)]
     if isinstance(policy, RandomPair):
-        return int(rng.integers(len(pairs)))
+        return pairs[int(rng.integers(len(pairs)))]
     if isinstance(policy, HistoryGreedy):
-        if played is None:
-            played = {rec.pair_index for rec in history}
-        for idx in range(len(pairs)):
-            if idx not in played:
-                return idx
-        seen: dict[int, list[float]] = {}
+        greedy = _GreedyWindow(len(pairs), policy.window,
+                               {rec.pair_index for rec in history})
         for rec in history[-policy.window:]:
-            seen.setdefault(rec.pair_index, []).append(rec.log_e)
-        best_idx = 0
-        best_mean = math.inf
-        for idx in range(len(pairs)):
-            vals = seen.get(idx)
-            mean = sum(vals) / len(vals) if vals else math.inf
-            if mean < best_mean:
-                best_mean = mean
-                best_idx = idx
-        return best_idx
+            greedy.push(rec.pair_index, rec.log_e)
+        return pairs[greedy.choose()]
     raise BadParamsError(f"unknown policy {policy!r}")
+
+
+class _GreedyWindow:
+    """``HistoryGreedy``'s state and its one rule.  ``recent[i]`` holds vertex
+    i's log scores within the last ``window`` steps, oldest first, and
+    ``order`` the vertices of those steps; ``played`` is every vertex played."""
+
+    def __init__(self, m: int, window: int, played: set[int]):
+        self.recent: list[deque[float]] = [deque() for _ in range(m)]
+        self.order: deque[int] = deque()
+        self.window = window
+        self.played = played
+
+    def push(self, idx: int, log_e: float) -> None:
+        if len(self.order) == self.window:
+            self.recent[self.order.popleft()].popleft()
+        self.order.append(idx)
+        self.recent[idx].append(log_e)
+        self.played.add(idx)
+
+    def choose(self) -> int:
+        """The first unplayed vertex, else the first with the lowest mean recent
+        log score, summed oldest first; a vertex outside the window counts as
+        +inf."""
+        if len(self.played) < len(self.recent):
+            return next(i for i in range(len(self.recent)) if i not in self.played)
+        best_idx, best_mean = 0, math.inf
+        for idx, scores in enumerate(self.recent):
+            if scores:
+                mean = sum(scores) / len(scores)
+                if mean < best_mean:
+                    best_idx, best_mean = idx, mean
+        return best_idx
 
 
 def default_horizon(spec: NeighborhoodSpec, alpha: float) -> int:
     """Cap generous enough that censoring is negligible under steady drift."""
     return int(math.ceil(10.0 * math.log(1.0 / alpha) / jstar(spec)))
+
+
+def _vertex_tables(spec: NeighborhoodSpec, e: EValueTable) -> tuple[list, list]:
+    """The stepwise loop's set-up, shared by a work unit's trials: each vertex's
+    CDF over its coupling's row-major joint (lexicographic vertex order) and
+    the flat log scores, as Python lists.  Each CDF drops its last entry, so
+    a uniform beyond every other entry lands in the last cell, exactly like
+    ``searchsorted(side="right")`` clamped to the last cell."""
+    cdfs = [np.cumsum(extreme_coupling(spec, pair).joint.ravel())[:-1].tolist()
+            for pair in enumerate_extremes(spec)]
+    with np.errstate(divide="ignore"):
+        return cdfs, np.log(e.scores).ravel().tolist()
+
+
+def _uniforms(rng: np.random.Generator, count: int):
+    """``count`` uniforms drawn in chunks; the same values as ``count`` calls
+    of ``rng.random()``."""
+    for lo in range(0, count, _STEP_CHUNK):
+        yield from rng.random(min(_STEP_CHUNK, count - lo)).tolist()
 
 
 def _run_trial_generic(
@@ -244,35 +281,38 @@ def _run_trial_generic(
     alpha: float,
     cap: int,
     seed: int,
-    couplings: dict[int, CouplingMatrix] | None = None,
+    tables: tuple[list, list] | None = None,
 ) -> TrialRecord:
-    """Stepwise loop; the reference implementation for every policy."""
+    """The stepwise loop, one scalar step at a time, for every policy;
+    ``tables`` is :func:`_vertex_tables`, built here when not given."""
+    cdfs, log_flat = tables if tables is not None else _vertex_tables(spec, e)
+    m = len(cdfs)
+    threshold = math.log(1.0 / alpha)
     rng = trial_rng(seed)
-    state = init_detector(e, alpha)
-    history: list[StepOutcome] = []
-    played: set[int] = set()
-    pairs = enumerate_extremes(spec)
-    fixed = (pairs.index(ExtremePair(policy.gain, policy.loss))
-             if isinstance(policy, FixedPair) else None)
-    cache = couplings if couplings is not None else {}
-    log_scores = np.log(e.scores)
-    while state.running and state.steps < cap:
-        idx = fixed if fixed is not None else _choose_index(
-            policy, state.steps, history, pairs, rng, played)
-        w = cache.get(idx)
-        if w is None:
-            w = extreme_coupling(spec, pairs[idx])
-            cache[idx] = w
-        v, s = sample_pair(w, rng)
-        state = observe(state, e, v, s)
-        history.append(StepOutcome(idx, v, s, float(log_scores[v, s])))
-        played.add(idx)
-    return TrialRecord(
-        stop_step=state.rejected_at,
-        final_wealth=state.wealth,
-        steps_run=state.steps,
-        seed=seed,
-    )
+    uniforms = _uniforms(rng, cap)  # a generator: nothing is drawn until it is read
+    greedy = None
+    if isinstance(policy, FixedPair):
+        indices = repeat(enumerate_extremes(spec).index(ExtremePair(policy.gain, policy.loss)))
+    elif isinstance(policy, RoundRobin):
+        indices = cycle(range(m))
+    elif isinstance(policy, HistoryGreedy):
+        greedy = _GreedyWindow(m, policy.window, set())
+        indices = iter(greedy.choose, None)
+    elif isinstance(policy, RandomPair):  # the vertex, then the uniform, each step
+        indices = iter(lambda: int(rng.integers(m)), None)
+        uniforms = iter(rng.random, None)
+    else:
+        raise BadParamsError(f"unknown policy {policy!r}")
+    wealth, stop = 0.0, None
+    for step, idx in zip(range(1, cap + 1), indices):
+        log_e = log_flat[bisect_right(cdfs[idx], next(uniforms))]
+        wealth += log_e
+        if wealth >= threshold:
+            stop = step
+            break
+        if greedy is not None:
+            greedy.push(idx, log_e)
+    return TrialRecord(stop_step=stop, final_wealth=wealth, steps_run=stop or cap, seed=seed)
 
 
 def _run_fixed(
@@ -334,8 +374,8 @@ def _sweep_task(args) -> tuple[int, int, np.ndarray]:
     if isinstance(config.policy, FixedPair):
         return alpha_index, lo, _run_fixed(spec, config.policy, alpha, cap, seeds)[0]
     e = optimal_evalue(spec)
-    couplings: dict[int, CouplingMatrix] = {}
-    records = [_run_trial_generic(spec, e, config.policy, alpha, cap, seed, couplings)
+    tables = _vertex_tables(spec, e)
+    records = [_run_trial_generic(spec, e, config.policy, alpha, cap, seed, tables)
                for seed in seeds]
     return alpha_index, lo, np.array([-1 if r.stop_step is None else r.stop_step
                                       for r in records], dtype=np.int64)

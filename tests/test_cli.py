@@ -114,6 +114,16 @@ class TestErrors:
                                  "--alpha", "0.02", "--method", method, "--stream", str(stream))
             assert code == 1 and out == "" and "out of range for n=2" in err
 
+    def test_non_numeric_anchor_weight(self, capsys):
+        code, out, err = run(capsys, "jstar", "--anchor", '["a",0.5]', "--delta", "0.1")
+        assert code == 1 and out == "" and "weights must be numbers" in err
+        assert "Traceback" not in err
+
+    def test_negative_steps(self, capsys, tmp_path):
+        code, _, err = run(capsys, "generate", "--anchor", "[0.5,0.5]", "--delta", "0.1",
+                           "--pair", "0,1", "--steps", "-1", "--out", str(tmp_path / "s.csv"))
+        assert code == 1 and "steps must be >= 0" in err and "Traceback" not in err
+
     def test_missing_stream_file(self, capsys):
         code, _, _ = run(capsys, "detect", "--anchor", "[0.5,0.5]", "--delta", "0.1",
                          "--alpha", "0.02", "--stream", "/nonexistent/stream.csv")

@@ -9,6 +9,7 @@ from ewm.errors import (
     BadAlphaError,
     BadParamsError,
     EmptyStreamError,
+    FormatError,
     IndexOutOfRangeError,
 )
 
@@ -231,9 +232,9 @@ class TestBatchMatchesFold:
                 ewm.baseline_batch_detect(0.02, pbar, pairs, len(pairs), n=2)
 
     def test_reports_equal_the_fold_across_blocks(self):
-        # blocks hold 1,024 pairs, then 2,048, 4,096, ...: at alpha 1e-300 both
-        # detectors stop in the second block of the marked stream, and the null
-        # stream runs undecided through three blocks
+        # blocks hold 128 pairs, then 256, 512, ...: at alpha 1e-300 both
+        # detectors stop after step 1,024 of the marked stream, in its fourth or
+        # fifth block, and the null stream runs undecided through six blocks
         e = ewm.optimal_evalue(self.SPEC)
         pbar = ewm.worst_null_match_prob(self.SPEC)
         w = ewm.extreme_coupling(self.SPEC, ewm.ExtremePair(0, 1))
@@ -273,7 +274,7 @@ class TestBatchMatchesFold:
         pbar = ewm.worst_null_match_prob(self.SPEC)
         pairs = [(0, 0)] * 100_000
         report = ewm.baseline_batch_detect(0.02, pbar, pairs, len(pairs), n=2)
-        assert report.stop_step < 100 and sum(sizes) == 1024
+        assert report.stop_step < 100 and sum(sizes) == 128
 
 
 class TestSerialization:
@@ -296,3 +297,33 @@ class TestSerialization:
         state = ewm.observe(state, e, 0, 0)
         payload = ewm.detector_to_json(state)
         assert '"status": "rejected"' in payload
+
+    def test_non_finite_wealth_is_not_written(self):
+        # a zero score drives the wealth to -inf, which strict JSON cannot hold
+        e = ewm.make_evalue_table([[2.0, 0.0], [0.0, 2.0]])
+        state = ewm.observe(ewm.init_detector(e, 0.02), e, 0, 1)
+        assert state.wealth == -math.inf
+        with pytest.raises(FormatError):
+            ewm.detector_to_json(state)
+
+    def test_inconsistent_states_are_rejected(self):
+        threshold = math.log(50.0)
+        for payload in (
+            '{"wealth": 0.5, "steps": -4, "alpha": 0.02, "rejected_at": null}',
+            '{"wealth": 5.0, "steps": 3, "alpha": 0.02, "rejected_at": 0}',
+            '{"wealth": 5.0, "steps": 3, "alpha": 0.02, "rejected_at": 4}',
+            '{"wealth": %r, "steps": 3, "alpha": 0.02, "rejected_at": null}' % threshold,
+            '{"wealth": 9.0, "steps": 3, "alpha": 0.02, "rejected_at": null}',
+            '{"wealth": -Infinity, "steps": 3, "alpha": 0.02, "rejected_at": null}',
+            '{"wealth": 0.5, "steps": "3", "alpha": 0.02, "rejected_at": null}',
+            '{"wealth": 0.5, "steps": 2.7, "alpha": 0.02, "rejected_at": null}',
+            '{"wealth": 0.5, "steps": true, "alpha": 0.02, "rejected_at": null}',
+            '{"wealth": 1%s, "steps": 3, "alpha": 0.02, "rejected_at": null}' % ("0" * 400),
+            '{"wealth": 5.0, "steps": 3, "alpha": 0.02, "rejected_at": 2.5}',
+            '[1, 2]',
+        ):
+            with pytest.raises(FormatError):
+                ewm.detector_from_json(payload)
+        state = ewm.detector_from_json(
+            '{"wealth": 5.0, "steps": 3, "alpha": 0.02, "rejected_at": 3}')
+        assert state.rejected_at == 3 and not state.running

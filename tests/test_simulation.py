@@ -6,7 +6,15 @@ import pytest
 
 import ewm
 from ewm.errors import BadParamsError, InvalidPairError, OutsideNeighborhoodError
-from ewm.simulation import _rekeyer, _run_trial_generic, _sweep_task
+from ewm.simulation import (
+    _STEP_CHUNK,
+    StepOutcome,
+    TrialRecord,
+    _rekeyer,
+    _run_trial_generic,
+    _sweep_task,
+    choose_pair,
+)
 
 
 def spec_of(weights, delta):
@@ -69,12 +77,24 @@ class TestPolicies:
         rng = ewm.trial_rng(2)
         first = ewm.simulation.choose_pair(policy, 0, [], spec, rng)
         assert (first.gain, first.loss) == (0, 1)
+        skipped = ewm.simulation.choose_pair(policy, 1, [StepOutcome(1, 0, 0, 0.0)], spec, rng)
+        assert (skipped.gain, skipped.loss) == (0, 1)  # the first unplayed vertex
         history = [
             ewm.simulation.StepOutcome(pair_index=i, v=0, s=0, log_e=float(i))
             for i in range(6)
         ]
         chosen = ewm.simulation.choose_pair(policy, 6, history, spec, rng)
         assert (chosen.gain, chosen.loss) == (0, 1)  # smallest recent log score
+        # a window of 2 holds only the last two steps; their tie goes to the
+        # lexicographically first vertex, index 3 = (1, 2)
+        history += [StepOutcome(5, 0, 0, -1.0), StepOutcome(3, 0, 0, -1.0)]
+        chosen = ewm.simulation.choose_pair(ewm.HistoryGreedy(window=2), 8, history, spec, rng)
+        assert (chosen.gain, chosen.loss) == (1, 2)
+
+    def test_history_greedy_needs_a_window(self):
+        for window in (0, -3):
+            with pytest.raises(BadParamsError):
+                ewm.HistoryGreedy(window=window)
 
     def test_best_response_to_chosen_vertex(self):
         spec = spec_of([0.4, 0.3, 0.3], 0.1)
@@ -89,7 +109,46 @@ class TestPolicies:
         assert 0 <= v < 3 and 0 <= s < 3
 
 
+def reference_fold(spec, e, policy, alpha, cap, seed):
+    """The stepwise loop built from public parts, one draw at a time."""
+    rng = ewm.trial_rng(seed)
+    state = ewm.init_detector(e, alpha)
+    pairs = ewm.enumerate_extremes(spec)
+    log_scores = np.log(e.scores)
+    history = []
+    while state.running and state.steps < cap:
+        pair = choose_pair(policy, state.steps, history, spec, rng)
+        v, s = ewm.sample_pair(ewm.extreme_coupling(spec, pair), rng)
+        state = ewm.observe(state, e, v, s)
+        history.append(StepOutcome(pairs.index(pair), v, s, float(log_scores[v, s])))
+    return TrialRecord(stop_step=state.rejected_at, final_wealth=state.wealth,
+                       steps_run=state.steps, seed=seed)
+
+
 class TestRunTrial:
+    def test_stepwise_loop_matches_the_reference_fold(self):
+        # (anchor, alpha, cap, seeds): n=4 has 12 vertices, so RandomPair's
+        # integers(12) is not a power-of-two draw; the cap of 15 censors;
+        # alpha 1e-300 on n=2 takes about 1,400 steps, more than one chunk
+        cases = [([0.5, 0.5], 1e-300, 10**6, (0,)),
+                 ([0.5, 0.5], 1e-6, 10**4, (1, 2)),
+                 ([0.4, 0.3, 0.3], 1e-20, 10**4, (3, 4)),
+                 ([0.4, 0.3, 0.18, 0.12], 1e-20, 10**4, (5, 6)),
+                 ([0.4, 0.3, 0.18, 0.12], 1e-20, 15, (7, 8))]
+        policies = (ewm.FixedPair(1, 0), ewm.RoundRobin(), ewm.RandomPair(),
+                    ewm.HistoryGreedy(window=8), ewm.HistoryGreedy(window=32))
+        censored = long_runs = 0
+        for anchor, alpha, cap, seeds in cases:
+            spec = spec_of(anchor, 0.1)
+            e = ewm.optimal_evalue(spec)
+            for policy in policies:
+                for seed in seeds:
+                    record = _run_trial_generic(spec, e, policy, alpha, cap, seed)
+                    assert record == reference_fold(spec, e, policy, alpha, cap, seed)
+                    censored += record.stop_step is None
+                    long_runs += record.steps_run > _STEP_CHUNK
+        assert censored and long_runs == len(policies)
+
     def test_deterministic(self):
         config = ewm.ExperimentConfig(
             spec=FAIR, alphas=(1e-6,), trials=5, policy=ewm.FixedPair(0, 1), base_seed=9
