@@ -17,6 +17,7 @@ seeds reproduce byte-identical files.  Exit codes: 0 success, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -204,7 +205,8 @@ def _cmd_sweep_tau(args) -> int:
         horizon_cap=args.horizon_cap,
         base_seed=args.seed,
     )
-    rows = simulation.estimate_stopping(config, threads=args.threads)
+    threads = _default_threads() if args.threads is None else args.threads
+    rows = simulation.estimate_stopping(config, threads=threads)
     _write_table(args.out, simulation.write_sweep_csv, rows)
     return 0
 
@@ -286,7 +288,10 @@ def _cmd_audit(args) -> int:
     return 0 if passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; no default depends
+    on the environment, which the commands read when they run."""
     parser = argparse.ArgumentParser(
         prog="ewm",
         description="Worst-case log-optimal watermark scores, couplings, and anytime-valid detection.",
@@ -314,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--policy", default="fixed:0,1")
     p.add_argument("--horizon-cap", type=int, default=None)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=None, help="default: $EWM_THREADS or 1")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep_tau)
 

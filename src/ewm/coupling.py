@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,13 @@ from .simplex import (
 # Entries more negative than this are construction bugs; above it they are
 # floating-point cancellation dust and are clamped to zero.
 NEG_CLAMP = 1e-14
+
+# Guide-table buckets of [0, 1).  A power of two, so ``u * _GUIDE`` is exact and
+# its integer part is the bucket of ``u``; the least and greatest float of
+# each bucket are precomputed once.
+_GUIDE = 4096
+_BUCKET_LOW = np.arange(_GUIDE) / _GUIDE
+_BUCKET_HIGH = np.nextafter(_BUCKET_LOW + 1.0 / _GUIDE, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,16 +158,41 @@ def sample_pair(w: CouplingMatrix, rng: np.random.Generator) -> tuple[int, int]:
     return divmod(idx, w.n)
 
 
+def _cell_lookup(cdf: np.ndarray, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The one vectorized uniform-to-cell map: ``lookup(u)`` is a new array
+    equal to ``values[min(searchsorted(cdf, u, side="right"), len(values) - 1)]``
+    for a nondecreasing ``cdf``.  Every ``u`` must lie in [0, 1), as the
+    draws of ``Generator.random`` do; outside it the bucket is out of range.
+
+    A guide table (indexed search) holds the answer of every bucket of
+    ``_GUIDE`` equal parts of [0, 1) whose least and greatest float land in
+    the same cell; ``searchsorted`` is monotone, so every float between them
+    does too.  Only uniforms in a bucket that straddles a CDF entry are
+    searched, with the same comparisons."""
+    top = len(values) - 1
+    lo = np.minimum(np.searchsorted(cdf, _BUCKET_LOW, side="right"), top)
+    hi = np.minimum(np.searchsorted(cdf, _BUCKET_HIGH, side="right"), top)
+    guide, straddles = values[lo], lo != hi
+
+    def lookup(u: np.ndarray) -> np.ndarray:
+        bucket = (u * _GUIDE).astype(np.intp)
+        out = guide[bucket]
+        search = straddles[bucket]
+        if search.any():
+            out[search] = values[np.minimum(np.searchsorted(cdf, u[search], side="right"), top)]
+        return out
+
+    return lookup
+
+
 def sample_stream(w: CouplingMatrix, steps: int, rng: np.random.Generator) -> np.ndarray:
     """``steps`` draws at once; consumes the stream exactly like repeated
     :func:`sample_pair`, so chunked and one-at-a-time sampling agree."""
     if steps < 0:
         raise BadParamsError(f"steps must be >= 0, got {steps}")
-    cdf = np.cumsum(w.joint.ravel())
-    u = rng.random(steps)
-    idx = np.minimum(np.searchsorted(cdf, u, side="right"), w.n * w.n - 1)
+    lookup = _cell_lookup(np.cumsum(w.joint.ravel()), np.arange(w.n * w.n))
     out = np.empty((steps, 2), dtype=np.int64)
-    out[:, 0], out[:, 1] = np.divmod(idx, w.n)
+    out[:, 0], out[:, 1] = np.divmod(lookup(rng.random(steps)), w.n)
     return out
 
 

@@ -17,14 +17,17 @@ where ``mix64`` is the splitmix64 finalizer (xor-shift/multiply avalanche).
 Trials are therefore embarrassingly parallel, and results are identical for
 any worker count or scheduling order.  Fixed-target trials take a vectorized
 fast path: one Philox per work unit is re-keyed for each trial by assigning
-its state, the trials' chunks are drawn row by row into one matrix and
-searched in one pass, and a trial that has not crossed carries its wealth
-into its next chunk.  Every other trial runs the stepwise loop.  There,
-``FixedPair``, ``RoundRobin`` and ``HistoryGreedy`` draw exactly one uniform
-per step and take them in chunks, while ``RandomPair`` draws its vertex
-(``integers``) and then its uniform (``random``) at every step.  Chunked and
-one-at-a-time draws coincide, so both paths consume each trial's stream
-exactly as a loop drawing one value at a time would.
+its state, the trials' chunks are drawn row by row into one matrix, and a
+trial that has not crossed carries its wealth into its next chunk.  A guide
+table over 4,096 equal buckets of [0, 1) maps each matrix to its cells' log
+scores in one pass, with the comparisons of ``searchsorted``, so every uniform
+lands in the cell the stepwise loop's ``bisect_right`` gives it.  Every other
+trial runs the stepwise loop.  There, ``FixedPair``, ``RoundRobin`` and
+``HistoryGreedy`` draw exactly one uniform per step and take them in chunks,
+while ``RandomPair`` draws its vertex (``integers``) and then its uniform
+(``random``) at every step.  Chunked and one-at-a-time draws coincide, so both
+paths consume each trial's stream exactly as a loop drawing one value at a
+time would.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from itertools import cycle, repeat
 
 import numpy as np
 
-from .coupling import extreme_coupling
+from .coupling import _cell_lookup, extreme_coupling
 from .detection import _check_alpha, _first_crossing
 from .errors import (
     BadParamsError,
@@ -321,11 +324,12 @@ def _run_fixed(
     """Fast path for a constant coupling: stop steps (-1 when censored) and
     final wealth, one per seed.  Trials run in blocks of one chunk's draws per
     row, rows that have not crossed carry their wealth into the next chunk.
-    A chunk is about 1.25 expected stopping times in whole Philox blocks."""
+    A chunk is about 1.25 expected stopping times in whole Philox blocks.
+    Uniforms map straight to their cells' log scores through one guide-table
+    lookup (:func:`~ewm.coupling._cell_lookup`), built once per call."""
     w = extreme_coupling(spec, ExtremePair(policy.gain, policy.loss))
-    cdf = np.cumsum(w.joint.ravel())
-    log_flat = np.log(optimal_evalue(spec).scores).ravel()
-    top = log_flat.size - 1
+    log_e = _cell_lookup(np.cumsum(w.joint.ravel()),
+                         np.log(optimal_evalue(spec).scores).ravel())
     threshold = math.log(1.0 / alpha)
     chunk = 4 * max(16, (int(1.25 * threshold / jstar(spec)) + 19) // 4)
     rekey = _rekeyer()
@@ -340,8 +344,7 @@ def _run_fixed(
             u = np.empty((live.size, min(chunk, cap - steps)))
             for row, t in zip(u, live):
                 rekey(seeds[t], steps // 4).random(out=row)
-            inc = log_flat[np.minimum(np.searchsorted(cdf, u, side="right"), top)]
-            hit, cum = _first_crossing(inc, threshold, wealth[live] if steps else 0.0)
+            hit, cum = _first_crossing(log_e(u), threshold, wealth[live] if steps else 0.0)
             wealth[live] = cum[np.arange(live.size), hit]  # column -1 when nothing crossed
             stops[live[hit >= 0]] = steps + hit[hit >= 0] + 1
             live = live[hit < 0]
@@ -439,6 +442,8 @@ def calibrate_null(
     Outcomes are drawn from ``q_null`` and seeds independently from the
     anchor, which is exactly the null the score table must guard against;
     the returned rate must stay at or below alpha up to Monte Carlo noise.
+    Each block of streams draws all its outcomes, then all its seeds, and
+    goes through the shared first-crossing kernel.
     """
     _check_alpha(alpha)
     if trials < 1 or horizon < 1:
@@ -447,19 +452,19 @@ def calibrate_null(
         raise OutsideNeighborhoodError("null target lies outside the neighborhood")
     table = e if e is not None else optimal_evalue(spec)
     with np.errstate(divide="ignore"):
-        log_scores = np.log(table.scores)
+        log_flat = np.log(table.scores).ravel()
     threshold = math.log(1.0 / alpha)
-    cum_q = np.cumsum(q_null.weights)
-    cum_p = np.cumsum(spec.anchor.weights)
+    row = _cell_lookup(np.cumsum(q_null.weights), np.arange(spec.n) * spec.n)
+    col = _cell_lookup(np.cumsum(spec.anchor.weights), np.arange(spec.n))
     hits = 0
     block = max(1, min(trials, 4_000_000 // max(1, horizon)))
     done = 0
     while done < trials:
         b = min(block, trials - done)
-        v = np.minimum(np.searchsorted(cum_q, rng.random((b, horizon)), side="right"), spec.n - 1)
-        s = np.minimum(np.searchsorted(cum_p, rng.random((b, horizon)), side="right"), spec.n - 1)
-        wealth = np.cumsum(log_scores[v, s], axis=1)
-        hits += int(np.sum(wealth.max(axis=1) >= threshold))
+        cell = row(rng.random((b, horizon)))
+        cell += col(rng.random((b, horizon)))
+        hit, _ = _first_crossing(log_flat[cell], threshold)
+        hits += int(np.count_nonzero(hit >= 0))
         done += b
     return hits / trials
 

@@ -207,6 +207,22 @@ class TestSweepTauCommand:
         assert lines[0] == "alpha,log_inv_alpha,mean_tau,std_err,ratio,censored_count"
         assert len(lines) == 3
 
+    def test_threads_default_is_read_on_every_call(self, capsys, monkeypatch):
+        seen = []
+
+        def record_threads(config, threads=1):
+            seen.append(threads)
+            return []
+
+        monkeypatch.setattr(ewm.simulation, "estimate_stopping", record_threads)
+        argv = ["sweep-tau", "--anchor", "[0.5,0.5]", "--delta", "0.1",
+                "--alphas", "0.01", "--trials", "2"]
+        for value in ("3", "5"):
+            monkeypatch.setenv("EWM_THREADS", value)
+            assert run(capsys, *argv)[0] == 0
+        assert run(capsys, *argv, "--threads", "2")[0] == 0
+        assert seen == [3, 5, 2]
+
 
 class TestCalibrateNullCommand:
     def test_csv_written(self, capsys, tmp_path):

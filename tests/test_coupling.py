@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ewm
+from ewm.coupling import _GUIDE, _cell_lookup
 from ewm.errors import BadWeightsError, FormatError, InvalidPairError, InvalidPathError
 
 from conftest import random_spec, random_target
@@ -144,6 +147,46 @@ class TestSampling:
         spec = spec_of([0.4, 0.3, 0.3], 0.1)
         w = ewm.extreme_coupling(spec, ewm.ExtremePair(1, 0))
         assert ewm.sample_pair(w, ewm.trial_rng(5)) == ewm.sample_pair(w, ewm.trial_rng(5))
+
+
+@st.composite
+def joint_cdfs(draw):
+    """The CDF of a row-major joint of up to 70 x 70 cells, so past ``_GUIDE``
+    cells: random masses, some or most of them zero, a total that may round
+    below 1, and some entries moved onto a bucket edge or a float next to one."""
+    side = st.integers(1, 70) | st.just(70)
+    cells = draw(side) * draw(side)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mass = rng.random(cells)
+    mass[rng.random(cells) < draw(st.sampled_from([0.0, 0.5, 0.95]))] = 0.0
+    cdf = np.cumsum(mass) / (mass.sum() or 1.0)
+    cdf *= draw(st.sampled_from([1.0, 1.0 - 2.0**-53, 1.0 - 1e-9, 0.75]))
+    snap = rng.choice(cells, size=draw(st.integers(0, min(cells, 64))), replace=False)
+    edges = np.round(cdf[snap] * _GUIDE) / _GUIDE
+    cdf[snap] = np.nextafter(edges, edges + rng.integers(-1, 2, snap.size))
+    return np.sort(cdf), rng.permutation(cells)
+
+
+def adversarial_uniforms(cdf):
+    """Every bucket edge, every CDF entry and both float neighbours of each,
+    0 and the largest float below 1, all inside [0, 1)."""
+    points = np.concatenate([np.arange(_GUIDE) / _GUIDE, cdf])
+    u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
+                        [0.0, np.nextafter(1.0, 0.0)]])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestCellLookup:
+    @settings(max_examples=150, deadline=None)
+    @given(joint_cdfs(), st.integers(0, 2**32 - 1))
+    def test_equals_clamped_searchsorted(self, table, seed):
+        cdf, values = table
+        u = np.concatenate([adversarial_uniforms(cdf), np.random.default_rng(seed).random(999)])
+        expected = values[np.minimum(np.searchsorted(cdf, u, side="right"), values.size - 1)]
+        lookup = _cell_lookup(cdf, values)
+        assert np.array_equal(lookup(u), expected)
+        rows = u[: u.size // 3 * 3].reshape(3, -1)
+        assert np.array_equal(lookup(rows), expected[: rows.size].reshape(rows.shape))
 
 
 class TestMarginalGuarantees:

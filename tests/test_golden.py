@@ -1,12 +1,16 @@
 """Byte-for-byte golden outputs of reduced-size CLI runs, kept in tests/golden/.
 
-The sweep-tau tables were written with
+The adaptive sweep-tau tables were written with
 
     ewm sweep-tau --anchor ANCHOR --delta 0.1 --alphas 1e-2,1e-120 --trials 4 \
         --seed 0 --policy POLICY --threads 1 --out tests/golden/sweep-tau-TAG-POLICY.csv
 
 for the adaptive policies, which run the stepwise loop, on a 2- and a 4-symbol
-anchor.  Any worker count must reproduce them.
+anchor.  The fixed-pair tables ``sweep-tau-fixed-TAG.csv`` were written the
+same way from ``FIXED_SWEEP`` and the ``FIXED_ANCHORS``, and each ``NAME.csv``
+of ``RUNS`` with ``ewm ARGV --out tests/golden/NAME.csv``.  These cover the
+paths that map uniforms to coupling cells in bulk: the fixed-pair sweep,
+calibrate-null and generate.  Any worker count must reproduce the sweep tables.
 """
 
 from pathlib import Path
@@ -17,6 +21,20 @@ from ewm.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 ANCHORS = {"n2": "[0.5,0.5]", "n4": "[0.25,0.25,0.25,0.25]"}
+
+FIXED_ANCHORS = {"fair": "[0.5,0.5]", "skew": "[0.2,0.8]"}
+FIXED_SWEEP = ["--delta", "0.1", "--alphas", "log:1e-2:1e-60:4", "--trials", "50",
+               "--seed", "0", "--policy", "fixed:0,1"]
+CALIBRATE = ["calibrate-null", "--anchor", "[0.5,0.5]", "--delta", "0.1",
+             "--alphas", "0.1,0.05,0.02", "--trials", "500", "--seed", "1"]
+GENERATE = ["generate", "--anchor", "[0.4,0.3,0.3]", "--delta", "0.1",
+            "--steps", "400", "--seed", "7"]
+RUNS = {
+    "calibrate-null-anchor": CALIBRATE,
+    "calibrate-null-shifted": [*CALIBRATE, "--q-null", "[0.55,0.45]", "--horizon", "2000"],
+    "generate-pair": [*GENERATE, "--pair", "0,1"],
+    "generate-target": [*GENERATE, "--target", "[0.43,0.32,0.25]"],
+}
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -29,3 +47,20 @@ def test_sweep_tau_matches_golden(tmp_path, tag, policy, threads):
                  "--policy", policy, "--threads", str(threads), "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / f"sweep-tau-{tag}-{policy}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_matches_golden(tmp_path, name):
+    out = tmp_path / "out.csv"
+    assert main([*RUNS[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("tag", sorted(FIXED_ANCHORS))
+def test_fixed_sweep_matches_golden(tmp_path, tag, threads):
+    out = tmp_path / "tau.csv"
+    code = main(["sweep-tau", "--anchor", FIXED_ANCHORS[tag], *FIXED_SWEEP,
+                 "--threads", str(threads), "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / f"sweep-tau-fixed-{tag}.csv").read_bytes()
