@@ -35,8 +35,6 @@ from .detection import (
 )
 from .evalue import (
     EValueTable,
-    evalue_from_json,
-    evalue_to_json,
     jstar,
     kernel_of,
     make_evalue_table,
@@ -64,8 +62,6 @@ from .simplex import (
     NeighborhoodSpec,
     VocabDistribution,
     decompose_target,
-    distribution_from_json,
-    distribution_to_json,
     entropy,
     enumerate_extremes,
     extreme_target,
@@ -74,8 +70,6 @@ from .simplex import (
     make_neighborhood,
     noise_profile,
     reconstruct_mixture,
-    spec_from_json,
-    spec_to_json,
 )
 from .simulation import (
     AdversaryPolicy,

@@ -136,10 +136,11 @@ def _add_anchor_flags(sub) -> None:
 
 
 def _default_threads() -> int:
+    value = os.environ.get("EWM_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("EWM_THREADS", "1")))
-    except ValueError:
-        return 1
+        return int(value)
+    except ValueError as exc:
+        raise FormatError(f"EWM_THREADS must be an integer, got {value!r}") from exc
 
 
 def _parse_pair(token: str) -> ExtremePair:
@@ -180,7 +181,7 @@ def _cmd_maxmin2(args) -> int:
     return 0
 
 
-def _parse_policy(token: str, spec: NeighborhoodSpec) -> simulation.AdversaryPolicy:
+def _parse_policy(token: str) -> simulation.AdversaryPolicy:
     token = token.strip()
     if token.startswith("fixed:"):
         pair = _parse_pair(token[len("fixed:"):])
@@ -201,7 +202,7 @@ def _cmd_sweep_tau(args) -> int:
         spec=spec,
         alphas=tuple(alphas),
         trials=args.trials,
-        policy=_parse_policy(args.policy, spec),
+        policy=_parse_policy(args.policy),
         horizon_cap=args.horizon_cap,
         base_seed=args.seed,
     )
@@ -217,7 +218,9 @@ def _cmd_calibrate_null(args) -> int:
     q_null = make_distribution(_parse_json_weights(args.q_null)) if args.q_null else spec.anchor
     rows = []
     for ai, alpha in enumerate(alphas):
-        horizon = args.horizon or max(1, math.ceil(5.0 * math.log(1.0 / alpha) / jstar(spec)))
+        horizon = args.horizon
+        if horizon is None:
+            horizon = max(1, math.ceil(5.0 * math.log(1.0 / alpha) / jstar(spec)))
         rng = simulation.trial_rng(simulation.trial_seed(args.seed, ai, 0))
         rate = simulation.calibrate_null(spec, alpha, args.trials, horizon, q_null, rng)
         rows.append((alpha, args.trials, horizon, round(rate * args.trials), rate))
@@ -276,7 +279,8 @@ def _cmd_audit(args) -> int:
     e = optimal_evalue(spec)
     worst = null_worst_expectation(e, spec)
     null_ok = worst <= 1.0 + 1e-10
-    cycles_ok = cycle_condition_check(log_scores(e), args.max_cycle_len or spec.n)
+    cap = spec.n if args.max_cycle_len is None else args.max_cycle_len
+    cycles_ok = cycle_condition_check(log_scores(e), cap)
     rng = simulation.trial_rng(simulation.mix64(args.seed))
     saddle_ok = saddle_check(spec, args.perturbations, args.magnitude, rng)
     passed = null_ok and cycles_ok and saddle_ok

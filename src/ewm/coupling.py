@@ -8,19 +8,19 @@ of the target).
 
 Three constructions cover every admissible target:
 
-* :func:`extreme_coupling` -- for a vertex target, move ``delta/2`` of mass
-  from the diagonal cell (loss, loss) into (gain, loss) and keep the rest of
-  the diagonal at ``p0``;
-* :func:`mixture_coupling` -- weighted sums of vertex couplings for targets
-  decomposed into vertices;
 * :func:`path_coupling` -- chain a vertex shift along a simple path of
-  vocabulary indices; the single-hop case coincides with
-  :func:`extreme_coupling`, and under the optimal score table every multi-hop
-  chain is strictly worse (each extra hop costs
-  ``log(delta/(2n-2)) - log(1 - delta/2) < 0``).
+  vocabulary indices: each hop moves ``delta/2`` of mass from a diagonal cell
+  into the cell beside it and keeps the rest of the diagonal at ``p0``.  Under
+  the optimal score table every multi-hop chain is strictly worse (each extra
+  hop costs ``log(delta/(2n-2)) - log(1 - delta/2) < 0``);
+* :func:`extreme_coupling` -- the vertex coupling, which *is* the single-hop
+  path (gain, loss): ``delta/2`` moves from (loss, loss) into (gain, loss);
+* :func:`mixture_coupling` -- weighted sums of vertex couplings for targets
+  decomposed into vertices.
 
 Sampling draws one uniform per step and inverts the CDF of the row-major
-flattened joint, which is exact and reproducible for a fixed seeded stream.
+flattened joint (:attr:`CouplingMatrix.cdf`), which is exact and reproducible
+for a fixed seeded stream.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import csv
 import io
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,12 @@ class CouplingMatrix:
     def n(self) -> int:
         return self.joint.shape[0]
 
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """CDF of the row-major flattened joint, computed once per coupling
+        and read-only; every sampler inverts it."""
+        return _freeze(np.cumsum(self.joint.ravel()))
+
 
 @dataclass(frozen=True)
 class PathSpec:
@@ -86,6 +93,8 @@ class PathSpec:
             raise InvalidPathError(f"path needs at least 2 vertices, got {len(v)}")
         if len(set(v)) != len(v):
             raise InvalidPathError(f"path vertices must be distinct, got {v}")
+        if min(v) < 0:
+            raise InvalidPathError(f"path vertices must be nonnegative, got {v}")
 
 
 def make_coupling(joint, target: VocabDistribution, anchor: VocabDistribution) -> CouplingMatrix:
@@ -109,13 +118,9 @@ def make_coupling(joint, target: VocabDistribution, anchor: VocabDistribution) -
 
 
 def extreme_coupling(spec: NeighborhoodSpec, pair: ExtremePair) -> CouplingMatrix:
-    """Optimal coupling for a vertex target: diagonal anchor mass plus one
-    off-diagonal cell (gain, loss) of size ``delta/2`` taken from (loss, loss)."""
+    """Optimal coupling for a vertex target: the single-hop path (gain, loss)."""
     _check_pair(spec, pair)
-    w = np.diag(spec.anchor.weights).astype(np.float64)
-    w[pair.loss, pair.loss] -= spec.delta / 2.0
-    w[pair.gain, pair.loss] += spec.delta / 2.0
-    return make_coupling(w, extreme_target(spec, pair), spec.anchor)
+    return path_coupling(spec, PathSpec((pair.gain, pair.loss)))
 
 
 def mixture_coupling(spec: NeighborhoodSpec, mix: MixtureDecomposition) -> CouplingMatrix:
@@ -152,9 +157,8 @@ def path_coupling(spec: NeighborhoodSpec, path: PathSpec) -> CouplingMatrix:
 
 def sample_pair(w: CouplingMatrix, rng: np.random.Generator) -> tuple[int, int]:
     """One exact draw: invert the CDF of the row-major flattened joint."""
-    cdf = np.cumsum(w.joint.ravel())
     u = rng.random()
-    idx = min(int(np.searchsorted(cdf, u, side="right")), w.n * w.n - 1)
+    idx = min(int(np.searchsorted(w.cdf, u, side="right")), w.n * w.n - 1)
     return divmod(idx, w.n)
 
 
@@ -190,7 +194,7 @@ def sample_stream(w: CouplingMatrix, steps: int, rng: np.random.Generator) -> np
     :func:`sample_pair`, so chunked and one-at-a-time sampling agree."""
     if steps < 0:
         raise BadParamsError(f"steps must be >= 0, got {steps}")
-    lookup = _cell_lookup(np.cumsum(w.joint.ravel()), np.arange(w.n * w.n))
+    lookup = _cell_lookup(w.cdf, np.arange(w.n * w.n))
     out = np.empty((steps, 2), dtype=np.int64)
     out[:, 0], out[:, 1] = np.divmod(lookup(rng.random(steps)), w.n)
     return out

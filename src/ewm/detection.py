@@ -94,8 +94,7 @@ def observe(state: DetectorState, e: EValueTable, v: int, s: int) -> DetectorSta
         raise AlreadyStoppedError(f"detector rejected at step {state.rejected_at}")
     if not (0 <= v < e.n and 0 <= s < e.n):
         raise IndexOutOfRangeError(f"pair ({v}, {s}) out of range for n={e.n}")
-    with np.errstate(divide="ignore"):
-        wealth = state.wealth + float(np.log(e.scores[v, s]))
+    wealth = state.wealth + float(e.log_scores[v, s])
     steps = state.steps + 1
     rejected_at = steps if wealth >= state.threshold else None
     return replace(state, wealth=wealth, steps=steps, rejected_at=rejected_at)
@@ -189,9 +188,7 @@ def _batch_detect(stream, budget, n, increments, boundary, threshold=math.nan) -
 def batch_detect(e: EValueTable, alpha: float, stream, budget: int) -> DetectionReport:
     """Fold :func:`observe` over up to ``budget`` pairs, one array pass per block."""
     threshold = init_detector(e, alpha).threshold
-    with np.errstate(divide="ignore"):
-        log_scores = np.log(e.scores)
-    return _batch_detect(stream, budget, e.n, lambda v, s, done: log_scores[v, s],
+    return _batch_detect(stream, budget, e.n, lambda v, s, done: e.log_scores[v, s],
                          threshold, threshold)
 
 

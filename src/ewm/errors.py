@@ -31,10 +31,6 @@ class InvalidSpecError(EwmError):
     """Anchor/radius combination violates min(anchor) > delta or 0 < delta < 2."""
 
 
-class BadDeltaError(EwmError):
-    """Radius outside the open interval (0, 2)."""
-
-
 class OutsideNeighborhoodError(EwmError):
     """Target distribution lies outside the L1 ball around the anchor."""
 

@@ -28,9 +28,9 @@ All logarithms are natural; rates are in nats.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +55,13 @@ class EValueTable:
     @property
     def n(self) -> int:
         return self.scores.shape[0]
+
+    @cached_property
+    def log_scores(self) -> np.ndarray:
+        """``log(scores)``, computed once per table and read-only; a zero score
+        gives ``-inf``.  Every wealth increment is read from it."""
+        with np.errstate(divide="ignore"):
+            return _freeze(np.log(self.scores))
 
 
 def make_evalue_table(scores) -> EValueTable:
@@ -126,23 +133,3 @@ def _check_dims(e: EValueTable, spec: NeighborhoodSpec) -> None:
     if e.n != spec.n:
         raise DimensionMismatchError(f"table is {e.n}x{e.n} but vocabulary has n={spec.n}")
 
-
-# -- JSON wire format ---------------------------------------------------------
-
-def evalue_to_json(e: EValueTable) -> str:
-    """``{"n": n, "scores": row-major array}``; floats round-trip exactly."""
-    return json.dumps({"n": e.n, "scores": [float(x) for x in e.scores.ravel()]})
-
-
-def evalue_from_json(text: str) -> EValueTable:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "n" not in payload or "scores" not in payload:
-        raise FormatError('expected {"n": n, "scores": [...]}')
-    n = int(payload["n"])
-    flat = np.asarray(payload["scores"], dtype=np.float64)
-    if flat.shape != (n * n,):
-        raise DimensionMismatchError(f"expected {n * n} scores, got {flat.shape[0]}")
-    return make_evalue_table(flat.reshape(n, n))

@@ -93,7 +93,7 @@ def log_scores(e: EValueTable) -> ScoreMatrix:
     """Elementwise log of a score table; requires strictly positive scores."""
     if np.any(e.scores <= 0.0):
         raise BadParamsError("log-score matrix needs strictly positive scores")
-    return ScoreMatrix(np.log(e.scores))
+    return ScoreMatrix(e.log_scores)
 
 
 def path_gain(m: ScoreMatrix, path: PathSpec) -> float:
@@ -291,8 +291,9 @@ def saddle_check(
     """
     if spec.n > _MAX_SADDLE_N:
         raise TooLargeError(f"saddle audit supports n <= {_MAX_SADDLE_N}, got {spec.n}")
-    if perturbations < 0 or magnitude < 0.0:
-        raise BadParamsError("perturbations and magnitude must be nonnegative")
+    if perturbations < 0 or not 0.0 <= 2.0 * magnitude < math.inf:  # NaN fails too
+        raise BadParamsError("perturbations must be nonnegative, magnitude nonnegative "
+                             f"with 2 * magnitude finite; got {perturbations}, {magnitude!r}")
     r_star = kernel_of(optimal_evalue(spec), spec)
     target = jstar(spec)
     pairs = enumerate_extremes(spec)

@@ -25,13 +25,11 @@ All types are immutable values and all operations are pure functions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    BadDeltaError,
     FormatError,
     InvalidPairError,
     InvalidSpecError,
@@ -72,9 +70,6 @@ class VocabDistribution:
     @property
     def n(self) -> int:
         return self.weights.shape[0]
-
-    def as_list(self) -> list[float]:
-        return [float(x) for x in self.weights]
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,15 +188,9 @@ def decompose_target(spec: NeighborhoodSpec, q: VocabDistribution) -> MixtureDec
     equally, on the canceling pair (0,1)/(1,0), whose contributions sum to the
     anchor itself.
     """
-    if q.n != spec.n:
-        raise LengthMismatchError(f"lengths differ: {q.n} vs {spec.n}")
-    p0 = spec.anchor.weights
+    _check_inside(spec, q)
     delta = spec.delta
-    shift = q.weights - p0
-    if float(np.abs(shift).sum()) > delta + RECONSTRUCT_ATOL:
-        raise OutsideNeighborhoodError(
-            f"target at L1 distance {float(np.abs(shift).sum())!r} > delta {delta!r}"
-        )
+    shift = q.weights - spec.anchor.weights
 
     supply = [(i, float(shift[i])) for i in range(spec.n) if shift[i] > 0.0]
     demand = [(j, float(-shift[j])) for j in range(spec.n) if shift[j] < 0.0]
@@ -254,7 +243,7 @@ def noise_profile(n: int, delta: float) -> VocabDistribution:
     if n < 2:
         raise TooShortError(f"need at least 2 symbols, got {n}")
     if not (0.0 < float(delta) < 2.0):
-        raise BadDeltaError(f"delta must lie in (0, 2), got {delta!r}")
+        raise InvalidSpecError(f"delta must lie in (0, 2), got {delta!r}")
     w = np.full(n, delta / (2.0 * (n - 1)))
     w[0] = 1.0 - delta / 2.0
     return VocabDistribution(w)
@@ -267,32 +256,9 @@ def _check_pair(spec: NeighborhoodSpec, pair: ExtremePair) -> None:
         )
 
 
-# -- JSON wire formats --------------------------------------------------------
-
-def distribution_to_json(d: VocabDistribution) -> str:
-    """A bare JSON array of weights."""
-    return json.dumps(d.as_list())
-
-
-def distribution_from_json(text: str) -> VocabDistribution:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(payload, list):
-        raise FormatError("expected a JSON array of weights")
-    return make_distribution(payload)
-
-
-def spec_to_json(spec: NeighborhoodSpec) -> str:
-    return json.dumps({"anchor": spec.anchor.as_list(), "delta": spec.delta})
-
-
-def spec_from_json(text: str) -> NeighborhoodSpec:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "anchor" not in payload or "delta" not in payload:
-        raise FormatError('expected {"anchor": [...], "delta": x}')
-    return make_neighborhood(make_distribution(payload["anchor"]), float(payload["delta"]))
+def _check_inside(spec: NeighborhoodSpec, q: VocabDistribution) -> None:
+    """The one ball-membership test: ``||q - p0||_1 <= delta`` up to
+    ``RECONSTRUCT_ATOL``."""
+    dist = l1_distance(q, spec.anchor)
+    if dist > spec.delta + RECONSTRUCT_ATOL:
+        raise OutsideNeighborhoodError(f"target at L1 distance {dist!r} > delta {spec.delta!r}")

@@ -44,19 +44,15 @@ import numpy as np
 
 from .coupling import _cell_lookup, extreme_coupling
 from .detection import _check_alpha, _first_crossing
-from .errors import (
-    BadParamsError,
-    OutsideNeighborhoodError,
-)
+from .errors import BadParamsError
 from .evalue import EValueTable, jstar, optimal_evalue
 from .simplex import (
-    RECONSTRUCT_ATOL,
     ExtremePair,
     NeighborhoodSpec,
     VocabDistribution,
+    _check_inside,
     _check_pair,
     enumerate_extremes,
-    l1_distance,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -264,10 +260,8 @@ def _vertex_tables(spec: NeighborhoodSpec, e: EValueTable) -> tuple[list, list]:
     the flat log scores, as Python lists.  Each CDF drops its last entry, so
     a uniform beyond every other entry lands in the last cell, exactly like
     ``searchsorted(side="right")`` clamped to the last cell."""
-    cdfs = [np.cumsum(extreme_coupling(spec, pair).joint.ravel())[:-1].tolist()
-            for pair in enumerate_extremes(spec)]
-    with np.errstate(divide="ignore"):
-        return cdfs, np.log(e.scores).ravel().tolist()
+    cdfs = [extreme_coupling(spec, pair).cdf[:-1].tolist() for pair in enumerate_extremes(spec)]
+    return cdfs, e.log_scores.ravel().tolist()
 
 
 def _uniforms(rng: np.random.Generator, count: int):
@@ -328,8 +322,7 @@ def _run_fixed(
     Uniforms map straight to their cells' log scores through one guide-table
     lookup (:func:`~ewm.coupling._cell_lookup`), built once per call."""
     w = extreme_coupling(spec, ExtremePair(policy.gain, policy.loss))
-    log_e = _cell_lookup(np.cumsum(w.joint.ravel()),
-                         np.log(optimal_evalue(spec).scores).ravel())
+    log_e = _cell_lookup(w.cdf, optimal_evalue(spec).log_scores.ravel())
     threshold = math.log(1.0 / alpha)
     chunk = 4 * max(16, (int(1.25 * threshold / jstar(spec)) + 19) // 4)
     rekey = _rekeyer()
@@ -352,36 +345,44 @@ def _run_fixed(
     return stops, wealth
 
 
+def _cap(config: ExperimentConfig, alpha: float) -> int:
+    """Every trial's horizon at ``alpha``."""
+    return config.horizon_cap or default_horizon(config.spec, alpha)
+
+
+def _run_trials(
+    config: ExperimentConfig, alpha: float, cap: int, seeds: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one policy dispatch: stop steps (-1 when censored) and final wealth,
+    one per seed, from the fixed-pair fast path or the stepwise loop."""
+    spec, policy = config.spec, config.policy
+    if isinstance(policy, FixedPair):
+        return _run_fixed(spec, policy, alpha, cap, seeds)
+    e = optimal_evalue(spec)
+    tables = _vertex_tables(spec, e)
+    records = [_run_trial_generic(spec, e, policy, alpha, cap, seed, tables) for seed in seeds]
+    return (np.array([r.stop_step or -1 for r in records], dtype=np.int64),
+            np.array([r.final_wealth for r in records]))
+
+
 def run_trial(
     config: ExperimentConfig, alpha: float, alpha_index: int, trial_index: int
 ) -> TrialRecord:
     """Simulate one detection run with its deterministically derived seed."""
     _check_alpha(alpha)
     seed = trial_seed(config.base_seed, alpha_index, trial_index)
-    spec = config.spec
-    cap = config.horizon_cap or default_horizon(spec, alpha)
-    if isinstance(config.policy, FixedPair):
-        stops, wealth = _run_fixed(spec, config.policy, alpha, cap, [seed])
-        stop = int(stops[0])
-        return TrialRecord(stop_step=stop if stop > 0 else None, final_wealth=float(wealth[0]),
-                           steps_run=stop if stop > 0 else cap, seed=seed)
-    return _run_trial_generic(spec, optimal_evalue(spec), config.policy, alpha, cap, seed)
+    cap = _cap(config, alpha)
+    stops, wealth = _run_trials(config, alpha, cap, [seed])
+    stop = int(stops[0]) if stops[0] > 0 else None
+    return TrialRecord(stop_step=stop, final_wealth=float(wealth[0]), steps_run=stop or cap,
+                       seed=seed)
 
 
 def _sweep_task(args) -> tuple[int, int, np.ndarray]:
     """One (alpha, trial-range) work unit; returns stop steps, -1 = censored."""
     config, alpha, alpha_index, lo, hi = args
-    spec = config.spec
-    cap = config.horizon_cap or default_horizon(spec, alpha)
     seeds = [trial_seed(config.base_seed, alpha_index, t) for t in range(lo, hi)]
-    if isinstance(config.policy, FixedPair):
-        return alpha_index, lo, _run_fixed(spec, config.policy, alpha, cap, seeds)[0]
-    e = optimal_evalue(spec)
-    tables = _vertex_tables(spec, e)
-    records = [_run_trial_generic(spec, e, config.policy, alpha, cap, seed, tables)
-               for seed in seeds]
-    return alpha_index, lo, np.array([-1 if r.stop_step is None else r.stop_step
-                                      for r in records], dtype=np.int64)
+    return alpha_index, lo, _run_trials(config, alpha, _cap(config, alpha), seeds)[0]
 
 
 def estimate_stopping(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
@@ -391,12 +392,11 @@ def estimate_stopping(config: ExperimentConfig, threads: int = 1) -> list[SweepR
     ``censored_count``.  The ratio column ``mean_tau / log(1/alpha)``
     converges to ``1 / jstar`` as alpha tends to zero.
     """
-    threads = max(1, int(threads))
+    if threads < 1:
+        raise BadParamsError(f"threads must be >= 1, got {threads}")
     tasks = []
-    per_alpha_caps = []
     for ai, alpha in enumerate(config.alphas):
-        per_alpha_caps.append(config.horizon_cap or default_horizon(config.spec, alpha))
-        step = max(1, math.ceil(config.trials / max(1, threads)))
+        step = math.ceil(config.trials / threads)
         for lo in range(0, config.trials, step):
             tasks.append((config, alpha, ai, lo, min(lo + step, config.trials)))
     results = np.empty((len(config.alphas), config.trials), dtype=np.int64)
@@ -411,7 +411,7 @@ def estimate_stopping(config: ExperimentConfig, threads: int = 1) -> list[SweepR
     for ai, alpha in enumerate(config.alphas):
         taus = results[ai]
         censored = int(np.sum(taus < 0))
-        filled = np.where(taus < 0, per_alpha_caps[ai], taus).astype(np.float64)
+        filled = np.where(taus < 0, _cap(config, alpha), taus).astype(np.float64)
         log_inv = math.log(1.0 / alpha)
         mean = float(filled.mean())
         std_err = float(filled.std(ddof=1) / math.sqrt(filled.size)) if filled.size > 1 else 0.0
@@ -448,11 +448,8 @@ def calibrate_null(
     _check_alpha(alpha)
     if trials < 1 or horizon < 1:
         raise BadParamsError("trials and horizon must be >= 1")
-    if l1_distance(q_null, spec.anchor) > spec.delta + RECONSTRUCT_ATOL:
-        raise OutsideNeighborhoodError("null target lies outside the neighborhood")
-    table = e if e is not None else optimal_evalue(spec)
-    with np.errstate(divide="ignore"):
-        log_flat = np.log(table.scores).ravel()
+    _check_inside(spec, q_null)
+    log_flat = (e if e is not None else optimal_evalue(spec)).log_scores.ravel()
     threshold = math.log(1.0 / alpha)
     row = _cell_lookup(np.cumsum(q_null.weights), np.arange(spec.n) * spec.n)
     col = _cell_lookup(np.cumsum(spec.anchor.weights), np.arange(spec.n))

@@ -1,6 +1,12 @@
 import numpy as np
+from hypothesis import settings
 
 import ewm
+
+# Every property test sees the same examples on every run: examples derive
+# from each test's name, no example database is kept, and no deadline applies.
+settings.register_profile("ewm", derandomize=True, deadline=None, database=None)
+settings.load_profile("ewm")
 
 
 def random_spec(rng, n=None, n_min=2, n_max=8):

@@ -1,11 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ewm
 from ewm.cli import main, parse_alpha_grid
@@ -16,6 +21,38 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+FAIR = ["--anchor", "[0.5,0.5]", "--delta", "0.1"]
+THREE = ["--anchor", "[0.4,0.3,0.3]", "--delta", "0.1"]
+SWEEP = ["sweep-tau", *FAIR, "--alphas", "0.01", "--trials", "2", "--horizon-cap", "50"]
+# name -> (argv, EWM_THREADS or None, stderr fragment): counts that were once
+# masked or clamped, and magnitudes that once overflowed, each end in a typed error.
+BAD_COUNTS = {
+    "horizon-0": (["calibrate-null", *FAIR, "--alphas", "0.05", "--trials", "10",
+                   "--horizon", "0"], None, "horizon must be >= 1"),
+    "max-cycle-len-0": (["audit", *THREE, "--perturbations", "1", "--max-cycle-len", "0"],
+                        None, "cycle length cap must be >= 2"),
+    "threads-negative": ([*SWEEP, "--threads", "-4"], None, "threads must be >= 1"),
+    "threads-0": ([*SWEEP, "--threads", "0"], None, "threads must be >= 1"),
+    "env-threads-abc": (SWEEP, "abc", "EWM_THREADS must be an integer"),
+    "env-threads-negative": (SWEEP, "-2", "threads must be >= 1"),
+    **{f"magnitude-{m}": (["audit", *THREE, "--perturbations", "1", "--magnitude", m], None,
+                          "magnitude") for m in ("inf", "nan", "1e308")},
+}
+
+
+def run_isolated(argv, threads_env=None):
+    """``main(argv)`` with stdout and stderr captured and ``EWM_THREADS`` set to
+    ``threads_env`` (unset for None); returns (exit code, stderr)."""
+    environ = {k: v for k, v in os.environ.items() if k != "EWM_THREADS"}
+    if threads_env is not None:
+        environ["EWM_THREADS"] = threads_env
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, environ, clear=True), \
+            redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
 
 
 class TestParseAlphaGrid:
@@ -123,6 +160,12 @@ class TestErrors:
         code, _, err = run(capsys, "generate", "--anchor", "[0.5,0.5]", "--delta", "0.1",
                            "--pair", "0,1", "--steps", "-1", "--out", str(tmp_path / "s.csv"))
         assert code == 1 and "steps must be >= 0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(BAD_COUNTS))
+    def test_bad_count_is_a_typed_error(self, case):
+        argv, threads_env, message = BAD_COUNTS[case]
+        code, err = run_isolated(argv, threads_env)
+        assert code == 1 and message in err and "Traceback" not in err
 
     def test_missing_stream_file(self, capsys):
         code, _, _ = run(capsys, "detect", "--anchor", "[0.5,0.5]", "--delta", "0.1",
@@ -247,3 +290,131 @@ class TestAuditCommand:
         assert payload["audit_pass"] is True
         assert abs(payload["null_worst_expectation"] - 1.0) < 1e-10
         assert payload["cycle_condition"] is True and payload["saddle_ok"] is True
+
+
+
+# -- fuzzing the command line ------------------------------------------------
+# Every value is drawn from a bounded set, so that no case allocates much or
+# runs long: steps <= 200, trials <= 20, horizon <= 2,000, grid <= 128,
+# perturbations <= 5, at most 4 alphas, and never more than one worker.  Each
+# field is malformed or an edge value one time in six, so most cases get past
+# the first check and reach the deeper ones.
+
+STREAMS = {
+    "good": (Path(__file__).parent / "golden" / "generate-pair.csv").read_text(),
+    "binary": "step,v,s\n" + "".join(f"{t},{t % 2},{t % 3 % 2}\n" for t in range(150)),
+    "letter": "step,v,s\n0,a,1\n",
+    "outside": "step,v,s\n0,7,1\n",
+    "negative": "step,v,s\n0,-1,0\n",
+    "short": "step,v,s\n0,1\n",
+    "huge": "step,v,s\n0,99999999999999999999999,0\n",
+    "header-only": "step,v,s\n",
+    "no-header": "0,1,1\n",
+    "empty": "",
+}
+BAD_REALS = ["0", "-1", "1", "2", "nan", "inf", "-inf", "1e-300", "1e308", "abc", ""]
+# (good values, malformed or edge values) per kind of field
+ANCHORS = (["[0.5,0.5]", "[0.4,0.3,0.3]", "[0.25,0.25,0.25,0.25]", "[0.2,0.8]",
+            "[0.15,0.15,0.14,0.14,0.14,0.14,0.14]"],
+           ["[0.5,0.6]", '["a",0.5]', "[1]", "[]", "[[0.5,0.5]]", "[-0.5,1.5]", "[0.5,NaN]",
+            "{", "abc", ""])
+DELTAS = (["0.1", "0.05", "0.02"], [*BAD_REALS, "0.3"])
+ALPHA = (["0.05", "1e-6", "1e-30"], BAD_REALS)
+ALPHAS = (["0.05", "1e-2,1e-120", "0.1,0.05,0.02", "log:1e-2:1e-60:4"],
+          ["log:1e-2:1e-60:1", "log:a:b:3", "log:0.5:2:3", "log:1e-2", "nan", "inf", "0", "1",
+           "", ",", "0.1,x"])
+POLICIES = (["fixed:0,1", "fixed:1,0", "roundrobin", "random", "greedy"],
+            ["fixed:0,0", "fixed:5,0", "fixed:-1,0", "fixed:a", "fixed:0,1,2", "bogus"])
+TARGETS = (["[0.42,0.3,0.28]", "[0.55,0.45]", "[0.26,0.24,0.25,0.25]"],
+           ["[0.5,0.3,0.2]", "[0.8,0.2]", "[1,2]", '["x"]', "nope"])
+PAIRS = (["0,1", "2,0"], ["0,0", "9,0", "-1,0", "a,b", "1"])
+SEEDS = (["0", "7", "-1", "18446744073709551616"], ["abc", ""])
+THREADS_ENV = [None, "1", "abc", "", "0", "-2", "2.5"]
+
+
+def field(kind):
+    good, bad = kind
+    return st.tuples(st.integers(0, 5), st.sampled_from(good), st.sampled_from(bad)).map(
+        lambda t: t[2] if t[0] == 0 else t[1])
+
+
+def counts(top: int):
+    return field(([str(k) for k in range(1, top + 1)], ["0", "-1", "-2", "abc", "1.5", ""]))
+
+
+@st.composite
+def argvs(draw):
+    """One argv for any of the eight subcommands; ``STREAMS`` stands for the
+    directory of the stream files."""
+    def flags(**kinds):  # --flag value for each keyword, in order
+        return [a for name, kind in kinds.items()
+                for a in (f"--{name.replace('_', '-')}", draw(kind))]
+
+    def maybe(**kinds):
+        return flags(**kinds) if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(["jstar", "maxmin2", "sweep-tau", "calibrate-null",
+                                    "generate", "detect", "decompose", "audit"]))
+    if command == "maxmin2":
+        return [command, *flags(p=field((["0.3", "0.5", "0.6"], BAD_REALS)),
+                                delta=field(DELTAS), refinements=counts(4),
+                                grid=field(([str(g) for g in range(64, 129)], ["63", "0", "x"]))),
+                *maybe(trace=st.just("STREAMS/trace.csv"))]
+    anchor = flags(anchor=field(ANCHORS)) if draw(st.integers(0, 9)) else []
+    argv = [command, *anchor, *flags(delta=field(DELTAS))]
+    if command == "sweep-tau":
+        argv += flags(alphas=field(ALPHAS), trials=counts(20), policy=field(POLICIES),
+                      horizon_cap=counts(2000), seed=field(SEEDS))
+        argv += maybe(threads=st.sampled_from(["-4", "0", "1", "x"]))
+    elif command == "calibrate-null":
+        argv += flags(alphas=field(ALPHAS), trials=counts(20), horizon=counts(2000),
+                      seed=field(SEEDS))
+        argv += maybe(q_null=field(TARGETS))
+    elif command == "generate":
+        argv += flags(steps=counts(200), seed=field(SEEDS))
+        argv += draw(st.sampled_from([flags(pair=field(PAIRS)), flags(target=field(TARGETS)),
+                                      [], flags(pair=field(PAIRS), target=field(TARGETS))]))
+    elif command == "detect":
+        name = draw(field((["good", "binary"], [*STREAMS][2:] + ["missing"])))
+        argv += flags(alpha=field(ALPHA), method=field((["evalue", "baseline"], ["other"])))
+        argv += ["--stream", f"STREAMS/{name}.csv", *maybe(budget=counts(200))]
+    elif command == "decompose":
+        argv += flags(target=field(TARGETS))
+    elif command == "audit":
+        argv += flags(perturbations=counts(5), seed=field(SEEDS),
+                      magnitude=field((["0.05", "0", "0.2"], BAD_REALS)))
+        argv += maybe(max_cycle_len=counts(6))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def stream_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("streams")
+    for name, text in STREAMS.items():
+        (directory / f"{name}.csv").write_text(text)
+    return directory
+
+
+def _fuzz_examples(test):
+    """Every hand-found case, as an explicit example of the fuzz test."""
+    cases = [(argv, env) for argv, env, _ in BAD_COUNTS.values()] + [
+        (["detect", *FAIR, "--alpha", "0.02", "--stream", "STREAMS/letter.csv"], None),
+        (["detect", *FAIR, "--alpha", "0.02", "--method", "baseline",
+          "--stream", "STREAMS/outside.csv"], None),
+        (["jstar", "--anchor", '["a",0.5]', "--delta", "0.1"], None),
+        (["generate", *FAIR, "--pair", "0,1", "--steps", "-1"], None),
+    ]
+    for argv, env in cases:
+        test = example(argv=argv, threads_env=env)(test)
+    return test
+
+
+class TestFuzz:
+    @settings(max_examples=300)
+    @_fuzz_examples
+    @given(argv=argvs(), threads_env=st.sampled_from(THREADS_ENV))
+    def test_any_argv_exits_cleanly(self, stream_dir, argv, threads_env):
+        argv = [a.replace("STREAMS", str(stream_dir)) for a in argv]
+        code, err = run_isolated(argv, threads_env)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err

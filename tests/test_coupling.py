@@ -109,9 +109,18 @@ class TestPathCoupling:
             ewm.PathSpec((0, 1, 0))
         with pytest.raises(InvalidPathError):
             ewm.PathSpec((2,))
+        with pytest.raises(InvalidPathError):
+            ewm.PathSpec((0, -1))  # not the path (0, n - 1)
 
 
 class TestSampling:
+    def test_cdf_is_cached_and_read_only(self):
+        w = ewm.extreme_coupling(spec_of([0.4, 0.3, 0.3], 0.1), ewm.ExtremePair(0, 2))
+        assert w.cdf is w.cdf
+        assert np.array_equal(w.cdf, np.cumsum(w.joint.ravel()))
+        with pytest.raises(ValueError):
+            w.cdf[0] = 0.0
+
     def test_diagonal_coupling_always_matches(self):
         spec = spec_of([0.4, 0.3, 0.3], 1e-13)
         w = ewm.extreme_coupling(spec, ewm.ExtremePair(0, 1))

@@ -25,6 +25,13 @@ class TestOptimalEvalue:
         assert abs(e.scores[0, 1] - 0.025 / 0.3) < 1e-12
         assert abs(e.scores[0, 2] - 0.025 / 0.3) < 1e-12
 
+    def test_log_scores_are_cached_and_read_only(self):
+        e = ewm.make_evalue_table([[2.0, 0.0], [0.5, 1.0]])
+        assert e.log_scores is e.log_scores
+        assert np.array_equal(e.log_scores, [[np.log(2.0), -np.inf], [np.log(0.5), 0.0]])
+        with pytest.raises(ValueError):
+            e.log_scores[0, 0] = 0.0
+
     def test_unit_row_sums(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -143,12 +150,3 @@ class TestGrowthIdentity:
                 value = float(np.sum(w.joint[mask] * log_e[mask]))
                 assert abs(value - j) < 1e-12
 
-
-class TestSerialization:
-    def test_bit_identical_round_trip(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            spec = random_spec(rng)
-            e = ewm.optimal_evalue(spec)
-            back = ewm.evalue_from_json(ewm.evalue_to_json(e))
-            assert np.array_equal(back.scores, e.scores)

@@ -7,10 +7,14 @@ The adaptive sweep-tau tables were written with
 
 for the adaptive policies, which run the stepwise loop, on a 2- and a 4-symbol
 anchor.  The fixed-pair tables ``sweep-tau-fixed-TAG.csv`` were written the
-same way from ``FIXED_SWEEP`` and the ``FIXED_ANCHORS``, and each ``NAME.csv``
-of ``RUNS`` with ``ewm ARGV --out tests/golden/NAME.csv``.  These cover the
-paths that map uniforms to coupling cells in bulk: the fixed-pair sweep,
-calibrate-null and generate.  Any worker count must reproduce the sweep tables.
+same way from ``FIXED_SWEEP`` and the ``FIXED_ANCHORS``, and each entry of
+``RUNS`` with ``ewm ARGV --out tests/golden/NAME.csv`` for a table (``NAME.json``
+for a report), with ``--trace tests/golden/NAME-trace.csv`` in place of
+``TRACE``.  The tables cover the paths that map uniforms to coupling cells in
+bulk: the fixed-pair sweep, calibrate-null and generate; the reports cover the
+closed-form rate, the two-token solver, both detectors on the committed
+``generate-pair.csv`` stream, the vertex decomposition and the audit.  Any
+worker count must reproduce the sweep tables.
 """
 
 from pathlib import Path
@@ -27,14 +31,23 @@ FIXED_SWEEP = ["--delta", "0.1", "--alphas", "log:1e-2:1e-60:4", "--trials", "50
                "--seed", "0", "--policy", "fixed:0,1"]
 CALIBRATE = ["calibrate-null", "--anchor", "[0.5,0.5]", "--delta", "0.1",
              "--alphas", "0.1,0.05,0.02", "--trials", "500", "--seed", "1"]
-GENERATE = ["generate", "--anchor", "[0.4,0.3,0.3]", "--delta", "0.1",
-            "--steps", "400", "--seed", "7"]
+ANCHOR3 = ["--anchor", "[0.4,0.3,0.3]", "--delta", "0.1"]
+GENERATE = ["generate", *ANCHOR3, "--steps", "400", "--seed", "7"]
+DETECT = ["detect", *ANCHOR3, "--alpha", "1e-30", "--stream", str(GOLDEN / "generate-pair.csv")]
 RUNS = {
     "calibrate-null-anchor": CALIBRATE,
     "calibrate-null-shifted": [*CALIBRATE, "--q-null", "[0.55,0.45]", "--horizon", "2000"],
     "generate-pair": [*GENERATE, "--pair", "0,1"],
     "generate-target": [*GENERATE, "--target", "[0.43,0.32,0.25]"],
+    "jstar": ["jstar", *ANCHOR3],
+    "maxmin2": ["maxmin2", "--p", "0.3", "--delta", "0.1", "--grid", "64",
+                "--refinements", "3", "--trace", "TRACE"],
+    "detect-evalue": [*DETECT, "--method", "evalue"],
+    "detect-baseline": [*DETECT, "--method", "baseline"],
+    "decompose": ["decompose", *ANCHOR3, "--target", "[0.42,0.3,0.28]"],
+    "audit": ["audit", *ANCHOR3, "--perturbations", "4", "--seed", "3"],
 }
+TABLES = {"calibrate-null", "generate"}
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -51,9 +64,13 @@ def test_sweep_tau_matches_golden(tmp_path, tag, policy, threads):
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_matches_golden(tmp_path, name):
-    out = tmp_path / "out.csv"
-    assert main([*RUNS[name], "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+    suffix = ".csv" if RUNS[name][0] in TABLES else ".json"
+    out, trace = tmp_path / f"out{suffix}", tmp_path / "trace.csv"
+    argv = [str(trace) if a == "TRACE" else a for a in RUNS[name]]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}{suffix}").read_bytes()
+    if "TRACE" in RUNS[name]:
+        assert trace.read_bytes() == (GOLDEN / f"{name}-trace.csv").read_bytes()
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,12 @@ class TestSaddleCheck:
     def test_zero_magnitude_trivially_true(self):
         spec = spec_of([0.4, 0.3, 0.3], 0.1)
         assert ewm.saddle_check(spec, 5, 0.0, ewm.trial_rng(101))
+
+    @pytest.mark.parametrize("magnitude", [-0.1, math.nan, math.inf, 1e308])
+    def test_magnitude_must_be_nonnegative_with_finite_width(self, magnitude):
+        spec = spec_of([0.4, 0.3, 0.3], 0.1)
+        with pytest.raises(BadParamsError):
+            ewm.saddle_check(spec, 5, magnitude, ewm.trial_rng(101))
 
     def test_too_large(self):
         w = np.full(7, 1.0 / 7)

@@ -240,6 +240,13 @@ class TestEstimateStopping:
         )
         assert ewm.estimate_stopping(config, threads=1) == ewm.estimate_stopping(config, threads=2)
 
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_threads_must_be_positive(self, threads):
+        config = ewm.ExperimentConfig(spec=FAIR, alphas=(1e-3,), trials=2,
+                                      policy=ewm.FixedPair(0, 1))
+        with pytest.raises(BadParamsError):
+            ewm.estimate_stopping(config, threads=threads)
+
     def test_batched_sweep_matches_stepwise_loop(self):
         # (anchor, delta, pair, alpha, cap, first chunk): on the 2-symbol anchor's
         # weak, noisy drift about 12% of trials outlast their first chunk and
@@ -329,7 +336,7 @@ class TestCalibrateNull:
         assert rate <= 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / 4000)
 
     def test_outside_neighborhood_rejected(self):
-        with pytest.raises(OutsideNeighborhoodError):
+        with pytest.raises(OutsideNeighborhoodError, match="L1 distance"):
             ewm.calibrate_null(FAIR, 0.05, 100, 10,
                                ewm.make_distribution([0.8, 0.2]), ewm.trial_rng(17))
 
