@@ -28,10 +28,10 @@ import numpy as np
 
 from . import simulation
 from .coupling import (
+    _stream_chunks,
     extreme_coupling,
     mixture_coupling,
     read_stream_csv,
-    sample_stream,
     write_stream_csv,
 )
 from .detection import (
@@ -238,7 +238,7 @@ def _cmd_generate(args) -> int:
         q = make_distribution(_parse_json_weights(args.target))
         w = mixture_coupling(spec, decompose_target(spec, q))
     rng = simulation.trial_rng(simulation.mix64(args.seed))
-    draws = sample_stream(w, args.steps, rng)
+    draws = (pair for chunk in _stream_chunks(w, args.steps, rng) for pair in chunk)
     _write_table(args.out, write_stream_csv, draws)
     return 0
 
@@ -388,6 +388,9 @@ def run_command(argv: list[str]) -> int:
         return 1
     except OSError as exc:
         print(f"ewm: io error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"ewm: error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

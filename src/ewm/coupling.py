@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,6 +56,7 @@ NEG_CLAMP = 1e-14
 _GUIDE = 4096
 _BUCKET_LOW = np.arange(_GUIDE) / _GUIDE
 _BUCKET_HIGH = np.nextafter(_BUCKET_LOW + 1.0 / _GUIDE, 0.0)
+_STREAM_CHUNK = 65_536  # pairs per chunk of a streamed draw
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,15 +190,21 @@ def _cell_lookup(cdf: np.ndarray, values: np.ndarray) -> Callable[[np.ndarray], 
     return lookup
 
 
-def sample_stream(w: CouplingMatrix, steps: int, rng: np.random.Generator) -> np.ndarray:
-    """``steps`` draws at once; consumes the stream exactly like repeated
-    :func:`sample_pair`, so chunked and one-at-a-time sampling agree."""
+def _stream_chunks(w: CouplingMatrix, steps: int, rng: np.random.Generator,
+                   chunk: int = _STREAM_CHUNK) -> Iterator[np.ndarray]:
+    """``steps`` draws as ``(k, 2)`` arrays of at most ``chunk`` rows, drawn as
+    each is read and mapped by one guide table; chunked and one-shot agree."""
     if steps < 0:
         raise BadParamsError(f"steps must be >= 0, got {steps}")
     lookup = _cell_lookup(w.cdf, np.arange(w.n * w.n))
-    out = np.empty((steps, 2), dtype=np.int64)
-    out[:, 0], out[:, 1] = np.divmod(lookup(rng.random(steps)), w.n)
-    return out
+    return (np.stack(np.divmod(lookup(rng.random(min(chunk, steps - lo))), w.n), axis=1)
+            for lo in range(0, steps, chunk))
+
+
+def sample_stream(w: CouplingMatrix, steps: int, rng: np.random.Generator) -> np.ndarray:
+    """``steps`` draws at once; consumes the stream exactly like repeated
+    :func:`sample_pair`, so chunked and one-at-a-time sampling agree."""
+    return next(_stream_chunks(w, steps, rng, max(1, steps)), np.empty((0, 2), dtype=np.int64))
 
 
 # -- CSV stream format --------------------------------------------------------

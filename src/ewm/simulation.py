@@ -27,7 +27,10 @@ trial runs the stepwise loop.  There, ``FixedPair``, ``RoundRobin`` and
 while ``RandomPair`` draws its vertex (``integers``) and then its uniform
 (``random``) at every step.  Chunked and one-at-a-time draws coincide, so both
 paths consume each trial's stream exactly as a loop drawing one value at a
-time would.
+time would.  ``calibrate_null`` takes a :func:`trial_rng` generator; per block
+of ``4_000_000 // horizon`` streams it draws all outcomes, then all seeds,
+row-major, and reads them from two Philox placed at the two offsets in
+sub-blocks of at most ``_BLOCK_CELLS`` draws, so its memory is bounded.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import deque
-from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import cycle, repeat
@@ -82,21 +84,19 @@ def trial_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _rekeyer() -> Callable[..., np.random.Generator]:
-    """``rekey(seed, c=0)`` re-keys one shared generator by state assignment to
-    where ``trial_rng(seed)`` stands after ``4 * c`` uniforms (each Philox
-    counter step yields four 64-bit words, one per draw)."""
-    bitgen = np.random.Philox(key=0)
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
-
-    def rekey(seed: int, counter: int = 0) -> np.random.Generator:
-        state["state"]["key"][0] = seed
-        state["state"]["counter"][0] = counter
-        bitgen.state = state
-        return gen
-
-    return rekey
+def _philox_at(gen: np.random.Generator, state: dict, pos: int) -> np.random.Generator:
+    """``gen``'s Philox placed at 64-bit word ``pos`` of the stream keyed by
+    ``state`` (other fields kept): counter ``pos // 4`` over all four counter
+    words, mod 2**256 as the counter wraps, an empty buffer, then ``pos % 4``
+    words discarded.  A stream read in order is at ``4 * counter - 4 + buffer_pos``."""
+    c = pos // 4
+    state["state"]["counter"] = (c, 0, 0, 0) if 0 <= c <= _MASK64 else tuple(
+        c >> k & _MASK64 for k in (0, 64, 128, 192))
+    state["buffer_pos"] = 4
+    gen.bit_generator.state = state
+    if pos % 4:
+        gen.bit_generator.random_raw(pos % 4)
+    return gen
 
 
 # -- adversary policies ---------------------------------------------------------
@@ -325,7 +325,7 @@ def _run_fixed(
     log_e = _cell_lookup(w.cdf, optimal_evalue(spec).log_scores.ravel())
     threshold = math.log(1.0 / alpha)
     chunk = 4 * max(16, (int(1.25 * threshold / jstar(spec)) + 19) // 4)
-    rekey = _rekeyer()
+    state = (gen := trial_rng(0)).bit_generator.state  # re-keyed for every row
 
     stops = np.full(len(seeds), -1, dtype=np.int64)
     wealth = np.empty(len(seeds))
@@ -336,7 +336,8 @@ def _run_fixed(
         while live.size and steps < cap:
             u = np.empty((live.size, min(chunk, cap - steps)))
             for row, t in zip(u, live):
-                rekey(seeds[t], steps // 4).random(out=row)
+                state["state"]["key"][0] = seeds[t]
+                _philox_at(gen, state, steps).random(out=row)
             hit, cum = _first_crossing(log_e(u), threshold, wealth[live] if steps else 0.0)
             wealth[live] = cum[np.arange(live.size), hit]  # column -1 when nothing crossed
             stops[live[hit >= 0]] = steps + hit[hit >= 0] + 1
@@ -403,7 +404,7 @@ def estimate_stopping(config: ExperimentConfig, threads: int = 1) -> list[SweepR
     if threads == 1:
         outputs = map(_sweep_task, tasks)
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             outputs = list(pool.map(_sweep_task, tasks))
     for ai, lo, taus in outputs:
         results[ai][lo:lo + taus.size] = taus
@@ -442,27 +443,40 @@ def calibrate_null(
     Outcomes are drawn from ``q_null`` and seeds independently from the
     anchor, which is exactly the null the score table must guard against;
     the returned rate must stay at or below alpha up to Monte Carlo noise.
-    Each block of streams draws all its outcomes, then all its seeds, and
-    goes through the shared first-crossing kernel.
+    ``rng`` must be a Philox generator (:func:`trial_rng`); it is left just
+    past the draws: per block of ``4_000_000 // horizon`` streams (at least
+    one), all outcomes, then all seeds, row-major.  The block is read in
+    sub-blocks of at most ``_BLOCK_CELLS`` draws, so memory is bounded.
     """
     _check_alpha(alpha)
     if trials < 1 or horizon < 1:
         raise BadParamsError("trials and horizon must be >= 1")
     _check_inside(spec, q_null)
+    if not isinstance(bitgen := rng.bit_generator, np.random.Philox):
+        raise BadParamsError(f"calibrate_null takes a Philox generator, got {type(bitgen).__name__}")
     log_flat = (e if e is not None else optimal_evalue(spec)).log_scores.ravel()
     threshold = math.log(1.0 / alpha)
     row = _cell_lookup(np.cumsum(q_null.weights), np.arange(spec.n) * spec.n)
     col = _cell_lookup(np.cumsum(spec.anchor.weights), np.arange(spec.n))
-    hits = 0
-    block = max(1, min(trials, 4_000_000 // max(1, horizon)))
-    done = 0
-    while done < trials:
-        b = min(block, trials - done)
-        cell = row(rng.random((b, horizon)))
-        cell += col(rng.random((b, horizon)))
-        hit, _ = _first_crossing(log_flat[cell], threshold)
-        hits += int(np.count_nonzero(hit >= 0))
-        done += b
+    state, seeds, seed_state = bitgen.state, trial_rng(0), bitgen.state
+    pos = 4 * int.from_bytes(state["state"]["counter"].astype("<u8"), "little")
+    pos += state["buffer_pos"] - 4
+    block, hits = max(1, 4_000_000 // horizon), 0
+    rows, width = max(1, _BLOCK_CELLS // horizon), min(horizon, _BLOCK_CELLS)
+    for lo in range(0, trials, block):
+        b = min(block, trials - lo)
+        _philox_at(rng, state, pos)
+        _philox_at(seeds, seed_state, pos + b * horizon)
+        pos += 2 * b * horizon
+        for r in range(0, b, rows):
+            wealth, crossed = 0.0, False
+            for c in range(0, horizon, width):
+                cell = row(rng.random((min(rows, b - r), min(width, horizon - c))))
+                cell += col(seeds.random(cell.shape))
+                hit, cum = _first_crossing(log_flat[cell], threshold, wealth)
+                wealth, crossed = cum[:, -1], crossed | (hit >= 0)
+            hits += int(np.count_nonzero(crossed))
+    _philox_at(rng, state, pos)
     return hits / trials
 
 

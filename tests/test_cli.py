@@ -167,6 +167,15 @@ class TestErrors:
         code, err = run_isolated(argv, threads_env)
         assert code == 1 and message in err and "Traceback" not in err
 
+    def test_out_of_memory_is_a_typed_error(self, capsys, monkeypatch):
+        def exhausted(config, threads=1):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(ewm.simulation, "estimate_stopping", exhausted)
+        code, out, err = run(capsys, *SWEEP, "--threads", "1")
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.startswith("ewm: error: out of memory: Unable to allocate")
+
     def test_missing_stream_file(self, capsys):
         code, _, _ = run(capsys, "detect", "--anchor", "[0.5,0.5]", "--delta", "0.1",
                          "--alpha", "0.02", "--stream", "/nonexistent/stream.csv")
@@ -224,6 +233,19 @@ class TestGenerateDetectRoundTrip:
                              "--steps", "100", "--seed", "11", "--out", str(path))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_generate_streams_in_chunks(self, capsys, tmp_path):
+        # one pair past a whole chunk: the second chunk continues the stream
+        steps = ewm.coupling._STREAM_CHUNK + 1
+        stream = tmp_path / "stream.csv"
+        code, _, _ = run(capsys, "generate", *THREE, "--pair", "2,0", "--steps", str(steps),
+                         "--seed", "5", "--out", str(stream))
+        assert code == 0
+        w = ewm.extreme_coupling(ewm.make_neighborhood(ewm.make_distribution([0.4, 0.3, 0.3]),
+                                                       0.1), ewm.ExtremePair(2, 0))
+        one_shot = ewm.sample_stream(w, steps, ewm.trial_rng(ewm.mix64(5)))
+        with open(stream, newline="") as fh:
+            assert np.array_equal(np.array(ewm.read_stream_csv(fh)), one_shot)
 
     def test_baseline_method(self, capsys, tmp_path):
         stream = tmp_path / "stream.csv"

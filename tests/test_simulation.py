@@ -1,16 +1,24 @@
 import io
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ewm
+from ewm.coupling import _cell_lookup
+from ewm.detection import _first_crossing
 from ewm.errors import BadParamsError, InvalidPairError, OutsideNeighborhoodError
 from ewm.simulation import (
     _STEP_CHUNK,
     StepOutcome,
     TrialRecord,
-    _rekeyer,
+    _philox_at,
     _run_trial_generic,
     _sweep_task,
     choose_pair,
@@ -37,19 +45,54 @@ class TestSeeding:
         assert ewm.trial_seed(7, 4, 11) != a
 
 
+def word_position(state):
+    """The 64-bit word a sequential reader of ``state``'s stream stands at."""
+    counter = sum(int(c) << 64 * i for i, c in enumerate(state["state"]["counter"]))
+    return 4 * counter - (4 - state["buffer_pos"])
+
+
 class TestRekey:
     def test_rekeyed_stream_equals_fresh_stream(self):
-        rekey = _rekeyer()
+        gen = ewm.trial_rng(0)
+        state = gen.bit_generator.state
         for seed in (0, 1, 2**63 + 5, 2**64 - 1):
-            rekey(99).random(7)  # another key first draws an odd number of values
-            assert np.array_equal(rekey(seed).random(11), ewm.trial_rng(seed).random(11))
+            state["state"]["key"][0] = 99
+            _philox_at(gen, state, 0)
+            gen.random(7)  # another key first draws an odd number of values
+            state["state"]["key"][0] = seed
+            _philox_at(gen, state, 0)
+            assert np.array_equal(gen.random(11), ewm.trial_rng(seed).random(11))
 
     def test_rekey_to_a_counter_continues_the_stream(self):
-        rekey = _rekeyer()
+        gen = ewm.trial_rng(0)
+        state = gen.bit_generator.state
         for seed in (0, 2**64 - 1):
             fresh = ewm.trial_rng(seed).random(20)
-            rekey(seed).random(3)
-            assert np.array_equal(rekey(seed, 3).random(8), fresh[12:])
+            state["state"]["key"][0] = seed
+            _philox_at(gen, state, 0)
+            gen.random(3)
+            _philox_at(gen, state, 12)
+            assert np.array_equal(gen.random(8), fresh[12:])
+
+    @given(key=st.sampled_from([0, 1, 2**63 + 5, 2**64 - 1]),
+           key_hi=st.sampled_from([0, 7, 2**64 - 1]),
+           counter=st.sampled_from([0, 2**64 - 2, 2**128 - 1, 2**256 - 2]),
+           taken=st.integers(0, 7), offset=st.integers(0, 23))
+    def test_positioning_equals_a_sequential_read(self, key, key_hi, counter, taken, offset):
+        # the caller's stream may stand mid-buffer, past a 64-bit counter carry
+        # or at the 256-bit wrap; the placed copy reads on from word + offset
+        caller = np.random.Generator(np.random.Philox(key=[key, key_hi], counter=counter))
+        caller.random(taken)
+        state = caller.bit_generator.state
+        assert word_position(state) % 2**258 == 4 * counter + taken  # the counter wraps
+        placed = ewm.trial_rng(0)
+        _philox_at(placed, state, word_position(state) + offset)
+        caller.random(offset)
+        assert np.array_equal(placed.random(9), caller.random(9))
+        placed, caller = placed.bit_generator.state, caller.bit_generator.state
+        assert placed["buffer_pos"] == caller["buffer_pos"]
+        for field in ("counter", "key"):
+            assert np.array_equal(placed["state"][field], caller["state"][field])
 
 
 class TestPolicies:
@@ -240,6 +283,33 @@ class TestEstimateStopping:
         )
         assert ewm.estimate_stopping(config, threads=1) == ewm.estimate_stopping(config, threads=2)
 
+    @pytest.mark.parametrize("policy", [ewm.FixedPair(0, 1), ewm.RoundRobin()])
+    def test_pool_is_no_larger_than_the_task_count(self, monkeypatch, policy):
+        # an in-process stand-in for the pool records its size and starts nothing
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(ewm.simulation, "ProcessPoolExecutor", InProcessPool)
+        config = ewm.ExperimentConfig(spec=FAIR, alphas=(1e-3, 1e-6), trials=5,
+                                      policy=policy, base_seed=3)
+        serial = ewm.estimate_stopping(config, threads=1)
+        for threads in (2, 3, 4, 5, 5000):
+            assert ewm.estimate_stopping(config, threads=threads) == serial
+        # 5 trials in ranges of ceil(5 / threads), for each of 2 alphas
+        assert sizes == [2, 3, 4, 5, 10]
+
     @pytest.mark.parametrize("threads", [0, -4])
     def test_threads_must_be_positive(self, threads):
         config = ewm.ExperimentConfig(spec=FAIR, alphas=(1e-3,), trials=2,
@@ -350,3 +420,74 @@ class TestCalibrateNull:
     def test_bad_params(self):
         with pytest.raises(BadParamsError):
             ewm.calibrate_null(FAIR, 0.05, 0, 10, FAIR.anchor, ewm.trial_rng(19))
+
+    def test_needs_a_philox_generator(self):
+        with pytest.raises(BadParamsError, match="Philox"):
+            ewm.calibrate_null(FAIR, 0.05, 10, 10, FAIR.anchor, np.random.default_rng(19))
+
+    @pytest.mark.parametrize("block_cells", [7, 1_000, 16_384])
+    def test_sub_blocks_match_whole_blocks(self, monkeypatch, block_cells):
+        # (alpha, trials, horizon, doubled table): whole rows per sub-block,
+        # rows of 3 or 20 split into chunks of 7, horizons above 16,384, and
+        # with 1,000 cells or more, 4,001 x 1,000 and 2 x 2,000,001 cells that
+        # each span two 4M-cell blocks; the doubled table crosses mid-row
+        cases = [(0.3, 9, 3, True), (0.3, 50, 20, True), (0.05, 30, 31, False),
+                 (0.3, 2, 16_390, True)]
+        if block_cells >= 1_000:
+            cases += [(0.05, 4_001, 1_000, False), (1e-3, 2, 2_000_001, False),
+                      (0.3, 3, 40_000, True)]
+        monkeypatch.setattr(ewm.simulation, "_BLOCK_CELLS", block_cells)
+        q = ewm.extreme_target(FAIR, ewm.ExtremePair(0, 1))
+        doubled = ewm.make_evalue_table(2.0 * ewm.optimal_evalue(FAIR).scores)
+        rates = set()
+        for alpha, trials, horizon, double in cases:
+            e = doubled if double else None
+            got, want = ewm.trial_rng(21), ewm.trial_rng(21)
+            got.random(3)  # both stand mid-buffer
+            want.random(3)
+            rate = ewm.calibrate_null(FAIR, alpha, trials, horizon, q, got, e=e)
+            assert rate == whole_block_calibrate(FAIR, alpha, trials, horizon, q, want, e)
+            assert np.array_equal(got.random(5), want.random(5))
+            rates.add(rate)
+        assert any(0.0 < r < 1.0 for r in rates)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+    def test_memory_does_not_grow_with_the_horizon(self):
+        # one stream of 10^7 steps: a whole row would be several 80 MB arrays
+        code = textwrap.dedent("""
+            import ewm
+
+            def peak_kib():
+                with open("/proc/self/status") as fh:
+                    return next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:"))
+
+            spec = ewm.make_neighborhood(ewm.make_distribution([0.5, 0.5]), 0.1)
+            ewm.calibrate_null(spec, 0.05, 1, 100, spec.anchor, ewm.trial_rng(0))
+            before = peak_kib()
+            ewm.calibrate_null(spec, 0.05, 1, 10**7, spec.anchor, ewm.trial_rng(0))
+            print((peak_kib() - before) / 1024)
+        """)
+        src = str(Path(ewm.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={"PYTHONPATH": src})
+        assert float(out.stdout) < 32.0
+
+
+def whole_block_calibrate(spec, alpha, trials, horizon, q_null, rng, e=None):
+    """``calibrate_null``'s draws and rate as two whole matrices per block of
+    ``4_000_000 // horizon`` streams: all outcomes, then all seeds."""
+    log_flat = (e if e is not None else ewm.optimal_evalue(spec)).log_scores.ravel()
+    threshold = math.log(1.0 / alpha)
+    row = _cell_lookup(np.cumsum(q_null.weights), np.arange(spec.n) * spec.n)
+    col = _cell_lookup(np.cumsum(spec.anchor.weights), np.arange(spec.n))
+    hits = 0
+    block = max(1, min(trials, 4_000_000 // max(1, horizon)))
+    done = 0
+    while done < trials:
+        b = min(block, trials - done)
+        cell = row(rng.random((b, horizon)))
+        cell += col(rng.random((b, horizon)))
+        hit, _ = _first_crossing(log_flat[cell], threshold)
+        hits += int(np.count_nonzero(hit >= 0))
+        done += b
+    return hits / trials
