@@ -56,7 +56,7 @@ NEG_CLAMP = 1e-14
 _GUIDE = 4096
 _BUCKET_LOW = np.arange(_GUIDE) / _GUIDE
 _BUCKET_HIGH = np.nextafter(_BUCKET_LOW + 1.0 / _GUIDE, 0.0)
-_STREAM_CHUNK = 65_536  # pairs per chunk of a streamed draw
+_BLOCK_CELLS = 16_384  # uniforms per bounded block: fixed-pair sweep, calibrate_null, generate
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,21 +190,29 @@ def _cell_lookup(cdf: np.ndarray, values: np.ndarray) -> Callable[[np.ndarray], 
     return lookup
 
 
-def _stream_chunks(w: CouplingMatrix, steps: int, rng: np.random.Generator,
-                   chunk: int = _STREAM_CHUNK) -> Iterator[np.ndarray]:
-    """``steps`` draws as ``(k, 2)`` arrays of at most ``chunk`` rows, drawn as
-    each is read and mapped by one guide table; chunked and one-shot agree."""
+def _pair_lookup(w: CouplingMatrix, steps: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The guide table from uniforms to ``w``'s row-major cells, once ``steps`` is checked."""
     if steps < 0:
         raise BadParamsError(f"steps must be >= 0, got {steps}")
-    lookup = _cell_lookup(w.cdf, np.arange(w.n * w.n))
-    return (np.stack(np.divmod(lookup(rng.random(min(chunk, steps - lo))), w.n), axis=1)
-            for lo in range(0, steps, chunk))
+    return _cell_lookup(w.cdf, np.arange(w.n * w.n, dtype=np.int64))
+
+
+def _draw_pairs(lookup, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` uniforms of ``rng`` mapped by ``lookup`` to ``(count, 2)`` pairs."""
+    return np.stack(np.divmod(lookup(rng.random(count)), n), axis=1)
+
+
+def _stream_chunks(w: CouplingMatrix, steps: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """``steps`` draws, drawn as read in chunks of ``_BLOCK_CELLS`` through one guide table."""
+    lookup = _pair_lookup(w, steps)
+    return (_draw_pairs(lookup, w.n, min(_BLOCK_CELLS, steps - lo), rng)
+            for lo in range(0, steps, _BLOCK_CELLS))
 
 
 def sample_stream(w: CouplingMatrix, steps: int, rng: np.random.Generator) -> np.ndarray:
     """``steps`` draws at once; consumes the stream exactly like repeated
     :func:`sample_pair`, so chunked and one-at-a-time sampling agree."""
-    return next(_stream_chunks(w, steps, rng, max(1, steps)), np.empty((0, 2), dtype=np.int64))
+    return _draw_pairs(_pair_lookup(w, steps), w.n, steps, rng)
 
 
 # -- CSV stream format --------------------------------------------------------

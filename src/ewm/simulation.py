@@ -27,10 +27,8 @@ trial runs the stepwise loop.  There, ``FixedPair``, ``RoundRobin`` and
 while ``RandomPair`` draws its vertex (``integers``) and then its uniform
 (``random``) at every step.  Chunked and one-at-a-time draws coincide, so both
 paths consume each trial's stream exactly as a loop drawing one value at a
-time would.  ``calibrate_null`` takes a :func:`trial_rng` generator; per block
-of ``4_000_000 // horizon`` streams it draws all outcomes, then all seeds,
-row-major, and reads them from two Philox placed at the two offsets in
-sub-blocks of at most ``_BLOCK_CELLS`` draws, so its memory is bounded.
+time would.  ``calibrate_null`` reads a :func:`trial_rng` generator in bounded
+sub-blocks; per ``4_000_000 // horizon`` streams: all outcomes, then all seeds, row-major.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from itertools import cycle, repeat
 
 import numpy as np
 
-from .coupling import _cell_lookup, extreme_coupling
+from .coupling import _BLOCK_CELLS, _cell_lookup, extreme_coupling
 from .detection import _check_alpha, _first_crossing
 from .errors import BadParamsError
 from .evalue import EValueTable, jstar, optimal_evalue
@@ -59,7 +57,6 @@ from .simplex import (
 
 _MASK64 = (1 << 64) - 1
 _ALPHA_STRIDE = 0x9E3779B97F4A7C15  # golden-ratio odd constant
-_BLOCK_CELLS = 16_384  # uniforms per block of trials on the fixed-pair fast path
 _STEP_CHUNK = 1_024  # uniforms per draw of the stepwise loop's one-draw policies
 
 
@@ -85,13 +82,10 @@ def trial_rng(seed: int) -> np.random.Generator:
 
 
 def _philox_at(gen: np.random.Generator, state: dict, pos: int) -> np.random.Generator:
-    """``gen``'s Philox placed at 64-bit word ``pos`` of the stream keyed by
-    ``state`` (other fields kept): counter ``pos // 4`` over all four counter
-    words, mod 2**256 as the counter wraps, an empty buffer, then ``pos % 4``
-    words discarded.  A stream read in order is at ``4 * counter - 4 + buffer_pos``."""
-    c = pos // 4
-    state["state"]["counter"] = (c, 0, 0, 0) if 0 <= c <= _MASK64 else tuple(
-        c >> k & _MASK64 for k in (0, 64, 128, 192))
+    """``gen`` placed at 64-bit word ``pos`` (mod 2**258) of the Philox stream keyed by
+    ``state``; a stream read in order stands at word ``4 * counter - 4 + buffer_pos``."""
+    state["state"]["counter"] = (pos >> 2 & _MASK64, pos >> 66 & _MASK64,
+                                 pos >> 130 & _MASK64, pos >> 194 & _MASK64)
     state["buffer_pos"] = 4
     gen.bit_generator.state = state
     if pos % 4:
@@ -443,10 +437,9 @@ def calibrate_null(
     Outcomes are drawn from ``q_null`` and seeds independently from the
     anchor, which is exactly the null the score table must guard against;
     the returned rate must stay at or below alpha up to Monte Carlo noise.
-    ``rng`` must be a Philox generator (:func:`trial_rng`); it is left just
-    past the draws: per block of ``4_000_000 // horizon`` streams (at least
-    one), all outcomes, then all seeds, row-major.  The block is read in
-    sub-blocks of at most ``_BLOCK_CELLS`` draws, so memory is bounded.
+    ``rng`` must be a Philox generator (:func:`trial_rng`), left just past the
+    draws: per block of ``4_000_000 // horizon`` streams (at least one), all
+    outcomes, then all seeds, row-major, read in bounded ``_BLOCK_CELLS`` sub-blocks.
     """
     _check_alpha(alpha)
     if trials < 1 or horizon < 1:

@@ -236,7 +236,7 @@ class TestGenerateDetectRoundTrip:
 
     def test_generate_streams_in_chunks(self, capsys, tmp_path):
         # one pair past a whole chunk: the second chunk continues the stream
-        steps = ewm.coupling._STREAM_CHUNK + 1
+        steps = ewm.coupling._BLOCK_CELLS + 1
         stream = tmp_path / "stream.csv"
         code, _, _ = run(capsys, "generate", *THREE, "--pair", "2,0", "--steps", str(steps),
                          "--seed", "5", "--out", str(stream))

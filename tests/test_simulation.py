@@ -1,5 +1,6 @@
 import io
 import math
+import os
 import subprocess
 import sys
 import textwrap
@@ -81,9 +82,11 @@ class TestRekey:
     def test_positioning_equals_a_sequential_read(self, key, key_hi, counter, taken, offset):
         # the caller's stream may stand mid-buffer, past a 64-bit counter carry
         # or at the 256-bit wrap; the placed copy reads on from word + offset
-        caller = np.random.Generator(np.random.Philox(key=[key, key_hi], counter=counter))
+        words = np.array([key, key_hi], dtype=np.uint64)  # a list would pass through float64
+        caller = np.random.Generator(np.random.Philox(key=words, counter=counter))
         caller.random(taken)
         state = caller.bit_generator.state
+        assert state["state"]["key"].tolist() == [key, key_hi]
         assert word_position(state) % 2**258 == 4 * counter + taken  # the counter wraps
         placed = ewm.trial_rng(0)
         _philox_at(placed, state, word_position(state) + offset)
@@ -469,7 +472,7 @@ class TestCalibrateNull:
         """)
         src = str(Path(ewm.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={"PYTHONPATH": src})
+                             check=True, env={**os.environ, "PYTHONPATH": src})
         assert float(out.stdout) < 32.0
 
 
