@@ -238,7 +238,7 @@ def _cmd_generate(args) -> int:
         q = make_distribution(_parse_json_weights(args.target))
         w = mixture_coupling(spec, decompose_target(spec, q))
     rng = simulation.trial_rng(simulation.mix64(args.seed))
-    draws = (pair for chunk in _stream_chunks(w, args.steps, rng) for pair in chunk)
+    draws = (pair for chunk in _stream_chunks(w, args.steps, rng) for pair in chunk.tolist())
     _write_table(args.out, write_stream_csv, draws)
     return 0
 

@@ -30,6 +30,7 @@ import io
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -218,11 +219,12 @@ def sample_stream(w: CouplingMatrix, steps: int, rng: np.random.Generator) -> np
 # -- CSV stream format --------------------------------------------------------
 
 def write_stream_csv(fh: io.TextIOBase, pairs) -> None:
-    """Header ``step,v,s`` then one row per draw, 0-based indices."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["step", "v", "s"])
-    for step, (v, s) in enumerate(pairs):
-        writer.writerow([step, int(v), int(s)])
+    """Header ``step,v,s`` then one row per draw, 0-based indices, written
+    ``_BLOCK_CELLS`` rows at a time."""
+    fh.write("step,v,s\n")
+    rows = enumerate(pairs)
+    while block := "".join(f"{t},{v},{s}\n" for t, (v, s) in islice(rows, _BLOCK_CELLS)):
+        fh.write(block)
 
 
 def read_stream_csv(fh: io.TextIOBase) -> list[tuple[int, int]]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -266,10 +266,4 @@ def detector_from_json(text: str) -> DetectorState:
 
 
 def report_to_dict(report: DetectionReport) -> dict:
-    return {
-        "decision": report.decision,
-        "stop_step": report.stop_step,
-        "wealth": report.wealth,
-        "threshold": report.threshold,
-        "steps": report.steps,
-    }
+    return asdict(report)

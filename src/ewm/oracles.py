@@ -101,6 +101,11 @@ def path_gain(m: ScoreMatrix, path: PathSpec) -> float:
     verts = path.vertices
     if max(verts) >= m.n:
         raise InvalidPathError(f"path vertex {max(verts)} out of range for n={m.n}")
+    return _gain(m, verts)
+
+
+def _gain(m: ScoreMatrix, verts: tuple[int, ...]) -> float:
+    """``W`` of the vertex sequence ``verts``; :func:`path_gain` checks its range."""
     total = 0.0
     for u, nxt in zip(verts[:-1], verts[1:]):
         total += float(m.entries[u, nxt]) - float(m.entries[nxt, nxt])
@@ -150,12 +155,8 @@ def best_path_inner_value(
     best_gain = -math.inf
     best: tuple[int, ...] | None = None
     for verts in _simple_paths(spec.n, pair.gain, pair.loss):
-        gain = 0.0
-        for u, nxt in zip(verts[:-1], verts[1:]):
-            gain += float(m.entries[u, nxt]) - float(m.entries[nxt, nxt])
-        if gain > best_gain:
-            best_gain = gain
-            best = verts
+        if (gain := _gain(m, verts)) > best_gain:
+            best_gain, best = gain, verts
     assert best is not None
     return j0 + spec.delta / 2.0 * best_gain, PathSpec(best)
 

@@ -15,7 +15,9 @@ Each trial owns an independent counter-based random stream (Philox) keyed by
 
 where ``mix64`` is the splitmix64 finalizer (xor-shift/multiply avalanche).
 Trials are therefore embarrassingly parallel, and results are identical for
-any worker count or scheduling order.  Fixed-target trials take a vectorized
+any worker count or scheduling order.  Two engines run the trials; both take
+``(spec, policy, alpha, cap, seeds)`` and return each seed's stop step (-1
+when censored) and final wealth.  Fixed-target trials take the vectorized
 fast path: one Philox per work unit is re-keyed for each trial by assigning
 its state, the trials' chunks are drawn row by row into one matrix, and a
 trial that has not crossed carries its wealth into its next chunk.  A guide
@@ -34,6 +36,7 @@ sub-blocks; per ``4_000_000 // horizon`` streams: all outcomes, then all seeds, 
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -248,16 +251,6 @@ def default_horizon(spec: NeighborhoodSpec, alpha: float) -> int:
     return int(math.ceil(10.0 * math.log(1.0 / alpha) / jstar(spec)))
 
 
-def _vertex_tables(spec: NeighborhoodSpec, e: EValueTable) -> tuple[list, list]:
-    """The stepwise loop's set-up, shared by a work unit's trials: each vertex's
-    CDF over its coupling's row-major joint (lexicographic vertex order) and
-    the flat log scores, as Python lists.  Each CDF drops its last entry, so
-    a uniform beyond every other entry lands in the last cell, exactly like
-    ``searchsorted(side="right")`` clamped to the last cell."""
-    cdfs = [extreme_coupling(spec, pair).cdf[:-1].tolist() for pair in enumerate_extremes(spec)]
-    return cdfs, e.log_scores.ravel().tolist()
-
-
 def _uniforms(rng: np.random.Generator, count: int):
     """``count`` uniforms drawn in chunks; the same values as ``count`` calls
     of ``rng.random()``."""
@@ -265,45 +258,48 @@ def _uniforms(rng: np.random.Generator, count: int):
         yield from rng.random(min(_STEP_CHUNK, count - lo)).tolist()
 
 
-def _run_trial_generic(
-    spec: NeighborhoodSpec,
-    e: EValueTable,
-    policy: AdversaryPolicy,
-    alpha: float,
-    cap: int,
-    seed: int,
-    tables: tuple[list, list] | None = None,
-) -> TrialRecord:
-    """The stepwise loop, one scalar step at a time, for every policy;
-    ``tables`` is :func:`_vertex_tables`, built here when not given."""
-    cdfs, log_flat = tables if tables is not None else _vertex_tables(spec, e)
+def _run_stepwise(
+    spec: NeighborhoodSpec, policy: AdversaryPolicy, alpha: float, cap: int, seeds: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stepwise loop, one scalar step at a time, for every policy: stop
+    steps (-1 when censored) and final wealth, one per seed.  Each vertex's
+    CDF over its coupling's row-major joint (lexicographic vertex order) drops
+    its last entry, so a uniform beyond every other entry lands in the last
+    cell, exactly like ``searchsorted(side="right")`` clamped to the last cell."""
+    log_flat = optimal_evalue(spec).log_scores.ravel().tolist()
+    pairs = enumerate_extremes(spec)
+    cdfs = [extreme_coupling(spec, pair).cdf[:-1].tolist() for pair in pairs]
     m = len(cdfs)
     threshold = math.log(1.0 / alpha)
-    rng = trial_rng(seed)
-    uniforms = _uniforms(rng, cap)  # a generator: nothing is drawn until it is read
-    greedy = None
-    if isinstance(policy, FixedPair):
-        indices = repeat(enumerate_extremes(spec).index(ExtremePair(policy.gain, policy.loss)))
-    elif isinstance(policy, RoundRobin):
-        indices = cycle(range(m))
-    elif isinstance(policy, HistoryGreedy):
-        greedy = _GreedyWindow(m, policy.window, set())
-        indices = iter(greedy.choose, None)
-    elif isinstance(policy, RandomPair):  # the vertex, then the uniform, each step
-        indices = iter(lambda: int(rng.integers(m)), None)
-        uniforms = iter(rng.random, None)
-    else:
-        raise BadParamsError(f"unknown policy {policy!r}")
-    wealth, stop = 0.0, None
-    for step, idx in zip(range(1, cap + 1), indices):
-        log_e = log_flat[bisect_right(cdfs[idx], next(uniforms))]
-        wealth += log_e
-        if wealth >= threshold:
-            stop = step
-            break
-        if greedy is not None:
-            greedy.push(idx, log_e)
-    return TrialRecord(stop_step=stop, final_wealth=wealth, steps_run=stop or cap, seed=seed)
+    stops = np.full(len(seeds), -1, dtype=np.int64)
+    wealth = np.empty(len(seeds))
+    for t, seed in enumerate(seeds):
+        rng = trial_rng(seed)
+        uniforms = _uniforms(rng, cap)  # a generator: nothing is drawn until it is read
+        greedy = None
+        if isinstance(policy, FixedPair):
+            indices = repeat(pairs.index(ExtremePair(policy.gain, policy.loss)))
+        elif isinstance(policy, RoundRobin):
+            indices = cycle(range(m))
+        elif isinstance(policy, HistoryGreedy):
+            greedy = _GreedyWindow(m, policy.window, set())
+            indices = iter(greedy.choose, None)
+        elif isinstance(policy, RandomPair):  # the vertex, then the uniform, each step
+            indices = iter(lambda: int(rng.integers(m)), None)
+            uniforms = iter(rng.random, None)
+        else:
+            raise BadParamsError(f"unknown policy {policy!r}")
+        total = 0.0
+        for step, idx in zip(range(1, cap + 1), indices):
+            log_e = log_flat[bisect_right(cdfs[idx], next(uniforms))]
+            total += log_e
+            if total >= threshold:
+                stops[t] = step
+                break
+            if greedy is not None:
+                greedy.push(idx, log_e)
+        wealth[t] = total
+    return stops, wealth
 
 
 def _run_fixed(
@@ -348,16 +344,9 @@ def _cap(config: ExperimentConfig, alpha: float) -> int:
 def _run_trials(
     config: ExperimentConfig, alpha: float, cap: int, seeds: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The one policy dispatch: stop steps (-1 when censored) and final wealth,
-    one per seed, from the fixed-pair fast path or the stepwise loop."""
-    spec, policy = config.spec, config.policy
-    if isinstance(policy, FixedPair):
-        return _run_fixed(spec, policy, alpha, cap, seeds)
-    e = optimal_evalue(spec)
-    tables = _vertex_tables(spec, e)
-    records = [_run_trial_generic(spec, e, policy, alpha, cap, seed, tables) for seed in seeds]
-    return (np.array([r.stop_step or -1 for r in records], dtype=np.int64),
-            np.array([r.final_wealth for r in records]))
+    """The one policy dispatch, between the fixed-pair fast path and the stepwise loop."""
+    run = _run_fixed if isinstance(config.policy, FixedPair) else _run_stepwise
+    return run(config.spec, config.policy, alpha, cap, seeds)
 
 
 def run_trial(
@@ -385,20 +374,22 @@ def estimate_stopping(config: ExperimentConfig, threads: int = 1) -> list[SweepR
 
     Censored trials are counted at the horizon cap and reported in
     ``censored_count``.  The ratio column ``mean_tau / log(1/alpha)``
-    converges to ``1 / jstar`` as alpha tends to zero.
+    converges to ``1 / jstar`` as alpha tends to zero.  At most one worker
+    process runs per CPU; the rows never depend on the worker count.
     """
     if threads < 1:
         raise BadParamsError(f"threads must be >= 1, got {threads}")
+    workers = min(threads, os.cpu_count() or 1)
+    step = math.ceil(config.trials / workers)
     tasks = []
     for ai, alpha in enumerate(config.alphas):
-        step = math.ceil(config.trials / threads)
         for lo in range(0, config.trials, step):
             tasks.append((config, alpha, ai, lo, min(lo + step, config.trials)))
     results = np.empty((len(config.alphas), config.trials), dtype=np.int64)
-    if threads == 1:
+    if workers == 1:
         outputs = map(_sweep_task, tasks)
     else:
-        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             outputs = list(pool.map(_sweep_task, tasks))
     for ai, lo, taus in outputs:
         results[ai][lo:lo + taus.size] = taus

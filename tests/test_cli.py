@@ -235,17 +235,20 @@ class TestGenerateDetectRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
     def test_generate_streams_in_chunks(self, capsys, tmp_path):
-        # one pair past a whole chunk: the second chunk continues the stream
-        steps = ewm.coupling._BLOCK_CELLS + 1
-        stream = tmp_path / "stream.csv"
-        code, _, _ = run(capsys, "generate", *THREE, "--pair", "2,0", "--steps", str(steps),
-                         "--seed", "5", "--out", str(stream))
-        assert code == 0
+        # one pair past a whole chunk: the second chunk continues the stream;
+        # two whole chunks end the last written block exactly at the file's end
         w = ewm.extreme_coupling(ewm.make_neighborhood(ewm.make_distribution([0.4, 0.3, 0.3]),
                                                        0.1), ewm.ExtremePair(2, 0))
-        one_shot = ewm.sample_stream(w, steps, ewm.trial_rng(ewm.mix64(5)))
-        with open(stream, newline="") as fh:
-            assert np.array_equal(np.array(ewm.read_stream_csv(fh)), one_shot)
+        for steps in (ewm.coupling._BLOCK_CELLS + 1, 2 * ewm.coupling._BLOCK_CELLS):
+            stream = tmp_path / "stream.csv"
+            code, _, _ = run(capsys, "generate", *THREE, "--pair", "2,0", "--steps", str(steps),
+                             "--seed", "5", "--out", str(stream))
+            assert code == 0
+            one_shot = ewm.sample_stream(w, steps, ewm.trial_rng(ewm.mix64(5)))
+            with open(stream, newline="") as fh:
+                assert np.array_equal(np.array(ewm.read_stream_csv(fh)), one_shot)
+            rows = stream.read_text().splitlines()[1:]
+            assert [int(row.split(",")[0]) for row in rows] == list(range(steps))
 
     def test_baseline_method(self, capsys, tmp_path):
         stream = tmp_path / "stream.csv"

@@ -20,7 +20,7 @@ from ewm.simulation import (
     StepOutcome,
     TrialRecord,
     _philox_at,
-    _run_trial_generic,
+    _run_stepwise,
     _sweep_task,
     choose_pair,
 )
@@ -171,6 +171,14 @@ def reference_fold(spec, e, policy, alpha, cap, seed):
                        steps_run=state.steps, seed=seed)
 
 
+def stepwise_record(spec, policy, alpha, cap, seed):
+    """One trial of the stepwise loop as a ``TrialRecord``."""
+    stops, wealth = _run_stepwise(spec, policy, alpha, cap, [seed])
+    stop = int(stops[0]) if stops[0] > 0 else None
+    return TrialRecord(stop_step=stop, final_wealth=float(wealth[0]), steps_run=stop or cap,
+                       seed=seed)
+
+
 class TestRunTrial:
     def test_stepwise_loop_matches_the_reference_fold(self):
         # (anchor, alpha, cap, seeds): n=4 has 12 vertices, so RandomPair's
@@ -189,7 +197,7 @@ class TestRunTrial:
             e = ewm.optimal_evalue(spec)
             for policy in policies:
                 for seed in seeds:
-                    record = _run_trial_generic(spec, e, policy, alpha, cap, seed)
+                    record = stepwise_record(spec, policy, alpha, cap, seed)
                     assert record == reference_fold(spec, e, policy, alpha, cap, seed)
                     censored += record.stop_step is None
                     long_runs += record.steps_run > _STEP_CHUNK
@@ -207,14 +215,11 @@ class TestRunTrial:
         config = ewm.ExperimentConfig(
             spec=FAIR, alphas=(0.02, 1e-12), trials=8, policy=ewm.FixedPair(0, 1), base_seed=42
         )
-        e = ewm.optimal_evalue(FAIR)
         for ai, alpha in enumerate(config.alphas):
             cap = ewm.default_horizon(FAIR, alpha)
             for t in range(config.trials):
                 fast = ewm.run_trial(config, alpha, ai, t)
-                slow = _run_trial_generic(
-                    FAIR, e, config.policy, alpha, cap, ewm.trial_seed(42, ai, t)
-                )
+                slow = stepwise_record(FAIR, config.policy, alpha, cap, ewm.trial_seed(42, ai, t))
                 assert fast == slow
 
     def test_loose_alpha_stops_on_first_diagonal_draw(self):
@@ -308,10 +313,14 @@ class TestEstimateStopping:
         config = ewm.ExperimentConfig(spec=FAIR, alphas=(1e-3, 1e-6), trials=5,
                                       policy=policy, base_seed=3)
         serial = ewm.estimate_stopping(config, threads=1)
-        for threads in (2, 3, 4, 5, 5000):
-            assert ewm.estimate_stopping(config, threads=threads) == serial
-        # 5 trials in ranges of ceil(5 / threads), for each of 2 alphas
-        assert sizes == [2, 3, 4, 5, 10]
+        # 5 trials in ranges of ceil(5 / workers), for each of 2 alphas, with
+        # at most one worker per CPU
+        for cpus, expected in ((16, [2, 3, 4, 5, 10]), (3, [2, 3, 3, 3, 3])):
+            monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+            sizes.clear()
+            for threads in (2, 3, 4, 5, 5000):
+                assert ewm.estimate_stopping(config, threads=threads) == serial
+            assert sizes == expected
 
     @pytest.mark.parametrize("threads", [0, -4])
     def test_threads_must_be_positive(self, threads):
@@ -332,10 +341,8 @@ class TestEstimateStopping:
             config = ewm.ExperimentConfig(spec=spec, alphas=(alpha,), trials=300,
                                           policy=ewm.FixedPair(*pair), horizon_cap=cap,
                                           base_seed=31)
-            e = ewm.optimal_evalue(spec)
-            slow = [_run_trial_generic(spec, e, config.policy, alpha, cap,
-                                       ewm.trial_seed(31, 0, t)) for t in range(300)]
-            taus = np.array([-1 if r.stop_step is None else r.stop_step for r in slow])
+            seeds = [ewm.trial_seed(31, 0, t) for t in range(300)]
+            taus = _run_stepwise(spec, config.policy, alpha, cap, seeds)[0]
             assert (taus < 0).any() and (chunk is None or (taus > chunk).any())
             assert np.array_equal(_sweep_task((config, alpha, 0, 0, 300))[2], taus)
             row = ewm.estimate_stopping(config, threads=1)[0]
@@ -390,9 +397,8 @@ class TestDriftIdentity:
     def test_adaptive_policies_share_the_drift(self):
         # unreachable threshold and a fixed horizon: no stopping bias in the mean
         spec = spec_of([0.4, 0.3, 0.3], 0.1)
-        e = ewm.optimal_evalue(spec)
         for policy in (ewm.RoundRobin(), ewm.HistoryGreedy(window=16)):
-            record = _run_trial_generic(spec, e, policy, 1e-320, 700, 77)
+            record = stepwise_record(spec, policy, 1e-320, 700, 77)
             assert record.stop_step is None and record.steps_run == 700
             mean = record.final_wealth / record.steps_run
             assert abs(mean - ewm.jstar(spec)) < 0.12  # 4 sd of a 700-step average
@@ -474,6 +480,59 @@ class TestCalibrateNull:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
         assert float(out.stdout) < 32.0
+
+
+class TestAdaptiveNull:
+    # The wealth must be a test supermartingale under every predictable null
+    # in the ball, not only a stationary one: each adversary below picks a
+    # vertex null from its stream's own past, and the false-positive rate over
+    # 10^4 streams of 400 steps must stay at or below alpha + 3 sigma.  Under
+    # the optimal table scaled by 1.5 the same adversaries must break that bound.
+    SPEC = spec_of([0.5, 0.3, 0.2], 0.15)
+
+    @pytest.mark.parametrize("adversary", ["boundary", "mirror"])
+    def test_history_dependent_nulls_keep_the_level(self, adversary):
+        e = ewm.optimal_evalue(self.SPEC)
+        scaled = ewm.make_evalue_table(1.5 * e.scores)
+        for alpha in (0.05, 0.2):
+            bound = alpha + 3.0 * math.sqrt(alpha * (1.0 - alpha) / 10_000)
+            assert adaptive_null_rate(self.SPEC, e, adversary, alpha) <= bound
+            assert adaptive_null_rate(self.SPEC, scaled, adversary, alpha) > bound
+
+
+def adaptive_null_rate(spec, e, adversary, alpha, streams=10_000, steps=400):
+    """Fraction of ``streams`` null streams whose wealth under ``e`` crosses
+    log(1/alpha) within ``steps``, each outcome drawn from a vertex target the
+    adversary picks from that stream's past, each seed from the anchor.
+
+    ``boundary``: within one largest diagonal jump of the threshold, it moves
+    delta/2 onto the symbol with the largest diagonal score (the up vertex,
+    taken from the symbol with the smallest); elsewhere it plays the vertex
+    with the largest mean log score.  ``mirror``: it plays the up vertex at
+    the start and after an increment >= 0, and its reverse after a negative one."""
+    opt = ewm.optimal_evalue(spec).log_scores
+    pairs = ewm.enumerate_extremes(spec)
+    targets = np.array([ewm.extreme_target(spec, p).weights for p in pairs])
+    diag = np.diag(opt)
+    hi, lo = int(np.argmax(diag)), int(np.argmin(diag))
+    up, down = pairs.index(ewm.ExtremePair(hi, lo)), pairs.index(ewm.ExtremePair(lo, hi))
+    drift = int(np.argmax(targets @ opt @ spec.anchor.weights))
+    cdfs, seed_cdf = np.cumsum(targets, axis=1), np.cumsum(spec.anchor.weights)
+    log_e, threshold = e.log_scores, math.log(1.0 / alpha)
+    rng = np.random.Generator(np.random.Philox(key=7))
+    wealth, last = np.zeros(streams), np.zeros(streams)
+    crossed = np.zeros(streams, dtype=bool)
+    for _ in range(steps):
+        if adversary == "boundary":
+            k = np.where(threshold - wealth <= diag[hi], up, drift)
+        else:
+            k = np.where(last >= 0.0, up, down)
+        v = np.minimum((rng.random(streams)[:, None] >= cdfs[k]).sum(axis=1), spec.n - 1)
+        s = np.minimum(np.searchsorted(seed_cdf, rng.random(streams), side="right"), spec.n - 1)
+        last = log_e[v, s]
+        wealth += last
+        crossed |= wealth >= threshold
+    return float(crossed.mean())
 
 
 def whole_block_calibrate(spec, alpha, trials, horizon, q_null, rng, e=None):
