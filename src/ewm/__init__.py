@@ -43,12 +43,9 @@ from .evalue import (
     row_sums,
 )
 from .oracles import (
-    ScoreMatrix,
     TwoTokenSolution,
     best_path_inner_value,
     cycle_condition_check,
-    log_scores,
-    make_score_matrix,
     path_gain,
     saddle_check,
     two_token_maxmin,

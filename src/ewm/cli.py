@@ -35,14 +35,15 @@ from .coupling import (
     write_stream_csv,
 )
 from .detection import (
+    _check_alpha,
     baseline_batch_detect,
     batch_detect,
     report_to_dict,
     worst_null_match_prob,
 )
-from .errors import EwmError, FormatError
+from .errors import BadAlphaError, EwmError, FormatError
 from .evalue import jstar, null_worst_expectation, optimal_evalue
-from .oracles import cycle_condition_check, log_scores, saddle_check, two_token_maxmin
+from .oracles import cycle_condition_check, saddle_check, two_token_maxmin
 from .simplex import (
     ExtremePair,
     NeighborhoodSpec,
@@ -92,8 +93,7 @@ def parse_alpha_grid(token: str) -> list[float]:
             raise FormatError(f"malformed grid token {token!r}: {exc}") from exc
         if count < 2:
             raise FormatError(f"grid count must be >= 2, got {count}")
-        if not (0.0 < start < 1.0 and 0.0 < end < 1.0):
-            raise FormatError("grid endpoints must lie in (0, 1)")
+        start, end = _grid_alpha(start), _grid_alpha(end)
         grid = np.exp(np.linspace(math.log(start), math.log(end), count))
         grid[0], grid[-1] = start, end  # endpoints exact, not exp(log(x))
         return [float(a) for a in grid]
@@ -103,10 +103,15 @@ def parse_alpha_grid(token: str) -> list[float]:
         raise FormatError(f"malformed alpha list {token!r}: {exc}") from exc
     if not values:
         raise FormatError("empty alpha list")
-    for a in values:
-        if not (0.0 < a < 1.0):
-            raise FormatError(f"alpha {a!r} outside (0, 1)")
-    return values
+    return [_grid_alpha(a) for a in values]
+
+
+def _grid_alpha(alpha: float) -> float:
+    """:func:`~ewm.detection._check_alpha`, failing as a malformed grid."""
+    try:
+        return _check_alpha(alpha)
+    except BadAlphaError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def _parse_json_weights(text: str):
@@ -280,7 +285,7 @@ def _cmd_audit(args) -> int:
     worst = null_worst_expectation(e, spec)
     null_ok = worst <= 1.0 + 1e-10
     cap = spec.n if args.max_cycle_len is None else args.max_cycle_len
-    cycles_ok = cycle_condition_check(log_scores(e), cap)
+    cycles_ok = cycle_condition_check(e, cap)
     rng = simulation.trial_rng(simulation.mix64(args.seed))
     saddle_ok = saddle_check(spec, args.perturbations, args.magnitude, rng)
     passed = null_ok and cycles_ok and saddle_ok

@@ -76,9 +76,10 @@ class DetectionReport:
 
 
 def _check_alpha(alpha: float) -> float:
+    """``alpha`` in (0, 1) with ``1/alpha`` finite, so the threshold ``log(1/alpha)`` is too."""
     alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise BadAlphaError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if not (0.0 < alpha < 1.0 and math.isfinite(1.0 / alpha)):
+        raise BadAlphaError(f"alpha must lie in (0, 1) with 1/alpha finite, got {alpha!r}")
     return alpha
 
 

@@ -6,11 +6,12 @@ can be checked against each other to machine precision.
 
 * :func:`path_gain` / :func:`best_path_inner_value` -- the best achievable
   expected log score against a vertex target equals
-  ``J0 + (delta/2) * max_P W(P)`` where ``J0 = sum_v p0(v) M(v, v)``, ``M`` is
-  the log-score matrix, and ``W(P)`` ranges over the gains of all simple
-  directed paths from the gain index to the loss index.  The maximum is found
-  by literally enumerating every simple path (complete digraph, n <= 10), so
-  no LP solver is involved.
+  ``J0 + (delta/2) * max_P W(P)`` where ``J0 = sum_v p0(v) M(v, v)``,
+  ``M = log e`` is the cached ``log_scores`` of the table ``e`` passed in
+  (every score must be positive), and ``W(P)`` ranges over the gains of all
+  simple directed paths from the gain index to the loss index.  The maximum
+  is found by literally enumerating every simple path (complete digraph,
+  n <= 10), so no LP solver is involved.
 * :func:`cycle_condition_check` -- verifies the diagonal-dominance cycle
   inequality ``sum_i M(c_i, c_i) >= sum_i M(c_i, c_{i+1 mod k})`` over all
   simple directed cycles up to a length cap; this is the hypothesis under
@@ -31,21 +32,9 @@ from functools import lru_cache
 import numpy as np
 
 from .coupling import PathSpec
-from .errors import (
-    BadParamsError,
-    DimensionMismatchError,
-    FormatError,
-    InvalidPathError,
-    TooLargeError,
-)
-from .evalue import EValueTable, jstar, kernel_of, optimal_evalue
-from .simplex import (
-    ExtremePair,
-    NeighborhoodSpec,
-    _check_pair,
-    _freeze,
-    enumerate_extremes,
-)
+from .errors import BadParamsError, InvalidPathError, TooLargeError
+from .evalue import EValueTable, _check_dims, jstar, kernel_of, optimal_evalue
+from .simplex import ExtremePair, NeighborhoodSpec, _check_pair, enumerate_extremes
 
 # Refuse cycle enumerations beyond this many cycles (the full cap at n = 8 fits).
 _CYCLE_BUDGET = 100_000
@@ -53,20 +42,6 @@ _CYCLE_BUDGET = 100_000
 _MAX_PATH_N = 10
 # Path enumeration requires n <= 6 inside the randomized saddle audit.
 _MAX_SADDLE_N = 6
-
-
-@dataclass(frozen=True, eq=False)
-class ScoreMatrix:
-    """Finite log-score matrix M(v, s); typically the log of a score table."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _freeze(self.entries))
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -80,35 +55,26 @@ class TwoTokenSolution:
     trace: tuple[tuple[int, float, float, float], ...]
 
 
-def make_score_matrix(entries) -> ScoreMatrix:
-    m = np.asarray(entries, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"score matrix must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise FormatError("score matrix entries must be finite (scores strictly positive)")
-    return ScoreMatrix(m)
-
-
-def log_scores(e: EValueTable) -> ScoreMatrix:
-    """Elementwise log of a score table; requires strictly positive scores."""
+def _log_matrix(e: EValueTable) -> np.ndarray:
+    """``M = e.log_scores``; a zero score would make an entry ``-inf``."""
     if np.any(e.scores <= 0.0):
         raise BadParamsError("log-score matrix needs strictly positive scores")
-    return ScoreMatrix(e.log_scores)
+    return e.log_scores
 
 
-def path_gain(m: ScoreMatrix, path: PathSpec) -> float:
+def path_gain(e: EValueTable, path: PathSpec) -> float:
     """``W(P) = sum_i ( M(u_i, u_{i+1}) - M(u_{i+1}, u_{i+1}) )``."""
     verts = path.vertices
-    if max(verts) >= m.n:
-        raise InvalidPathError(f"path vertex {max(verts)} out of range for n={m.n}")
-    return _gain(m, verts)
+    if max(verts) >= e.n:
+        raise InvalidPathError(f"path vertex {max(verts)} out of range for n={e.n}")
+    return _gain(_log_matrix(e), verts)
 
 
-def _gain(m: ScoreMatrix, verts: tuple[int, ...]) -> float:
+def _gain(m: np.ndarray, verts: tuple[int, ...]) -> float:
     """``W`` of the vertex sequence ``verts``; :func:`path_gain` checks its range."""
     total = 0.0
     for u, nxt in zip(verts[:-1], verts[1:]):
-        total += float(m.entries[u, nxt]) - float(m.entries[nxt, nxt])
+        total += float(m[u, nxt]) - float(m[nxt, nxt])
     return total
 
 
@@ -138,7 +104,7 @@ def _simple_paths(n: int, a: int, b: int) -> tuple[tuple[int, ...], ...]:
 
 
 def best_path_inner_value(
-    m: ScoreMatrix, spec: NeighborhoodSpec, pair: ExtremePair
+    e: EValueTable, spec: NeighborhoodSpec, pair: ExtremePair
 ) -> tuple[float, PathSpec]:
     """Exhaustive inner-problem value for a vertex target.
 
@@ -146,12 +112,12 @@ def best_path_inner_value(
     simple-path gain from the gain index to the loss index and the returned
     path is the lexicographically first maximizer.
     """
-    if m.n != spec.n:
-        raise DimensionMismatchError(f"matrix is {m.n}x{m.n} but vocabulary has n={spec.n}")
+    _check_dims(e, spec)
     if spec.n > _MAX_PATH_N:
         raise TooLargeError(f"path enumeration supports n <= {_MAX_PATH_N}, got {spec.n}")
     _check_pair(spec, pair)
-    j0 = float(spec.anchor.weights @ np.diag(m.entries))
+    m = _log_matrix(e)
+    j0 = float(spec.anchor.weights @ np.diag(m))
     best_gain = -math.inf
     best: tuple[int, ...] | None = None
     for verts in _simple_paths(spec.n, pair.gain, pair.loss):
@@ -168,14 +134,14 @@ def _cycle_count(n: int, max_len: int) -> int:
     return total
 
 
-def cycle_condition_check(m: ScoreMatrix, max_cycle_len: int) -> bool:
+def cycle_condition_check(e: EValueTable, max_cycle_len: int) -> bool:
     """True iff no simple directed cycle up to the cap beats its diagonal.
 
     Each cycle is enumerated once, anchored at its smallest vertex.  Equality
     counts as satisfied; violations need to exceed 1e-12 to rule out pure
     rounding noise.
     """
-    n = m.n
+    n = e.n
     cap = min(int(max_cycle_len), n)
     if cap < 2:
         raise BadParamsError(f"cycle length cap must be >= 2, got {max_cycle_len}")
@@ -183,7 +149,7 @@ def cycle_condition_check(m: ScoreMatrix, max_cycle_len: int) -> bool:
         raise TooLargeError(
             f"{_cycle_count(n, cap)} cycles exceed the enumeration budget {_CYCLE_BUDGET}"
         )
-    ent = m.entries
+    ent = _log_matrix(e)
 
     def ok_from(start: int) -> bool:
         # cycles anchored at their smallest vertex: later vertices come from
@@ -288,7 +254,7 @@ def saddle_check(
     Draws row-stochastic kernels within ``magnitude`` (entrywise) of the
     optimal kernel, renormalizes rows, and checks that none achieves a
     worst-case inner value above the closed-form rate (1e-9 slack).  Kernels
-    are turned into log-score matrices by dividing each column by the anchor.
+    are turned into score tables by dividing each column by the anchor.
     """
     if spec.n > _MAX_SADDLE_N:
         raise TooLargeError(f"saddle audit supports n <= {_MAX_SADDLE_N}, got {spec.n}")
@@ -303,8 +269,8 @@ def saddle_check(
         noise = rng.uniform(-magnitude, magnitude, size=(spec.n, spec.n))
         r = np.clip(r_star + noise, 1e-12, None)
         r /= r.sum(axis=1, keepdims=True)
-        m = ScoreMatrix(np.log(r / p0[np.newaxis, :]))
-        worst = min(best_path_inner_value(m, spec, pair)[0] for pair in pairs)
+        e = EValueTable(r / p0[np.newaxis, :])
+        worst = min(best_path_inner_value(e, spec, pair)[0] for pair in pairs)
         if worst > target + 1e-9:
             return False
     return True

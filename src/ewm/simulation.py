@@ -308,13 +308,14 @@ def _run_fixed(
     """Fast path for a constant coupling: stop steps (-1 when censored) and
     final wealth, one per seed.  Trials run in blocks of one chunk's draws per
     row, rows that have not crossed carry their wealth into the next chunk.
-    A chunk is about 1.25 expected stopping times in whole Philox blocks.
+    A chunk is about 1.25 expected stopping times in whole Philox blocks, and
+    at most ``_BLOCK_CELLS`` draws.
     Uniforms map straight to their cells' log scores through one guide-table
     lookup (:func:`~ewm.coupling._cell_lookup`), built once per call."""
     w = extreme_coupling(spec, ExtremePair(policy.gain, policy.loss))
     log_e = _cell_lookup(w.cdf, optimal_evalue(spec).log_scores.ravel())
     threshold = math.log(1.0 / alpha)
-    chunk = 4 * max(16, (int(1.25 * threshold / jstar(spec)) + 19) // 4)
+    chunk = min(_BLOCK_CELLS, 4 * max(16, (int(1.25 * threshold / jstar(spec)) + 19) // 4))
     state = (gen := trial_rng(0)).bit_generator.state  # re-keyed for every row
 
     stops = np.full(len(seeds), -1, dtype=np.int64)
@@ -397,7 +398,7 @@ def estimate_stopping(config: ExperimentConfig, threads: int = 1) -> list[SweepR
     for ai, alpha in enumerate(config.alphas):
         taus = results[ai]
         censored = int(np.sum(taus < 0))
-        filled = np.where(taus < 0, _cap(config, alpha), taus).astype(np.float64)
+        filled = np.where(taus < 0, float(_cap(config, alpha)), taus)
         log_inv = math.log(1.0 / alpha)
         mean = float(filled.mean())
         std_err = float(filled.std(ddof=1) / math.sqrt(filled.size)) if filled.size > 1 else 0.0

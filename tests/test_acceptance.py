@@ -101,9 +101,9 @@ def test_criterion_4_saddle_audit():
     spread = 0.0
     for _ in range(25):
         spec = random_spec(rng, n_min=2, n_max=4)
-        m = ewm.log_scores(ewm.optimal_evalue(spec))
+        e = ewm.optimal_evalue(spec)
         values = [
-            ewm.best_path_inner_value(m, spec, pair)[0]
+            ewm.best_path_inner_value(e, spec, pair)[0]
             for pair in ewm.enumerate_extremes(spec)
         ]
         spread = max(spread, max(values) - min(values))

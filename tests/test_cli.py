@@ -176,6 +176,16 @@ class TestErrors:
         assert code == 1 and out == "" and "Traceback" not in err
         assert err.startswith("ewm: error: out of memory: Unable to allocate")
 
+    def test_subnormal_alpha_is_a_typed_error(self, capsys, tmp_path):
+        # 1/alpha overflows to inf, which once gave an "undecided" report
+        # with an Infinity threshold
+        stream = tmp_path / "stream.csv"
+        run(capsys, "generate", *FAIR, "--pair", "0,1", "--steps", "5000", "--out", str(stream))
+        code, out, err = run(capsys, "detect", *FAIR, "--alpha", "1e-320",
+                             "--stream", str(stream))
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.startswith("ewm: error: alpha must lie in (0, 1)")
+
     def test_missing_stream_file(self, capsys):
         code, _, _ = run(capsys, "detect", "--anchor", "[0.5,0.5]", "--delta", "0.1",
                          "--alpha", "0.02", "--stream", "/nonexistent/stream.csv")
@@ -428,6 +438,9 @@ def _fuzz_examples(test):
           "--stream", "STREAMS/outside.csv"], None),
         (["jstar", "--anchor", '["a",0.5]', "--delta", "0.1"], None),
         (["generate", *FAIR, "--pair", "0,1", "--steps", "-1"], None),
+        ([*SWEEP[:-1], "18446744073709551616"], None),
+        (["sweep-tau", *FAIR, "--alphas", "1e-320", "--trials", "2"], None),
+        (["calibrate-null", *FAIR, "--alphas", "1e-320", "--trials", "2"], None),
     ]
     for argv, env in cases:
         test = example(argv=argv, threads_env=env)(test)

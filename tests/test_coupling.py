@@ -223,11 +223,11 @@ class TestSingleHopDominance:
         rng = np.random.default_rng(13)
         for _ in range(10):
             spec = random_spec(rng, n_min=3, n_max=5)
-            m = ewm.log_scores(ewm.optimal_evalue(spec))
+            e = ewm.optimal_evalue(spec)
             for pair in ewm.enumerate_extremes(spec):
-                direct = ewm.path_gain(m, ewm.PathSpec((pair.gain, pair.loss)))
+                direct = ewm.path_gain(e, ewm.PathSpec((pair.gain, pair.loss)))
                 mid = next(x for x in range(spec.n) if x not in (pair.gain, pair.loss))
-                detour = ewm.path_gain(m, ewm.PathSpec((pair.gain, mid, pair.loss)))
+                detour = ewm.path_gain(e, ewm.PathSpec((pair.gain, mid, pair.loss)))
                 assert detour < direct
 
 

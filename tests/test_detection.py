@@ -35,7 +35,7 @@ class TestInitDetector:
         assert abs(state.threshold - 276.3102) < 5e-5
 
     def test_bad_alpha(self):
-        for alpha in (1.5, 0.0, 1.0, -0.1):
+        for alpha in (1.5, 0.0, 1.0, -0.1, 1e-320):
             with pytest.raises(BadAlphaError):
                 ewm.init_detector(fair_table(), alpha)
 

@@ -13,33 +13,41 @@ def spec_of(weights, delta):
     return ewm.make_neighborhood(ewm.make_distribution(weights), delta)
 
 
-def optimal_log_scores(spec):
-    return ewm.log_scores(ewm.optimal_evalue(spec))
+def table_of_logs(m):
+    """The score table whose log-score matrix is ``m``."""
+    return ewm.make_evalue_table(np.exp(m))
 
 
 class TestPathGain:
     def test_single_hop(self):
         spec = spec_of([0.4, 0.3, 0.3], 0.1)
-        gain = ewm.path_gain(optimal_log_scores(spec), ewm.PathSpec((0, 2)))
+        gain = ewm.path_gain(ewm.optimal_evalue(spec), ewm.PathSpec((0, 2)))
         assert abs(gain - (-3.637586)) < 5e-7  # log(0.025 / 0.95); anchor cancels
 
     def test_two_hop_doubles(self):
         spec = spec_of([0.4, 0.3, 0.3], 0.1)
-        m = optimal_log_scores(spec)
-        one = ewm.path_gain(m, ewm.PathSpec((0, 2)))
-        two = ewm.path_gain(m, ewm.PathSpec((0, 1, 2)))
+        e = ewm.optimal_evalue(spec)
+        one = ewm.path_gain(e, ewm.PathSpec((0, 2)))
+        two = ewm.path_gain(e, ewm.PathSpec((0, 1, 2)))
         assert abs(two - 2.0 * one) < 1e-12
 
     def test_equal_entries_gain_zero(self):
-        m = ewm.make_score_matrix([[0.3, 0.7], [0.1, 0.7]])
-        assert ewm.path_gain(m, ewm.PathSpec((0, 1))) == 0.0
+        e = table_of_logs([[0.3, 0.7], [0.1, 0.7]])
+        assert ewm.path_gain(e, ewm.PathSpec((0, 1))) == 0.0
+
+    def test_zero_score_refused(self):
+        e = ewm.make_evalue_table([[1.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(BadParamsError, match="strictly positive"):
+            ewm.path_gain(e, ewm.PathSpec((0, 1)))
+        with pytest.raises(BadParamsError, match="strictly positive"):
+            ewm.cycle_condition_check(e, 2)
 
 
 class TestBestPathInnerValue:
     def test_three_symbols_single_hop_optimal(self):
         spec = spec_of([0.4, 0.3, 0.3], 0.1)
         value, path = ewm.best_path_inner_value(
-            optimal_log_scores(spec), spec, ewm.ExtremePair(0, 2)
+            ewm.optimal_evalue(spec), spec, ewm.ExtremePair(0, 2)
         )
         assert abs(value - 0.855727) < 5e-7
         assert abs(value - ewm.jstar(spec)) < 1e-12
@@ -48,18 +56,18 @@ class TestBestPathInnerValue:
     def test_two_symbols(self):
         spec = spec_of([0.5, 0.5], 0.1)
         value, path = ewm.best_path_inner_value(
-            optimal_log_scores(spec), spec, ewm.ExtremePair(1, 0)
+            ewm.optimal_evalue(spec), spec, ewm.ExtremePair(1, 0)
         )
         assert abs(value - 0.494632) < 5e-7
         assert path.vertices == (1, 0)
 
     def test_constructed_bonus_forces_detour(self):
         spec = spec_of([0.4, 0.3, 0.3], 0.1)
-        m = np.array(optimal_log_scores(spec).entries)
+        m = np.array(ewm.optimal_evalue(spec).log_scores)
         m[0, 1] += 10.0
         m[1, 2] += 10.0
         value, path = ewm.best_path_inner_value(
-            ewm.make_score_matrix(m), spec, ewm.ExtremePair(0, 2)
+            table_of_logs(m), spec, ewm.ExtremePair(0, 2)
         )
         assert path.vertices == (0, 1, 2)
 
@@ -68,17 +76,17 @@ class TestBestPathInnerValue:
         spec = ewm.make_neighborhood(ewm.make_distribution(w), 0.01)
         with pytest.raises(TooLargeError):
             ewm.best_path_inner_value(
-                ewm.make_score_matrix(np.zeros((11, 11))), spec, ewm.ExtremePair(0, 1)
+                table_of_logs(np.zeros((11, 11))), spec, ewm.ExtremePair(0, 1)
             )
 
     def test_inner_value_uniform_across_pairs(self):
         rng = np.random.default_rng(30)
         for _ in range(10):
             spec = random_spec(rng, n_min=2, n_max=5)
-            m = optimal_log_scores(spec)
+            e = ewm.optimal_evalue(spec)
             j = ewm.jstar(spec)
             for pair in ewm.enumerate_extremes(spec):
-                value, path = ewm.best_path_inner_value(m, spec, pair)
+                value, path = ewm.best_path_inner_value(e, spec, pair)
                 assert abs(value - j) < 1e-12
                 assert len(path.vertices) == 2  # single hop always wins under e*
 
@@ -88,12 +96,11 @@ class TestBestPathInnerValue:
             spec = random_spec(rng, n_min=2, n_max=5)
             e = ewm.optimal_evalue(spec)
             log_e = np.log(e.scores)
-            m = ewm.ScoreMatrix(log_e)
             for pair in ewm.enumerate_extremes(spec):
                 w = ewm.extreme_coupling(spec, pair)
                 mask = w.joint > 0.0
                 analytic = float(np.sum(w.joint[mask] * log_e[mask]))
-                enumerated, _ = ewm.best_path_inner_value(m, spec, pair)
+                enumerated, _ = ewm.best_path_inner_value(e, spec, pair)
                 assert abs(analytic - enumerated) < 1e-12
 
 
@@ -102,26 +109,26 @@ class TestCycleCondition:
         rng = np.random.default_rng(32)
         for _ in range(10):
             spec = random_spec(rng, n_min=2, n_max=6)
-            assert ewm.cycle_condition_check(optimal_log_scores(spec), spec.n)
+            assert ewm.cycle_condition_check(ewm.optimal_evalue(spec), spec.n)
 
     def test_zero_matrix_equalities_pass(self):
-        assert ewm.cycle_condition_check(ewm.make_score_matrix(np.zeros((3, 3))), 3)
+        assert ewm.cycle_condition_check(table_of_logs(np.zeros((3, 3))), 3)
 
     def test_two_cycle_violation(self):
-        m = ewm.make_score_matrix([[0.0, 1.0], [1.0, 0.0]])
-        assert not ewm.cycle_condition_check(m, 2)
+        e = table_of_logs([[0.0, 1.0], [1.0, 0.0]])
+        assert not ewm.cycle_condition_check(e, 2)
 
     def test_longer_cycle_violation_found(self):
         # only the 3-cycle 0 -> 1 -> 2 -> 0 violates; pairwise sums are fine
         m = np.zeros((3, 3))
         m[0, 1] = m[1, 2] = m[2, 0] = 1.0
         m[0, 2] = m[1, 0] = m[2, 1] = -5.0
-        assert ewm.cycle_condition_check(ewm.make_score_matrix(m), 2)
-        assert not ewm.cycle_condition_check(ewm.make_score_matrix(m), 3)
+        assert ewm.cycle_condition_check(table_of_logs(m), 2)
+        assert not ewm.cycle_condition_check(table_of_logs(m), 3)
 
     def test_budget_guard(self):
         with pytest.raises(TooLargeError):
-            ewm.cycle_condition_check(ewm.make_score_matrix(np.zeros((9, 9))), 9)
+            ewm.cycle_condition_check(table_of_logs(np.zeros((9, 9))), 9)
 
 
 class TestTwoTokenMaxmin:
@@ -182,9 +189,9 @@ class TestSaddleCheck:
         # kernels violate the unit null expectation and are out of bounds
         spec = spec_of([0.5, 0.5], 0.1)
         rstar = ewm.kernel_of(ewm.optimal_evalue(spec), spec)
-        m = ewm.make_score_matrix(np.log(1.1 * rstar / spec.anchor.weights))
+        e = ewm.make_evalue_table(1.1 * rstar / spec.anchor.weights)
         worst = min(
-            ewm.best_path_inner_value(m, spec, pair)[0]
+            ewm.best_path_inner_value(e, spec, pair)[0]
             for pair in ewm.enumerate_extremes(spec)
         )
         assert worst > ewm.jstar(spec) + 1e-9

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from ewm.simulation import (
     StepOutcome,
     TrialRecord,
     _philox_at,
+    _run_fixed,
     _run_stepwise,
     _sweep_task,
     choose_pair,
@@ -350,6 +352,29 @@ class TestEstimateStopping:
             filled = np.where(taus < 0, cap, taus)
             assert row.censored_count == int((taus < 0).sum())
             assert row.mean_tau == float(filled.astype(np.float64).mean())
+
+    def test_small_rate_keeps_chunks_bounded(self):
+        # J* ~ 7.8e-6: 1.25 expected stopping times would be a 739,000-draw chunk
+        spec = spec_of([1 - 1e-6, 1e-6], 9e-7)
+        seeds = [ewm.trial_seed(5, 0, t) for t in range(4)]
+        tracemalloc.start()
+        try:
+            _run_fixed(spec, ewm.FixedPair(1, 0), 0.01, ewm.default_horizon(spec, 0.01), seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_bounded_chunks_carry_like_the_stepwise_loop(self):
+        # every trial runs past 150,000 steps, so its wealth carries across
+        # nine or more chunk boundaries
+        spec = spec_of([1 - 1e-5, 1e-5], 9e-6)
+        cap = ewm.default_horizon(spec, 0.01)
+        seeds = [ewm.trial_seed(5, 0, t) for t in range(4)]
+        stops, wealth = _run_fixed(spec, ewm.FixedPair(0, 1), 0.01, cap, seeds)
+        expected = _run_stepwise(spec, ewm.FixedPair(0, 1), 0.01, cap, seeds)
+        assert stops.min() > 150_000
+        assert np.array_equal(stops, expected[0]) and np.array_equal(wealth, expected[1])
 
     def test_ratio_tracks_rate(self):
         config = ewm.ExperimentConfig(
