@@ -64,7 +64,11 @@ def _fmt(x) -> object:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps({k: _fmt(v) for k, v in payload.items()}, indent=2) + "\n"
+    report = {k: _fmt(v) for k, v in payload.items()}
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # strict JSON: inv_jstar is infinite at a subnormal J*
+        raise FormatError(f"report holds an infinite value: {report}") from exc
     if out:
         Path(out).write_text(text)
     else:
@@ -225,7 +229,7 @@ def _cmd_calibrate_null(args) -> int:
     for ai, alpha in enumerate(alphas):
         horizon = args.horizon
         if horizon is None:
-            horizon = max(1, math.ceil(5.0 * math.log(1.0 / alpha) / jstar(spec)))
+            horizon = simulation.default_horizon(spec, alpha, factor=5.0)
         rng = simulation.trial_rng(simulation.trial_seed(args.seed, ai, 0))
         rate = simulation.calibrate_null(spec, alpha, args.trials, horizon, q_null, rng)
         rows.append((alpha, args.trials, horizon, round(rate * args.trials), rate))
@@ -250,15 +254,14 @@ def _cmd_generate(args) -> int:
 
 def _cmd_detect(args) -> int:
     spec = _resolve_anchor(args)
-    with open(args.stream, newline="") as fh:
+    with open(args.stream, newline="") as fh:  # rows are read only as far as the detector goes
         stream = read_stream_csv(fh)
-    budget = args.budget if args.budget is not None else max(1, len(stream))
-    if args.method == "evalue":
-        report = batch_detect(optimal_evalue(spec), args.alpha, stream, budget)
-    else:
-        report = baseline_batch_detect(
-            args.alpha, worst_null_match_prob(spec), stream, budget, n=spec.n
-        )
+        if args.method == "evalue":
+            report = batch_detect(optimal_evalue(spec), args.alpha, stream, args.budget)
+        else:
+            report = baseline_batch_detect(
+                args.alpha, worst_null_match_prob(spec), stream, args.budget, n=spec.n
+            )
     payload = report_to_dict(report)
     payload["method"] = args.method
     _emit(payload, args.out)

@@ -227,19 +227,22 @@ def write_stream_csv(fh: io.TextIOBase, pairs) -> None:
         fh.write(block)
 
 
-def read_stream_csv(fh: io.TextIOBase) -> list[tuple[int, int]]:
+def read_stream_csv(fh: io.TextIOBase) -> Iterator[tuple[int, int]]:
+    """The ``(v, s)`` pairs of a stream file, each parsed when read: keep ``fh`` open till then."""
     reader = csv.reader(fh)
     header = next(reader, None)
     if header is None or [c.strip() for c in header] != ["step", "v", "s"]:
         raise FormatError("stream file must start with header 'step,v,s'")
-    out = []
+    return _stream_pairs(reader)
+
+
+def _stream_pairs(reader) -> Iterator[tuple[int, int]]:
     for row in reader:
         if not row:
             continue
         if len(row) != 3:
             raise FormatError(f"malformed stream row: {row!r}")
         try:
-            out.append((int(row[1]), int(row[2])))
+            yield int(row[1]), int(row[2])
         except ValueError as exc:
             raise FormatError(f"non-integer stream row: {row!r}") from exc
-    return out

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -153,20 +155,18 @@ def _first_crossing(inc: np.ndarray, boundary, carry=0.0) -> tuple[np.ndarray, n
 def _batch_detect(stream, budget, n, increments, boundary, threshold=math.nan) -> DetectionReport:
     """The one body of both batch detectors: the first crossing of
     ``increments(v, s, done)`` (a block's per-step statistics after ``done``
-    steps) over ``boundary`` within ``budget`` pairs.  Blocks start at 128
-    pairs and double, so the work tracks the stopping step rather than the
-    stream length.  A pair outside ``range(n)`` raises when it falls at or
-    before the stopping step, as in a stepwise fold.  A NaN ``threshold``
-    reports NaN wealth."""
-    if budget < 1:
+    steps) over ``boundary`` within ``budget`` pairs (None: all).  Blocks of
+    128 pairs, then 256, ..., are read from ``stream`` as they are reached, so
+    the work tracks the stopping step rather than the stream length.  A pair
+    outside ``range(n)`` raises when it falls at or before the stopping step,
+    as in a stepwise fold.  A NaN ``threshold`` reports NaN wealth."""
+    if budget is not None and budget < 1:
         raise BadParamsError(f"budget must be >= 1, got {budget}")
-    pairs = list(stream)[:budget]
-    if not pairs:
-        raise EmptyStreamError("stream holds no observations")
+    pairs = islice(stream, None if budget is None else min(budget, sys.maxsize))
     done, width, total, stop = 0, 128, 0.0, None
-    while done < len(pairs):
+    while block := list(islice(pairs, width)):
         try:
-            v, s = np.array(pairs[done:done + width], dtype=np.int64).T
+            v, s = np.array(block, dtype=np.int64).T
         except OverflowError as exc:
             raise IndexOutOfRangeError(f"stream index beyond 64 bits: {exc}") from exc
         bad = np.zeros(v.size, dtype=bool) if n is None else (v < 0) | (v >= n) | (s < 0) | (s >= n)
@@ -181,20 +181,22 @@ def _batch_detect(stream, budget, n, increments, boundary, threshold=math.nan) -
         if size < v.size:
             raise IndexOutOfRangeError(f"pair ({v[size]}, {s[size]}) out of range for n={n}")
         done, width = done + v.size, 2 * width
+    if stop is None and not done:  # a stop in the first block leaves done at 0
+        raise EmptyStreamError("stream holds no observations")
     wealth = math.nan if math.isnan(threshold) else total
     return DetectionReport("undecided" if stop is None else "rejected", stop, wealth,
                            threshold, stop or done)
 
 
-def batch_detect(e: EValueTable, alpha: float, stream, budget: int) -> DetectionReport:
-    """Fold :func:`observe` over up to ``budget`` pairs, one array pass per block."""
+def batch_detect(e: EValueTable, alpha: float, stream, budget: int | None) -> DetectionReport:
+    """Fold :func:`observe` over up to ``budget`` pairs (None: all), one array pass per block."""
     threshold = init_detector(e, alpha).threshold
     return _batch_detect(stream, budget, e.n, lambda v, s, done: e.log_scores[v, s],
                          threshold, threshold)
 
 
 def baseline_batch_detect(
-    alpha: float, null_match_prob: float, stream, budget: int, n: int | None = None
+    alpha: float, null_match_prob: float, stream, budget: int | None, n: int | None = None
 ) -> DetectionReport:
     """Fold :func:`baseline_observe` over up to ``budget`` pairs, with each
     block's tails in one array call; wealth is reported as NaN.  With ``n``,

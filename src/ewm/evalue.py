@@ -80,14 +80,16 @@ def optimal_evalue(spec: NeighborhoodSpec) -> EValueTable:
     """The worst-case log-optimal score table for the given neighborhood.
 
     Every row normalizer equals 1 exactly:
-    ``(1 - delta/2) + (n-1) * delta/(2(n-1)) = 1``.
+    ``(1 - delta/2) + (n-1) * delta/(2(n-1)) = 1``.  A score that overflows
+    (a subnormal anchor weight) is refused as not finite.
     """
     p0 = spec.anchor.weights
     n = spec.n
-    scores = spec.delta / (2.0 * (n - 1)) / p0[np.newaxis, :] * np.ones((n, n))
-    idx = np.arange(n)
-    scores[idx, idx] = (1.0 - spec.delta / 2.0) / p0
-    return EValueTable(scores)
+    with np.errstate(over="ignore"):
+        scores = spec.delta / (2.0 * (n - 1)) / p0[np.newaxis, :] * np.ones((n, n))
+        idx = np.arange(n)
+        scores[idx, idx] = (1.0 - spec.delta / 2.0) / p0
+    return make_evalue_table(scores)
 
 
 def row_sums(e: EValueTable, spec: NeighborhoodSpec) -> np.ndarray:

@@ -10,12 +10,13 @@ can be checked against each other to machine precision.
   ``M = log e`` is the cached ``log_scores`` of the table ``e`` passed in
   (every score must be positive), and ``W(P)`` ranges over the gains of all
   simple directed paths from the gain index to the loss index.  The maximum
-  is found by literally enumerating every simple path (complete digraph,
-  n <= 10), so no LP solver is involved.
+  is found by enumerating every simple path of the complete digraph
+  (n <= 10) with ``itertools.permutations``, so no LP solver is involved.
 * :func:`cycle_condition_check` -- verifies the diagonal-dominance cycle
   inequality ``sum_i M(c_i, c_i) >= sum_i M(c_i, c_{i+1 mod k})`` over all
-  simple directed cycles up to a length cap; this is the hypothesis under
-  which single-path optimizers exist.
+  simple directed cycles up to a length cap, again enumerated by
+  ``itertools.permutations``; this is the hypothesis under which single-path
+  optimizers exist.
 * :func:`two_token_maxmin` -- an independent numeric solver for the n = 2
   max-min program over row-stochastic kernels, by nested grid search; its
   optimum must agree with the closed-form rate to solver resolution.
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
@@ -55,11 +57,11 @@ class TwoTokenSolution:
     trace: tuple[tuple[int, float, float, float], ...]
 
 
-def _log_matrix(e: EValueTable) -> np.ndarray:
-    """``M = e.log_scores``; a zero score would make an entry ``-inf``."""
+def _log_matrix(e: EValueTable) -> list[list[float]]:
+    """``M = e.log_scores`` as lists (fast scalar reads); a zero score would give ``-inf``."""
     if np.any(e.scores <= 0.0):
         raise BadParamsError("log-score matrix needs strictly positive scores")
-    return e.log_scores
+    return e.log_scores.tolist()
 
 
 def path_gain(e: EValueTable, path: PathSpec) -> float:
@@ -70,37 +72,21 @@ def path_gain(e: EValueTable, path: PathSpec) -> float:
     return _gain(_log_matrix(e), verts)
 
 
-def _gain(m: np.ndarray, verts: tuple[int, ...]) -> float:
+def _gain(m: list[list[float]], verts: tuple[int, ...]) -> float:
     """``W`` of the vertex sequence ``verts``; :func:`path_gain` checks its range."""
     total = 0.0
     for u, nxt in zip(verts[:-1], verts[1:]):
-        total += float(m[u, nxt]) - float(m[nxt, nxt])
+        total += m[u][nxt] - m[nxt][nxt]
     return total
 
 
 @lru_cache(maxsize=None)
 def _simple_paths(n: int, a: int, b: int) -> tuple[tuple[int, ...], ...]:
     """All simple directed a -> b paths in the complete digraph on n vertices,
-    generated (hence returned) in lexicographic vertex order."""
-    out: list[tuple[int, ...]] = []
-    prefix = [a]
-    used = {a}
-
-    def extend() -> None:
-        for nxt in range(n):
-            if nxt in used:
-                continue
-            if nxt == b:
-                out.append(tuple(prefix) + (b,))
-                continue
-            prefix.append(nxt)
-            used.add(nxt)
-            extend()
-            used.discard(nxt)
-            prefix.pop()
-
-    extend()
-    return tuple(out)
+    in lexicographic vertex order."""
+    inner = [v for v in range(n) if v not in (a, b)]
+    return tuple(sorted((a, *mid, b) for k in range(len(inner) + 1)
+                        for mid in permutations(inner, k)))
 
 
 def best_path_inner_value(
@@ -117,21 +103,10 @@ def best_path_inner_value(
         raise TooLargeError(f"path enumeration supports n <= {_MAX_PATH_N}, got {spec.n}")
     _check_pair(spec, pair)
     m = _log_matrix(e)
-    j0 = float(spec.anchor.weights @ np.diag(m))
-    best_gain = -math.inf
-    best: tuple[int, ...] | None = None
-    for verts in _simple_paths(spec.n, pair.gain, pair.loss):
-        if (gain := _gain(m, verts)) > best_gain:
-            best_gain, best = gain, verts
-    assert best is not None
-    return j0 + spec.delta / 2.0 * best_gain, PathSpec(best)
-
-
-def _cycle_count(n: int, max_len: int) -> int:
-    total = 0
-    for k in range(2, min(max_len, n) + 1):
-        total += math.comb(n, k) * math.factorial(k - 1)
-    return total
+    j0 = float(spec.anchor.weights @ np.diag(e.log_scores))
+    # max keeps the first maximizer, so ties go to the lexicographically first path
+    best = max(_simple_paths(spec.n, pair.gain, pair.loss), key=lambda verts: _gain(m, verts))
+    return j0 + spec.delta / 2.0 * _gain(m, best), PathSpec(best)
 
 
 def cycle_condition_check(e: EValueTable, max_cycle_len: int) -> bool:
@@ -145,45 +120,21 @@ def cycle_condition_check(e: EValueTable, max_cycle_len: int) -> bool:
     cap = min(int(max_cycle_len), n)
     if cap < 2:
         raise BadParamsError(f"cycle length cap must be >= 2, got {max_cycle_len}")
-    if _cycle_count(n, cap) > _CYCLE_BUDGET:
-        raise TooLargeError(
-            f"{_cycle_count(n, cap)} cycles exceed the enumeration budget {_CYCLE_BUDGET}"
-        )
-    ent = _log_matrix(e)
-
-    def ok_from(start: int) -> bool:
-        # cycles anchored at their smallest vertex: later vertices come from
-        # {start+1, ..., n-1}, so each directed cycle is visited exactly once
-        stack: list[int] = [start]
-        used = {start}
-
-        def extend(diag_sum: float, off_sum: float) -> bool:
-            last = stack[-1]
-            if len(stack) >= 2:
-                # close the cycle back to start
-                closed_off = off_sum + float(ent[last, start])
-                if closed_off > diag_sum + 1e-12:
+    cycles = sum(math.comb(n, k) * math.factorial(k - 1) for k in range(2, cap + 1))
+    if cycles > _CYCLE_BUDGET:
+        raise TooLargeError(f"{cycles} cycles exceed the enumeration budget {_CYCLE_BUDGET}")
+    m = _log_matrix(e)
+    # the vertices after the smallest one, start, come from {start+1, ..., n-1}
+    for start in range(n):
+        for k in range(1, cap):
+            for rest in permutations(range(start + 1, n), k):
+                diag_sum, off_sum = m[start][start], 0.0
+                for u, v in zip((start, *rest), rest):
+                    diag_sum += m[v][v]
+                    off_sum += m[u][v]
+                if off_sum + m[rest[-1]][start] > diag_sum + 1e-12:
                     return False
-            if len(stack) == cap:
-                return True
-            for nxt in range(start + 1, n):
-                if nxt in used:
-                    continue
-                stack.append(nxt)
-                used.add(nxt)
-                good = extend(
-                    diag_sum + float(ent[nxt, nxt]),
-                    off_sum + float(ent[last, nxt]),
-                )
-                used.discard(nxt)
-                stack.pop()
-                if not good:
-                    return False
-            return True
-
-        return extend(float(ent[start, start]), 0.0)
-
-    return all(ok_from(v) for v in range(n))
+    return True
 
 
 def two_token_maxmin(

@@ -246,9 +246,12 @@ class _GreedyWindow:
         return best_idx
 
 
-def default_horizon(spec: NeighborhoodSpec, alpha: float) -> int:
-    """Cap generous enough that censoring is negligible under steady drift."""
-    return int(math.ceil(10.0 * math.log(1.0 / alpha) / jstar(spec)))
+def default_horizon(spec: NeighborhoodSpec, alpha: float, factor: float = 10.0) -> int:
+    """``ceil(factor * log(1/alpha) / J*)``; at 10, censoring is negligible under steady drift."""
+    steps = factor * math.log(1.0 / alpha) / jstar(spec)
+    if not math.isfinite(steps):  # a subnormal J* overflows the quotient
+        raise BadParamsError(f"J* = {jstar(spec)!r} is too small for a default horizon; give one")
+    return math.ceil(steps)
 
 
 def _uniforms(rng: np.random.Generator, count: int):
@@ -315,7 +318,8 @@ def _run_fixed(
     w = extreme_coupling(spec, ExtremePair(policy.gain, policy.loss))
     log_e = _cell_lookup(w.cdf, optimal_evalue(spec).log_scores.ravel())
     threshold = math.log(1.0 / alpha)
-    chunk = min(_BLOCK_CELLS, 4 * max(16, (int(1.25 * threshold / jstar(spec)) + 19) // 4))
+    expected = min(1.25 * threshold / jstar(spec), _BLOCK_CELLS)  # inf for a subnormal J*
+    chunk = min(_BLOCK_CELLS, 4 * max(16, (int(expected) + 19) // 4))
     state = (gen := trial_rng(0)).bit_generator.state  # re-keyed for every row
 
     stops = np.full(len(seeds), -1, dtype=np.int64)

@@ -42,6 +42,18 @@ BAD_COUNTS = {
 }
 
 
+# a valid neighborhood whose J* (about 5.5e-318) is subnormal and whose scores overflow
+SUBNORMAL = ["--anchor", "[1,1e-320]", "--delta", "5e-321"]
+SUBNORMAL_SWEEP = ["sweep-tau", *SUBNORMAL, "--alphas", "0.01", "--trials", "2"]
+SUBNORMAL_JSTAR = {
+    "fixed-capped": [*SUBNORMAL_SWEEP, "--horizon-cap", "1000"],
+    "fixed": SUBNORMAL_SWEEP,
+    "roundrobin": [*SUBNORMAL_SWEEP, "--policy", "roundrobin"],
+    "calibrate-null": ["calibrate-null", *SUBNORMAL, "--alphas", "0.01", "--trials", "2"],
+    "jstar": ["jstar", *SUBNORMAL],
+}
+
+
 def run_isolated(argv, threads_env=None):
     """``main(argv)`` with stdout and stderr captured and ``EWM_THREADS`` set to
     ``threads_env`` (unset for None); returns (exit code, stderr)."""
@@ -186,10 +198,65 @@ class TestErrors:
         assert code == 1 and out == "" and "Traceback" not in err
         assert err.startswith("ewm: error: alpha must lie in (0, 1)")
 
+    @pytest.mark.parametrize("argv", SUBNORMAL_JSTAR.values(), ids=SUBNORMAL_JSTAR.keys())
+    def test_subnormal_jstar_is_a_typed_error(self, capsys, argv):
+        # log(1/alpha) / J* and the diagonal scores overflow to inf, which once
+        # traced back at int() or printed a non-JSON Infinity
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.startswith("ewm: error: ")
+
     def test_missing_stream_file(self, capsys):
         code, _, _ = run(capsys, "detect", "--anchor", "[0.5,0.5]", "--delta", "0.1",
                          "--alpha", "0.02", "--stream", "/nonexistent/stream.csv")
         assert code == 1
+
+
+class TestDetectReadsLazily:
+    """Rows are read in blocks of 128, 256, ...: only up to the block holding
+    the stopping step, and never past ``--budget``."""
+
+    @staticmethod
+    def detect(capsys, stream, method, *extra):
+        return run(capsys, "detect", *FAIR, "--alpha", "0.02", "--method", method,
+                   "--stream", str(stream), *extra)
+
+    def test_budget_leaves_later_rows_unread(self, capsys, tmp_path):
+        stream = tmp_path / "stream.csv"
+        stream.write_text("step,v,s\n" + "".join(f"{t},0,1\n" for t in range(10)) + "10,a,1\n")
+        for method in ("evalue", "baseline"):
+            code, out, _ = self.detect(capsys, stream, method, "--budget", "10")
+            assert code == 0
+            assert json.loads(out)["decision"] == "undecided" and json.loads(out)["steps"] == 10
+            code, _, err = self.detect(capsys, stream, method)
+            assert code == 1 and "non-integer stream row" in err
+
+    def test_budget_beyond_sys_maxsize(self, capsys, tmp_path):
+        stream = tmp_path / "stream.csv"
+        stream.write_text("step,v,s\n" + "".join(f"{t},0,1\n" for t in range(10)))
+        for method in ("evalue", "baseline"):
+            code, out, _ = self.detect(capsys, stream, method, "--budget", str(2**64))
+            assert code == 0 and json.loads(out)["steps"] == 10
+
+    def test_malformed_row_before_the_budget_fails(self, capsys, tmp_path):
+        stream = tmp_path / "stream.csv"
+        stream.write_text("step,v,s\n0,0,1\n1,0\n" + "".join(f"{t},0,1\n" for t in range(2, 20)))
+        for method in ("evalue", "baseline"):
+            code, out, err = self.detect(capsys, stream, method, "--budget", "10")
+            assert code == 1 and out == "" and "malformed stream row" in err
+
+    def test_rows_past_the_stopping_block_are_unread(self, capsys, tmp_path):
+        # both detectors reject within the first block of 128 rows
+        rows = [f"{t},0,0\n" for t in range(200)]
+        for bad_at, code_expected in ((150, 0), (100, 1)):
+            stream = tmp_path / f"stream-{bad_at}.csv"
+            stream.write_text("step,v,s\n" + "".join(rows[:bad_at]) + f"{bad_at},0,x\n"
+                              + "".join(rows[bad_at + 1:]))
+            for method in ("evalue", "baseline"):
+                code, out, err = self.detect(capsys, stream, method)
+                assert code == code_expected and "Traceback" not in err
+                if code == 0:
+                    assert json.loads(out)["stop_step"] <= 128
 
 
 class TestMaxmin2Command:
@@ -229,7 +296,7 @@ class TestGenerateDetectRoundTrip:
 
         spec = ewm.make_neighborhood(ewm.make_distribution([0.5, 0.5]), 0.1)
         with open(stream, newline="") as fh:
-            pairs = ewm.read_stream_csv(fh)
+            pairs = list(ewm.read_stream_csv(fh))
         expected = ewm.batch_detect(ewm.optimal_evalue(spec), 0.02, pairs, len(pairs))
         assert report["decision"] == expected.decision
         assert report["stop_step"] == expected.stop_step
@@ -256,7 +323,7 @@ class TestGenerateDetectRoundTrip:
             assert code == 0
             one_shot = ewm.sample_stream(w, steps, ewm.trial_rng(ewm.mix64(5)))
             with open(stream, newline="") as fh:
-                assert np.array_equal(np.array(ewm.read_stream_csv(fh)), one_shot)
+                assert np.array_equal(np.array(list(ewm.read_stream_csv(fh))), one_shot)
             rows = stream.read_text().splitlines()[1:]
             assert [int(row.split(",")[0]) for row in rows] == list(range(steps))
 
@@ -300,6 +367,15 @@ class TestSweepTauCommand:
             assert run(capsys, *argv)[0] == 0
         assert run(capsys, *argv, "--threads", "2")[0] == 0
         assert seen == [3, 5, 2]
+
+    def test_tiny_rate_with_a_cap_runs(self, capsys):
+        # finite scores, but 1.25 log(1/alpha) / J* overflows: the chunk is
+        # clamped before int() and every trial is censored at the cap
+        code, out, err = run(capsys, "sweep-tau", "--anchor", "[1,7e-309]", "--delta", "7e-310",
+                             "--alphas", "5.7e-309", "--trials", "2", "--horizon-cap", "100")
+        assert code == 0 and err == ""
+        assert out.splitlines()[1].startswith("5.7e-309,709.75832756,100,0,")
+        assert out.splitlines()[1].endswith(",2")
 
 
 class TestCalibrateNullCommand:
@@ -434,6 +510,8 @@ def _fuzz_examples(test):
     """Every hand-found case, as an explicit example of the fuzz test."""
     cases = [(argv, env) for argv, env, _ in BAD_COUNTS.values()] + [
         (["detect", *FAIR, "--alpha", "0.02", "--stream", "STREAMS/letter.csv"], None),
+        (["detect", *FAIR, "--alpha", "0.02", "--stream", "STREAMS/binary.csv",
+          "--budget", "18446744073709551616"], None),
         (["detect", *FAIR, "--alpha", "0.02", "--method", "baseline",
           "--stream", "STREAMS/outside.csv"], None),
         (["jstar", "--anchor", '["a",0.5]', "--delta", "0.1"], None),
@@ -441,6 +519,7 @@ def _fuzz_examples(test):
         ([*SWEEP[:-1], "18446744073709551616"], None),
         (["sweep-tau", *FAIR, "--alphas", "1e-320", "--trials", "2"], None),
         (["calibrate-null", *FAIR, "--alphas", "1e-320", "--trials", "2"], None),
+        *((argv, None) for argv in SUBNORMAL_JSTAR.values()),
     ]
     for argv, env in cases:
         test = example(argv=argv, threads_env=env)(test)

@@ -238,7 +238,7 @@ class TestStreamCsv:
         with open(path, "w", newline="") as fh:
             ewm.write_stream_csv(fh, pairs)
         with open(path, newline="") as fh:
-            assert ewm.read_stream_csv(fh) == pairs
+            assert list(ewm.read_stream_csv(fh)) == pairs
         text = path.read_text()
         assert text.startswith("step,v,s\n")
         assert "\r" not in text

@@ -170,6 +170,26 @@ class TestBatchDetect:
         report = ewm.batch_detect(e, 0.02, [(0, 0)] * 20, 3)
         assert report.decision == "undecided" and report.steps == 3
 
+    def test_budget_beyond_sys_maxsize(self):
+        pbar = ewm.worst_null_match_prob(spec_of([0.5, 0.5], 0.1))
+        report = ewm.batch_detect(fair_table(), 0.02, [(0, 1)] * 20, 2**64)
+        assert report.decision == "undecided" and report.steps == 20
+        assert ewm.baseline_batch_detect(0.02, pbar, [(0, 1)] * 20, 2**64).steps == 20
+
+    def test_stream_is_read_only_as_far_as_needed(self):
+        def pairs(pair, clean):  # fails when read past ``clean`` pairs
+            yield from [pair] * clean
+            raise AssertionError("read past the budget or the stopping block")
+
+        e = fair_table()
+        pbar = ewm.worst_null_match_prob(spec_of([0.5, 0.5], 0.1))
+        assert ewm.batch_detect(e, 0.02, pairs((0, 1), 10), 10).steps == 10
+        assert ewm.baseline_batch_detect(0.02, pbar, pairs((0, 1), 10), 10, n=2).steps == 10
+        # a stop at step 7 ends the reading with the first block of 128 pairs
+        assert ewm.batch_detect(e, 0.02, pairs((0, 0), 128), None).stop_step == 7
+        report = ewm.batch_detect(e, 0.02, [(0, 1)] * 300, None)  # None: the whole stream
+        assert report.decision == "undecided" and report.steps == 300
+
 
 def fold(alpha, pairs, e=None, pbar=None):
     """Stepwise reference: observe (or baseline_observe) until rejection."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ewm
-from ewm.errors import DimensionMismatchError, ZeroRowError
+from ewm.errors import DimensionMismatchError, FormatError, ZeroRowError
 
 from conftest import random_spec
 
@@ -31,6 +31,12 @@ class TestOptimalEvalue:
         assert np.array_equal(e.log_scores, [[np.log(2.0), -np.inf], [np.log(0.5), 0.0]])
         with pytest.raises(ValueError):
             e.log_scores[0, 0] = 0.0
+
+    def test_overflowing_scores_refused(self):
+        # 0.95 / 1e-320 overflows; at 7e-309 every score is still finite
+        with pytest.raises(FormatError, match="scores must be finite"):
+            ewm.optimal_evalue(spec_of([1.0, 1e-320], 5e-321))
+        assert np.isfinite(ewm.optimal_evalue(spec_of([1.0, 7e-309], 7e-310)).scores).all()
 
     def test_unit_row_sums(self):
         rng = np.random.default_rng(3)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ewm
+from ewm import oracles
 from ewm.errors import BadParamsError, TooLargeError
 
 from conftest import random_spec
@@ -16,6 +19,140 @@ def spec_of(weights, delta):
 def table_of_logs(m):
     """The score table whose log-score matrix is ``m``."""
     return ewm.make_evalue_table(np.exp(m))
+
+
+# -- reference enumerations: the recursive depth-first walkers the oracles
+# -- once used, kept to pin the permutation-based enumeration to them
+
+def reference_simple_paths(n, a, b):
+    out = []
+    prefix = [a]
+    used = {a}
+
+    def extend():
+        for nxt in range(n):
+            if nxt in used:
+                continue
+            if nxt == b:
+                out.append(tuple(prefix) + (b,))
+                continue
+            prefix.append(nxt)
+            used.add(nxt)
+            extend()
+            used.discard(nxt)
+            prefix.pop()
+
+    extend()
+    return tuple(out)
+
+
+def reference_cycle_check(ent, cap):
+    n = ent.shape[0]
+    cap = min(cap, n)
+
+    def ok_from(start):
+        stack = [start]
+        used = {start}
+
+        def extend(diag_sum, off_sum):
+            last = stack[-1]
+            if len(stack) >= 2:
+                closed_off = off_sum + float(ent[last, start])
+                if closed_off > diag_sum + 1e-12:
+                    return False
+            if len(stack) == cap:
+                return True
+            for nxt in range(start + 1, n):
+                if nxt in used:
+                    continue
+                stack.append(nxt)
+                used.add(nxt)
+                good = extend(diag_sum + float(ent[nxt, nxt]), off_sum + float(ent[last, nxt]))
+                used.discard(nxt)
+                stack.pop()
+                if not good:
+                    return False
+            return True
+
+        return extend(float(ent[start, start]), 0.0)
+
+    return all(ok_from(v) for v in range(n))
+
+
+@st.composite
+def near_tie_logs(draw, n_max):
+    """A log-score matrix ``M(i, j) = (d_i + d_j) / 2 + scale * z_ij`` with
+    ``d`` of magnitude 1e-13 to 1: every cycle's off-diagonal sum is its
+    diagonal sum plus ``scale`` times a sum of ``z``, so at small scales the
+    verdict rests on the 1e-12 slack."""
+    n = draw(st.integers(2, n_max))
+    size = draw(st.sampled_from([1e-13, 1e-9, 1e-6, 1e-3, 1.0]))
+    d = size * np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    z = np.array(draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0]),
+                               min_size=n * n, max_size=n * n))).reshape(n, n)
+    scale = draw(st.sampled_from([1e-13, 3e-13, 1e-12, 3e-12, 1e-9, 1e-6, 1e-3, 1.0]))
+    return (d[:, np.newaxis] + d[np.newaxis, :]) / 2.0 + scale * z
+
+
+@st.composite
+def rounding_tie_logs(draw, n_max):
+    """One directed cycle whose off-diagonal sum exceeds its diagonal sum by
+    1e-12, give or take a few units in the last place; every other cycle falls
+    short by about 1.  The verdict then turns on how each sum rounds."""
+    n = draw(st.integers(2, n_max))
+    cycle = draw(st.permutations(range(n)))[:draw(st.integers(2, n))]
+    d = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    m = (d[:, np.newaxis] + d[np.newaxis, :]) / 2.0 - 1.0
+    np.fill_diagonal(m, d)
+    t = (1e-12 + draw(st.integers(-4, 4)) * 1e-16) / len(cycle)
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        m[u, v] = (d[u] + d[v]) / 2.0 + t
+    return m
+
+
+class TestEnumerationMatchesReference:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_simple_paths_same_tuples_same_order(self, n):
+        for a in range(n):
+            for b in range(n):
+                if a != b:
+                    assert oracles._simple_paths(n, a, b) == reference_simple_paths(n, a, b)
+
+    @given(m=near_tie_logs(n_max=8))
+    def test_cycle_verdicts_match_for_every_cap(self, m):
+        e = table_of_logs(m)
+        for cap in range(2, e.n + 1):
+            assert ewm.cycle_condition_check(e, cap) == reference_cycle_check(e.log_scores, cap)
+
+    @settings(max_examples=400)
+    @given(m=rounding_tie_logs(n_max=6))
+    def test_cycle_verdicts_match_at_rounding_ties(self, m):
+        e = table_of_logs(m)
+        for cap in range(2, e.n + 1):
+            assert ewm.cycle_condition_check(e, cap) == reference_cycle_check(e.log_scores, cap)
+
+    @given(data=st.data())
+    def test_best_path_is_the_first_maximizer(self, data):
+        # small integer logs tie many paths: the first one in walker order wins
+        n = data.draw(st.integers(2, 6))
+        m = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n)),
+                     dtype=np.float64).reshape(n, n)
+        gain, loss = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                        unique=True))
+        spec = spec_of(np.full(n, 1.0 / n), 0.5 / n)
+        e = table_of_logs(m)
+        value, path = ewm.best_path_inner_value(e, spec, ewm.ExtremePair(gain, loss))
+        ent = e.log_scores
+        best_gain, best = -math.inf, None
+        for verts in reference_simple_paths(n, gain, loss):
+            g = 0.0
+            for u, v in zip(verts[:-1], verts[1:]):
+                g += float(ent[u, v]) - float(ent[v, v])
+            if g > best_gain:
+                best_gain, best = g, verts
+        assert path.vertices == best
+        j0 = float(spec.anchor.weights @ np.diag(ent))
+        assert value == j0 + spec.delta / 2.0 * best_gain
 
 
 class TestPathGain:

@@ -224,6 +224,14 @@ class TestRunTrial:
                 slow = stepwise_record(FAIR, config.policy, alpha, cap, ewm.trial_seed(42, ai, t))
                 assert fast == slow
 
+    def test_default_horizon_refuses_an_overflowing_quotient(self):
+        spec = spec_of([1.0, 7e-309], 7e-310)  # J* about 4.7e-306, scores finite
+        with pytest.raises(BadParamsError, match="too small for a default horizon"):
+            ewm.default_horizon(spec, 5.7e-309)
+        rate = ewm.jstar(FAIR)
+        assert ewm.default_horizon(FAIR, 0.01) == math.ceil(10.0 * math.log(100.0) / rate)
+        assert ewm.default_horizon(FAIR, 0.01, factor=5.0) == math.ceil(5.0 * math.log(100.0) / rate)
+
     def test_loose_alpha_stops_on_first_diagonal_draw(self):
         # threshold log(1/0.9) = 0.105 < log 1.9, so any matching first draw stops
         config = ewm.ExperimentConfig(
