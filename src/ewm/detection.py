@@ -4,8 +4,9 @@ The detector accumulates wealth ``W_n = sum_t log e(v_t, s_t)`` and rejects at
 the first step where ``W_n >= log(1/alpha)``.  Because the running product of
 valid one-step scores is a nonnegative supermartingale under every admissible
 null, the time-uniform (Ville) bound makes this stopping rule valid at level
-``alpha`` no matter when or whether monitoring stops.  Wealth is kept in log
-space only; the raw product would overflow within a few hundred steps.
+``alpha`` no matter when or whether monitoring stops, and the batch detectors
+read a stream only as far as the block holding the stopping step.  Wealth is
+kept in log space only; the raw product would overflow in a few hundred steps.
 
 A match-count baseline is included for comparisons: it counts steps with
 ``v == s``, computes an exact binomial upper tail against the worst-case null
@@ -140,8 +141,8 @@ def baseline_observe(state: BaselineState, v: int, s: int) -> BaselineState:
 
 
 def _first_crossing(inc: np.ndarray, boundary, carry=0.0) -> tuple[np.ndarray, np.ndarray]:
-    """First column per row of ``inc`` (per-step increments, overwritten by
-    their running sums) whose sum meets ``boundary``, -1 where none does, and
+    """First column per row of ``inc`` (per-step log scores, overwritten by
+    their running sums) whose wealth meets ``boundary``, -1 where none does, and
     the sums.  ``carry`` is folded into the first column, so the left-to-right
     ``cumsum`` rounds exactly like a stepwise fold continued from it."""
     inc[:, 0] += carry
@@ -152,47 +153,45 @@ def _first_crossing(inc: np.ndarray, boundary, carry=0.0) -> tuple[np.ndarray, n
     return first, cum
 
 
-def _batch_detect(stream, budget, n, increments, boundary, threshold=math.nan) -> DetectionReport:
-    """The one body of both batch detectors: the first crossing of
-    ``increments(v, s, done)`` (a block's per-step statistics after ``done``
-    steps) over ``boundary`` within ``budget`` pairs (None: all).  Blocks of
-    128 pairs, then 256, ..., are read from ``stream`` as they are reached, so
-    the work tracks the stopping step rather than the stream length.  A pair
-    outside ``range(n)`` raises when it falls at or before the stopping step,
-    as in a stepwise fold.  A NaN ``threshold`` reports NaN wealth."""
+def _blocks(stream, budget, n):
+    """``(done, v, s)``: up to ``budget`` pairs of ``stream`` (None: all) in int64
+    blocks of 128, 256, ... after ``done``, each read only when asked for.  A pair
+    outside ``range(n)`` raises once the caller reads past the pairs before it, as
+    in a fold; with ``n`` None, a block holding a pair beyond int64 raises."""
     if budget is not None and budget < 1:
         raise BadParamsError(f"budget must be >= 1, got {budget}")
     pairs = islice(stream, None if budget is None else min(budget, sys.maxsize))
-    done, width, total, stop = 0, 128, 0.0, None
+    done, width = 0, 128
     while block := list(islice(pairs, width)):
         try:
             v, s = np.array(block, dtype=np.int64).T
-        except OverflowError as exc:
-            raise IndexOutOfRangeError(f"stream index beyond 64 bits: {exc}") from exc
-        bad = np.zeros(v.size, dtype=bool) if n is None else (v < 0) | (v >= n) | (s < 0) | (s >= n)
-        size = int(bad.argmax()) if bad.any() else v.size
-        if size:
-            hit, cum = _first_crossing(increments(v[:size], s[:size], done)[np.newaxis],
-                                       boundary, total)
-            total = float(cum[0, hit[0]])  # the last column when nothing crossed
-            if hit[0] >= 0:
-                stop = done + int(hit[0]) + 1
-                break
-        if size < v.size:
-            raise IndexOutOfRangeError(f"pair ({v[size]}, {s[size]}) out of range for n={n}")
+        except OverflowError as exc:  # beyond int64: clipped to -1 or n, still out of range
+            if n is None:
+                raise IndexOutOfRangeError(f"stream index beyond 64 bits: {exc}") from exc
+            v, s = np.clip(np.array(block, dtype=object), -1, n).astype(np.int64).T
+        if n is not None and (bad := (v < 0) | (v >= n) | (s < 0) | (s >= n)).any():
+            size = int(bad.argmax())
+            if size:
+                yield done, v[:size], s[:size]
+            raise IndexOutOfRangeError("pair ({}, {}) out of range for n={}".format(*block[size], n))
+        yield done, v, s
         done, width = done + v.size, 2 * width
-    if stop is None and not done:  # a stop in the first block leaves done at 0
+    if not done:
         raise EmptyStreamError("stream holds no observations")
-    wealth = math.nan if math.isnan(threshold) else total
-    return DetectionReport("undecided" if stop is None else "rejected", stop, wealth,
-                           threshold, stop or done)
 
 
 def batch_detect(e: EValueTable, alpha: float, stream, budget: int | None) -> DetectionReport:
     """Fold :func:`observe` over up to ``budget`` pairs (None: all), one array pass per block."""
     threshold = init_detector(e, alpha).threshold
-    return _batch_detect(stream, budget, e.n, lambda v, s, done: e.log_scores[v, s],
-                         threshold, threshold)
+    wealth, steps = 0.0, 0
+    for done, v, s in _blocks(stream, budget, e.n):
+        hit, cum = _first_crossing(e.log_scores[v, s][np.newaxis], threshold, wealth)
+        wealth = float(cum[0, hit[0]])  # the last column when nothing crossed
+        if hit[0] >= 0:
+            stop = done + int(hit[0]) + 1
+            return DetectionReport("rejected", stop, wealth, threshold, stop)
+        steps = done + v.size
+    return DetectionReport("undecided", None, wealth, threshold, steps)
 
 
 def baseline_batch_detect(
@@ -202,17 +201,16 @@ def baseline_batch_detect(
     block's tails in one array call; wealth is reported as NaN.  With ``n``,
     symbols outside the vocabulary raise as in :func:`batch_detect`."""
     state = init_baseline(alpha, null_match_prob)
-    matches = 0  # carried from block to block
-
-    def below_schedule(v, s, done):  # the running count of such steps crosses 1 at the first
-        nonlocal matches
+    matches, steps = 0, 0
+    for done, v, s in _blocks(stream, budget, n):
         m = matches + np.cumsum(v == s)
-        matches = int(m[-1])
         k = np.arange(done + 1, done + v.size + 1)
-        p_k = _binom_sf(m - 1, k, state.null_match_prob)
-        return (p_k < state.alpha / (k * (k + 1))).astype(np.float64)
-
-    return _batch_detect(stream, budget, n, below_schedule, 1.0)
+        below = _binom_sf(m - 1, k, state.null_match_prob) < state.alpha / (k * (k + 1))
+        if below.any():
+            stop = done + int(below.argmax()) + 1
+            return DetectionReport("rejected", stop, math.nan, math.nan, stop)
+        matches, steps = int(m[-1]), done + v.size
+    return DetectionReport("undecided", None, math.nan, math.nan, steps)
 
 
 # -- JSON wire formats --------------------------------------------------------

@@ -159,8 +159,8 @@ def two_token_maxmin(
         raise BadParamsError(f"p must lie in (0, 1), got {p!r}")
     if not (0.0 < delta < 2.0) or min(p, 1.0 - p) <= delta:
         raise BadParamsError(f"need min(p, 1-p) > delta > 0, got p={p!r}, delta={delta!r}")
-    if grid < 64:
-        raise BadParamsError(f"grid must be >= 64, got {grid}")
+    if not 64 <= grid <= 1024:  # each pass holds several grid x grid arrays
+        raise BadParamsError(f"grid must lie in 64..1024, got {grid}")
     if refinements < 1:
         raise BadParamsError(f"refinements must be >= 1, got {refinements}")
 

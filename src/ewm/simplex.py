@@ -138,10 +138,12 @@ def make_distribution(weights) -> VocabDistribution:
 
 
 def make_neighborhood(anchor: VocabDistribution, delta: float) -> NeighborhoodSpec:
-    """Validate ``0 < delta < 2`` and ``min(anchor) > delta``."""
+    """Validate ``0 < delta < 2``, ``delta / (2(n-1)) > 0`` and ``min(anchor) > delta``."""
     delta = float(delta)
     if not (0.0 < delta < 2.0):
         raise InvalidSpecError(f"delta must lie in (0, 2), got {delta!r}")
+    if not delta / (2.0 * (anchor.n - 1)) > 0.0:
+        raise InvalidSpecError(f"delta {delta!r} is too small: delta / (2(n-1)) underflows to 0")
     lo = float(anchor.weights.min())
     if not lo > delta:
         raise InvalidSpecError(f"min anchor weight {lo!r} must exceed delta {delta!r}")

@@ -37,6 +37,8 @@ BAD_COUNTS = {
     "threads-0": ([*SWEEP, "--threads", "0"], None, "threads must be >= 1"),
     "env-threads-abc": (SWEEP, "abc", "EWM_THREADS must be an integer"),
     "env-threads-negative": (SWEEP, "-2", "threads must be >= 1"),
+    "grid-1025": (["maxmin2", "--p", "0.3", "--delta", "0.1", "--grid", "1025"], None,
+                  "grid must lie in 64..1024"),
     **{f"magnitude-{m}": (["audit", *THREE, "--perturbations", "1", "--magnitude", m], None,
                           "magnitude") for m in ("inf", "nan", "1e308")},
 }
@@ -51,6 +53,15 @@ SUBNORMAL_JSTAR = {
     "roundrobin": [*SUBNORMAL_SWEEP, "--policy", "roundrobin"],
     "calibrate-null": ["calibrate-null", *SUBNORMAL, "--alphas", "0.01", "--trials", "2"],
     "jstar": ["jstar", *SUBNORMAL],
+}
+
+# deltas so small that the off-diagonal mass delta / (2(n-1)) underflows to 0
+TINY_DELTA = {
+    "jstar-fair": ["jstar", "--anchor", "[0.5,0.5]", "--delta", "5e-324"],
+    "sweep-fair": ["sweep-tau", "--anchor", "[0.5,0.5]", "--delta", "5e-324",
+                   "--alphas", "0.01", "--trials", "2"],
+    "jstar-subnormal-anchor": ["jstar", "--anchor", "[1,1e-323]", "--delta", "5e-324"],
+    "jstar-three": ["jstar", "--anchor", "[0.4,0.3,0.3]", "--delta", "1e-323"],
 }
 
 
@@ -205,6 +216,13 @@ class TestErrors:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and "Traceback" not in err
         assert err.startswith("ewm: error: ")
+
+    @pytest.mark.parametrize("argv", TINY_DELTA.values(), ids=TINY_DELTA.keys())
+    def test_underflowing_delta_is_a_typed_error(self, capsys, argv):
+        # log(delta / (2(n-1))) once traced back with a math domain error
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.startswith("ewm: error: delta ") and "too small" in err
 
     def test_missing_stream_file(self, capsys):
         code, _, _ = run(capsys, "detect", "--anchor", "[0.5,0.5]", "--delta", "0.1",
@@ -520,6 +538,7 @@ def _fuzz_examples(test):
         (["sweep-tau", *FAIR, "--alphas", "1e-320", "--trials", "2"], None),
         (["calibrate-null", *FAIR, "--alphas", "1e-320", "--trials", "2"], None),
         *((argv, None) for argv in SUBNORMAL_JSTAR.values()),
+        *((argv, None) for argv in TINY_DELTA.values()),
     ]
     for argv, env in cases:
         test = example(argv=argv, threads_env=env)(test)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ewm
 from ewm.errors import (
@@ -204,6 +206,36 @@ def fold(alpha, pairs, e=None, pbar=None):
     return state
 
 
+def checked(pairs, n):
+    """``pairs``, raising when a pair outside ``range(n)`` is read."""
+    for v, s in pairs:
+        if not (0 <= v < n and 0 <= s < n):
+            raise IndexOutOfRangeError(f"pair ({v}, {s}) out of range for n={n}")
+        yield v, s
+
+
+SPECS = {2: spec_of([0.5, 0.5], 0.3), 3: spec_of([0.4, 0.3, 0.3], 0.2)}
+
+
+@st.composite
+def detection_cases(draw):
+    """(n, pairs, budget, alpha): up to 1,100 pairs, so stops and reads cross the
+    block edges at 128, 384 and 896, and at times one pair out of range."""
+    n = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    length = int(rng.integers(0, 1101))
+    s = rng.integers(n, size=length)
+    # v is set to s at a drawn rate; at 0.45-0.6 the wealth drifts slowly, so stops come late
+    rate = rng.uniform(0.45, 0.6) if draw(st.booleans()) else draw(st.floats(0.0, 1.0))
+    v = np.where(rng.random(length) < rate, s, rng.integers(n, size=length))
+    pairs = list(zip(v.tolist(), s.tolist()))
+    if draw(st.integers(0, 2)) == 0:
+        bad = draw(st.sampled_from([n, -1, 2**70]))
+        pairs.insert(draw(st.integers(0, length)), (bad, 0) if draw(st.booleans()) else (0, bad))
+    budget = None if draw(st.booleans()) else int(rng.integers(1, len(pairs) + 4))
+    return n, pairs, budget, draw(st.sampled_from([0.5, 0.02, 1e-30]))
+
+
 class TestBatchMatchesFold:
     SPEC = spec_of([0.5, 0.5], 0.3)  # criterion 9
 
@@ -280,6 +312,36 @@ class TestBatchMatchesFold:
                 else:
                     assert detect().decision == "rejected"
 
+    @settings(max_examples=100)
+    @example(case=(2, [], None, 0.02))
+    @given(case=detection_cases())
+    def test_both_detectors_equal_the_fold_on_any_stream(self, case):
+        n, pairs, budget, alpha = case
+        e, pbar = ewm.optimal_evalue(SPECS[n]), ewm.worst_null_match_prob(SPECS[n])
+        read = pairs[:budget]
+        for detect, reference in (
+            (lambda: ewm.batch_detect(e, alpha, iter(pairs), budget),
+             lambda: fold(alpha, checked(read, n), e=e)),
+            (lambda: ewm.baseline_batch_detect(alpha, pbar, iter(pairs), budget, n=n),
+             lambda: fold(alpha, checked(read, n), pbar=pbar)),
+        ):
+            try:
+                state = reference()
+            except IndexOutOfRangeError:  # the fold read the bad pair
+                with pytest.raises(IndexOutOfRangeError):
+                    detect()
+                continue
+            if state.steps == 0:
+                with pytest.raises(EmptyStreamError):
+                    detect()
+                continue
+            report = detect()
+            assert (report.stop_step, report.steps) == (state.rejected_at, state.steps)
+            if isinstance(state, ewm.DetectorState):
+                assert report.wealth == state.wealth
+            else:
+                assert math.isnan(report.wealth)
+
     def test_baseline_work_tracks_the_stopping_step(self, monkeypatch):
         from ewm import detection
 
@@ -309,6 +371,23 @@ class TestSerialization:
         a = ewm.observe(state, e, 0, 0)
         b = ewm.observe(back, e, 0, 0)
         assert a == b
+
+    @example(n=3, alpha=0.02, pairs=[(1, 1)] * 5)  # running for 3 steps, rejected at step 4
+    @given(n=st.sampled_from([2, 3]), alpha=st.sampled_from([0.5, 0.02, 1e-30]),
+           pairs=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=80))
+    def test_json_round_trips_bit_for_bit(self, n, alpha, pairs):
+        e = ewm.optimal_evalue(SPECS[n])
+        state = ewm.init_detector(e, alpha)
+        states = [state]
+        for v, s in pairs:
+            if not state.running:
+                break
+            state = ewm.observe(state, e, v % n, s % n)
+            states.append(state)
+        for state in states:
+            back = ewm.detector_from_json(ewm.detector_to_json(state))
+            assert back == state
+            assert (back.wealth.hex(), back.alpha.hex()) == (state.wealth.hex(), state.alpha.hex())
 
     def test_status_field(self):
         e = fair_table()

@@ -296,6 +296,8 @@ class TestTwoTokenMaxmin:
         with pytest.raises(BadParamsError):
             ewm.two_token_maxmin(0.5, 0.01, 32, 4)
         with pytest.raises(BadParamsError):
+            ewm.two_token_maxmin(0.5, 0.01, 1025, 4)
+        with pytest.raises(BadParamsError):
             ewm.two_token_maxmin(0.5, 0.01, 256, 0)
 
 

@@ -105,6 +105,14 @@ class TestNeighborhood:
         with pytest.raises(InvalidSpecError):
             spec_of([0.5, 0.5], 0.0)
 
+    def test_off_diagonal_mass_must_not_underflow(self):
+        # delta / (2(n-1)) rounds to 0 for these subnormal deltas
+        for weights, delta in (([0.5, 0.5], 5e-324), ([1.0, 1e-323], 5e-324),
+                               ([0.4, 0.3, 0.3], 1e-323)):
+            with pytest.raises(InvalidSpecError, match="too small"):
+                spec_of(weights, delta)
+        assert spec_of([0.5, 0.5], 1e-323).delta == 1e-323
+
 
 class TestEnumerateExtremes:
     def test_two_symbols(self):
