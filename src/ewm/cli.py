@@ -95,8 +95,8 @@ def parse_alpha_grid(token: str) -> list[float]:
             count = int(parts[3])
         except ValueError as exc:
             raise FormatError(f"malformed grid token {token!r}: {exc}") from exc
-        if count < 2:
-            raise FormatError(f"grid count must be >= 2, got {count}")
+        if not 2 <= count <= 10_000:  # 333x the paper's 30 points, at about 40 bytes each
+            raise FormatError(f"grid count must lie in 2..10000, got {count}")
         start, end = _grid_alpha(start), _grid_alpha(end)
         grid = np.exp(np.linspace(math.log(start), math.log(end), count))
         grid[0], grid[-1] = start, end  # endpoints exact, not exp(log(x))
@@ -193,8 +193,7 @@ def _cmd_maxmin2(args) -> int:
 def _parse_policy(token: str) -> simulation.AdversaryPolicy:
     token = token.strip()
     if token.startswith("fixed:"):
-        pair = _parse_pair(token[len("fixed:"):])
-        return simulation.FixedPair(pair.gain, pair.loss)
+        return _parse_pair(token[len("fixed:"):])
     if token == "roundrobin":
         return simulation.RoundRobin()
     if token == "random":

@@ -43,6 +43,7 @@ from .simplex import (
     VocabDistribution,
     _check_pair,
     _freeze,
+    _indices,
     extreme_target,
     reconstruct_mixture,
 )
@@ -84,19 +85,17 @@ class CouplingMatrix:
 
 @dataclass(frozen=True)
 class PathSpec:
-    """Ordered distinct vocabulary indices u0 ... uK, K >= 1."""
+    """Ordered distinct vocabulary indices (:func:`~ewm.simplex._indices`) u0 ... uK, K >= 1."""
 
     vertices: tuple[int, ...]
 
     def __post_init__(self):
-        v = tuple(int(x) for x in self.vertices)
+        v = _indices(self.vertices, None, InvalidPathError)
         object.__setattr__(self, "vertices", v)
         if len(v) < 2:
             raise InvalidPathError(f"path needs at least 2 vertices, got {len(v)}")
         if len(set(v)) != len(v):
             raise InvalidPathError(f"path vertices must be distinct, got {v}")
-        if min(v) < 0:
-            raise InvalidPathError(f"path vertices must be nonnegative, got {v}")
 
 
 def make_coupling(joint, target: VocabDistribution, anchor: VocabDistribution) -> CouplingMatrix:
@@ -146,9 +145,7 @@ def path_coupling(spec: NeighborhoodSpec, path: PathSpec) -> CouplingMatrix:
     the column perturbations cancel, so the seed marginal stays the anchor
     while the outcome marginal gains at u0 and loses at uK.
     """
-    verts = path.vertices
-    if max(verts) >= spec.n:
-        raise InvalidPathError(f"path vertex {max(verts)} out of range for n={spec.n}")
+    verts = _indices(path.vertices, spec.n, InvalidPathError)
     w = np.diag(spec.anchor.weights).astype(np.float64)
     half = spec.delta / 2.0
     for u, nxt in zip(verts[:-1], verts[1:]):

@@ -33,7 +33,7 @@ from .errors import (
     IndexOutOfRangeError,
 )
 from .evalue import EValueTable
-from .simplex import NeighborhoodSpec
+from .simplex import NeighborhoodSpec, _indices
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,10 @@ def init_detector(e: EValueTable, alpha: float) -> DetectorState:
 
 
 def observe(state: DetectorState, e: EValueTable, v: int, s: int) -> DetectorState:
-    """Fold one (outcome, seed) pair into the wealth process."""
+    """Fold one (outcome, seed) pair of vocabulary indices below ``e.n`` into the wealth."""
     if not state.running:
         raise AlreadyStoppedError(f"detector rejected at step {state.rejected_at}")
-    if not (0 <= v < e.n and 0 <= s < e.n):
-        raise IndexOutOfRangeError(f"pair ({v}, {s}) out of range for n={e.n}")
+    v, s = _indices((v, s), e.n, IndexOutOfRangeError)
     wealth = state.wealth + float(e.log_scores[v, s])
     steps = state.steps + 1
     rejected_at = steps if wealth >= state.threshold else None
@@ -130,9 +129,11 @@ def _binom_sf(x, k, p):
 
 
 def baseline_observe(state: BaselineState, v: int, s: int) -> BaselineState:
-    """Exact binomial upper tail on the match count vs the rejection schedule."""
+    """Exact binomial upper tail on the match count vs the rejection schedule; ``v``
+    and ``s`` are vocabulary indices, of any size, as no ``n`` is at hand."""
     if not state.running:
         raise AlreadyStoppedError(f"baseline rejected at step {state.rejected_at}")
+    v, s = _indices((v, s), None, IndexOutOfRangeError)
     matches = state.matches + (1 if v == s else 0)
     k = state.steps + 1
     p_k = float(_binom_sf(matches - 1, k, state.null_match_prob))
@@ -154,26 +155,32 @@ def _first_crossing(inc: np.ndarray, boundary, carry=0.0) -> tuple[np.ndarray, n
 
 
 def _blocks(stream, budget, n):
-    """``(done, v, s)``: up to ``budget`` pairs of ``stream`` (None: all) in int64
-    blocks of 128, 256, ... after ``done``, each read only when asked for.  A pair
-    outside ``range(n)`` raises once the caller reads past the pairs before it, as
-    in a fold; with ``n`` None, a block holding a pair beyond int64 raises."""
+    """``(done, v, s)``: up to ``budget`` pairs of ``stream`` (None: all) in blocks of
+    128, 256, ... after ``done``, each read only when asked for.  A pair that is not two
+    vocabulary indices below ``n`` (None: of any size) raises once the caller reads past
+    the pairs before it, as in a fold; a valid block costs one conversion and one test."""
     if budget is not None and budget < 1:
         raise BadParamsError(f"budget must be >= 1, got {budget}")
     pairs = islice(stream, None if budget is None else min(budget, sys.maxsize))
     done, width = 0, 128
     while block := list(islice(pairs, width)):
         try:
-            v, s = np.array(block, dtype=np.int64).T
-        except OverflowError as exc:  # beyond int64: clipped to -1 or n, still out of range
-            if n is None:
-                raise IndexOutOfRangeError(f"stream index beyond 64 bits: {exc}") from exc
-            v, s = np.clip(np.array(block, dtype=object), -1, n).astype(np.int64).T
-        if n is not None and (bad := (v < 0) | (v >= n) | (s < 0) | (s >= n)).any():
-            size = int(bad.argmax())
-            if size:
-                yield done, v[:size], s[:size]
-            raise IndexOutOfRangeError("pair ({}, {}) out of range for n={}".format(*block[size], n))
+            a = np.array(block)
+        except ValueError:  # ragged
+            a = np.empty(0)
+        if not (a.dtype.kind in "iu" and a.shape[1:] == (2,)
+                and a.min() >= 0 and (n is None or a.max() < n)):
+            # the scalar rule names the first bad pair; with no n, an index past 64 bits is valid
+            good, dtype = [], np.int64 if n is not None else object
+            try:
+                for pair in block:
+                    good.append(_indices(pair, n, IndexOutOfRangeError, 2))
+            except IndexOutOfRangeError:
+                if good:
+                    yield done, *np.array(good, dtype=dtype).T
+                raise
+            a = np.array(good, dtype=dtype)
+        v, s = a.T
         yield done, v, s
         done, width = done + v.size, 2 * width
     if not done:
@@ -198,8 +205,8 @@ def baseline_batch_detect(
     alpha: float, null_match_prob: float, stream, budget: int | None, n: int | None = None
 ) -> DetectionReport:
     """Fold :func:`baseline_observe` over up to ``budget`` pairs, with each
-    block's tails in one array call; wealth is reported as NaN.  With ``n``,
-    symbols outside the vocabulary raise as in :func:`batch_detect`."""
+    block's tails in one array call; wealth is reported as NaN.  Without ``n``,
+    only the indices' type and sign are checked, as in :func:`baseline_observe`."""
     state = init_baseline(alpha, null_match_prob)
     matches, steps = 0, 0
     for done, v, s in _blocks(stream, budget, n):

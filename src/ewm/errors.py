@@ -56,7 +56,7 @@ class BadWeightsError(EwmError):
 
 
 class InvalidPathError(EwmError):
-    """Path vertices must be distinct and at least two."""
+    """Path vertices must be at least two distinct vocabulary indices."""
 
 
 # -- detection ----------------------------------------------------------------
@@ -70,7 +70,7 @@ class AlreadyStoppedError(EwmError):
 
 
 class IndexOutOfRangeError(EwmError):
-    """Outcome or seed index outside the vocabulary."""
+    """Outcome or seed that is not a vocabulary index: an integer in range."""
 
 
 class EmptyStreamError(EwmError):

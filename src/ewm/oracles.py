@@ -36,7 +36,7 @@ import numpy as np
 from .coupling import PathSpec
 from .errors import BadParamsError, InvalidPathError, TooLargeError
 from .evalue import EValueTable, _check_dims, jstar, kernel_of, optimal_evalue
-from .simplex import ExtremePair, NeighborhoodSpec, _check_pair, enumerate_extremes
+from .simplex import ExtremePair, NeighborhoodSpec, _check_pair, _indices, enumerate_extremes
 
 # Refuse cycle enumerations beyond this many cycles (the full cap at n = 8 fits).
 _CYCLE_BUDGET = 100_000
@@ -66,10 +66,7 @@ def _log_matrix(e: EValueTable) -> list[list[float]]:
 
 def path_gain(e: EValueTable, path: PathSpec) -> float:
     """``W(P) = sum_i ( M(u_i, u_{i+1}) - M(u_{i+1}, u_{i+1}) )``."""
-    verts = path.vertices
-    if max(verts) >= e.n:
-        raise InvalidPathError(f"path vertex {max(verts)} out of range for n={e.n}")
-    return _gain(_log_matrix(e), verts)
+    return _gain(_log_matrix(e), _indices(path.vertices, e.n, InvalidPathError))
 
 
 def _gain(m: list[list[float]], verts: tuple[int, ...]) -> float:

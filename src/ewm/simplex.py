@@ -25,6 +25,7 @@ All types are immutable values and all operations are pure functions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,16 +92,17 @@ class NeighborhoodSpec:
 
 @dataclass(frozen=True)
 class ExtremePair:
-    """Vertex of the neighborhood: gain index ``a``, loss index ``b``, a != b."""
+    """Vertex of the neighborhood: vocabulary indices (:func:`_indices`) gain a != loss b."""
 
     gain: int
     loss: int
 
     def __post_init__(self):
-        if self.gain == self.loss:
-            raise InvalidPairError(f"gain and loss must differ, got ({self.gain}, {self.loss})")
-        if self.gain < 0 or self.loss < 0:
-            raise InvalidPairError(f"indices must be nonnegative, got ({self.gain}, {self.loss})")
+        gain, loss = _indices((self.gain, self.loss), None, InvalidPairError)
+        if gain == loss:
+            raise InvalidPairError(f"gain and loss must differ, got ({gain}, {loss})")
+        object.__setattr__(self, "gain", gain)
+        object.__setattr__(self, "loss", loss)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,11 +253,23 @@ def noise_profile(n: int, delta: float) -> VocabDistribution:
     return VocabDistribution(w)
 
 
+def _indices(values, n: int | None, error: type[Exception], size: int | None = None):
+    """The one vocabulary-index rule: ``values`` (``size`` of them, if given) as Python
+    ints, each one :func:`operator.index` takes (numpy's too; a bool is 0/1), nonnegative
+    and below ``n`` when it is known; else ``error``, never a truncated index."""
+    try:
+        out = tuple(map(operator.index, values))
+    except TypeError:
+        raise error(f"indices must be integers, got {values!r}") from None
+    if size is not None and len(out) != size:
+        raise error(f"expected {size} indices, got {out}")
+    if min(out, default=0) < 0 or (n is not None and max(out, default=0) >= n):
+        raise error(f"indices {out} out of range for n={n}" if n else f"negative index in {out}")
+    return out
+
+
 def _check_pair(spec: NeighborhoodSpec, pair: ExtremePair) -> None:
-    if pair.gain >= spec.n or pair.loss >= spec.n:
-        raise InvalidPairError(
-            f"pair ({pair.gain}, {pair.loss}) out of range for n={spec.n}"
-        )
+    _indices((pair.gain, pair.loss), spec.n, InvalidPairError)
 
 
 def _check_inside(spec: NeighborhoodSpec, q: VocabDistribution) -> None:

@@ -40,8 +40,9 @@ import os
 from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import cycle, repeat
+from itertools import cycle, islice, repeat
 
 import numpy as np
 
@@ -101,12 +102,8 @@ def _philox_at(gen: np.random.Generator, state: dict, pos: int) -> np.random.Gen
 # admissible by construction.
 
 
-@dataclass(frozen=True)
-class FixedPair:
-    """Play one vertex forever (the worst-case stationary adversary)."""
-
-    gain: int
-    loss: int
+# Play one vertex forever (the worst-case stationary adversary): the vertex is the policy.
+FixedPair = ExtremePair
 
 
 @dataclass(frozen=True)
@@ -186,7 +183,7 @@ class ExperimentConfig:
         if self.horizon_cap is not None and self.horizon_cap < 1:
             raise BadParamsError(f"horizon cap must be >= 1, got {self.horizon_cap}")
         if isinstance(self.policy, FixedPair):
-            _check_pair(self.spec, ExtremePair(self.policy.gain, self.policy.loss))
+            _check_pair(self.spec, self.policy)
 
 
 def choose_pair(
@@ -198,7 +195,7 @@ def choose_pair(
 ) -> ExtremePair:
     """The adversary's vertex for this step."""
     if isinstance(policy, FixedPair):
-        return ExtremePair(policy.gain, policy.loss)
+        return policy
     pairs = enumerate_extremes(spec)
     if isinstance(policy, RoundRobin):
         return pairs[step % len(pairs)]
@@ -281,7 +278,7 @@ def _run_stepwise(
         uniforms = _uniforms(rng, cap)  # a generator: nothing is drawn until it is read
         greedy = None
         if isinstance(policy, FixedPair):
-            indices = repeat(pairs.index(ExtremePair(policy.gain, policy.loss)))
+            indices = repeat(pairs.index(policy))
         elif isinstance(policy, RoundRobin):
             indices = cycle(range(m))
         elif isinstance(policy, HistoryGreedy):
@@ -315,7 +312,7 @@ def _run_fixed(
     at most ``_BLOCK_CELLS`` draws.
     Uniforms map straight to their cells' log scores through one guide-table
     lookup (:func:`~ewm.coupling._cell_lookup`), built once per call."""
-    w = extreme_coupling(spec, ExtremePair(policy.gain, policy.loss))
+    w = extreme_coupling(spec, policy)
     log_e = _cell_lookup(w.cdf, optimal_evalue(spec).log_scores.ravel())
     threshold = math.log(1.0 / alpha)
     expected = min(1.25 * threshold / jstar(spec), _BLOCK_CELLS)  # inf for a subnormal J*
@@ -380,7 +377,8 @@ def estimate_stopping(config: ExperimentConfig, threads: int = 1) -> list[SweepR
     Censored trials are counted at the horizon cap and reported in
     ``censored_count``.  The ratio column ``mean_tau / log(1/alpha)``
     converges to ``1 / jstar`` as alpha tends to zero.  At most one worker
-    process runs per CPU; the rows never depend on the worker count.
+    process runs per CPU; the rows never depend on the worker count.  Each
+    row is reduced as its work units arrive, so one alpha's trials are held.
     """
     if threads < 1:
         raise BadParamsError(f"threads must be >= 1, got {threads}")
@@ -390,32 +388,28 @@ def estimate_stopping(config: ExperimentConfig, threads: int = 1) -> list[SweepR
     for ai, alpha in enumerate(config.alphas):
         for lo in range(0, config.trials, step):
             tasks.append((config, alpha, ai, lo, min(lo + step, config.trials)))
-    results = np.empty((len(config.alphas), config.trials), dtype=np.int64)
-    if workers == 1:
-        outputs = map(_sweep_task, tasks)
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            outputs = list(pool.map(_sweep_task, tasks))
-    for ai, lo, taus in outputs:
-        results[ai][lo:lo + taus.size] = taus
-    rows = []
-    for ai, alpha in enumerate(config.alphas):
-        taus = results[ai]
-        censored = int(np.sum(taus < 0))
-        filled = np.where(taus < 0, float(_cap(config, alpha)), taus)
-        log_inv = math.log(1.0 / alpha)
-        mean = float(filled.mean())
-        std_err = float(filled.std(ddof=1) / math.sqrt(filled.size)) if filled.size > 1 else 0.0
-        rows.append(
-            SweepRow(
-                alpha=alpha,
-                log_inv_alpha=log_inv,
-                mean_tau=mean,
-                std_err=std_err,
-                ratio=mean / log_inv,
-                censored_count=censored,
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks))) if workers > 1 else None
+    with pool or nullcontext():
+        outputs = (pool.map if pool else map)(_sweep_task, tasks)  # in task order
+        rows = []
+        units = len(tasks) // len(config.alphas)
+        for alpha in config.alphas:
+            taus = np.concatenate([stops for _, _, stops in islice(outputs, units)])
+            censored = int(np.sum(taus < 0))
+            filled = np.where(taus < 0, float(_cap(config, alpha)), taus)
+            log_inv = math.log(1.0 / alpha)
+            mean = float(filled.mean())
+            std_err = float(filled.std(ddof=1) / math.sqrt(filled.size)) if filled.size > 1 else 0.0
+            rows.append(
+                SweepRow(
+                    alpha=alpha,
+                    log_inv_alpha=log_inv,
+                    mean_tau=mean,
+                    std_err=std_err,
+                    ratio=mean / log_inv,
+                    censored_count=censored,
+                )
             )
-        )
     return rows
 
 

@@ -39,6 +39,8 @@ BAD_COUNTS = {
     "env-threads-negative": (SWEEP, "-2", "threads must be >= 1"),
     "grid-1025": (["maxmin2", "--p", "0.3", "--delta", "0.1", "--grid", "1025"], None,
                   "grid must lie in 64..1024"),
+    "alphas-count-10001": (["sweep-tau", *FAIR, "--alphas", "log:0.1:0.01:10001",
+                            "--trials", "2"], None, "grid count must lie in 2..10000"),
     **{f"magnitude-{m}": (["audit", *THREE, "--perturbations", "1", "--magnitude", m], None,
                           "magnitude") for m in ("inf", "nan", "1e308")},
 }

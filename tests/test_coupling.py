@@ -36,6 +36,22 @@ class TestExtremeCoupling:
         with pytest.raises(InvalidPairError):
             ewm.extreme_coupling(spec_of([0.5, 0.5], 0.1), ewm.ExtremePair(0, 2))
 
+    # once truncated to the (0, 1) vertex, or a raw TypeError
+    @pytest.mark.parametrize("gain, loss", [(0.5, 1), ("1", 0), (-1, 0), (None, 1), (1.0, 0)])
+    def test_non_index_is_an_invalid_pair(self, gain, loss):
+        with pytest.raises(InvalidPairError):
+            ewm.ExtremePair(gain, loss)
+        with pytest.raises(InvalidPairError):
+            ewm.FixedPair(gain, loss)
+
+    def test_numpy_and_bool_indices_are_python_ints(self):
+        pair = ewm.ExtremePair(np.int64(0), True)
+        assert pair == ewm.ExtremePair(0, 1)
+        assert type(pair.gain) is int and type(pair.loss) is int
+        spec = spec_of([0.4, 0.3, 0.3], 0.1)
+        assert np.array_equal(ewm.extreme_coupling(spec, pair).joint,
+                              ewm.extreme_coupling(spec, ewm.ExtremePair(0, 1)).joint)
+
 
 class TestMixtureCoupling:
     def test_single_term_degenerates(self):
@@ -111,6 +127,20 @@ class TestPathCoupling:
             ewm.PathSpec((2,))
         with pytest.raises(InvalidPathError):
             ewm.PathSpec((0, -1))  # not the path (0, n - 1)
+
+    @pytest.mark.parametrize("verts", [(0.5, 1), (0, "2"), (0, None), 3])
+    def test_non_index_vertex_rejected(self, verts):
+        with pytest.raises(InvalidPathError):  # (0.5, 1) was once truncated to (0, 1)
+            ewm.PathSpec(verts)
+
+    def test_out_of_range_vertex_rejected(self):
+        spec = spec_of([0.4, 0.3, 0.3], 0.1)
+        path = ewm.PathSpec((np.int64(0), True, 3))
+        assert path.vertices == (0, 1, 3) and all(type(v) is int for v in path.vertices)
+        with pytest.raises(InvalidPathError):
+            ewm.path_coupling(spec, path)
+        with pytest.raises(InvalidPathError):
+            ewm.path_gain(ewm.optimal_evalue(spec), path)
 
 
 class TestSampling:

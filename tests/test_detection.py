@@ -207,10 +207,12 @@ def fold(alpha, pairs, e=None, pbar=None):
 
 
 def checked(pairs, n):
-    """``pairs``, raising when a pair outside ``range(n)`` is read."""
+    """``pairs``, raising when a pair is read that is not two vocabulary indices:
+    Python or numpy integers (a bool is one), nonnegative and, with ``n``, below it."""
     for v, s in pairs:
-        if not (0 <= v < n and 0 <= s < n):
-            raise IndexOutOfRangeError(f"pair ({v}, {s}) out of range for n={n}")
+        if not all(isinstance(x, (int, np.integer)) and x >= 0 and (n is None or x < n)
+                   for x in (v, s)):
+            raise IndexOutOfRangeError(f"pair ({v!r}, {s!r}) is not two indices below {n}")
         yield v, s
 
 
@@ -220,7 +222,8 @@ SPECS = {2: spec_of([0.5, 0.5], 0.3), 3: spec_of([0.4, 0.3, 0.3], 0.2)}
 @st.composite
 def detection_cases(draw):
     """(n, pairs, budget, alpha): up to 1,100 pairs, so stops and reads cross the
-    block edges at 128, 384 and 896, and at times one pair out of range."""
+    block edges at 128, 384 and 896, and at times one pair that is not two
+    vocabulary indices below n (0.9 and "1" were once truncated or parsed)."""
     n = draw(st.sampled_from([2, 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     length = int(rng.integers(0, 1101))
@@ -230,7 +233,7 @@ def detection_cases(draw):
     v = np.where(rng.random(length) < rate, s, rng.integers(n, size=length))
     pairs = list(zip(v.tolist(), s.tolist()))
     if draw(st.integers(0, 2)) == 0:
-        bad = draw(st.sampled_from([n, -1, 2**70]))
+        bad = draw(st.sampled_from([n, -1, -5, 2**70, 0.9, "1"]))
         pairs.insert(draw(st.integers(0, length)), (bad, 0) if draw(st.booleans()) else (0, bad))
     budget = None if draw(st.booleans()) else int(rng.integers(1, len(pairs) + 4))
     return n, pairs, budget, draw(st.sampled_from([0.5, 0.02, 1e-30]))
@@ -314,6 +317,7 @@ class TestBatchMatchesFold:
 
     @settings(max_examples=100)
     @example(case=(2, [], None, 0.02))
+    @example(case=(2, [(1, 1), (2**70, 2**70)] * 5, None, 0.5))  # without n, a match
     @given(case=detection_cases())
     def test_both_detectors_equal_the_fold_on_any_stream(self, case):
         n, pairs, budget, alpha = case
@@ -324,6 +328,8 @@ class TestBatchMatchesFold:
              lambda: fold(alpha, checked(read, n), e=e)),
             (lambda: ewm.baseline_batch_detect(alpha, pbar, iter(pairs), budget, n=n),
              lambda: fold(alpha, checked(read, n), pbar=pbar)),
+            (lambda: ewm.baseline_batch_detect(alpha, pbar, iter(pairs), budget),
+             lambda: fold(alpha, checked(read, None), pbar=pbar)),
         ):
             try:
                 state = reference()
@@ -341,6 +347,42 @@ class TestBatchMatchesFold:
                 assert report.wealth == state.wealth
             else:
                 assert math.isnan(report.wealth)
+
+    # each once gave a raw numpy or Python error, a truncated pair, or (without n) a count
+    @pytest.mark.parametrize("bad", [(0.9, 1.7), ("1", "2"), (0, 1, 1), 1, None, (-5, -5)],
+                             ids=["float", "string", "triple", "scalar", "none", "negative"])
+    @pytest.mark.parametrize("n", [2, None])
+    def test_non_index_pair_is_a_typed_error(self, bad, n):
+        e = ewm.optimal_evalue(self.SPEC)
+        pbar = ewm.worst_null_match_prob(self.SPEC)
+        for pairs in ([(0, 1), bad, (0, 1)], [bad] * 12):
+            with pytest.raises(IndexOutOfRangeError):
+                ewm.baseline_batch_detect(0.02, pbar, pairs, None, n=n)
+            if n is not None:
+                with pytest.raises(IndexOutOfRangeError):
+                    ewm.batch_detect(e, 0.02, pairs, None)
+
+    @pytest.mark.parametrize("v", [0.9, "1", -5, 2])
+    def test_non_index_observation_is_a_typed_error(self, v):
+        e = ewm.optimal_evalue(self.SPEC)
+        with pytest.raises(IndexOutOfRangeError):
+            ewm.observe(ewm.init_detector(e, 0.02), e, v, 0)
+        if v != 2:  # no n is at hand, so 2 is a valid symbol
+            with pytest.raises(IndexOutOfRangeError):
+                ewm.baseline_observe(ewm.init_baseline(0.02, 0.5), 0, v)
+
+    def test_numpy_and_bool_indices_equal_the_fold(self):
+        e = ewm.optimal_evalue(self.SPEC)
+        pbar = ewm.worst_null_match_prob(self.SPEC)
+        # True once did a boolean-mask lookup in observe
+        for pairs in ([(np.int64(1), True)] * 20, [(True, True)] * 20, [(np.uint8(0), 1)] * 20):
+            ints = [(int(v), int(s)) for v, s in pairs]
+            state, report = fold(0.02, pairs, e=e), ewm.batch_detect(e, 0.02, pairs, None)
+            assert state == fold(0.02, ints, e=e)
+            assert (report.stop_step, report.wealth) == (state.rejected_at, state.wealth)
+            for n in (2, None):
+                report = ewm.baseline_batch_detect(0.02, pbar, pairs, None, n=n)
+                assert report.stop_step == fold(0.02, ints, pbar=pbar).rejected_at
 
     def test_baseline_work_tracks_the_stopping_step(self, monkeypatch):
         from ewm import detection

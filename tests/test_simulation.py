@@ -392,6 +392,18 @@ class TestEstimateStopping:
         assert row.censored_count == 0
         assert abs(row.ratio - 1.0 / ewm.jstar(FAIR)) / (1.0 / ewm.jstar(FAIR)) < 0.05
 
+    def test_rows_are_reduced_as_their_units_arrive(self, monkeypatch):
+        # one alpha's stop steps are held at a time, not an alphas x trials table
+        task, row, calls, reduced = ewm.simulation._sweep_task, ewm.SweepRow, [], []
+        monkeypatch.setattr(ewm.simulation, "_sweep_task",
+                            lambda args: calls.append(args) or task(args))
+        monkeypatch.setattr(ewm.simulation, "SweepRow",
+                            lambda **fields: reduced.append(len(calls)) or row(**fields))
+        config = ewm.ExperimentConfig(spec=FAIR, alphas=(1e-2, 1e-3, 1e-4), trials=4,
+                                      policy=ewm.FixedPair(0, 1), base_seed=13)
+        ewm.estimate_stopping(config, threads=1)
+        assert reduced == [1, 2, 3]
+
     def test_csv_shape(self):
         config = ewm.ExperimentConfig(
             spec=FAIR, alphas=(0.01, 0.001), trials=20, policy=ewm.FixedPair(0, 1), base_seed=13
@@ -435,6 +447,32 @@ class TestDriftIdentity:
             assert record.stop_step is None and record.steps_run == 700
             mean = record.final_wealth / record.steps_run
             assert abs(mean - ewm.jstar(spec)) < 0.12  # 4 sd of a 700-step average
+
+
+class TestWaldIdentity:
+    """Every vertex coupling drifts at J*, so ``W_t - J* t`` is a martingale under
+    any predictable choice of vertex, and ``E[W_{tau ^ cap}] = J* E[tau ^ cap]``
+    (Wald, 1944).  This checks the stop steps and the wealth that both engines
+    return against each other; a stop one step late moves the mean by J*."""
+
+    SPEC = spec_of([0.4, 0.3, 0.3], 0.1)
+
+    @pytest.mark.parametrize("cap", [None, 16], ids=["uncapped", "capped"])
+    @pytest.mark.parametrize("policy, trials", [(ewm.FixedPair(0, 1), 20_000),
+                                                (ewm.RoundRobin(), 3_000),
+                                                (ewm.RandomPair(), 3_000),
+                                                (ewm.HistoryGreedy(), 3_000)],
+                             ids=["fixed", "roundrobin", "random", "greedy"])
+    def test_mean_wealth_at_the_stop_is_rate_times_mean_stop(self, policy, trials, cap):
+        config = ewm.ExperimentConfig(spec=self.SPEC, alphas=(1e-6,), trials=trials,
+                                      policy=policy, horizon_cap=cap, base_seed=41)
+        horizon = ewm.simulation._cap(config, 1e-6)
+        seeds = [ewm.trial_seed(41, 0, t) for t in range(trials)]
+        stops, wealth = ewm.simulation._run_trials(config, 1e-6, horizon, seeds)
+        # the default horizon censors nothing; a cap of 16 censors about half
+        assert 0.3 < (stops < 0).mean() < 0.7 if cap else not (stops < 0).any()
+        d = wealth - ewm.jstar(self.SPEC) * np.where(stops < 0, horizon, stops)
+        assert abs(d.mean()) < 4.0 * d.std(ddof=1) / math.sqrt(d.size)
 
 
 class TestCalibrateNull:
