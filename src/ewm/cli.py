@@ -128,9 +128,6 @@ def _parse_json_weights(text: str):
 def _resolve_anchor(args) -> NeighborhoodSpec:
     if args.anchor is not None:
         payload = args.anchor  # inline wins over --anchor-file
-        # convenience: a non-JSON value naming an existing file is read from disk
-        if not payload.lstrip().startswith("[") and Path(payload).is_file():
-            payload = Path(payload).read_text()
     elif args.anchor_file is not None:
         payload = Path(args.anchor_file).read_text()
     else:

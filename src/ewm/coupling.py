@@ -34,7 +34,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import BadParamsError, BadWeightsError, FormatError, InvalidPathError
+from .errors import BadWeightsError, FormatError, InvalidPathError
 from .simplex import (
     EXACT_ATOL,
     ExtremePair,
@@ -42,6 +42,7 @@ from .simplex import (
     NeighborhoodSpec,
     VocabDistribution,
     _check_pair,
+    _count,
     _freeze,
     _indices,
     extreme_target,
@@ -188,29 +189,23 @@ def _cell_lookup(cdf: np.ndarray, values: np.ndarray) -> Callable[[np.ndarray], 
     return lookup
 
 
-def _pair_lookup(w: CouplingMatrix, steps: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The guide table from uniforms to ``w``'s row-major cells, once ``steps`` is checked."""
-    if steps < 0:
-        raise BadParamsError(f"steps must be >= 0, got {steps}")
-    return _cell_lookup(w.cdf, np.arange(w.n * w.n, dtype=np.int64))
-
-
-def _draw_pairs(lookup, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` uniforms of ``rng`` mapped by ``lookup`` to ``(count, 2)`` pairs."""
-    return np.stack(np.divmod(lookup(rng.random(count)), n), axis=1)
+def _pair_draws(w: CouplingMatrix) -> Callable[[int, np.random.Generator], np.ndarray]:
+    """``draw(count, rng)``: ``count`` uniforms of ``rng`` mapped through one guide
+    table to ``(count, 2)`` pairs, the row and column of ``w``'s row-major cells."""
+    lookup = _cell_lookup(w.cdf, np.arange(w.n * w.n, dtype=np.int64))
+    return lambda count, rng: np.stack(np.divmod(lookup(rng.random(count)), w.n), axis=1)
 
 
 def _stream_chunks(w: CouplingMatrix, steps: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """``steps`` draws, drawn as read in chunks of ``_BLOCK_CELLS`` through one guide table."""
-    lookup = _pair_lookup(w, steps)
-    return (_draw_pairs(lookup, w.n, min(_BLOCK_CELLS, steps - lo), rng)
-            for lo in range(0, steps, _BLOCK_CELLS))
+    """``steps`` (a count) draws, drawn as read in ``_BLOCK_CELLS`` chunks via one guide table."""
+    steps, draw = _count(steps, "steps", 0), _pair_draws(w)
+    return (draw(min(_BLOCK_CELLS, steps - lo), rng) for lo in range(0, steps, _BLOCK_CELLS))
 
 
 def sample_stream(w: CouplingMatrix, steps: int, rng: np.random.Generator) -> np.ndarray:
-    """``steps`` draws at once; consumes the stream exactly like repeated
+    """``steps`` (a count) draws at once; consumes the stream exactly like repeated
     :func:`sample_pair`, so chunked and one-at-a-time sampling agree."""
-    return _draw_pairs(_pair_lookup(w, steps), w.n, steps, rng)
+    return _pair_draws(w)(_count(steps, "steps", 0), rng)
 
 
 # -- CSV stream format --------------------------------------------------------

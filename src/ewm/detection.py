@@ -33,7 +33,7 @@ from .errors import (
     IndexOutOfRangeError,
 )
 from .evalue import EValueTable
-from .simplex import NeighborhoodSpec, _indices
+from .simplex import NeighborhoodSpec, _count, _indices
 
 
 @dataclass(frozen=True)
@@ -155,13 +155,11 @@ def _first_crossing(inc: np.ndarray, boundary, carry=0.0) -> tuple[np.ndarray, n
 
 
 def _blocks(stream, budget, n):
-    """``(done, v, s)``: up to ``budget`` pairs of ``stream`` (None: all) in blocks of
+    """``(done, v, s)``: up to ``budget`` pairs of ``stream`` (a count, None: all) in blocks of
     128, 256, ... after ``done``, each read only when asked for.  A pair that is not two
     vocabulary indices below ``n`` (None: of any size) raises once the caller reads past
     the pairs before it, as in a fold; a valid block costs one conversion and one test."""
-    if budget is not None and budget < 1:
-        raise BadParamsError(f"budget must be >= 1, got {budget}")
-    pairs = islice(stream, None if budget is None else min(budget, sys.maxsize))
+    pairs = islice(stream, None if budget is None else min(_count(budget, "budget"), sys.maxsize))
     done, width = 0, 128
     while block := list(islice(pairs, width)):
         try:

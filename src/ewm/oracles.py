@@ -36,7 +36,8 @@ import numpy as np
 from .coupling import PathSpec
 from .errors import BadParamsError, InvalidPathError, TooLargeError
 from .evalue import EValueTable, _check_dims, jstar, kernel_of, optimal_evalue
-from .simplex import ExtremePair, NeighborhoodSpec, _check_pair, _indices, enumerate_extremes
+from .simplex import (ExtremePair, NeighborhoodSpec, _check_pair, _count, _indices,
+                      enumerate_extremes)
 
 # Refuse cycle enumerations beyond this many cycles (the full cap at n = 8 fits).
 _CYCLE_BUDGET = 100_000
@@ -107,16 +108,14 @@ def best_path_inner_value(
 
 
 def cycle_condition_check(e: EValueTable, max_cycle_len: int) -> bool:
-    """True iff no simple directed cycle up to the cap beats its diagonal.
+    """True iff no simple directed cycle up to the cap (a count) beats its diagonal.
 
     Each cycle is enumerated once, anchored at its smallest vertex.  Equality
     counts as satisfied; violations need to exceed 1e-12 to rule out pure
     rounding noise.
     """
     n = e.n
-    cap = min(int(max_cycle_len), n)
-    if cap < 2:
-        raise BadParamsError(f"cycle length cap must be >= 2, got {max_cycle_len}")
+    cap = min(_count(max_cycle_len, "cycle length cap", 2), n)
     cycles = sum(math.comb(n, k) * math.factorial(k - 1) for k in range(2, cap + 1))
     if cycles > _CYCLE_BUDGET:
         raise TooLargeError(f"{cycles} cycles exceed the enumeration budget {_CYCLE_BUDGET}")
@@ -146,9 +145,9 @@ def two_token_maxmin(
               + (delta/2) * min( log((1-r00)/r11), log((1-r11)/r00) )
 
     where ``p0 = (p, 1-p)``.  The row-stochastic parameterization pins the
-    null expectation at exactly 1, which is where the optimum lives.  Each
-    refinement re-grids a window shrunk by a factor ``grid`` around the
-    incumbent, evaluating cell centers so the open-interval constraint holds.
+    null expectation at exactly 1, which is where the optimum lives.  Each of the
+    ``refinements`` (a count) re-grids a window shrunk by a factor ``grid`` (a count in
+    64..1024) around the incumbent, at cell centers so the open-interval constraint holds.
     """
     p = float(p)
     delta = float(delta)
@@ -156,10 +155,8 @@ def two_token_maxmin(
         raise BadParamsError(f"p must lie in (0, 1), got {p!r}")
     if not (0.0 < delta < 2.0) or min(p, 1.0 - p) <= delta:
         raise BadParamsError(f"need min(p, 1-p) > delta > 0, got p={p!r}, delta={delta!r}")
-    if not 64 <= grid <= 1024:  # each pass holds several grid x grid arrays
-        raise BadParamsError(f"grid must lie in 64..1024, got {grid}")
-    if refinements < 1:
-        raise BadParamsError(f"refinements must be >= 1, got {refinements}")
+    grid = _count(grid, "grid", 64, 1024)  # each pass holds several grid x grid arrays
+    refinements = _count(refinements, "refinements")
 
     h = -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p))
     lo = np.array([0.0, 0.0])
@@ -199,16 +196,16 @@ def saddle_check(
 ) -> bool:
     """Randomized local optimality audit of the closed-form kernel.
 
-    Draws row-stochastic kernels within ``magnitude`` (entrywise) of the
-    optimal kernel, renormalizes rows, and checks that none achieves a
-    worst-case inner value above the closed-form rate (1e-9 slack).  Kernels
+    Draws ``perturbations`` (a count) row-stochastic kernels within ``magnitude``
+    (entrywise) of the optimal kernel, renormalizes rows, and checks that none achieves
+    a worst-case inner value above the closed-form rate (1e-9 slack).  Kernels
     are turned into score tables by dividing each column by the anchor.
     """
     if spec.n > _MAX_SADDLE_N:
         raise TooLargeError(f"saddle audit supports n <= {_MAX_SADDLE_N}, got {spec.n}")
-    if perturbations < 0 or not 0.0 <= 2.0 * magnitude < math.inf:  # NaN fails too
-        raise BadParamsError("perturbations must be nonnegative, magnitude nonnegative "
-                             f"with 2 * magnitude finite; got {perturbations}, {magnitude!r}")
+    perturbations = _count(perturbations, "perturbations", 0)
+    if not 0.0 <= 2.0 * magnitude < math.inf:  # NaN fails too
+        raise BadParamsError(f"magnitude must be >= 0 and 2 * magnitude finite, got {magnitude!r}")
     r_star = kernel_of(optimal_evalue(spec), spec)
     target = jstar(spec)
     pairs = enumerate_extremes(spec)

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadParamsError,
     FormatError,
     InvalidPairError,
     InvalidSpecError,
@@ -254,10 +255,12 @@ def noise_profile(n: int, delta: float) -> VocabDistribution:
 
 
 def _indices(values, n: int | None, error: type[Exception], size: int | None = None):
-    """The one vocabulary-index rule: ``values`` (``size`` of them, if given) as Python
-    ints, each one :func:`operator.index` takes (numpy's too; a bool is 0/1), nonnegative
-    and below ``n`` when it is known; else ``error``, never a truncated index."""
+    """The one vocabulary-index rule: ``values``, a tuple, list or 1-D array (``size`` long,
+    if given), as Python ints, each one :func:`operator.index` takes (numpy's too; a bool is
+    0/1), nonnegative and below ``n`` when it is known; else ``error``, never a truncated index."""
     try:
+        if not isinstance(values, (tuple, list, np.ndarray)):
+            raise TypeError
         out = tuple(map(operator.index, values))
     except TypeError:
         raise error(f"indices must be integers, got {values!r}") from None
@@ -266,6 +269,20 @@ def _indices(values, n: int | None, error: type[Exception], size: int | None = N
     if min(out, default=0) < 0 or (n is not None and max(out, default=0) >= n):
         raise error(f"indices {out} out of range for n={n}" if n else f"negative index in {out}")
     return out
+
+
+def _count(value, name: str, low: int = 1, high: int | None = None) -> int:
+    """The one count rule: ``value`` as the Python int :func:`operator.index` makes of it
+    (numpy's too; a bool is 0/1), at least ``low`` and at most ``high`` when given; else
+    ``BadParamsError`` naming it, never a truncated, parsed or float count."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise BadParamsError(f"{name} must be an integer, got {value!r}") from None
+    if count < low or high is not None and count > high:
+        bound = f"be >= {low}" if high is None else f"lie in {low}..{high}"
+        raise BadParamsError(f"{name} must {bound}, got {count}")
+    return count
 
 
 def _check_pair(spec: NeighborhoodSpec, pair: ExtremePair) -> None:

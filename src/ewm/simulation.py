@@ -56,6 +56,7 @@ from .simplex import (
     VocabDistribution,
     _check_inside,
     _check_pair,
+    _count,
     enumerate_extremes,
 )
 
@@ -121,16 +122,15 @@ class HistoryGreedy:
     """Play the vertex whose recent realized log score was smallest.
 
     Unplayed vertices are tried first in lexicographic order; afterwards the
-    vertex with the lowest mean log score over the last ``window`` steps is
-    chosen, ties broken lexicographically.  Under the optimal score table all
-    vertices share the same expected log score, so no choice lowers the drift.
+    vertex with the lowest mean log score over the last ``window`` steps (a
+    count) is chosen, ties broken lexicographically.  Under the optimal score
+    table all vertices share the same expected log score, so no choice lowers the drift.
     """
 
     window: int = 32
 
     def __post_init__(self):
-        if self.window < 1:
-            raise BadParamsError(f"greedy window must be >= 1, got {self.window}")
+        object.__setattr__(self, "window", _count(self.window, "greedy window"))
 
 
 AdversaryPolicy = FixedPair | RoundRobin | RandomPair | HistoryGreedy
@@ -178,10 +178,9 @@ class ExperimentConfig:
             raise BadParamsError("need at least one alpha")
         for a in self.alphas:
             _check_alpha(a)
-        if self.trials < 1:
-            raise BadParamsError(f"trials must be >= 1, got {self.trials}")
-        if self.horizon_cap is not None and self.horizon_cap < 1:
-            raise BadParamsError(f"horizon cap must be >= 1, got {self.horizon_cap}")
+        object.__setattr__(self, "trials", _count(self.trials, "trials"))
+        if self.horizon_cap is not None:
+            object.__setattr__(self, "horizon_cap", _count(self.horizon_cap, "horizon cap"))
         if isinstance(self.policy, FixedPair):
             _check_pair(self.spec, self.policy)
 
@@ -364,11 +363,11 @@ def run_trial(
                        seed=seed)
 
 
-def _sweep_task(args) -> tuple[int, int, np.ndarray]:
+def _sweep_task(args) -> np.ndarray:
     """One (alpha, trial-range) work unit; returns stop steps, -1 = censored."""
     config, alpha, alpha_index, lo, hi = args
     seeds = [trial_seed(config.base_seed, alpha_index, t) for t in range(lo, hi)]
-    return alpha_index, lo, _run_trials(config, alpha, _cap(config, alpha), seeds)[0]
+    return _run_trials(config, alpha, _cap(config, alpha), seeds)[0]
 
 
 def estimate_stopping(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
@@ -376,13 +375,11 @@ def estimate_stopping(config: ExperimentConfig, threads: int = 1) -> list[SweepR
 
     Censored trials are counted at the horizon cap and reported in
     ``censored_count``.  The ratio column ``mean_tau / log(1/alpha)``
-    converges to ``1 / jstar`` as alpha tends to zero.  At most one worker
-    process runs per CPU; the rows never depend on the worker count.  Each
-    row is reduced as its work units arrive, so one alpha's trials are held.
+    converges to ``1 / jstar`` as alpha tends to zero.  ``threads`` (a count) worker
+    processes run, at most one per CPU; the rows never depend on the worker count.
+    Each row is reduced as its work units arrive, so one alpha's trials are held.
     """
-    if threads < 1:
-        raise BadParamsError(f"threads must be >= 1, got {threads}")
-    workers = min(threads, os.cpu_count() or 1)
+    workers = min(_count(threads, "threads"), os.cpu_count() or 1)
     step = math.ceil(config.trials / workers)
     tasks = []
     for ai, alpha in enumerate(config.alphas):
@@ -394,7 +391,7 @@ def estimate_stopping(config: ExperimentConfig, threads: int = 1) -> list[SweepR
         rows = []
         units = len(tasks) // len(config.alphas)
         for alpha in config.alphas:
-            taus = np.concatenate([stops for _, _, stops in islice(outputs, units)])
+            taus = np.concatenate(list(islice(outputs, units)))
             censored = int(np.sum(taus < 0))
             filled = np.where(taus < 0, float(_cap(config, alpha)), taus)
             log_inv = math.log(1.0 / alpha)
@@ -426,14 +423,13 @@ def calibrate_null(
 
     Outcomes are drawn from ``q_null`` and seeds independently from the
     anchor, which is exactly the null the score table must guard against;
-    the returned rate must stay at or below alpha up to Monte Carlo noise.
-    ``rng`` must be a Philox generator (:func:`trial_rng`), left just past the
+    the returned rate must stay at or below alpha up to Monte Carlo noise.  ``trials`` and
+    ``horizon`` are counts; ``rng`` is a Philox generator (:func:`trial_rng`), left just past the
     draws: per block of ``4_000_000 // horizon`` streams (at least one), all
     outcomes, then all seeds, row-major, read in bounded ``_BLOCK_CELLS`` sub-blocks.
     """
     _check_alpha(alpha)
-    if trials < 1 or horizon < 1:
-        raise BadParamsError("trials and horizon must be >= 1")
+    trials, horizon = _count(trials, "trials"), _count(horizon, "horizon")
     _check_inside(spec, q_null)
     if not isinstance(bitgen := rng.bit_generator, np.random.Philox):
         raise BadParamsError(f"calibrate_null takes a Philox generator, got {type(bitgen).__name__}")

@@ -131,11 +131,12 @@ class TestJstarCommand:
                         "--anchor-file", str(path), "--delta", "0.1")
         assert abs(json.loads(out)["jstar"] - 0.494632) < 5e-7
 
-    def test_anchor_accepts_a_path_too(self, capsys, tmp_path):
+    def test_anchor_reads_no_path(self, capsys, tmp_path):
+        # a file is read only through --anchor-file
         path = tmp_path / "a.json"
         path.write_text("[0.5, 0.5]")
-        code, out, _ = run(capsys, "jstar", "--anchor", str(path), "--delta", "0.1")
-        assert code == 0 and abs(json.loads(out)["jstar"] - 0.494632) < 5e-7
+        code, out, err = run(capsys, "jstar", "--anchor", str(path), "--delta", "0.1")
+        assert code == 1 and out == "" and "not valid JSON" in err
 
 
 class TestImport:

@@ -348,9 +348,12 @@ class TestBatchMatchesFold:
             else:
                 assert math.isnan(report.wealth)
 
-    # each once gave a raw numpy or Python error, a truncated pair, or (without n) a count
-    @pytest.mark.parametrize("bad", [(0.9, 1.7), ("1", "2"), (0, 1, 1), 1, None, (-5, -5)],
-                             ids=["float", "string", "triple", "scalar", "none", "negative"])
+    # each once gave a raw numpy or Python error, a truncated pair, or (without n) a count;
+    # a dict once gave its keys, a set its members and bytes their byte values as the pair
+    @pytest.mark.parametrize("bad", [(0.9, 1.7), ("1", "2"), (0, 1, 1), 1, None, (-5, -5),
+                                     {0: 1, 1: 2}, {0, 1}, b"\x00\x01"],
+                             ids=["float", "string", "triple", "scalar", "none", "negative",
+                                  "dict", "set", "bytes"])
     @pytest.mark.parametrize("n", [2, None])
     def test_non_index_pair_is_a_typed_error(self, bad, n):
         e = ewm.optimal_evalue(self.SPEC)

@@ -1,10 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import ewm
+from ewm.coupling import _stream_chunks
 from ewm.errors import (
+    BadParamsError,
     InvalidSpecError,
     LengthMismatchError,
     NegativeWeightError,
@@ -207,3 +210,68 @@ class TestNoiseProfile:
             values = [ewm.entropy(ewm.noise_profile(n, d)) for d in grid]
             assert all(b > a for a, b in zip(values, values[1:]))
 
+
+
+FAIR = spec_of([0.5, 0.5], 0.1)
+THREE = spec_of([0.4, 0.3, 0.3], 0.1)
+FAIR_PAIR = ewm.extreme_coupling(FAIR, ewm.FixedPair(0, 1))
+# its 2-cycles keep the condition and its 3-cycle 0 -> 1 -> 2 -> 0 breaks it
+CYCLE_TABLE = ewm.make_evalue_table(np.exp([[0, 0.5, -1], [-1, 0, 0.5], [0.5, -1, 0]]))
+
+
+def _sweep(**counts):
+    return ewm.ExperimentConfig(spec=FAIR, alphas=(0.01,), policy=ewm.FixedPair(0, 1),
+                                **{"trials": 4, "horizon_cap": 50, **counts})
+
+
+# site -> (call with the count k, the name its error gives, low, high, a valid k): every
+# count in the package; each once took 2.5 or "3", truncated it, or raised a raw error
+COUNT_SITES = {
+    "greedy-window": (lambda k: ewm.HistoryGreedy(window=k).window, "greedy window", 1, None, 3),
+    "sweep-trials": (lambda k: _sweep(trials=k).trials, "trials", 1, None, 3),
+    "sweep-horizon-cap": (lambda k: _sweep(horizon_cap=k).horizon_cap, "horizon cap", 1, None, 3),
+    "sweep-threads": (lambda k: ewm.estimate_stopping(_sweep(), threads=k), "threads", 1, None, 2),
+    "calibrate-trials": (lambda k: ewm.calibrate_null(FAIR, 0.05, k, 20, FAIR.anchor,
+                                                      ewm.trial_rng(1)), "trials", 1, None, 3),
+    "calibrate-horizon": (lambda k: ewm.calibrate_null(FAIR, 0.05, 3, k, FAIR.anchor,
+                                                       ewm.trial_rng(1)), "horizon", 1, None, 3),
+    "detect-budget": (lambda k: ewm.batch_detect(ewm.optimal_evalue(FAIR), 1e-9, [(0, 1)] * 9, k),
+                      "budget", 1, None, 3),
+    "sample-stream-steps": (lambda k: ewm.sample_stream(FAIR_PAIR, k, ewm.trial_rng(2)).tolist(),
+                            "steps", 0, None, 3),
+    "generate-steps": (lambda k: [c.tolist() for c in _stream_chunks(FAIR_PAIR, k,
+                                                                     ewm.trial_rng(2))],
+                       "steps", 0, None, 3),
+    "cycle-cap": (lambda k: ewm.cycle_condition_check(CYCLE_TABLE, k), "cycle length cap",
+                  2, None, 3),
+    "maxmin-grid": (lambda k: ewm.two_token_maxmin(0.3, 0.1, k, 1), "grid", 64, 1024, 64),
+    "maxmin-refinements": (lambda k: ewm.two_token_maxmin(0.3, 0.1, 64, k), "refinements",
+                           1, None, 2),
+    "saddle-perturbations": (lambda k: ewm.saddle_check(THREE, k, 0.05, ewm.trial_rng(3)),
+                             "perturbations", 0, None, 2),
+}
+
+
+def _outcome(call, k):
+    """``repr`` of the call's result (it tells np.int64(3) from 3), or its error."""
+    try:
+        return repr(call(k))
+    except BadParamsError as exc:
+        return f"BadParamsError: {exc}"
+
+
+class TestCountRule:
+    @pytest.mark.parametrize("site", sorted(COUNT_SITES))
+    def test_count_is_an_int_in_bounds(self, site):
+        call, name, low, high, k = COUNT_SITES[site]
+        for bad in (2.5, "3", low - 1, *([] if high is None else [high + 1, float(low)])):
+            with pytest.raises(BadParamsError, match=re.escape(name)):
+                call(bad)
+        assert _outcome(call, np.int64(k)) == _outcome(call, k)
+        assert _outcome(call, True) == _outcome(call, 1)
+
+    def test_cycle_cap_counts_the_three_cycle(self):
+        assert ewm.cycle_condition_check(CYCLE_TABLE, 2)
+        assert not ewm.cycle_condition_check(CYCLE_TABLE, 3)
+        with pytest.raises(BadParamsError, match="cycle length cap must be an integer"):
+            ewm.cycle_condition_check(CYCLE_TABLE, 2.7)  # once truncated to 2: True

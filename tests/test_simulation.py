@@ -354,7 +354,7 @@ class TestEstimateStopping:
             seeds = [ewm.trial_seed(31, 0, t) for t in range(300)]
             taus = _run_stepwise(spec, config.policy, alpha, cap, seeds)[0]
             assert (taus < 0).any() and (chunk is None or (taus > chunk).any())
-            assert np.array_equal(_sweep_task((config, alpha, 0, 0, 300))[2], taus)
+            assert np.array_equal(_sweep_task((config, alpha, 0, 0, 300)), taus)
             row = ewm.estimate_stopping(config, threads=1)[0]
             assert ewm.estimate_stopping(config, threads=2) == [row]
             filled = np.where(taus < 0, cap, taus)
