@@ -65,7 +65,6 @@ from .simplex import (
     l1_distance,
     make_distribution,
     make_neighborhood,
-    noise_profile,
     reconstruct_mixture,
 )
 from .simulation import (

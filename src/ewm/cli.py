@@ -202,10 +202,9 @@ def _parse_policy(token: str) -> simulation.AdversaryPolicy:
 
 def _cmd_sweep_tau(args) -> int:
     spec = _resolve_anchor(args)
-    alphas = parse_alpha_grid(args.alphas)
     config = simulation.ExperimentConfig(
         spec=spec,
-        alphas=tuple(alphas),
+        alphas=parse_alpha_grid(args.alphas),
         trials=args.trials,
         policy=_parse_policy(args.policy),
         horizon_cap=args.horizon_cap,

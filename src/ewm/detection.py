@@ -33,7 +33,7 @@ from .errors import (
     IndexOutOfRangeError,
 )
 from .evalue import EValueTable
-from .simplex import NeighborhoodSpec, _count, _indices
+from .simplex import NeighborhoodSpec, _count, _indices, _real
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,8 @@ class DetectionReport:
 
 
 def _check_alpha(alpha: float) -> float:
-    """``alpha`` in (0, 1) with ``1/alpha`` finite, so the threshold ``log(1/alpha)`` is too."""
-    alpha = float(alpha)
+    """A :func:`_real` ``alpha`` in (0, 1) with ``1/alpha``, so ``log(1/alpha)``, finite."""
+    alpha = _real(alpha, "alpha", BadAlphaError)
     if not (0.0 < alpha < 1.0 and math.isfinite(1.0 / alpha)):
         raise BadAlphaError(f"alpha must lie in (0, 1) with 1/alpha finite, got {alpha!r}")
     return alpha
@@ -114,7 +114,8 @@ def worst_null_match_prob(spec: NeighborhoodSpec) -> float:
 
 
 def init_baseline(alpha: float, null_match_prob: float) -> BaselineState:
-    pbar = float(null_match_prob)
+    """Fresh state; alpha and the null match probability are :func:`_real` floats."""
+    pbar = _real(null_match_prob, "null match probability")
     if not (0.0 < pbar <= 1.0):
         raise BadParamsError(f"null match probability must lie in (0, 1], got {pbar!r}")
     return BaselineState(matches=0, steps=0, alpha=_check_alpha(alpha), null_match_prob=pbar)

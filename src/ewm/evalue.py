@@ -20,7 +20,7 @@ optimal growth rate is
 
     jstar = H(p0) + (1 - delta/2) log(1 - delta/2)
                   + (delta/2) log(delta / (2(n-1)))
-          = H(p0) - H(noise_profile(n, delta)),
+          = H(p0) - H(1 - delta/2, delta/(2(n-1)), ..., delta/(2(n-1))),
 
 the entropy of the anchor minus the entropy of the induced noise channel.
 All logarithms are natural; rates are in nats.

@@ -36,7 +36,7 @@ import numpy as np
 from .coupling import PathSpec
 from .errors import BadParamsError, InvalidPathError, TooLargeError
 from .evalue import EValueTable, _check_dims, jstar, kernel_of, optimal_evalue
-from .simplex import (ExtremePair, NeighborhoodSpec, _check_pair, _count, _indices,
+from .simplex import (ExtremePair, NeighborhoodSpec, _check_pair, _count, _indices, _real,
                       enumerate_extremes)
 
 # Refuse cycle enumerations beyond this many cycles (the full cap at n = 8 fits).
@@ -144,13 +144,12 @@ def two_token_maxmin(
         H(p0) + p log r00 + (1-p) log r11
               + (delta/2) * min( log((1-r00)/r11), log((1-r11)/r00) )
 
-    where ``p0 = (p, 1-p)``.  The row-stochastic parameterization pins the
-    null expectation at exactly 1, which is where the optimum lives.  Each of the
-    ``refinements`` (a count) re-grids a window shrunk by a factor ``grid`` (a count in
+    where ``p0 = (p, 1-p)``, for :func:`_real` ``p`` and ``delta``.  The row-stochastic
+    parameterization pins the null expectation at exactly 1, where the optimum lives.  Each
+    of the ``refinements`` (a count) re-grids a window shrunk by a factor ``grid`` (a count in
     64..1024) around the incumbent, at cell centers so the open-interval constraint holds.
     """
-    p = float(p)
-    delta = float(delta)
+    p, delta = _real(p, "p"), _real(delta, "delta")
     if not (0.0 < p < 1.0):
         raise BadParamsError(f"p must lie in (0, 1), got {p!r}")
     if not (0.0 < delta < 2.0) or min(p, 1.0 - p) <= delta:
@@ -196,15 +195,16 @@ def saddle_check(
 ) -> bool:
     """Randomized local optimality audit of the closed-form kernel.
 
-    Draws ``perturbations`` (a count) row-stochastic kernels within ``magnitude``
-    (entrywise) of the optimal kernel, renormalizes rows, and checks that none achieves
-    a worst-case inner value above the closed-form rate (1e-9 slack).  Kernels
-    are turned into score tables by dividing each column by the anchor.
+    Draws ``perturbations`` (a count) row-stochastic kernels within ``magnitude`` (a
+    :func:`_real` float, entrywise) of the optimal kernel, renormalizes rows, and checks
+    that none achieves a worst-case inner value above the closed-form rate (1e-9 slack).
+    Kernels are turned into score tables by dividing each column by the anchor.
     """
     if spec.n > _MAX_SADDLE_N:
         raise TooLargeError(f"saddle audit supports n <= {_MAX_SADDLE_N}, got {spec.n}")
     perturbations = _count(perturbations, "perturbations", 0)
-    if not 0.0 <= 2.0 * magnitude < math.inf:  # NaN fails too
+    magnitude = _real(magnitude, "magnitude")
+    if not 0.0 <= 2.0 * magnitude < math.inf:
         raise BadParamsError(f"magnitude must be >= 0 and 2 * magnitude finite, got {magnitude!r}")
     r_star = kernel_of(optimal_evalue(spec), spec)
     target = jstar(spec)

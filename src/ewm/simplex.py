@@ -25,7 +25,9 @@ All types are immutable values and all operations are pure functions.
 
 from __future__ import annotations
 
+import numbers
 import operator
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,8 +143,8 @@ def make_distribution(weights) -> VocabDistribution:
 
 
 def make_neighborhood(anchor: VocabDistribution, delta: float) -> NeighborhoodSpec:
-    """Validate ``0 < delta < 2``, ``delta / (2(n-1)) > 0`` and ``min(anchor) > delta``."""
-    delta = float(delta)
+    """Validate a :func:`_real` delta in (0, 2), ``delta/(2(n-1)) > 0``, ``min(anchor) > delta``."""
+    delta = _real(delta, "delta", InvalidSpecError)
     if not (0.0 < delta < 2.0):
         raise InvalidSpecError(f"delta must lie in (0, 2), got {delta!r}")
     if not delta / (2.0 * (anchor.n - 1)) > 0.0:
@@ -239,21 +241,6 @@ def reconstruct_mixture(spec: NeighborhoodSpec, mix: MixtureDecomposition) -> Vo
     return VocabDistribution(q)
 
 
-def noise_profile(n: int, delta: float) -> VocabDistribution:
-    """The categorical noise distribution ``(1 - delta/2, delta/(2(n-1)), ...)``.
-
-    Its entropy deficit against the anchor is exactly the optimal growth rate:
-    ``jstar = entropy(p0) - entropy(noise_profile(n, delta))``.
-    """
-    if n < 2:
-        raise TooShortError(f"need at least 2 symbols, got {n}")
-    if not (0.0 < float(delta) < 2.0):
-        raise InvalidSpecError(f"delta must lie in (0, 2), got {delta!r}")
-    w = np.full(n, delta / (2.0 * (n - 1)))
-    w[0] = 1.0 - delta / 2.0
-    return VocabDistribution(w)
-
-
 def _indices(values, n: int | None, error: type[Exception], size: int | None = None):
     """The one vocabulary-index rule: ``values``, a tuple, list or 1-D array (``size`` long,
     if given), as Python ints, each one :func:`operator.index` takes (numpy's too; a bool is
@@ -283,6 +270,15 @@ def _count(value, name: str, low: int = 1, high: int | None = None) -> int:
         bound = f"be >= {low}" if high is None else f"lie in {low}..{high}"
         raise BadParamsError(f"{name} must {bound}, got {count}")
     return count
+
+
+def _real(value, name: str, error: type[Exception] = BadParamsError) -> float:
+    """The one real-parameter rule: ``value`` as the float of a finite :class:`numbers.Real` (a
+    Python or numpy int or float; a bool is 0/1); else ``error`` naming it, never a parsed value."""
+    with suppress(OverflowError):  # an int past the float range is not finite either
+        if isinstance(value, numbers.Real) and np.isfinite(real := float(value)):
+            return real
+    raise error(f"{name} must be a finite real number, got {value!r}")
 
 
 def _check_pair(spec: NeighborhoodSpec, pair: ExtremePair) -> None:

@@ -57,6 +57,7 @@ from .simplex import (
     _check_inside,
     _check_pair,
     _count,
+    _real,
     enumerate_extremes,
 )
 
@@ -82,8 +83,8 @@ def trial_seed(base_seed: int, alpha_index: int, trial_index: int) -> int:
 
 
 def trial_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator for one trial; deterministic across platforms."""
-    return np.random.Generator(np.random.Philox(key=seed))
+    """Counter-based generator for one trial, keyed by a count below 2**128; cross-platform."""
+    return np.random.Generator(np.random.Philox(key=_count(seed, "seed", 0, 2**128 - 1)))
 
 
 def _philox_at(gen: np.random.Generator, state: dict, pos: int) -> np.random.Generator:
@@ -167,17 +168,18 @@ class SweepRow:
 @dataclass(frozen=True)
 class ExperimentConfig:
     spec: NeighborhoodSpec
-    alphas: tuple[float, ...]
+    alphas: tuple[float, ...]  # any iterable, read once; kept as the floats _check_alpha gives
     trials: int
     policy: AdversaryPolicy
     horizon_cap: int | None = None  # None: ceil(10 * log(1/alpha) / jstar) per alpha
-    base_seed: int = 0
+    base_seed: int = 0  # a count of any sign, kept as a Python int
 
     def __post_init__(self):
-        if not self.alphas:
-            raise BadParamsError("need at least one alpha")
-        for a in self.alphas:
-            _check_alpha(a)
+        alphas = tuple(map(_check_alpha, self.alphas)) if np.iterable(self.alphas) else ()
+        if not alphas:
+            raise BadParamsError(f"need an iterable of at least one alpha, got {self.alphas!r}")
+        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "base_seed", _count(self.base_seed, "base seed", -math.inf))
         object.__setattr__(self, "trials", _count(self.trials, "trials"))
         if self.horizon_cap is not None:
             object.__setattr__(self, "horizon_cap", _count(self.horizon_cap, "horizon cap"))
@@ -243,7 +245,10 @@ class _GreedyWindow:
 
 
 def default_horizon(spec: NeighborhoodSpec, alpha: float, factor: float = 10.0) -> int:
-    """``ceil(factor * log(1/alpha) / J*)``; at 10, censoring is negligible under steady drift."""
+    """``ceil(factor * log(1/alpha) / J*)``, a :func:`_real` factor > 0; 10 keeps censoring rare."""
+    alpha, factor = _check_alpha(alpha), _real(factor, "factor")
+    if not factor > 0.0:
+        raise BadParamsError(f"factor must be > 0, got {factor!r}")
     steps = factor * math.log(1.0 / alpha) / jstar(spec)
     if not math.isfinite(steps):  # a subnormal J* overflows the quotient
         raise BadParamsError(f"J* = {jstar(spec)!r} is too small for a default horizon; give one")
@@ -354,7 +359,7 @@ def run_trial(
     config: ExperimentConfig, alpha: float, alpha_index: int, trial_index: int
 ) -> TrialRecord:
     """Simulate one detection run with its deterministically derived seed."""
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     seed = trial_seed(config.base_seed, alpha_index, trial_index)
     cap = _cap(config, alpha)
     stops, wealth = _run_trials(config, alpha, cap, [seed])
@@ -428,7 +433,7 @@ def calibrate_null(
     draws: per block of ``4_000_000 // horizon`` streams (at least one), all
     outcomes, then all seeds, row-major, read in bounded ``_BLOCK_CELLS`` sub-blocks.
     """
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     trials, horizon = _count(trials, "trials"), _count(horizon, "horizon")
     _check_inside(spec, q_null)
     if not isinstance(bitgen := rng.bit_generator, np.random.Philox):

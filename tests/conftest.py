@@ -19,6 +19,13 @@ def random_spec(rng, n=None, n_min=2, n_max=8):
     return ewm.make_neighborhood(ewm.make_distribution(w), delta)
 
 
+def noise_profile(n, delta):
+    """The noise channel ``(1 - delta/2, delta/(2(n-1)), ...)``; J* is H(p0) minus its entropy."""
+    w = np.full(n, delta / (2.0 * (n - 1)))
+    w[0] = 1.0 - delta / 2.0
+    return ewm.VocabDistribution(w)
+
+
 def random_target(rng, spec):
     """Random target inside the ball: signed zero-sum shift with ||s||_1 <= delta."""
     z = rng.normal(size=spec.n)

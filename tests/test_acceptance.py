@@ -17,7 +17,7 @@ from scipy.stats import binom
 import ewm
 from ewm.cli import parse_alpha_grid
 
-from conftest import random_spec, random_target
+from conftest import noise_profile, random_spec, random_target
 
 _THREADS = min(os.cpu_count() or 1, 8)
 
@@ -39,7 +39,7 @@ def test_criterion_1_closed_form_cross_checks():
         spec = random_spec(rng, n_min=2, n_max=8)
         gap = abs(
             ewm.jstar(spec)
-            - (ewm.entropy(spec.anchor) - ewm.entropy(ewm.noise_profile(spec.n, spec.delta)))
+            - (ewm.entropy(spec.anchor) - ewm.entropy(noise_profile(spec.n, spec.delta)))
         )
         worst = max(worst, gap)
     elapsed = time.perf_counter() - start

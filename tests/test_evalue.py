@@ -4,7 +4,7 @@ import pytest
 import ewm
 from ewm.errors import DimensionMismatchError, FormatError, ZeroRowError
 
-from conftest import random_spec
+from conftest import noise_profile, random_spec
 
 
 def spec_of(weights, delta):
@@ -93,7 +93,7 @@ class TestJstar:
         for _ in range(50):
             spec = random_spec(rng)
             lhs = ewm.jstar(spec)
-            rhs = ewm.entropy(spec.anchor) - ewm.entropy(ewm.noise_profile(spec.n, spec.delta))
+            rhs = ewm.entropy(spec.anchor) - ewm.entropy(noise_profile(spec.n, spec.delta))
             assert abs(lhs - rhs) < 1e-12
 
 

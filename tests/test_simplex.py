@@ -7,6 +7,7 @@ import pytest
 import ewm
 from ewm.coupling import _stream_chunks
 from ewm.errors import (
+    BadAlphaError,
     BadParamsError,
     InvalidSpecError,
     LengthMismatchError,
@@ -16,7 +17,7 @@ from ewm.errors import (
     TooShortError,
 )
 
-from conftest import random_spec, random_target
+from conftest import noise_profile, random_spec, random_target
 
 
 def spec_of(weights, delta):
@@ -184,22 +185,16 @@ class TestDecomposeTarget:
 
 class TestNoiseProfile:
     def test_two_symbols(self):
-        nu = ewm.noise_profile(2, 0.1)
+        nu = noise_profile(2, 0.1)
         assert np.allclose(nu.weights, [0.95, 0.05], atol=1e-15)
 
     def test_three_symbols(self):
-        nu = ewm.noise_profile(3, 0.1)
+        nu = noise_profile(3, 0.1)
         assert np.allclose(nu.weights, [0.95, 0.025, 0.025], atol=1e-15)
 
     def test_vanishing_radius_limit(self):
-        nu = ewm.noise_profile(2, 1e-12)
+        nu = noise_profile(2, 1e-12)
         assert ewm.entropy(nu) < 1e-10
-
-    def test_bad_delta(self):
-        with pytest.raises(InvalidSpecError):
-            ewm.noise_profile(3, 0.0)
-        with pytest.raises(InvalidSpecError):
-            ewm.noise_profile(3, 2.0)
 
     def test_entropy_increases_up_to_uniform(self):
         # H(nu_delta) runs from 0 to log(n) as delta sweeps (0, 2(n-1)/n),
@@ -207,7 +202,7 @@ class TestNoiseProfile:
         for n in (2, 3, 5):
             top = 2.0 * (n - 1) / n
             grid = np.linspace(0.05 * top, 0.95 * top, 25)
-            values = [ewm.entropy(ewm.noise_profile(n, d)) for d in grid]
+            values = [ewm.entropy(noise_profile(n, d)) for d in grid]
             assert all(b > a for a, b in zip(values, values[1:]))
 
 
@@ -219,9 +214,9 @@ FAIR_PAIR = ewm.extreme_coupling(FAIR, ewm.FixedPair(0, 1))
 CYCLE_TABLE = ewm.make_evalue_table(np.exp([[0, 0.5, -1], [-1, 0, 0.5], [0.5, -1, 0]]))
 
 
-def _sweep(**counts):
-    return ewm.ExperimentConfig(spec=FAIR, alphas=(0.01,), policy=ewm.FixedPair(0, 1),
-                                **{"trials": 4, "horizon_cap": 50, **counts})
+def _sweep(**fields):
+    return ewm.ExperimentConfig(spec=FAIR, policy=ewm.FixedPair(0, 1),
+                                **{"alphas": (0.01,), "trials": 4, "horizon_cap": 50, **fields})
 
 
 # site -> (call with the count k, the name its error gives, low, high, a valid k): every
@@ -249,6 +244,8 @@ COUNT_SITES = {
                            1, None, 2),
     "saddle-perturbations": (lambda k: ewm.saddle_check(THREE, k, 0.05, ewm.trial_rng(3)),
                              "perturbations", 0, None, 2),
+    "trial-rng-seed": (lambda k: ewm.trial_rng(k).random(), "seed", 0, 2**128 - 1, 3),
+    "sweep-base-seed": (lambda k: _sweep(base_seed=k).base_seed, "base seed", -math.inf, None, 3),
 }
 
 
@@ -275,3 +272,67 @@ class TestCountRule:
         assert not ewm.cycle_condition_check(CYCLE_TABLE, 3)
         with pytest.raises(BadParamsError, match="cycle length cap must be an integer"):
             ewm.cycle_condition_check(CYCLE_TABLE, 2.7)  # once truncated to 2: True
+
+    def test_seed_ranges(self):
+        # trial_rng(2.5) once drew trial_rng(2)'s stream and trial_rng(-1) raised numpy's
+        # ValueError (both in COUNT_SITES); the largest Philox key and a negative base seed,
+        # which trial_seed masks to 64 bits, stay valid
+        ewm.trial_rng(2**128 - 1)
+        assert _sweep(base_seed=-1).base_seed == -1
+
+
+# site -> (call with the real x, its error, the name the error gives, a valid x): every real
+# parameter of the package; each once parsed "0.05", raised a raw error for None or a string,
+# or checked a value and then ran on the unchecked original
+REAL_SITES = {
+    "detector-alpha": (lambda x: ewm.init_detector(ewm.optimal_evalue(FAIR), x).alpha,
+                       BadAlphaError, "alpha", 0.5),
+    "baseline-alpha": (lambda x: ewm.init_baseline(x, 0.5).alpha, BadAlphaError, "alpha", 0.5),
+    "baseline-null-match": (lambda x: ewm.init_baseline(0.05, x).null_match_prob,
+                            BadParamsError, "null match probability", 0.5),
+    "neighborhood-delta": (lambda x: ewm.make_neighborhood(FAIR.anchor, x).delta,
+                           InvalidSpecError, "delta", 0.1),
+    "maxmin-p": (lambda x: ewm.two_token_maxmin(x, 0.1, 64, 1), BadParamsError, "p", 0.3),
+    "maxmin-delta": (lambda x: ewm.two_token_maxmin(0.3, x, 64, 1), BadParamsError, "delta",
+                     0.1),
+    "saddle-magnitude": (lambda x: ewm.saddle_check(THREE, 2, x, ewm.trial_rng(3)),
+                         BadParamsError, "magnitude", 0.05),
+    "horizon-alpha": (lambda x: ewm.default_horizon(FAIR, x), BadAlphaError, "alpha", 0.01),
+    "horizon-factor": (lambda x: ewm.default_horizon(FAIR, 0.01, factor=x), BadParamsError,
+                       "factor", 5),
+    "sweep-alphas": (lambda x: _sweep(alphas=(x,)).alphas, BadAlphaError, "alpha", 0.1),
+    "calibrate-alpha": (lambda x: ewm.calibrate_null(FAIR, x, 3, 20, FAIR.anchor,
+                                                     ewm.trial_rng(1)), BadAlphaError, "alpha",
+                        0.05),
+    "run-trial-alpha": (lambda x: ewm.run_trial(_sweep(), x, 0, 0), BadAlphaError, "alpha", 0.5),
+}
+
+
+class TestRealRule:
+    @pytest.mark.parametrize("site", sorted(REAL_SITES))
+    def test_real_is_a_finite_number(self, site):
+        call, error, name, x = REAL_SITES[site]
+        for bad in ("0.05", None, math.nan, math.inf, 10**400):
+            with pytest.raises(error, match=f"^{re.escape(name)} must be a finite real number"):
+                call(bad)
+        assert _outcome(call, np.float64(x)) == _outcome(call, x)
+
+    @pytest.mark.parametrize("call, error, name", [
+        pytest.param(lambda: ewm.default_horizon(FAIR, 2.0), BadAlphaError, "alpha",
+                     id="horizon-alpha-2"),  # once -14
+        pytest.param(lambda: ewm.default_horizon(FAIR, 0.01, factor=-1), BadParamsError,
+                     "factor", id="horizon-factor-negative"),  # once -9
+        pytest.param(lambda: ewm.default_horizon(FAIR, 0.01, factor=0), BadParamsError,
+                     "factor", id="horizon-factor-0"),  # once 0
+        pytest.param(lambda: _sweep(alphas=0.1), BadParamsError, "alpha",
+                     id="sweep-alphas-bare-number"),  # once a raw TypeError
+    ])
+    def test_out_of_range_is_refused(self, call, error, name):
+        with pytest.raises(error, match=name):
+            call()
+
+    def test_each_caller_keeps_the_float_it_checked(self):
+        config = _sweep(alphas=(np.float64(0.1), 1e-3))
+        assert config.alphas == (0.1, 1e-3) and type(config.alphas[0]) is float
+        assert _sweep(alphas=iter([0.1, 0.2])).alphas == (0.1, 0.2)  # read once
+        assert ewm.default_horizon(FAIR, 0.01, factor=5) == ewm.default_horizon(FAIR, 0.01, 5.0)
