@@ -54,11 +54,8 @@ from .simplex import (
 NEG_CLAMP = 1e-14
 
 # Guide-table buckets of [0, 1).  A power of two, so ``u * _GUIDE`` is exact and
-# its integer part is the bucket of ``u``; the least and greatest float of
-# each bucket are precomputed once.
+# its integer part is the bucket of ``u``.
 _GUIDE = 4096
-_BUCKET_LOW = np.arange(_GUIDE) / _GUIDE
-_BUCKET_HIGH = np.nextafter(_BUCKET_LOW + 1.0 / _GUIDE, 0.0)
 _BLOCK_CELLS = 16_384  # uniforms per bounded block: fixed-pair sweep, calibrate_null, generate
 
 
@@ -162,28 +159,41 @@ def sample_pair(w: CouplingMatrix, rng: np.random.Generator) -> tuple[int, int]:
     return divmod(idx, w.n)
 
 
-def _cell_lookup(cdf: np.ndarray, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The one vectorized uniform-to-cell map: ``lookup(u)`` is a new array
-    equal to ``values[min(searchsorted(cdf, u, side="right"), len(values) - 1)]``
-    for a nondecreasing ``cdf``.  Every ``u`` must lie in [0, 1), as the
-    draws of ``Generator.random`` do; outside it the bucket is out of range.
+def _cell_lookup(cdfs: np.ndarray, values: np.ndarray) -> Callable[..., np.ndarray]:
+    """The one vectorized uniform-to-cell map over a stack of nondecreasing CDFs:
+    ``lookup(u, rows=None)`` is a new array equal to ``values[min(searchsorted(cdfs[r],
+    u, side="right"), len(values) - 1)]`` for each ``u`` in [0, 1), as ``Generator.random``
+    draws, and its row ``r`` of ``rows`` (broadcast; None: row 0).
 
-    A guide table (indexed search) holds the answer of every bucket of
-    ``_GUIDE`` equal parts of [0, 1) whose least and greatest float land in
-    the same cell; ``searchsorted`` is monotone, so every float between them
-    does too.  Only uniforms in a bucket that straddles a CDF entry are
-    searched, with the same comparisons."""
-    top = len(values) - 1
-    lo = np.minimum(np.searchsorted(cdf, _BUCKET_LOW, side="right"), top)
-    hi = np.minimum(np.searchsorted(cdf, _BUCKET_HIGH, side="right"), top)
-    guide, straddles = values[lo], lo != hi
+    A guide table (indexed search) holds, per row, the answer of every bucket of
+    ``_GUIDE`` equal parts of [0, 1) whose least and greatest float land in the same
+    cell; ``searchsorted`` is monotone, so every float between them does too.  Only
+    uniforms in a bucket that straddles a CDF entry are searched, with the same
+    comparisons."""
+    top, scaled = len(values) - 1, np.asarray(cdfs) * _GUIDE  # exact, by a power of two
+    def at_most(edge):  # per row and bucket b, the CDF entries c with edge(c * G) <= b
+        at = np.clip(edge(scaled), 0, _GUIDE).astype(np.intp)  # nondecreasing in each row
+        counts = np.tile(np.minimum(np.arange(at.shape[1] + 1), top), len(at))
+        widths = np.diff(at, axis=1, prepend=0, append=_GUIDE).ravel()
+        return np.repeat(counts, widths).reshape(len(at), _GUIDE)
 
-    def lookup(u: np.ndarray) -> np.ndarray:
-        bucket = (u * _GUIDE).astype(np.intp)
-        out = guide[bucket]
-        search = straddles[bucket]
+    lo, hi = at_most(np.ceil), at_most(np.floor)  # b's least float b / G; its greatest
+    guide, straddles = values[lo].ravel(), (lo != hi).ravel()
+
+    def lookup(u: np.ndarray, rows=None) -> np.ndarray:
+        cell = (u * _GUIDE).astype(np.intp)  # the bucket, then its place in the stack
+        if rows is not None:
+            cell += rows * _GUIDE
+        out, search = guide[cell], straddles[cell]
         if search.any():
-            out[search] = values[np.minimum(np.searchsorted(cdf, u[search], side="right"), top)]
+            us = u[search]
+            if rows is None:
+                found = np.searchsorted(cdfs[0], us, side="right")
+            else:  # one search per row that holds a straddler
+                row, found = cell[search] // _GUIDE, np.empty(us.size, np.intp)
+                for r in np.unique(row):
+                    found[row == r] = np.searchsorted(cdfs[r], us[row == r], side="right")
+            out[search] = values[np.minimum(found, top)]
         return out
 
     return lookup
@@ -192,7 +202,7 @@ def _cell_lookup(cdf: np.ndarray, values: np.ndarray) -> Callable[[np.ndarray], 
 def _pair_draws(w: CouplingMatrix) -> Callable[[int, np.random.Generator], np.ndarray]:
     """``draw(count, rng)``: ``count`` uniforms of ``rng`` mapped through one guide
     table to ``(count, 2)`` pairs, the row and column of ``w``'s row-major cells."""
-    lookup = _cell_lookup(w.cdf, np.arange(w.n * w.n, dtype=np.int64))
+    lookup = _cell_lookup(w.cdf[np.newaxis], np.arange(w.n * w.n, dtype=np.int64))
     return lambda count, rng: np.stack(np.divmod(lookup(rng.random(count)), w.n), axis=1)
 
 

@@ -258,6 +258,13 @@ def _indices(values, n: int | None, error: type[Exception], size: int | None = N
     return out
 
 
+def _shown(value) -> str:
+    """``repr(value)`` cut to 80 characters; an int past ``str``'s digit limit has none."""
+    with suppress(ValueError):
+        return text if len(text := repr(value)) <= 80 else f"{text[:77]}..."
+    return f"<{type(value).__name__} past the digit limit>"
+
+
 def _count(value, name: str, low: int = 1, high: int | None = None) -> int:
     """The one count rule: ``value`` as the Python int :func:`operator.index` makes of it
     (numpy's too; a bool is 0/1), at least ``low`` and at most ``high`` when given; else
@@ -265,10 +272,10 @@ def _count(value, name: str, low: int = 1, high: int | None = None) -> int:
     try:
         count = operator.index(value)
     except TypeError:
-        raise BadParamsError(f"{name} must be an integer, got {value!r}") from None
+        raise BadParamsError(f"{name} must be an integer, got {_shown(value)}") from None
     if count < low or high is not None and count > high:
         bound = f"be >= {low}" if high is None else f"lie in {low}..{high}"
-        raise BadParamsError(f"{name} must {bound}, got {count}")
+        raise BadParamsError(f"{name} must {bound}, got {_shown(count)}")
     return count
 
 
@@ -278,7 +285,7 @@ def _real(value, name: str, error: type[Exception] = BadParamsError) -> float:
     with suppress(OverflowError):  # an int past the float range is not finite either
         if isinstance(value, numbers.Real) and np.isfinite(real := float(value)):
             return real
-    raise error(f"{name} must be a finite real number, got {value!r}")
+    raise error(f"{name} must be a finite real number, got {_shown(value)}")
 
 
 def _check_pair(spec: NeighborhoodSpec, pair: ExtremePair) -> None:

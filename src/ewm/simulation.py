@@ -17,19 +17,21 @@ where ``mix64`` is the splitmix64 finalizer (xor-shift/multiply avalanche).
 Trials are therefore embarrassingly parallel, and results are identical for
 any worker count or scheduling order.  Two engines run the trials; both take
 ``(spec, policy, alpha, cap, seeds)`` and return each seed's stop step (-1
-when censored) and final wealth.  Fixed-target trials take the vectorized
-fast path: one Philox per work unit is re-keyed for each trial by assigning
-its state, the trials' chunks are drawn row by row into one matrix, and a
-trial that has not crossed carries its wealth into its next chunk.  A guide
-table over 4,096 equal buckets of [0, 1) maps each matrix to its cells' log
-scores in one pass, with the comparisons of ``searchsorted``, so every uniform
-lands in the cell the stepwise loop's ``bisect_right`` gives it.  Every other
-trial runs the stepwise loop.  There, ``FixedPair``, ``RoundRobin`` and
-``HistoryGreedy`` draw exactly one uniform per step and take them in chunks,
-while ``RandomPair`` draws its vertex (``integers``) and then its uniform
-(``random``) at every step.  Chunked and one-at-a-time draws coincide, so both
-paths consume each trial's stream exactly as a loop drawing one value at a
-time would.  ``calibrate_null`` reads a :func:`trial_rng` generator in bounded
+when censored) and final wealth.  The block engine runs the history-free
+policies: each block places a re-keyed Philox at every trial's next word, reads
+the trials' blocks into one matrix, maps them to log scores through one guide
+table per vertex (the comparisons of ``searchsorted``) and carries the wealth
+of trials that have not crossed.  ``FixedPair`` and ``RoundRobin`` (vertex
+``step % m``) read one uniform, one word, per step.  ``RandomPair`` draws its
+vertex (``integers(m)``) then its uniform (``random``) at each step, so two
+steps take three words: word 3j gives the vertex draws of steps 2j and 2j + 1
+from its low then its high 32 bits, as Lemire's ``(x * m) >> 32``, and words
+3j + 1 and 3j + 2 their uniforms.  A draw numpy rejects, ``(x * m) mod 2**32 <
+(2**32 - m) mod m`` (never for a power-of-two m), shifts that layout, so a trial
+whose block holds one is re-run by the stepwise loop, which otherwise runs
+``HistoryGreedy``, one uniform per step in chunks.  Both engines consume each
+trial's stream exactly as a loop drawing one value at a time would.
+``calibrate_null`` reads a :func:`trial_rng` generator in bounded
 sub-blocks; per ``4_000_000 // horizon`` streams: all outcomes, then all seeds, row-major.
 """
 
@@ -42,7 +44,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import cycle, islice, repeat
+from itertools import islice
 
 import numpy as np
 
@@ -63,11 +65,12 @@ from .simplex import (
 
 _MASK64 = (1 << 64) - 1
 _ALPHA_STRIDE = 0x9E3779B97F4A7C15  # golden-ratio odd constant
-_STEP_CHUNK = 1_024  # uniforms per draw of the stepwise loop's one-draw policies
+_STEP_CHUNK = 1_024  # uniforms per draw of the stepwise loop's HistoryGreedy
 
 
 def mix64(x: int) -> int:
-    """Splitmix64 finalizer: a fixed 64-bit avalanche permutation."""
+    """Splitmix64 finalizer: a fixed 64-bit avalanche permutation, also elementwise on a
+    uint64 array, whose products wrap mod 2**64."""
     x &= _MASK64
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
@@ -80,6 +83,12 @@ def mix64(x: int) -> int:
 def trial_seed(base_seed: int, alpha_index: int, trial_index: int) -> int:
     """Order-independent per-trial seed derivation."""
     return mix64(base_seed ^ ((alpha_index * _ALPHA_STRIDE) & _MASK64) ^ trial_index)
+
+
+def _trial_seeds(base_seed: int, alpha_index: int, lo: int, hi: int) -> list[int]:
+    """``[trial_seed(base_seed, alpha_index, t) for t in range(lo, hi)]`` in one uint64 pass."""
+    key = (base_seed ^ alpha_index * _ALPHA_STRIDE) & _MASK64
+    return mix64(np.arange(lo, hi, dtype=np.uint64) ^ np.uint64(key)).tolist()
 
 
 def trial_rng(seed: int) -> np.random.Generator:
@@ -249,45 +258,34 @@ def default_horizon(spec: NeighborhoodSpec, alpha: float, factor: float = 10.0) 
     alpha, factor = _check_alpha(alpha), _real(factor, "factor")
     if not factor > 0.0:
         raise BadParamsError(f"factor must be > 0, got {factor!r}")
-    steps = factor * math.log(1.0 / alpha) / jstar(spec)
-    if not math.isfinite(steps):  # a subnormal J* overflows the quotient
-        raise BadParamsError(f"J* = {jstar(spec)!r} is too small for a default horizon; give one")
-    return math.ceil(steps)
-
-
-def _uniforms(rng: np.random.Generator, count: int):
-    """``count`` uniforms drawn in chunks; the same values as ``count`` calls
-    of ``rng.random()``."""
-    for lo in range(0, count, _STEP_CHUNK):
-        yield from rng.random(min(_STEP_CHUNK, count - lo)).tolist()
+    nats, rate = math.log(1.0 / alpha), jstar(spec)
+    if math.isfinite(steps := factor * nats / rate):
+        return math.ceil(steps)
+    if math.isfinite(10.0 * nats / rate):  # the default factor fits: this one overflows
+        raise BadParamsError(f"factor = {factor!r} overflows the horizon at J* = {rate!r}")
+    raise BadParamsError(f"J* = {rate!r} is too small for a default horizon; give one")
 
 
 def _run_stepwise(
     spec: NeighborhoodSpec, policy: AdversaryPolicy, alpha: float, cap: int, seeds: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The stepwise loop, one scalar step at a time, for every policy: stop
-    steps (-1 when censored) and final wealth, one per seed.  Each vertex's
-    CDF over its coupling's row-major joint (lexicographic vertex order) drops
-    its last entry, so a uniform beyond every other entry lands in the last
-    cell, exactly like ``searchsorted(side="right")`` clamped to the last cell."""
+    """The stepwise loop, one scalar step at a time, for ``HistoryGreedy`` and rejecting
+    ``RandomPair`` trials: stop steps (-1 when censored) and final wealth, one per seed.
+    Each vertex's CDF over its coupling's row-major joint (lexicographic vertex order)
+    drops its last entry, so a uniform beyond every other entry lands in the last cell,
+    exactly like ``searchsorted(side="right")`` clamped to the last cell."""
     log_flat = optimal_evalue(spec).log_scores.ravel().tolist()
-    pairs = enumerate_extremes(spec)
-    cdfs = [extreme_coupling(spec, pair).cdf[:-1].tolist() for pair in pairs]
-    m = len(cdfs)
-    threshold = math.log(1.0 / alpha)
-    stops = np.full(len(seeds), -1, dtype=np.int64)
-    wealth = np.empty(len(seeds))
+    cdfs = [extreme_coupling(spec, pair).cdf[:-1].tolist() for pair in enumerate_extremes(spec)]
+    m, threshold = len(cdfs), math.log(1.0 / alpha)
+    stops, wealth = np.full(len(seeds), -1, dtype=np.int64), np.empty(len(seeds))
     for t, seed in enumerate(seeds):
         rng = trial_rng(seed)
-        uniforms = _uniforms(rng, cap)  # a generator: nothing is drawn until it is read
         greedy = None
-        if isinstance(policy, FixedPair):
-            indices = repeat(pairs.index(policy))
-        elif isinstance(policy, RoundRobin):
-            indices = cycle(range(m))
-        elif isinstance(policy, HistoryGreedy):
+        if isinstance(policy, HistoryGreedy):
             greedy = _GreedyWindow(m, policy.window, set())
-            indices = iter(greedy.choose, None)
+            indices = iter(greedy.choose, None)  # uniforms are drawn in chunks as read
+            uniforms = (u for lo in range(0, cap, _STEP_CHUNK)
+                        for u in rng.random(min(_STEP_CHUNK, cap - lo)).tolist())
         elif isinstance(policy, RandomPair):  # the vertex, then the uniform, each step
             indices = iter(lambda: int(rng.integers(m)), None)
             uniforms = iter(rng.random, None)
@@ -306,39 +304,64 @@ def _run_stepwise(
     return stops, wealth
 
 
-def _run_fixed(
-    spec: NeighborhoodSpec, policy: FixedPair, alpha: float, cap: int, seeds: list[int]
+def _random_steps(raw: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``RandomPair``'s vertices and uniforms from rows of raw words, three per two steps
+    (the layout of the module docstring), and the rows holding a draw numpy rejects."""
+    words = raw.reshape(len(raw), -1, 3)
+    x = np.stack((words[..., 0] & np.uint64(2**32 - 1), words[..., 0] >> np.uint64(32)), -1)
+    x *= np.uint64(m)  # below 2**64: m = n * (n - 1) < 2**32 for any table that fits
+    rejected = ((x & np.uint64(2**32 - 1)) < (2**32 - m) % m).any(axis=(1, 2))
+    vertex, u = x >> np.uint64(32), (words[..., 1:] >> np.uint64(11)) * 2.0**-53  # numpy's
+    return vertex.astype(np.intp).reshape(len(raw), -1), u.reshape(len(raw), -1), rejected
+
+
+def _run_blocks(
+    spec: NeighborhoodSpec, policy: AdversaryPolicy, alpha: float, cap: int, seeds: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fast path for a constant coupling: stop steps (-1 when censored) and
-    final wealth, one per seed.  Trials run in blocks of one chunk's draws per
-    row, rows that have not crossed carry their wealth into the next chunk.
-    A chunk is about 1.25 expected stopping times in whole Philox blocks, and
-    at most ``_BLOCK_CELLS`` draws.
-    Uniforms map straight to their cells' log scores through one guide-table
-    lookup (:func:`~ewm.coupling._cell_lookup`), built once per call."""
-    w = extreme_coupling(spec, policy)
-    log_e = _cell_lookup(w.cdf, optimal_evalue(spec).log_scores.ravel())
+    """The block engine for ``FixedPair``, ``RoundRobin`` and ``RandomPair``: stop steps
+    (-1 when censored) and final wealth, one per seed.  A block is one chunk per row, about
+    1.25 expected stops in whole Philox blocks and at most ``_BLOCK_CELLS`` steps."""
+    if not isinstance(policy, (FixedPair, RoundRobin, RandomPair)):
+        raise BadParamsError(f"unknown policy {policy!r}")
+    pairs = [policy] if isinstance(policy, FixedPair) else enumerate_extremes(spec)
+    m, random = len(pairs), isinstance(policy, RandomPair)
+    log_e = _cell_lookup(np.stack([extreme_coupling(spec, pair).cdf for pair in pairs]),
+                         optimal_evalue(spec).log_scores.ravel())
     threshold = math.log(1.0 / alpha)
     expected = min(1.25 * threshold / jstar(spec), _BLOCK_CELLS)  # inf for a subnormal J*
     chunk = min(_BLOCK_CELLS, 4 * max(16, (int(expected) + 19) // 4))
     state = (gen := trial_rng(0)).bit_generator.state  # re-keyed for every row
 
-    stops = np.full(len(seeds), -1, dtype=np.int64)
-    wealth = np.empty(len(seeds))
+    stops, wealth, redo = np.full(len(seeds), -1, dtype=np.int64), np.empty(len(seeds)), []
     rows = max(1, _BLOCK_CELLS // min(chunk, cap))
     for lo in range(0, len(seeds), rows):
         live = np.arange(lo, min(lo + rows, len(seeds)))  # trials not yet crossed
         steps = 0
         while live.size and steps < cap:
-            u = np.empty((live.size, min(chunk, cap - steps)))
-            for row, t in zip(u, live):
-                state["state"]["key"][0] = seeds[t]
-                _philox_at(gen, state, steps).random(out=row)
-            hit, cum = _first_crossing(log_e(u), threshold, wealth[live] if steps else 0.0)
+            k = min(chunk, cap - steps)
+            if random:  # whole words: k rounded up to even, and steps is even
+                raw = np.empty((live.size, 3 * ((k + 1) // 2)), dtype=np.uint64)
+                for row, t in zip(raw, live):
+                    state["state"]["key"][0] = seeds[t]
+                    _philox_at(gen, state, 3 * steps // 2)
+                    row[:] = gen.bit_generator.random_raw(row.size)
+                vertex, u, rejected = _random_steps(raw, m)
+                redo += live[rejected].tolist()  # re-run stepwise at the end
+                live, vertex, u = live[~rejected], vertex[~rejected, :k], u[~rejected, :k]
+            else:
+                u = np.empty((live.size, k))
+                for row, t in zip(u, live):
+                    state["state"]["key"][0] = seeds[t]
+                    _philox_at(gen, state, steps).random(out=row)
+                vertex = np.arange(steps, steps + k) % m if m > 1 else None
+            hit, cum = _first_crossing(log_e(u, vertex), threshold, wealth[live] if steps else 0.0)
             wealth[live] = cum[np.arange(live.size), hit]  # column -1 when nothing crossed
             stops[live[hit >= 0]] = steps + hit[hit >= 0] + 1
             live = live[hit < 0]
-            steps += u.shape[1]
+            steps += k
+    if redo:
+        stops[redo], wealth[redo] = _run_stepwise(spec, policy, alpha, cap,
+                                                  [seeds[t] for t in redo])
     return stops, wealth
 
 
@@ -350,8 +373,8 @@ def _cap(config: ExperimentConfig, alpha: float) -> int:
 def _run_trials(
     config: ExperimentConfig, alpha: float, cap: int, seeds: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The one policy dispatch, between the fixed-pair fast path and the stepwise loop."""
-    run = _run_fixed if isinstance(config.policy, FixedPair) else _run_stepwise
+    """The one policy dispatch: only ``HistoryGreedy``, which reads its history, runs stepwise."""
+    run = _run_stepwise if isinstance(config.policy, HistoryGreedy) else _run_blocks
     return run(config.spec, config.policy, alpha, cap, seeds)
 
 
@@ -371,7 +394,7 @@ def run_trial(
 def _sweep_task(args) -> np.ndarray:
     """One (alpha, trial-range) work unit; returns stop steps, -1 = censored."""
     config, alpha, alpha_index, lo, hi = args
-    seeds = [trial_seed(config.base_seed, alpha_index, t) for t in range(lo, hi)]
+    seeds = _trial_seeds(config.base_seed, alpha_index, lo, hi)
     return _run_trials(config, alpha, _cap(config, alpha), seeds)[0]
 
 
@@ -402,16 +425,8 @@ def estimate_stopping(config: ExperimentConfig, threads: int = 1) -> list[SweepR
             log_inv = math.log(1.0 / alpha)
             mean = float(filled.mean())
             std_err = float(filled.std(ddof=1) / math.sqrt(filled.size)) if filled.size > 1 else 0.0
-            rows.append(
-                SweepRow(
-                    alpha=alpha,
-                    log_inv_alpha=log_inv,
-                    mean_tau=mean,
-                    std_err=std_err,
-                    ratio=mean / log_inv,
-                    censored_count=censored,
-                )
-            )
+            rows.append(SweepRow(alpha=alpha, log_inv_alpha=log_inv, mean_tau=mean,
+                                 std_err=std_err, ratio=mean / log_inv, censored_count=censored))
     return rows
 
 
@@ -440,8 +455,8 @@ def calibrate_null(
         raise BadParamsError(f"calibrate_null takes a Philox generator, got {type(bitgen).__name__}")
     log_flat = (e if e is not None else optimal_evalue(spec)).log_scores.ravel()
     threshold = math.log(1.0 / alpha)
-    row = _cell_lookup(np.cumsum(q_null.weights), np.arange(spec.n) * spec.n)
-    col = _cell_lookup(np.cumsum(spec.anchor.weights), np.arange(spec.n))
+    row = _cell_lookup(np.cumsum(q_null.weights)[np.newaxis], np.arange(spec.n) * spec.n)
+    col = _cell_lookup(np.cumsum(spec.anchor.weights)[np.newaxis], np.arange(spec.n))
     state, seeds, seed_state = bitgen.state, trial_rng(0), bitgen.state
     pos = 4 * int.from_bytes(state["state"]["counter"].astype("<u8"), "little")
     pos += state["buffer_pos"] - 4

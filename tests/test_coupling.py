@@ -222,10 +222,16 @@ class TestCellLookup:
         cdf, values = table
         u = np.concatenate([adversarial_uniforms(cdf), np.random.default_rng(seed).random(999)])
         expected = values[np.minimum(np.searchsorted(cdf, u, side="right"), values.size - 1)]
-        lookup = _cell_lookup(cdf, values)
+        lookup = _cell_lookup(cdf[np.newaxis], values)
         assert np.array_equal(lookup(u), expected)
         rows = u[: u.size // 3 * 3].reshape(3, -1)
         assert np.array_equal(lookup(rows), expected[: rows.size].reshape(rows.shape))
+        # a stack of CDFs, each uniform looked up in the row it names
+        stack = np.stack([cdf, cdf**2, np.zeros_like(cdf)])
+        which = np.random.default_rng(seed).integers(0, 3, u.size)
+        expected = [values[min(np.searchsorted(stack[r], x, side="right"), values.size - 1)]
+                    for r, x in zip(which, u)]
+        assert np.array_equal(_cell_lookup(stack, values)(u, which), expected)
 
 
 class TestMarginalGuarantees:

@@ -5,9 +5,13 @@ The adaptive sweep-tau tables were written with
     ewm sweep-tau --anchor ANCHOR --delta 0.1 --alphas 1e-2,1e-120 --trials 4 \
         --seed 0 --policy POLICY --threads 1 --out tests/golden/sweep-tau-TAG-POLICY.csv
 
-for the adaptive policies, which run the stepwise loop, on a 2- and a 4-symbol
-anchor.  The fixed-pair tables ``sweep-tau-fixed-TAG.csv`` were written the
-same way from ``FIXED_SWEEP`` and the ``FIXED_ANCHORS``, and each entry of
+for the adaptive policies on a 2- and a 4-symbol anchor.  ``roundrobin`` and
+``random`` run the block engine: ``random`` reads three Philox words per two
+steps, the vertex draws of both from the low then the high half of the first
+word, and a trial whose block holds a draw numpy rejects is re-run by the
+stepwise loop, which runs ``greedy``.  The fixed-pair tables
+``sweep-tau-fixed-TAG.csv`` were written the same way from ``FIXED_SWEEP`` and
+the ``FIXED_ANCHORS``, and each entry of
 ``RUNS`` with ``ewm ARGV --out tests/golden/NAME.csv`` for a table (``NAME.json``
 for a report), with ``--trace tests/golden/NAME-trace.csv`` in place of
 ``TRACE``.  The tables cover the paths that map uniforms to coupling cells in

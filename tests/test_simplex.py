@@ -16,6 +16,7 @@ from ewm.errors import (
     SumNotOneError,
     TooShortError,
 )
+from ewm.simplex import _count, _real
 
 from conftest import noise_profile, random_spec, random_target
 
@@ -246,6 +247,7 @@ COUNT_SITES = {
                              "perturbations", 0, None, 2),
     "trial-rng-seed": (lambda k: ewm.trial_rng(k).random(), "seed", 0, 2**128 - 1, 3),
     "sweep-base-seed": (lambda k: _sweep(base_seed=k).base_seed, "base seed", -math.inf, None, 3),
+    "count-rule": (lambda k: _count(k, "x", 0, 5), "x", 0, 5, 3),  # 10**5000 once raised its repr
 }
 
 
@@ -261,7 +263,8 @@ class TestCountRule:
     @pytest.mark.parametrize("site", sorted(COUNT_SITES))
     def test_count_is_an_int_in_bounds(self, site):
         call, name, low, high, k = COUNT_SITES[site]
-        for bad in (2.5, "3", low - 1, *([] if high is None else [high + 1, float(low)])):
+        beyond = [] if high is None else [high + 1, float(low), 10**5000]
+        for bad in (2.5, "3", low - 1, *beyond, *([] if low == -math.inf else [-10**5000])):
             with pytest.raises(BadParamsError, match=re.escape(name)):
                 call(bad)
         assert _outcome(call, np.int64(k)) == _outcome(call, k)
@@ -305,6 +308,7 @@ REAL_SITES = {
                                                      ewm.trial_rng(1)), BadAlphaError, "alpha",
                         0.05),
     "run-trial-alpha": (lambda x: ewm.run_trial(_sweep(), x, 0, 0), BadAlphaError, "alpha", 0.5),
+    "real-rule": (lambda x: _real(x, "x"), BadParamsError, "x", 0.5),
 }
 
 
@@ -312,7 +316,8 @@ class TestRealRule:
     @pytest.mark.parametrize("site", sorted(REAL_SITES))
     def test_real_is_a_finite_number(self, site):
         call, error, name, x = REAL_SITES[site]
-        for bad in ("0.05", None, math.nan, math.inf, 10**400):
+        # 10**5000 has no repr: str refuses ints past 4,300 digits
+        for bad in ("0.05", None, math.nan, math.inf, 10**400, 10**5000):
             with pytest.raises(error, match=f"^{re.escape(name)} must be a finite real number"):
                 call(bad)
         assert _outcome(call, np.float64(x)) == _outcome(call, x)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,11 @@ from ewm.simulation import (
     StepOutcome,
     TrialRecord,
     _philox_at,
-    _run_fixed,
+    _random_steps,
+    _run_blocks,
     _run_stepwise,
     _sweep_task,
+    _trial_seeds,
     choose_pair,
 )
 
@@ -46,6 +49,13 @@ class TestSeeding:
         assert a == b
         assert ewm.trial_seed(7, 3, 12) != a
         assert ewm.trial_seed(7, 4, 11) != a
+
+    @pytest.mark.parametrize("base", [0, 1, -1, 2**64 - 1, 2**70 + 5, -2**65])
+    def test_one_pass_seeds_equal_trial_seed(self, base):
+        for ai in (0, 1, 7, 29):
+            for lo, hi in ((0, 0), (0, 1), (0, 50), (37, 140), (2**40, 2**40 + 3)):
+                expected = [ewm.trial_seed(base, ai, t) for t in range(lo, hi)]
+                assert _trial_seeds(base, ai, lo, hi) == expected
 
 
 def word_position(state):
@@ -173,19 +183,42 @@ def reference_fold(spec, e, policy, alpha, cap, seed):
                        steps_run=state.steps, seed=seed)
 
 
-def stepwise_record(spec, policy, alpha, cap, seed):
-    """One trial of the stepwise loop as a ``TrialRecord``."""
-    stops, wealth = _run_stepwise(spec, policy, alpha, cap, [seed])
+def engine_record(spec, policy, alpha, cap, seed):
+    """One trial of the engine ``_run_trials`` picks for ``policy``, as a ``TrialRecord``."""
+    # _run_trials reads the config's spec and policy only, so alpha may be unreachable
+    config = ewm.ExperimentConfig(spec=spec, alphas=(0.5,), trials=1, policy=policy)
+    stops, wealth = ewm.simulation._run_trials(config, alpha, cap, [seed])
     stop = int(stops[0]) if stops[0] > 0 else None
     return TrialRecord(stop_step=stop, final_wealth=float(wealth[0]), steps_run=stop or cap,
                        seed=seed)
 
 
+def scalar_fold(spec, policy, alpha, cap, seeds):
+    """Stop steps (-1 when censored) and wealth of ``FixedPair`` or ``RoundRobin``, one
+    uniform and one Python step at a time."""
+    pairs = [policy] if isinstance(policy, ewm.FixedPair) else ewm.enumerate_extremes(spec)
+    cdfs = [ewm.extreme_coupling(spec, pair).cdf[:-1].tolist() for pair in pairs]
+    log_flat = ewm.optimal_evalue(spec).log_scores.ravel().tolist()
+    threshold = math.log(1.0 / alpha)
+    stops, wealth = np.full(len(seeds), -1), np.empty(len(seeds))
+    for t, seed in enumerate(seeds):
+        rng, total = ewm.trial_rng(seed), 0.0
+        for step in range(cap):
+            if step % 4096 == 0:
+                uniforms = iter(rng.random(min(4096, cap - step)).tolist())
+            total += log_flat[bisect_right(cdfs[step % len(cdfs)], next(uniforms))]
+            if total >= threshold:
+                stops[t] = step + 1
+                break
+        wealth[t] = total
+    return stops, wealth
+
+
 class TestRunTrial:
     def test_stepwise_loop_matches_the_reference_fold(self):
-        # (anchor, alpha, cap, seeds): n=4 has 12 vertices, so RandomPair's
-        # integers(12) is not a power-of-two draw; the cap of 15 censors;
-        # alpha 1e-300 on n=2 takes about 1,400 steps, more than one chunk
+        # both engines, through _run_trials; (anchor, alpha, cap, seeds): n=4 has 12
+        # vertices, so RandomPair's integers(12) is not a power-of-two draw; the cap of
+        # 15 censors; alpha 1e-300 on n=2 takes about 1,400 steps, more than one chunk
         cases = [([0.5, 0.5], 1e-300, 10**6, (0,)),
                  ([0.5, 0.5], 1e-6, 10**4, (1, 2)),
                  ([0.4, 0.3, 0.3], 1e-20, 10**4, (3, 4)),
@@ -199,7 +232,7 @@ class TestRunTrial:
             e = ewm.optimal_evalue(spec)
             for policy in policies:
                 for seed in seeds:
-                    record = stepwise_record(spec, policy, alpha, cap, seed)
+                    record = engine_record(spec, policy, alpha, cap, seed)
                     assert record == reference_fold(spec, e, policy, alpha, cap, seed)
                     censored += record.stop_step is None
                     long_runs += record.steps_run > _STEP_CHUNK
@@ -217,17 +250,24 @@ class TestRunTrial:
         config = ewm.ExperimentConfig(
             spec=FAIR, alphas=(0.02, 1e-12), trials=8, policy=ewm.FixedPair(0, 1), base_seed=42
         )
+        e = ewm.optimal_evalue(FAIR)
         for ai, alpha in enumerate(config.alphas):
             cap = ewm.default_horizon(FAIR, alpha)
             for t in range(config.trials):
                 fast = ewm.run_trial(config, alpha, ai, t)
-                slow = stepwise_record(FAIR, config.policy, alpha, cap, ewm.trial_seed(42, ai, t))
-                assert fast == slow
+                seed = ewm.trial_seed(42, ai, t)
+                assert fast == reference_fold(FAIR, e, config.policy, alpha, cap, seed)
 
     def test_default_horizon_refuses_an_overflowing_quotient(self):
         spec = spec_of([1.0, 7e-309], 7e-310)  # J* about 4.7e-306, scores finite
-        with pytest.raises(BadParamsError, match="too small for a default horizon"):
+        with pytest.raises(BadParamsError) as err:
             ewm.default_horizon(spec, 5.7e-309)
+        # the CLI's stderr for a subnormal J*, byte for byte
+        assert str(err.value) == ("J* = 4.7174781695518544e-306 is too small for a default "
+                                  "horizon; give one")
+        with pytest.raises(BadParamsError) as err:  # once blamed J* = 0.4946...
+            ewm.default_horizon(FAIR, 0.01, factor=1e308)
+        assert str(err.value).startswith("factor = 1e+308 overflows the horizon")
         rate = ewm.jstar(FAIR)
         assert ewm.default_horizon(FAIR, 0.01) == math.ceil(10.0 * math.log(100.0) / rate)
         assert ewm.default_horizon(FAIR, 0.01, factor=5.0) == math.ceil(5.0 * math.log(100.0) / rate)
@@ -352,7 +392,7 @@ class TestEstimateStopping:
                                           policy=ewm.FixedPair(*pair), horizon_cap=cap,
                                           base_seed=31)
             seeds = [ewm.trial_seed(31, 0, t) for t in range(300)]
-            taus = _run_stepwise(spec, config.policy, alpha, cap, seeds)[0]
+            taus = scalar_fold(spec, config.policy, alpha, cap, seeds)[0]
             assert (taus < 0).any() and (chunk is None or (taus > chunk).any())
             assert np.array_equal(_sweep_task((config, alpha, 0, 0, 300)), taus)
             row = ewm.estimate_stopping(config, threads=1)[0]
@@ -367,7 +407,7 @@ class TestEstimateStopping:
         seeds = [ewm.trial_seed(5, 0, t) for t in range(4)]
         tracemalloc.start()
         try:
-            _run_fixed(spec, ewm.FixedPair(1, 0), 0.01, ewm.default_horizon(spec, 0.01), seeds)
+            _run_blocks(spec, ewm.FixedPair(1, 0), 0.01, ewm.default_horizon(spec, 0.01), seeds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -379,8 +419,8 @@ class TestEstimateStopping:
         spec = spec_of([1 - 1e-5, 1e-5], 9e-6)
         cap = ewm.default_horizon(spec, 0.01)
         seeds = [ewm.trial_seed(5, 0, t) for t in range(4)]
-        stops, wealth = _run_fixed(spec, ewm.FixedPair(0, 1), 0.01, cap, seeds)
-        expected = _run_stepwise(spec, ewm.FixedPair(0, 1), 0.01, cap, seeds)
+        stops, wealth = _run_blocks(spec, ewm.FixedPair(0, 1), 0.01, cap, seeds)
+        expected = scalar_fold(spec, ewm.FixedPair(0, 1), 0.01, cap, seeds)
         assert stops.min() > 150_000
         assert np.array_equal(stops, expected[0]) and np.array_equal(wealth, expected[1])
 
@@ -429,6 +469,77 @@ class TestEstimateStopping:
             assert row.ratio >= floor, (policy, row.ratio, floor)
 
 
+class TestBlockEngine:
+    @pytest.mark.parametrize("m", [2, 12])
+    def test_random_decode_equals_numpy_draws(self, m):
+        # five trials' first 150 words decode to the vertex, then the uniform, of
+        # their first 100 steps
+        raw = np.stack([ewm.trial_rng(seed).bit_generator.random_raw(150) for seed in range(5)])
+        vertex, u, rejected = _random_steps(raw, m)
+        assert not rejected.any()
+        for seed in range(5):
+            twin = ewm.trial_rng(seed)
+            expected = [(int(twin.integers(m)), twin.random()) for _ in range(100)]
+            assert list(zip(vertex[seed].tolist(), u[seed].tolist())) == expected
+
+    def test_random_decode_flags_exactly_the_rejecting_blocks(self):
+        # for m = 3 * 2**30 numpy rejects a quarter of its 32-bit draws; a two-step
+        # block that none rejects leaves the twin at word 3 with no half-word kept
+        m, seeds = 3 * 2**30, range(200)
+        raw = np.stack([ewm.trial_rng(seed).bit_generator.random_raw(3) for seed in seeds])
+        vertex, u, rejected = _random_steps(raw, m)
+        for seed in seeds:
+            twin = ewm.trial_rng(seed)
+            draws = [(int(twin.integers(m)), twin.random()) for _ in range(2)]
+            state = twin.bit_generator.state
+            clean = word_position(state) == 3 and not state["has_uint32"]
+            assert rejected[seed] == (not clean)
+            if clean:
+                assert list(zip(vertex[seed].tolist(), u[seed].tolist())) == draws
+        assert 0 < rejected.sum() < len(seeds)
+
+    def test_a_rejecting_row_is_rerun_by_the_stepwise_loop(self, monkeypatch):
+        decode, stepwise, rerun = _random_steps, _run_stepwise, []
+
+        def reject_the_first_row_once(raw, m):
+            vertex, u, rejected = decode(raw, m)
+            rejected[0] |= not rerun
+            return vertex, u, rejected
+
+        def recorded_stepwise(spec, policy, alpha, cap, seeds):
+            rerun.extend(seeds)
+            return stepwise(spec, policy, alpha, cap, seeds)
+
+        monkeypatch.setattr(ewm.simulation, "_random_steps", reject_the_first_row_once)
+        monkeypatch.setattr(ewm.simulation, "_run_stepwise", recorded_stepwise)
+        spec = spec_of([0.4, 0.3, 0.18, 0.12], 0.1)
+        e, seeds = ewm.optimal_evalue(spec), [ewm.trial_seed(17, 0, t) for t in range(3)]
+        config = ewm.ExperimentConfig(spec=spec, alphas=(1e-6,), trials=3,
+                                      policy=ewm.RandomPair())
+        stops, wealth = ewm.simulation._run_trials(config, 1e-6, 500, seeds)
+        assert rerun == seeds[:1]
+        for t, seed in enumerate(seeds):
+            record = reference_fold(spec, e, ewm.RandomPair(), 1e-6, 500, seed)
+            assert (stops[t], wealth[t]) == (record.stop_step or -1, record.final_wealth)
+
+    @pytest.mark.parametrize("policy", [ewm.RoundRobin(), ewm.RandomPair()])
+    def test_blocks_carry_like_a_scalar_fold(self, policy):
+        # on the weak, noisy drift of [0.85, 0.15] some trials outlast their first
+        # 104-step block; the odd cap of 121 censors some and ends on an odd block
+        spec = spec_of([0.85, 0.15], 0.14)
+        seeds = [ewm.trial_seed(31, 0, t) for t in range(300)]
+        stops, wealth = _run_blocks(spec, policy, 1e-5, 121, seeds)
+        fold = scalar_fold if isinstance(policy, ewm.RoundRobin) else _run_stepwise
+        expected = fold(spec, policy, 1e-5, 121, seeds)
+        assert (stops > 104).any() and (stops < 0).any()
+        assert np.array_equal(stops, expected[0]) and np.array_equal(wealth, expected[1])
+
+    def test_stepwise_loop_runs_only_the_adaptive_policies(self):
+        for policy in (ewm.FixedPair(0, 1), ewm.RoundRobin()):
+            with pytest.raises(BadParamsError, match="unknown policy"):
+                _run_stepwise(FAIR, policy, 0.01, 10, [0])
+
+
 class TestDriftIdentity:
     def test_fixed_pair_mean_log_score_is_rate(self):
         spec = spec_of([0.2, 0.8], 0.1)
@@ -443,7 +554,7 @@ class TestDriftIdentity:
         # unreachable threshold and a fixed horizon: no stopping bias in the mean
         spec = spec_of([0.4, 0.3, 0.3], 0.1)
         for policy in (ewm.RoundRobin(), ewm.HistoryGreedy(window=16)):
-            record = stepwise_record(spec, policy, 1e-320, 700, 77)
+            record = engine_record(spec, policy, 1e-320, 700, 77)
             assert record.stop_step is None and record.steps_run == 700
             mean = record.final_wealth / record.steps_run
             assert abs(mean - ewm.jstar(spec)) < 0.12  # 4 sd of a 700-step average
@@ -611,8 +722,8 @@ def whole_block_calibrate(spec, alpha, trials, horizon, q_null, rng, e=None):
     ``4_000_000 // horizon`` streams: all outcomes, then all seeds."""
     log_flat = (e if e is not None else ewm.optimal_evalue(spec)).log_scores.ravel()
     threshold = math.log(1.0 / alpha)
-    row = _cell_lookup(np.cumsum(q_null.weights), np.arange(spec.n) * spec.n)
-    col = _cell_lookup(np.cumsum(spec.anchor.weights), np.arange(spec.n))
+    row = _cell_lookup(np.cumsum(q_null.weights)[np.newaxis], np.arange(spec.n) * spec.n)
+    col = _cell_lookup(np.cumsum(spec.anchor.weights)[np.newaxis], np.arange(spec.n))
     hits = 0
     block = max(1, min(trials, 4_000_000 // max(1, horizon)))
     done = 0
