@@ -107,6 +107,12 @@ class ExtremePair:
         object.__setattr__(self, "gain", gain)
         object.__setattr__(self, "loss", loss)
 
+    @classmethod
+    def _trusted(cls, gain: int, loss: int) -> ExtremePair:
+        """The vertex of two distinct Python ints already known to be indices, unchecked."""
+        vars(pair := object.__new__(cls)).update(gain=gain, loss=loss)
+        return pair
+
 
 @dataclass(frozen=True, eq=False)
 class MixtureDecomposition:
@@ -181,7 +187,7 @@ def extreme_target(spec: NeighborhoodSpec, pair: ExtremePair) -> VocabDistributi
 def enumerate_extremes(spec: NeighborhoodSpec) -> list[ExtremePair]:
     """All ``n(n-1)`` vertices in lexicographic (gain, loss) order."""
     n = spec.n
-    return [ExtremePair(a, b) for a in range(n) for b in range(n) if a != b]
+    return [ExtremePair._trusted(a, b) for a in range(n) for b in range(n) if a != b]
 
 
 def decompose_target(spec: NeighborhoodSpec, q: VocabDistribution) -> MixtureDecomposition:
@@ -226,7 +232,7 @@ def decompose_target(spec: NeighborhoodSpec, q: VocabDistribution) -> MixtureDec
         weights[(1, 0)] = weights.get((1, 0), 0.0) + pad / 2.0
 
     terms = tuple(
-        (ExtremePair(a, b), w) for (a, b), w in sorted(weights.items()) if w > 0.0
+        (ExtremePair._trusted(a, b), w) for (a, b), w in sorted(weights.items()) if w > 0.0
     )
     return MixtureDecomposition(terms=terms)
 

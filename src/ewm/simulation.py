@@ -15,22 +15,22 @@ Each trial owns an independent counter-based random stream (Philox) keyed by
 
 where ``mix64`` is the splitmix64 finalizer (xor-shift/multiply avalanche).
 Trials are therefore embarrassingly parallel, and results are identical for
-any worker count or scheduling order.  Two engines run the trials; both take
-``(spec, policy, alpha, cap, seeds)`` and return each seed's stop step (-1
-when censored) and final wealth.  The block engine runs the history-free
-policies: each block places a re-keyed Philox at every trial's next word, reads
-the trials' blocks into one matrix, maps them to log scores through one guide
-table per vertex (the comparisons of ``searchsorted``) and carries the wealth
-of trials that have not crossed.  ``FixedPair`` and ``RoundRobin`` (vertex
-``step % m``) read one uniform, one word, per step.  ``RandomPair`` draws its
-vertex (``integers(m)``) then its uniform (``random``) at each step, so two
-steps take three words: word 3j gives the vertex draws of steps 2j and 2j + 1
-from its low then its high 32 bits, as Lemire's ``(x * m) >> 32``, and words
-3j + 1 and 3j + 2 their uniforms.  A draw numpy rejects, ``(x * m) mod 2**32 <
-(2**32 - m) mod m`` (never for a power-of-two m), shifts that layout, so a trial
-whose block holds one is re-run by the stepwise loop, which otherwise runs
-``HistoryGreedy``, one uniform per step in chunks.  Both engines consume each
-trial's stream exactly as a loop drawing one value at a time would.
+any worker count or scheduling order.  Two engines run the trials and return each
+seed's stop step (-1 when censored) and final wealth.  The block engine places a
+re-keyed Philox at every live trial's next word, reads the trials' blocks into one
+matrix, maps them to log scores through one guide table per vertex (the comparisons
+of ``searchsorted``) and carries the wealth of trials that have not crossed.
+``FixedPair`` and ``RoundRobin`` (vertex ``step % m``) read one uniform, one word, per
+step.  ``RandomPair`` draws its vertex (``integers(m)``) then its uniform (``random``):
+word 3j gives the vertex draws of steps 2j and 2j + 1 from its low then its high 32
+bits, as Lemire's ``(x * m) >> 32``, and words 3j + 1 and 3j + 2 their uniforms.  A
+draw numpy rejects, ``(x * m) mod 2**32 < (2**32 - m) mod m`` (never for a power-of-two
+m), shifts that layout, so a trial whose block holds one is re-run by the stepwise loop.
+``HistoryGreedy`` runs stepwise until absorbed: every vertex played and the last
+``window`` steps all on one vertex A.  Every other window is then empty, so A (a finite
+mean) is chosen at every later step: the block engine continues the trial as
+``FixedPair(A)`` at word = steps taken, with its wealth carried.  Both engines consume
+each trial's stream exactly as a loop drawing one value at a time would.
 ``calibrate_null`` reads a :func:`trial_rng` generator in bounded
 sub-blocks; per ``4_000_000 // horizon`` streams: all outcomes, then all seeds, row-major.
 """
@@ -66,6 +66,7 @@ from .simplex import (
 _MASK64 = (1 << 64) - 1
 _ALPHA_STRIDE = 0x9E3779B97F4A7C15  # golden-ratio odd constant
 _STEP_CHUNK = 1_024  # uniforms per draw of the stepwise loop's HistoryGreedy
+_TABLE: dict = {}  # the last (spec, FixedPair or None) and its table; a spec hashes by identity
 
 
 def mix64(x: int) -> int:
@@ -131,10 +132,11 @@ class RandomPair:
 class HistoryGreedy:
     """Play the vertex whose recent realized log score was smallest.
 
-    Unplayed vertices are tried first in lexicographic order; afterwards the
-    vertex with the lowest mean log score over the last ``window`` steps (a
-    count) is chosen, ties broken lexicographically.  Under the optimal score
-    table all vertices share the same expected log score, so no choice lowers the drift.
+    Unplayed vertices are tried first in lexicographic order; afterwards the vertex with
+    the lowest mean log score over the last ``window`` steps (a count) is chosen, ties
+    broken lexicographically.  Once all are played and the window holds one vertex, no
+    other has a mean, so that one is played for good (absorbed).  Under the optimal
+    score table every vertex drifts at J*, so no choice lowers the drift.
     """
 
     window: int = 32
@@ -212,8 +214,7 @@ def choose_pair(
     if isinstance(policy, RandomPair):
         return pairs[int(rng.integers(len(pairs)))]
     if isinstance(policy, HistoryGreedy):
-        greedy = _GreedyWindow(len(pairs), policy.window,
-                               {rec.pair_index for rec in history})
+        greedy = _GreedyWindow(len(pairs), policy.window, {rec.pair_index for rec in history})
         for rec in history[-policy.window:]:
             greedy.push(rec.pair_index, rec.log_e)
         return pairs[greedy.choose()]
@@ -221,9 +222,9 @@ def choose_pair(
 
 
 class _GreedyWindow:
-    """``HistoryGreedy``'s state and its one rule.  ``recent[i]`` holds vertex
-    i's log scores within the last ``window`` steps, oldest first, and
-    ``order`` the vertices of those steps; ``played`` is every vertex played."""
+    """``HistoryGreedy``'s state and its one rule.  ``recent[i]`` holds vertex i's log scores
+    within the last ``window`` steps, oldest first, ``order`` the vertices of those steps and
+    ``played`` every vertex played; ``push`` returns True once the trial is absorbed."""
 
     def __init__(self, m: int, window: int, played: set[int]):
         self.recent: list[deque[float]] = [deque() for _ in range(m)]
@@ -231,12 +232,13 @@ class _GreedyWindow:
         self.window = window
         self.played = played
 
-    def push(self, idx: int, log_e: float) -> None:
+    def push(self, idx: int, log_e: float) -> bool:
         if len(self.order) == self.window:
             self.recent[self.order.popleft()].popleft()
         self.order.append(idx)
         self.recent[idx].append(log_e)
         self.played.add(idx)
+        return len(self.recent[idx]) == self.window and len(self.played) == len(self.recent)
 
     def choose(self) -> int:
         """The first unplayed vertex, else the first with the lowest mean recent
@@ -266,23 +268,32 @@ def default_horizon(spec: NeighborhoodSpec, alpha: float, factor: float = 10.0) 
     raise BadParamsError(f"J* = {rate!r} is too small for a default horizon; give one")
 
 
+def _vertex_table(spec: NeighborhoodSpec, pair: ExtremePair | None = None) -> tuple:
+    """``pair``'s, else every vertex's (lexicographic) :func:`_cell_lookup`, flat log scores
+    and CDFs less their last entry (a uniform past the rest lands in the last cell, as the
+    lookup's does) as lists; the last key's is kept, so a sweep builds one per process."""
+    if (key := (spec, pair)) not in _TABLE:
+        cdfs = np.stack([extreme_coupling(spec, p).cdf
+                         for p in ([pair] if pair is not None else enumerate_extremes(spec))])
+        log_flat = optimal_evalue(spec).log_scores.ravel()
+        _TABLE.clear()
+        _TABLE[key] = _cell_lookup(cdfs, log_flat), log_flat.tolist(), cdfs[:, :-1].tolist()
+    return _TABLE[key]
+
+
 def _run_stepwise(
     spec: NeighborhoodSpec, policy: AdversaryPolicy, alpha: float, cap: int, seeds: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
     """The stepwise loop, one scalar step at a time, for ``HistoryGreedy`` and rejecting
-    ``RandomPair`` trials: stop steps (-1 when censored) and final wealth, one per seed.
-    Each vertex's CDF over its coupling's row-major joint (lexicographic vertex order)
-    drops its last entry, so a uniform beyond every other entry lands in the last cell,
-    exactly like ``searchsorted(side="right")`` clamped to the last cell."""
-    log_flat = optimal_evalue(spec).log_scores.ravel().tolist()
-    cdfs = [extreme_coupling(spec, pair).cdf[:-1].tolist() for pair in enumerate_extremes(spec)]
+    ``RandomPair`` trials: stop steps (-1 when censored or absorbed) and wealth, one per seed,
+    and ``(row, steps, vertex)`` of each greedy trial absorbed first, for :func:`_run_blocks`."""
+    _, log_flat, cdfs = _vertex_table(spec)
     m, threshold = len(cdfs), math.log(1.0 / alpha)
-    stops, wealth = np.full(len(seeds), -1, dtype=np.int64), np.empty(len(seeds))
+    stops, wealth, absorbed = np.full(len(seeds), -1, dtype=np.int64), np.empty(len(seeds)), []
     for t, seed in enumerate(seeds):
         rng = trial_rng(seed)
-        greedy = None
-        if isinstance(policy, HistoryGreedy):
-            greedy = _GreedyWindow(m, policy.window, set())
+        greedy = isinstance(policy, HistoryGreedy) and _GreedyWindow(m, policy.window, set())
+        if greedy:
             indices = iter(greedy.choose, None)  # uniforms are drawn in chunks as read
             uniforms = (u for lo in range(0, cap, _STEP_CHUNK)
                         for u in rng.random(min(_STEP_CHUNK, cap - lo)).tolist())
@@ -298,10 +309,11 @@ def _run_stepwise(
             if total >= threshold:
                 stops[t] = step
                 break
-            if greedy is not None:
-                greedy.push(idx, log_e)
+            if greedy and greedy.push(idx, log_e):
+                absorbed.append((t, step, idx))
+                break
         wealth[t] = total
-    return stops, wealth
+    return stops, wealth, absorbed
 
 
 def _random_steps(raw: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -316,52 +328,57 @@ def _random_steps(raw: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _run_blocks(
-    spec: NeighborhoodSpec, policy: AdversaryPolicy, alpha: float, cap: int, seeds: list[int]
+    spec: NeighborhoodSpec, policy: AdversaryPolicy, alpha: float, cap: int, seeds: list[int],
+    start=0, carry=0.0, vertex=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The block engine for ``FixedPair``, ``RoundRobin`` and ``RandomPair``: stop steps
-    (-1 when censored) and final wealth, one per seed.  A block is one chunk per row, about
+    """The block engine: stop steps (-1 when censored) and final wealth, one per seed, of
+    ``FixedPair``, ``RoundRobin``, ``RandomPair`` or, given ``vertex``, absorbed ``HistoryGreedy``
+    trials ``start`` steps in with wealth ``carry`` (arrays, one per row) that play that vertex
+    (an :func:`enumerate_extremes` index) to ``cap``.  A block is one chunk per row, about
     1.25 expected stops in whole Philox blocks and at most ``_BLOCK_CELLS`` steps."""
-    if not isinstance(policy, (FixedPair, RoundRobin, RandomPair)):
+    if vertex is None and not isinstance(policy, (FixedPair, RoundRobin, RandomPair)):
         raise BadParamsError(f"unknown policy {policy!r}")
-    pairs = [policy] if isinstance(policy, FixedPair) else enumerate_extremes(spec)
-    m, random = len(pairs), isinstance(policy, RandomPair)
-    log_e = _cell_lookup(np.stack([extreme_coupling(spec, pair).cdf for pair in pairs]),
-                         optimal_evalue(spec).log_scores.ravel())
+    lookup, _, cdfs = _vertex_table(spec, policy if isinstance(policy, FixedPair) else None)
+    m, random = len(cdfs), isinstance(policy, RandomPair)
     threshold = math.log(1.0 / alpha)
     expected = min(1.25 * threshold / jstar(spec), _BLOCK_CELLS)  # inf for a subnormal J*
     chunk = min(_BLOCK_CELLS, 4 * max(16, (int(expected) + 19) // 4))
     state = (gen := trial_rng(0)).bit_generator.state  # re-keyed for every row
 
-    stops, wealth, redo = np.full(len(seeds), -1, dtype=np.int64), np.empty(len(seeds)), []
+    stops, wealth, redo = np.full(len(seeds), -1, dtype=np.int64), np.zeros(len(seeds)) + carry, []
+    start = np.zeros(len(seeds), dtype=np.int64) + start  # per row
+    horizon = min(cap, 2**62) - start  # per row, in int64; no trial runs 2**62 steps
     rows = max(1, _BLOCK_CELLS // min(chunk, cap))
     for lo in range(0, len(seeds), rows):
-        live = np.arange(lo, min(lo + rows, len(seeds)))  # trials not yet crossed
-        steps = 0
-        while live.size and steps < cap:
-            k = min(chunk, cap - steps)
+        live, steps = np.arange(lo, min(lo + rows, len(seeds))), 0
+        while (live := live[horizon[live] > steps]).size:  # trials not yet crossed or censored
+            k = min(chunk, int(horizon[live].max()) - steps)
             if random:  # whole words: k rounded up to even, and steps is even
                 raw = np.empty((live.size, 3 * ((k + 1) // 2)), dtype=np.uint64)
                 for row, t in zip(raw, live):
                     state["state"]["key"][0] = seeds[t]
                     _philox_at(gen, state, 3 * steps // 2)
                     row[:] = gen.bit_generator.random_raw(row.size)
-                vertex, u, rejected = _random_steps(raw, m)
+                pick, u, rejected = _random_steps(raw, m)
                 redo += live[rejected].tolist()  # re-run stepwise at the end
-                live, vertex, u = live[~rejected], vertex[~rejected, :k], u[~rejected, :k]
+                live, pick, u = live[~rejected], pick[~rejected, :k], u[~rejected, :k]
             else:
                 u = np.empty((live.size, k))
                 for row, t in zip(u, live):
                     state["state"]["key"][0] = seeds[t]
-                    _philox_at(gen, state, steps).random(out=row)
-                vertex = np.arange(steps, steps + k) % m if m > 1 else None
-            hit, cum = _first_crossing(log_e(u, vertex), threshold, wealth[live] if steps else 0.0)
-            wealth[live] = cum[np.arange(live.size), hit]  # column -1 when nothing crossed
-            stops[live[hit >= 0]] = steps + hit[hit >= 0] + 1
-            live = live[hit < 0]
+                    _philox_at(gen, state, int(start[t]) + steps).random(out=row)
+                pick = (vertex[live, np.newaxis] if vertex is not None  # one vertex per row
+                        else np.arange(steps, steps + k) % m if m > 1 else None)
+            hit, cum = _first_crossing(lookup(u, pick), threshold, wealth[live])
+            left = np.minimum(horizon[live] - steps, k)  # a crossing past the horizon is censored
+            crossed = (hit >= 0) & (hit < left)
+            wealth[live] = cum[np.arange(live.size), np.where(crossed, hit, left - 1)]
+            stops[live[crossed]] = start[live[crossed]] + steps + hit[crossed] + 1
+            live = live[~crossed]
             steps += k
     if redo:
         stops[redo], wealth[redo] = _run_stepwise(spec, policy, alpha, cap,
-                                                  [seeds[t] for t in redo])
+                                                  [seeds[t] for t in redo])[:2]
     return stops, wealth
 
 
@@ -373,9 +390,16 @@ def _cap(config: ExperimentConfig, alpha: float) -> int:
 def _run_trials(
     config: ExperimentConfig, alpha: float, cap: int, seeds: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The one policy dispatch: only ``HistoryGreedy``, which reads its history, runs stepwise."""
-    run = _run_stepwise if isinstance(config.policy, HistoryGreedy) else _run_blocks
-    return run(config.spec, config.policy, alpha, cap, seeds)
+    """The one policy dispatch: ``HistoryGreedy``, which reads its history, runs stepwise
+    until its window holds one vertex, then in blocks like every other policy."""
+    spec, policy = config.spec, config.policy
+    if not isinstance(policy, HistoryGreedy):
+        return _run_blocks(spec, policy, alpha, cap, seeds)
+    stops, wealth, absorbed = _run_stepwise(spec, policy, alpha, cap, seeds)
+    rows, start, vertex = np.array(absorbed, dtype=np.int64).reshape(-1, 3).T
+    stops[rows], wealth[rows] = _run_blocks(spec, policy, alpha, cap, [seeds[t] for t in rows],
+                                            start, wealth[rows], vertex)
+    return stops, wealth
 
 
 def run_trial(

@@ -9,7 +9,9 @@ for the adaptive policies on a 2- and a 4-symbol anchor.  ``roundrobin`` and
 ``random`` run the block engine: ``random`` reads three Philox words per two
 steps, the vertex draws of both from the low then the high half of the first
 word, and a trial whose block holds a draw numpy rejects is re-run by the
-stepwise loop, which runs ``greedy``.  The fixed-pair tables
+stepwise loop.  ``greedy`` runs the stepwise loop until every vertex is played
+and its last ``window`` steps all chose one vertex, which it then plays for good;
+the block engine continues it from there with its wealth.  The fixed-pair tables
 ``sweep-tau-fixed-TAG.csv`` were written the same way from ``FIXED_SWEEP`` and
 the ``FIXED_ANCHORS``, and each entry of
 ``RUNS`` with ``ewm ARGV --out tests/golden/NAME.csv`` for a table (``NAME.json``

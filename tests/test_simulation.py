@@ -214,6 +214,33 @@ def scalar_fold(spec, policy, alpha, cap, seeds):
     return stops, wealth
 
 
+def greedy_fold(spec, window, alpha, cap, seed):
+    """``HistoryGreedy``'s wealth after each step up to its stop or ``cap``, one uniform and
+    one Python step at a time, and the first step after which every vertex is played and
+    the last ``window`` steps all chose one vertex (None if there is none)."""
+    pairs = ewm.enumerate_extremes(spec)
+    cdfs = [ewm.extreme_coupling(spec, pair).cdf[:-1].tolist() for pair in pairs]
+    log_flat = ewm.optimal_evalue(spec).log_scores.ravel().tolist()
+    threshold = math.log(1.0 / alpha)
+    rng, chosen, scores, path, absorbed = ewm.trial_rng(seed), [], [], [], None
+    while len(path) < cap and (not path or path[-1] < threshold):
+        unplayed = [i for i in range(len(pairs)) if i not in chosen]
+        if unplayed:
+            idx = unplayed[0]
+        else:  # the first vertex with the lowest mean over the window, summed oldest first
+            recent = list(zip(chosen[-window:], scores[-window:]))
+            held = {i: [x for j, x in recent if j == i] for i in range(len(pairs))}
+            means = {i: sum(xs) / len(xs) for i, xs in held.items() if xs}
+            idx = min(means, key=means.get)
+        chosen.append(idx)
+        scores.append(log_flat[bisect_right(cdfs[idx], rng.random())])
+        path.append((path[-1] if path else 0.0) + scores[-1])
+        if (absorbed is None and path[-1] < threshold and not unplayed[1:]
+                and len(chosen) >= window and set(chosen[-window:]) == {idx}):
+            absorbed = len(path)
+    return path, absorbed
+
+
 class TestRunTrial:
     def test_stepwise_loop_matches_the_reference_fold(self):
         # both engines, through _run_trials; (anchor, alpha, cap, seeds): n=4 has 12
@@ -533,6 +560,64 @@ class TestBlockEngine:
         expected = fold(spec, policy, 1e-5, 121, seeds)
         assert (stops > 104).any() and (stops < 0).any()
         assert np.array_equal(stops, expected[0]) and np.array_equal(wealth, expected[1])
+
+    @pytest.mark.parametrize("window", [1, 2, 8, 32, 121])
+    @pytest.mark.parametrize("anchor", [[0.5, 0.5], [0.4, 0.3, 0.3], [0.4, 0.3, 0.18, 0.12]])
+    def test_greedy_handoff_equals_a_one_uniform_fold(self, anchor, window):
+        # each absorbed trial alone with its horizon one step before, at and one step after
+        # its absorption; all trials together at the default horizon and at three shared
+        # caps, where trials absorbed at different steps reach the cap inside one block and
+        # one that crosses past its horizon there is censored; window 121 outlasts its cap
+        # of 120, so nothing is absorbed and the stepwise loop runs every step
+        spec, alpha = spec_of(anchor, 0.1), 1e-40
+        config = ewm.ExperimentConfig(spec=spec, alphas=(alpha,), trials=1,
+                                      policy=ewm.HistoryGreedy(window=window))
+        default = 120 if window > 120 else ewm.default_horizon(spec, alpha)
+        seeds = [ewm.trial_seed(53, window, t) for t in range(100)]
+        folds = {seed: greedy_fold(spec, window, alpha, default, seed) for seed in seeds}
+        ends = sorted(len(path) for path, _ in folds.values())
+        starts = sorted(a for _, a in folds.values() if a is not None) or [1]
+        runs = [(cap, seeds) for cap in (default, starts[50 * len(starts) // 100] + 1,
+                                         ends[25], ends[50])]
+        for seed, (path, absorbed) in folds.items():
+            if absorbed is not None:
+                runs += [(cap, [seed]) for cap in (absorbed - 1, absorbed, absorbed + 1)]
+        for cap, batch in runs:
+            stops, wealth = ewm.simulation._run_trials(config, alpha, cap, batch)
+            for seed, stop, total in zip(batch, stops.tolist(), wealth.tolist()):
+                path = folds[seed][0][:cap]
+                expected = len(path) if path[-1] >= math.log(1.0 / alpha) else -1
+                assert (stop, total) == (expected, path[-1]), (seed, cap)
+        absorbed = [a for _, a in folds.values() if a is not None]
+        handed = [a for seed, (path, a) in folds.items() if a is not None and len(path) > a]
+        assert not absorbed if window > 120 else len(handed) >= 10
+
+    def test_the_vertex_table_is_built_once_and_kept_alone(self):
+        # one process runs four sweeps, each of which a fresh process reproduces byte
+        # for byte; spec B's table evicts A's, and A's is rebuilt when it comes back
+        code = textwrap.dedent("""
+            import io, sys, ewm
+            spec = ewm.make_neighborhood(ewm.make_distribution(eval(sys.argv[1])), 0.1)
+            policy = ewm.FixedPair(0, 1) if sys.argv[2] == "fixed" else ewm.RoundRobin()
+            config = ewm.ExperimentConfig(spec=spec, alphas=(1e-2, 1e-20), trials=20,
+                                          policy=policy, base_seed=5)
+            ewm.simulation.write_sweep_csv(sys.stdout, ewm.estimate_stopping(config))
+        """)
+        src = str(Path(ewm.__file__).resolve().parents[1])
+        a, b = spec_of([0.4, 0.3, 0.3], 0.1), spec_of([0.25, 0.25, 0.25, 0.25], 0.1)
+        for spec, policy in ((a, "fixed"), (a, "roundrobin"), (b, "roundrobin"),
+                             (a, "roundrobin")):
+            config = ewm.ExperimentConfig(
+                spec=spec, alphas=(1e-2, 1e-20), trials=20, base_seed=5,
+                policy=ewm.FixedPair(0, 1) if policy == "fixed" else ewm.RoundRobin())
+            buf = io.StringIO()
+            ewm.simulation.write_sweep_csv(buf, ewm.estimate_stopping(config))
+            argv = [str(spec.anchor.weights.tolist()), policy]
+            fresh = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                                   text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+            assert buf.getvalue() == fresh.stdout
+            assert list(ewm.simulation._TABLE) == [(spec, config.policy
+                                                    if policy == "fixed" else None)]
 
     def test_stepwise_loop_runs_only_the_adaptive_policies(self):
         for policy in (ewm.FixedPair(0, 1), ewm.RoundRobin()):
