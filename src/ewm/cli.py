@@ -36,6 +36,7 @@ from .coupling import (
 )
 from .detection import (
     _check_alpha,
+    _parse_json,
     baseline_batch_detect,
     batch_detect,
     report_to_dict,
@@ -118,21 +119,14 @@ def _grid_alpha(alpha: float) -> float:
         raise FormatError(str(exc)) from exc
 
 
-def _parse_json_weights(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
-
-
 def _resolve_anchor(args) -> NeighborhoodSpec:
     if args.anchor is not None:
         payload = args.anchor  # inline wins over --anchor-file
     elif args.anchor_file is not None:
-        payload = Path(args.anchor_file).read_text()
+        payload = Path(args.anchor_file).read_bytes()  # JSON's bytes: UTF-8, -16 or -32
     else:
         raise FormatError("provide --anchor or --anchor-file")
-    return make_neighborhood(make_distribution(_parse_json_weights(payload)), args.delta)
+    return make_neighborhood(make_distribution(_parse_json(payload)), args.delta)
 
 
 def _add_anchor_flags(sub) -> None:
@@ -219,7 +213,7 @@ def _cmd_sweep_tau(args) -> int:
 def _cmd_calibrate_null(args) -> int:
     spec = _resolve_anchor(args)
     alphas = parse_alpha_grid(args.alphas)
-    q_null = make_distribution(_parse_json_weights(args.q_null)) if args.q_null else spec.anchor
+    q_null = make_distribution(_parse_json(args.q_null)) if args.q_null else spec.anchor
     rows = []
     for ai, alpha in enumerate(alphas):
         horizon = args.horizon
@@ -239,7 +233,7 @@ def _cmd_generate(args) -> int:
     if args.pair is not None:
         w = extreme_coupling(spec, _parse_pair(args.pair))
     else:
-        q = make_distribution(_parse_json_weights(args.target))
+        q = make_distribution(_parse_json(args.target))
         w = mixture_coupling(spec, decompose_target(spec, q))
     rng = simulation.trial_rng(simulation.mix64(args.seed))
     draws = (pair for chunk in _stream_chunks(w, args.steps, rng) for pair in chunk.tolist())
@@ -265,7 +259,7 @@ def _cmd_detect(args) -> int:
 
 def _cmd_decompose(args) -> int:
     spec = _resolve_anchor(args)
-    q = make_distribution(_parse_json_weights(args.target))
+    q = make_distribution(_parse_json(args.target))
     mix = decompose_target(spec, q)
     payload = {
         "terms": [

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Callable, Iterator
+import re
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .simplex import (
     _count,
     _freeze,
     _indices,
+    _shown,
     extreme_target,
     reconstruct_mixture,
 )
@@ -56,7 +58,8 @@ NEG_CLAMP = 1e-14
 # Guide-table buckets of [0, 1).  A power of two, so ``u * _GUIDE`` is exact and
 # its integer part is the bucket of ``u``.
 _GUIDE = 4096
-_BLOCK_CELLS = 16_384  # uniforms per bounded block: fixed-pair sweep, calibrate_null, generate
+_BLOCK_CELLS = 16_384  # per bounded block: fixed-pair sweep, calibrate_null, generate, detect
+_PLAIN_ROWS = re.compile(r"(?:[0-9]{1,18},[0-9]{1,18},[0-9]{1,18}\r?\n)+")  # csv, int() agree
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,22 +232,56 @@ def write_stream_csv(fh: io.TextIOBase, pairs) -> None:
         fh.write(block)
 
 
-def read_stream_csv(fh: io.TextIOBase) -> Iterator[tuple[int, int]]:
+def read_stream_csv(fh: io.TextIOBase) -> Iterable[tuple[int, int]]:
     """The ``(v, s)`` pairs of a stream file, each parsed when read: keep ``fh`` open till then."""
-    reader = csv.reader(fh)
-    header = next(reader, None)
+    header = next(_csv_rows(fh), None)
     if header is None or [c.strip() for c in header] != ["step", "v", "s"]:
         raise FormatError("stream file must start with header 'step,v,s'")
-    return _stream_pairs(reader)
+    return _StreamRows(fh)
 
 
-def _stream_pairs(reader) -> Iterator[tuple[int, int]]:
-    for row in reader:
-        if not row:
-            continue
+class _StreamRows:
+    """A stream file past its header: its pairs, tuples of Python ints, or :meth:`take`'s blocks."""
+
+    def __init__(self, fh):
+        self._fh, self._pairs = fh, None  # the csv path, from the first block that is not plain
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        self._pairs = self._pairs or _stream_pairs(_csv_rows(self._fh))
+        return self._pairs
+
+    def take(self, count: int):
+        """The next ``count`` pairs: one int64 ``(k, 2)`` parse while rows are plain, else csv's.
+        Rows are matched ``_BLOCK_CELLS`` at a time, as a match keeps state for each row."""
+        if self._pairs is None:
+            lines = []
+            try:
+                lines.extend(islice(self._fh, count))
+            except UnicodeDecodeError as exc:  # raised once csv has read the rows before it
+                self._pairs = _stream_pairs(_csv_rows(lines, exc))
+            else:
+                if lines and all(_PLAIN_ROWS.fullmatch("".join(lines[i:i + _BLOCK_CELLS]))
+                                 for i in range(0, len(lines), _BLOCK_CELLS)):
+                    return np.loadtxt(lines, np.int64, comments=None, delimiter=",", ndmin=2)[:, 1:]
+                self._fh = chain(lines, self._fh)
+        return list(islice(iter(self), count))
+
+
+def _csv_rows(lines, cut: Exception | None = None) -> Iterator[list[str]]:
+    """csv's rows of ``lines``, then ``cut`` raised if given; a csv or decode error: FormatError."""
+    try:
+        yield from csv.reader(lines)
+        if cut is not None:
+            raise cut
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise FormatError(f"unreadable stream file: {exc}") from None
+
+
+def _stream_pairs(rows) -> Iterator[tuple[int, int]]:
+    for row in filter(None, rows):  # blank lines are skipped
         if len(row) != 3:
-            raise FormatError(f"malformed stream row: {row!r}")
+            raise FormatError(f"malformed stream row: {_shown(row)}")
         try:
             yield int(row[1]), int(row[2])
         except ValueError as exc:
-            raise FormatError(f"non-integer stream row: {row!r}") from exc
+            raise FormatError(f"non-integer stream row: {_shown(row)}") from exc

@@ -24,6 +24,7 @@ from itertools import islice
 
 import numpy as np
 
+from .coupling import _StreamRows
 from .errors import (
     AlreadyStoppedError,
     BadAlphaError,
@@ -157,14 +158,16 @@ def _first_crossing(inc: np.ndarray, boundary, carry=0.0) -> tuple[np.ndarray, n
 
 def _blocks(stream, budget, n):
     """``(done, v, s)``: up to ``budget`` pairs of ``stream`` (a count, None: all) in blocks of
-    128, 256, ... after ``done``, each read only when asked for.  A pair that is not two
-    vocabulary indices below ``n`` (None: of any size) raises once the caller reads past
-    the pairs before it, as in a fold; a valid block costs one conversion and one test."""
-    pairs = islice(stream, None if budget is None else min(_count(budget, "budget"), sys.maxsize))
+    128, 256, ... after ``done``, each read when asked for (a stream file's in one parse).  A pair
+    that is not two vocabulary indices below ``n`` (None: of any size) raises once the caller
+    reads past the pairs before it, as in a fold; a valid block costs a conversion and a test."""
+    left = sys.maxsize if budget is None else min(_count(budget, "budget"), sys.maxsize)
+    take = (stream.take if isinstance(stream, _StreamRows)
+            else lambda k, pairs=iter(stream): list(islice(pairs, k)))
     done, width = 0, 128
-    while block := list(islice(pairs, width)):
+    while len(block := take(min(width, left - done))):
         try:
-            a = np.array(block)
+            a = np.asarray(block)
         except ValueError:  # ragged
             a = np.empty(0)
         if not (a.dtype.kind in "iu" and a.shape[1:] == (2,)
@@ -246,11 +249,16 @@ def _json_number(value, kind: type):
     return kind(value)
 
 
-def detector_from_json(text: str) -> DetectorState:
+def _parse_json(text: str | bytes):
+    """``json.loads(text)``; bad syntax or bytes, a huge int or too deep a nest: FormatError."""
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"not valid JSON: {exc}") from None
+
+
+def detector_from_json(text: str) -> DetectorState:
+    payload = _parse_json(text)
     try:
         state = DetectorState(
             wealth=_json_number(payload["wealth"], float),

@@ -132,8 +132,8 @@ def make_distribution(weights) -> VocabDistribution:
     """
     try:
         w = np.asarray(weights, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"weights must be numbers: {exc}") from exc
+    except (TypeError, ValueError, OverflowError):  # overflow: an int past the float range
+        raise FormatError(f"weights must be numbers, got {_shown(weights)}") from None
     if w.ndim != 1:
         raise FormatError(f"weights must be one-dimensional, got shape {w.shape}")
     if w.shape[0] < 2:

@@ -557,3 +557,100 @@ class TestFuzz:
         code, err = run_isolated(argv, threads_env)
         assert code in (0, 1, 2)
         assert "Traceback" not in err
+
+
+# Bytes that end any stream file: undecodable UTF-8, a NUL in a field, fields past csv's
+# 131,072-character limit (one of them an unclosed quote), and an int past str's digit limit.
+POISON = (b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\xe2\x82(", b"0,\x00,1\n",
+          b"0,0," + b"7" * 140_000 + b"\n", b'0,"' + b"1" * 140_000, b"0," + b"9" * 5000 + b",1\n")
+
+
+class TestStreamBytes:
+    @pytest.fixture(scope="class")
+    def stream(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("bytes") / "stream.csv"
+
+    @settings(max_examples=120)
+    @given(poison=st.sampled_from(POISON), in_header=st.booleans(),
+           plain=st.sampled_from([0, 5, 127, 128, 300]), end=st.sampled_from([b"\n", b"\r\n"]),
+           tail=st.binary(max_size=40), method=st.sampled_from(["evalue", "baseline"]))
+    def test_bad_bytes_end_in_one_error_line(self, stream, poison, in_header, plain, end, tail,
+                                             method):
+        # (0, 1) rows never stop either detector, so the poison is always read
+        rows = b"".join(b"%d,0,1" % t + end for t in range(plain))
+        head = b"step,v," + poison if in_header else b"step,v,s" + end + rows + poison
+        stream.write_bytes(head + tail)
+        code, err = run_isolated(["detect", *FAIR, "--alpha", "1e-30", "--method", method,
+                                  "--stream", str(stream)])
+        assert code == 1 and "Traceback" not in err and len(err) < 300
+        assert err.startswith("ewm: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("row,phrase", [("0," + "9" * 5000 + ",1", "non-integer stream row"),
+                                            ("0,1,2," + "9" * 5000, "malformed stream row")],
+                             ids=["non-integer", "malformed"])
+    def test_row_messages_are_bounded(self, capsys, tmp_path, row, phrase):
+        stream = tmp_path / "stream.csv"
+        stream.write_text(f"step,v,s\n{row}\n")
+        for method in ("evalue", "baseline"):
+            code, out, err = run(capsys, "detect", *FAIR, "--alpha", "0.02", "--method", method,
+                                 "--stream", str(stream))
+            assert code == 1 and out == "" and phrase in err and len(err) < 200
+
+
+# Pieces of JSON text, some refused by json.loads (a lone surrogate, an int past 4,300 digits,
+# 2,000 nested brackets, a cut string) and some by the weight checks behind it (an int past
+# the float range, a long string, which the message once echoed in full).
+JSON_PIECES = ("[", "]", "{}", ",", '"', "0.5", "0.25", "-0.5", "1e400", "NaN", "true", "null",
+               "\ud800", "\x00", " ", "1" * 4000, "1" * 5000, "[" * 2000, '"' + "a" * 400 + '"')
+JSON_SITES = {  # "--flag=TEXT", so a text that starts with "-" is not read as a flag
+    "anchor": ["jstar", "--anchor=TEXT", "--delta", "0.1"],
+    "anchor-file": ["jstar", "--anchor-file", "FILE", "--delta", "0.1"],
+    "target": ["decompose", *FAIR, "--target=TEXT"],
+    "q-null": ["calibrate-null", *FAIR, "--alphas", "0.05", "--trials", "2", "--horizon", "3",
+               "--q-null=TEXT"],
+    "detector": None,
+}
+
+
+class TestJsonInputs:
+    @pytest.fixture(scope="class")
+    def json_file(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("json") / "weights.json"
+
+    @pytest.mark.parametrize("payload", ["[" * 50_000, "[1" + "0" * 5000 + "]", "[0.5,"],
+                             ids=["deep", "digits", "syntax"])
+    def test_unparsable_json_is_a_typed_error(self, capsys, payload):
+        for argv in (["jstar", "--anchor", payload, "--delta", "0.1"],
+                     ["decompose", *FAIR, "--target", payload]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "" and "Traceback" not in err
+            assert err.startswith("ewm: error: not valid JSON") and len(err) < 300
+
+    def test_anchor_file_bytes(self, capsys, tmp_path):
+        # the bytes go to json.loads: not UTF-8 is refused, a BOM or UTF-16 is decoded
+        path = tmp_path / "anchor.json"
+        for data, code_expected in ((b"\xff", 1), (b"[0.5,\xff0.5]", 1),
+                                    (b"\xef\xbb\xbf[0.5, 0.5]", 0),
+                                    ("[0.5, 0.5]".encode("utf-16"), 0)):
+            path.write_bytes(data)
+            code, _, err = run(capsys, "jstar", "--anchor-file", str(path), "--delta", "0.1")
+            assert code == code_expected and "Traceback" not in err
+
+    @settings(max_examples=200)
+    @example(pieces=["[", "1" * 4000, ",", "0.5", "]"], site="anchor")  # once a raw OverflowError
+    @given(pieces=st.lists(st.sampled_from(JSON_PIECES), max_size=10),
+           site=st.sampled_from(sorted(JSON_SITES)))
+    def test_any_json_text_ends_cleanly(self, json_file, pieces, site):
+        text = "".join(pieces)
+        if site == "detector":
+            try:
+                ewm.detector_from_json(text)
+            except FormatError as exc:
+                assert len(str(exc)) < 300
+            return
+        json_file.write_bytes(text.encode("utf-8", "surrogatepass"))
+        argv = [a.replace("TEXT", text).replace("FILE", str(json_file)) for a in JSON_SITES[site]]
+        code, err = run_isolated(argv)
+        assert code in (0, 1) and "Traceback" not in err
+        if code:
+            assert err.startswith("ewm: error: ") and err.count("\n") == 1 and len(err) < 300

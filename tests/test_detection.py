@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -6,14 +8,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ewm
+from ewm.detection import _blocks
 from ewm.errors import (
     AlreadyStoppedError,
     BadAlphaError,
     BadParamsError,
     EmptyStreamError,
+    EwmError,
     FormatError,
     IndexOutOfRangeError,
 )
+from ewm.simplex import _shown
 
 from conftest import random_spec
 
@@ -404,6 +409,152 @@ class TestBatchMatchesFold:
         assert report.stop_step < 100 and sum(sizes) == 128
 
 
+def text_file(text: str):
+    """``text`` as :func:`open` with ``newline=""`` reads a file holding its UTF-8 bytes."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()), newline="")
+
+
+def csv_reader_pairs(text: str):
+    """The csv stream reader that block parsing replaced, kept as the reference: csv rows
+    and two ``int()`` calls per row, handed to the detectors as a plain iterable, so they
+    read it through ``islice``.  Row messages are cut by ``_shown``, as the reader's are."""
+    reader = csv.reader(text_file(text))
+    header = next(reader, None)
+    if header is None or [c.strip() for c in header] != ["step", "v", "s"]:
+        raise FormatError("stream file must start with header 'step,v,s'")
+
+    def pairs():
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 3:
+                raise FormatError(f"malformed stream row: {_shown(row)}")
+            try:
+                yield int(row[1]), int(row[2])
+            except ValueError as exc:
+                raise FormatError(f"non-integer stream row: {_shown(row)}") from exc
+
+    return pairs()
+
+
+# Rows that are not plain.  csv and int() read the first nine and the last two (a 19-digit
+# field, a non-ASCII digit, a blank line and a quoted newline among them); the others are
+# refused, or hold a v >= n = 2, two of them past int64.
+ODD_ROWS = ("{t}, {v}, {s}", '{t},"{v}",{s}', "{t},+{v},{s}", "{t},-0,{s}", "{t},0_{v},{s}",
+            "{t},000000000000000000{v},{s}", "{t},\u0661,{s}", " {t},{v},{s}", "x,{v},{s}",
+            "{t},9223372036854775808,{s}", "{t},99999999999999999999,{s}", "{t},2,{s}",
+            "{t},{v}", "{t},x,{s}", "{t},{v},{s},", "", '{t},"{v}\n",{s}')
+EDGES = (127, 128, 129, 383, 384, 385)  # rows beside the first two block edges
+BUDGETS = (None, 1, 127, 128, 129, 1000)
+
+
+@st.composite
+def stream_texts(draw):
+    """A stream file's text: plain rows, then odd rows, blank lines and line ends (CRLF, a
+    lone CR) put mostly beside a block edge, and at times no final newline or a bad header."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    length = draw(st.sampled_from([0, 1, 130, 390, 420]))
+    s = rng.integers(2, size=length)
+    rate = draw(st.sampled_from([0.5, 0.95]))  # at 0.95 the e-value detector stops early
+    v = np.where(rng.random(length) < rate, s, 1 - s)
+    rows = [f"{t},{a},{b}" for t, (a, b) in enumerate(zip(v.tolist(), s.tolist()))]
+    ends = ["\n"] * length
+    where = st.sampled_from(EDGES) | st.integers(0, 419)
+    for at, odd in draw(st.lists(st.tuples(where, st.sampled_from(ODD_ROWS)), max_size=3)):
+        if at < length:
+            rows[at] = odd.format(t=at, v=v[at], s=s[at])
+    for at, end in draw(st.lists(st.tuples(where, st.sampled_from(["\r\n", "\r", "\n\n"])),
+                                 max_size=2)):
+        if at < length:
+            ends[at] = end
+    if draw(st.booleans()):
+        ends = ["\r\n" if end == "\n" else end for end in ends]
+    if length and draw(st.booleans()):
+        ends[-1] = ""
+    header = draw(st.sampled_from(["step,v,s\n"] * 4 + ["step, v, s\r\n", "v,s\n", ""]))
+    return header + "".join(row + end for row, end in zip(rows, ends))
+
+
+def outcome(run):
+    """What ``run()`` returns, or the type and message of the typed error it raises."""
+    try:
+        return repr(run())  # a repr, so a NaN wealth equals itself
+    except EwmError as exc:
+        return type(exc), str(exc)
+
+
+class TestStreamFileBlocks:
+    """``read_stream_csv`` parses plain rows a block at a time and hands every other row to
+    csv; each detector, and each block it reads, must equal the csv reader's."""
+
+    SPEC = spec_of([0.5, 0.5], 0.3)
+
+    @staticmethod
+    def blocks(make, budget):
+        out = []
+        try:
+            for done, v, s in _blocks(make(), budget, 2):
+                out.append((done, v.dtype, v.tolist(), s.tolist()))
+        except EwmError as exc:
+            out.append((type(exc), str(exc)))
+        return out
+
+    @settings(max_examples=150)
+    @example(text="step,v,s\n" + "".join(f"{t},0,1\n" for t in range(128)) + "\n128,0,1\n")
+    @example(text="step,v,s\r\n" + "".join(f"{t},0,1\r\n" for t in range(129)) + "129,9,1")
+    @given(text=stream_texts())
+    def test_detectors_equal_the_csv_reader(self, text):
+        e, pbar = ewm.optimal_evalue(self.SPEC), ewm.worst_null_match_prob(self.SPEC)
+        for budget in BUDGETS:
+            for detect in (lambda pairs: ewm.batch_detect(e, 1e-6, pairs, budget),
+                           lambda pairs: ewm.baseline_batch_detect(1e-6, pbar, pairs, budget, 2)):
+                assert (outcome(lambda: detect(ewm.read_stream_csv(text_file(text))))
+                        == outcome(lambda: detect(csv_reader_pairs(text))))
+            assert (self.blocks(lambda: ewm.read_stream_csv(text_file(text)), budget)
+                    == self.blocks(lambda: csv_reader_pairs(text), budget))
+
+    def test_a_block_past_one_match_is_checked_whole(self):
+        # the block of rows 32,640-65,407 is matched in two parts; its second part is not plain
+        rows = [f"{t},{t % 2},{t // 2 % 2}" for t in range(60_000)]
+        rows[52_640] = '52640,"0",1'
+        text = "step,v,s\n" + "\n".join(rows) + "\n"
+        assert (self.blocks(lambda: ewm.read_stream_csv(text_file(text)), None)
+                == self.blocks(lambda: csv_reader_pairs(text), None))
+        assert isinstance(ewm.read_stream_csv(text_file(text)).take(20_000), np.ndarray)
+
+    def test_plain_rows_are_one_int64_array(self):
+        rows = ewm.read_stream_csv(text_file("step,v,s\n0,1,0\r\n1,0,1\n2,1, 1\n3,0,0\n"))
+        block = rows.take(2)
+        assert isinstance(block, np.ndarray) and block.dtype == np.int64
+        assert block.tolist() == [[1, 0], [0, 1]]
+        assert rows.take(2) == [(1, 1), (0, 0)]  # a space: csv, from this block on
+        assert list(rows) == []
+
+    def test_iterating_yields_python_int_tuples(self):
+        rows = list(ewm.read_stream_csv(text_file("step,v,s\n0,1,0\n1,0,1\n")))
+        assert rows == [(1, 0), (0, 1)] and all(type(x) is int for row in rows for x in row)
+
+    def test_unreadable_bytes_are_a_format_error(self):
+        # in the header, in a bulk block and on the csv path (past the first 8 KiB, which the
+        # header read decodes), and a field past csv's limit on both sides of the header
+        plain = "".join(f"{t},0,1\n" for t in range(2000)).encode()
+        for data in (b"step,v,\xff\n0,0,1\n", b"step,v,s\n" + plain + b"2000,0,\xff\n",
+                     b"step,v,s\n0, 0,1\n" + plain + b"2000,\xff,1\n",
+                     b"step,v,s\n0,0," + b"7" * 140_000 + b"\n",
+                     b"step," + b"v" * 140_000 + b",s\n"):
+            with pytest.raises(FormatError, match="unreadable stream file"):
+                rows = ewm.read_stream_csv(io.TextIOWrapper(io.BytesIO(data), newline=""))
+                ewm.batch_detect(fair_table(), 1e-6, rows, None)
+
+    def test_a_bad_row_is_named_before_later_bytes(self):
+        # the bytes past the first 8 KiB are decoded only after the malformed row is read
+        wide = "".join(f"{'0' * 200}{t},0,1\n" for t in range(50))
+        data = f"step,v,s\n0,0,1\n1,0\n{wide}".encode() + b"9,\xff,1\n"
+        with pytest.raises(FormatError, match="malformed stream row"):
+            rows = ewm.read_stream_csv(io.TextIOWrapper(io.BytesIO(data), newline=""))
+            ewm.batch_detect(fair_table(), 1e-6, rows, None)
+
+
 class TestSerialization:
     def test_round_trip_and_resume(self):
         e = fair_table()
@@ -471,3 +622,10 @@ class TestSerialization:
         state = ewm.detector_from_json(
             '{"wealth": 5.0, "steps": 3, "alpha": 0.02, "rejected_at": 3}')
         assert state.rejected_at == 3 and not state.running
+
+    def test_unparsable_json_is_a_format_error(self):
+        # an int past str's digit limit and nesting past the recursion limit were raw errors
+        for text in ('{"wealth": 0.5, "steps": 1%s, "alpha": 0.02}' % ("0" * 5000),
+                     "[" * 50_000, '{"wealth": 0.5,'):
+            with pytest.raises(FormatError, match="not valid JSON"):
+                ewm.detector_from_json(text)
