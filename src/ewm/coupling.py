@@ -122,7 +122,17 @@ def make_coupling(joint, target: VocabDistribution, anchor: VocabDistribution) -
 def extreme_coupling(spec: NeighborhoodSpec, pair: ExtremePair) -> CouplingMatrix:
     """Optimal coupling for a vertex target: the single-hop path (gain, loss)."""
     _check_pair(spec, pair)
-    return path_coupling(spec, PathSpec((pair.gain, pair.loss)))
+    return make_coupling(_vertex_joints(spec, [pair])[0], extreme_target(spec, pair), spec.anchor)
+
+
+def _vertex_joints(spec: NeighborhoodSpec, pairs: list[ExtremePair]) -> np.ndarray:
+    """The ``(m, n, n)`` joints of in-range vertices ``pairs``, unchecked: ``diag(p0)`` with
+    ``delta/2`` added at (gain, loss) and taken from (loss, loss), as :func:`path_coupling`."""
+    (gain, loss), rows = np.array([(p.gain, p.loss) for p in pairs]).T, np.arange(len(pairs))
+    w, half = np.tile(np.diag(spec.anchor.weights), (len(pairs), 1, 1)), spec.delta / 2.0
+    w[rows, gain, loss] += half
+    w[rows, loss, loss] -= half
+    return w
 
 
 def mixture_coupling(spec: NeighborhoodSpec, mix: MixtureDecomposition) -> CouplingMatrix:

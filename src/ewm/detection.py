@@ -24,7 +24,7 @@ from itertools import islice
 
 import numpy as np
 
-from .coupling import _StreamRows
+from .coupling import _BLOCK_CELLS, _StreamRows
 from .errors import (
     AlreadyStoppedError,
     BadAlphaError,
@@ -158,9 +158,10 @@ def _first_crossing(inc: np.ndarray, boundary, carry=0.0) -> tuple[np.ndarray, n
 
 def _blocks(stream, budget, n):
     """``(done, v, s)``: up to ``budget`` pairs of ``stream`` (a count, None: all) in blocks of
-    128, 256, ... after ``done``, each read when asked for (a stream file's in one parse).  A pair
-    that is not two vocabulary indices below ``n`` (None: of any size) raises once the caller
-    reads past the pairs before it, as in a fold; a valid block costs a conversion and a test."""
+    128, 256, ... up to ``_BLOCK_CELLS`` after ``done``, each read when asked for (a file's in
+    one parse).  A pair that is not two vocabulary indices below ``n`` (None: of any size) raises
+    once the caller reads past the pairs before it, as in a fold; a valid block costs a
+    conversion and a test."""
     left = sys.maxsize if budget is None else min(_count(budget, "budget"), sys.maxsize)
     take = (stream.take if isinstance(stream, _StreamRows)
             else lambda k, pairs=iter(stream): list(islice(pairs, k)))
@@ -184,7 +185,7 @@ def _blocks(stream, budget, n):
             a = np.array(good, dtype=dtype)
         v, s = a.T
         yield done, v, s
-        done, width = done + v.size, 2 * width
+        done, width = done + v.size, min(2 * width, _BLOCK_CELLS)
     if not done:
         raise EmptyStreamError("stream holds no observations")
 

@@ -26,11 +26,12 @@ word 3j gives the vertex draws of steps 2j and 2j + 1 from its low then its high
 bits, as Lemire's ``(x * m) >> 32``, and words 3j + 1 and 3j + 2 their uniforms.  A
 draw numpy rejects, ``(x * m) mod 2**32 < (2**32 - m) mod m`` (never for a power-of-two
 m), shifts that layout, so a trial whose block holds one is re-run by the stepwise loop.
-``HistoryGreedy`` runs stepwise until absorbed: every vertex played and the last
-``window`` steps all on one vertex A.  Every other window is then empty, so A (a finite
-mean) is chosen at every later step: the block engine continues the trial as
-``FixedPair(A)`` at word = steps taken, with its wealth carried.  Both engines consume
-each trial's stream exactly as a loop drawing one value at a time would.
+``HistoryGreedy`` runs stepwise, one re-keyed Philox drawing 128 uniforms at a time as read
+and each window's mean kept and re-summed (oldest first) only once a step touches it, until
+absorbed: every vertex played and the last ``window`` steps all on one vertex A.  Every other
+window is then empty, so A (a finite mean) is chosen at every later step: the block engine
+continues the trial as ``FixedPair(A)`` at word = steps taken, with its wealth carried.  Both
+engines consume each trial's stream exactly as a loop drawing one value at a time would.
 ``calibrate_null`` reads a :func:`trial_rng` generator in bounded
 sub-blocks; per ``4_000_000 // horizon`` streams: all outcomes, then all seeds, row-major.
 """
@@ -48,7 +49,8 @@ from itertools import islice
 
 import numpy as np
 
-from .coupling import _BLOCK_CELLS, _cell_lookup, extreme_coupling
+from .coupling import _BLOCK_CELLS, _cell_lookup, _vertex_joints
+from .coupling import extreme_coupling  # noqa: F401 -- a name the benchmark tracer wraps
 from .detection import _check_alpha, _first_crossing
 from .errors import BadParamsError
 from .evalue import EValueTable, jstar, optimal_evalue
@@ -65,7 +67,7 @@ from .simplex import (
 
 _MASK64 = (1 << 64) - 1
 _ALPHA_STRIDE = 0x9E3779B97F4A7C15  # golden-ratio odd constant
-_STEP_CHUNK = 1_024  # uniforms per draw of the stepwise loop's HistoryGreedy
+_STEP_CHUNK = 128  # uniforms per draw of the stepwise loop's HistoryGreedy
 _TABLE: dict = {}  # the last (spec, FixedPair or None) and its table; a spec hashes by identity
 
 
@@ -97,9 +99,12 @@ def trial_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_count(seed, "seed", 0, 2**128 - 1)))
 
 
-def _philox_at(gen: np.random.Generator, state: dict, pos: int) -> np.random.Generator:
+def _philox_at(gen: np.random.Generator, state: dict, pos: int, key=None) -> np.random.Generator:
     """``gen`` placed at 64-bit word ``pos`` (mod 2**258) of the Philox stream keyed by
-    ``state``; a stream read in order stands at word ``4 * counter - 4 + buffer_pos``."""
+    ``state``, its low key word first set to ``key`` (below 2**64) when given; a stream read in
+    order stands at word ``4 * counter - 4 + buffer_pos``."""
+    if key is not None:
+        state["state"]["key"][0] = key
     state["state"]["counter"] = (pos >> 2 & _MASK64, pos >> 66 & _MASK64,
                                  pos >> 130 & _MASK64, pos >> 194 & _MASK64)
     state["buffer_pos"] = 4
@@ -222,37 +227,37 @@ def choose_pair(
 
 
 class _GreedyWindow:
-    """``HistoryGreedy``'s state and its one rule.  ``recent[i]`` holds vertex i's log scores
-    within the last ``window`` steps, oldest first, ``order`` the vertices of those steps and
-    ``played`` every vertex played; ``push`` returns True once the trial is absorbed."""
+    """``HistoryGreedy``'s state and its one rule.  ``recent[i]`` holds vertex i's log scores of
+    the last ``window`` steps, oldest first, ``means[i]`` their mean unless i is ``touched``,
+    ``order`` those steps' vertices, ``played`` every one played; ``push`` is True once absorbed."""
 
     def __init__(self, m: int, window: int, played: set[int]):
         self.recent: list[deque[float]] = [deque() for _ in range(m)]
+        self.means, self.touched = [math.inf] * m, set()
         self.order: deque[int] = deque()
-        self.window = window
-        self.played = played
+        self.window, self.played = window, played
 
     def push(self, idx: int, log_e: float) -> bool:
         if len(self.order) == self.window:
-            self.recent[self.order.popleft()].popleft()
+            self.touched.add(old := self.order.popleft())
+            self.recent[old].popleft()
         self.order.append(idx)
         self.recent[idx].append(log_e)
+        self.touched.add(idx)
         self.played.add(idx)
         return len(self.recent[idx]) == self.window and len(self.played) == len(self.recent)
 
     def choose(self) -> int:
-        """The first unplayed vertex, else the first with the lowest mean recent
-        log score, summed oldest first; a vertex outside the window counts as
-        +inf."""
+        """The first unplayed vertex, else the first with the lowest mean recent log score,
+        summed oldest first; a vertex outside the window counts as +inf.  Only the windows
+        touched since the last call are re-summed: the others hold the same scores."""
         if len(self.played) < len(self.recent):
             return next(i for i in range(len(self.recent)) if i not in self.played)
-        best_idx, best_mean = 0, math.inf
-        for idx, scores in enumerate(self.recent):
-            if scores:
-                mean = sum(scores) / len(scores)
-                if mean < best_mean:
-                    best_idx, best_mean = idx, mean
-        return best_idx
+        for idx in self.touched:
+            scores = self.recent[idx]
+            self.means[idx] = sum(scores) / len(scores) if scores else math.inf
+        self.touched.clear()
+        return self.means.index(min(self.means))
 
 
 def default_horizon(spec: NeighborhoodSpec, alpha: float, factor: float = 10.0) -> int:
@@ -273,8 +278,8 @@ def _vertex_table(spec: NeighborhoodSpec, pair: ExtremePair | None = None) -> tu
     and CDFs less their last entry (a uniform past the rest lands in the last cell, as the
     lookup's does) as lists; the last key's is kept, so a sweep builds one per process."""
     if (key := (spec, pair)) not in _TABLE:
-        cdfs = np.stack([extreme_coupling(spec, p).cdf
-                         for p in ([pair] if pair is not None else enumerate_extremes(spec))])
+        pairs = [pair] if pair is not None else enumerate_extremes(spec)
+        cdfs = np.cumsum(_vertex_joints(spec, pairs).reshape(len(pairs), -1), axis=1)
         log_flat = optimal_evalue(spec).log_scores.ravel()
         _TABLE.clear()
         _TABLE[key] = _cell_lookup(cdfs, log_flat), log_flat.tolist(), cdfs[:, :-1].tolist()
@@ -290,8 +295,9 @@ def _run_stepwise(
     _, log_flat, cdfs = _vertex_table(spec)
     m, threshold = len(cdfs), math.log(1.0 / alpha)
     stops, wealth, absorbed = np.full(len(seeds), -1, dtype=np.int64), np.empty(len(seeds)), []
+    state = (gen := trial_rng(0)).bit_generator.state  # re-keyed for every trial
     for t, seed in enumerate(seeds):
-        rng = trial_rng(seed)
+        rng = _philox_at(gen, state, 0, seed)
         greedy = isinstance(policy, HistoryGreedy) and _GreedyWindow(m, policy.window, set())
         if greedy:
             indices = iter(greedy.choose, None)  # uniforms are drawn in chunks as read
@@ -303,8 +309,8 @@ def _run_stepwise(
         else:
             raise BadParamsError(f"unknown policy {policy!r}")
         total = 0.0
-        for step, idx in zip(range(1, cap + 1), indices):
-            log_e = log_flat[bisect_right(cdfs[idx], next(uniforms))]
+        for step, idx, u in zip(range(1, cap + 1), indices, uniforms):  # vertex, then uniform
+            log_e = log_flat[bisect_right(cdfs[idx], u)]
             total += log_e
             if total >= threshold:
                 stops[t] = step
@@ -356,8 +362,7 @@ def _run_blocks(
             if random:  # whole words: k rounded up to even, and steps is even
                 raw = np.empty((live.size, 3 * ((k + 1) // 2)), dtype=np.uint64)
                 for row, t in zip(raw, live):
-                    state["state"]["key"][0] = seeds[t]
-                    _philox_at(gen, state, 3 * steps // 2)
+                    _philox_at(gen, state, 3 * steps // 2, seeds[t])
                     row[:] = gen.bit_generator.random_raw(row.size)
                 pick, u, rejected = _random_steps(raw, m)
                 redo += live[rejected].tolist()  # re-run stepwise at the end
@@ -365,8 +370,7 @@ def _run_blocks(
             else:
                 u = np.empty((live.size, k))
                 for row, t in zip(u, live):
-                    state["state"]["key"][0] = seeds[t]
-                    _philox_at(gen, state, int(start[t]) + steps).random(out=row)
+                    _philox_at(gen, state, int(start[t]) + steps, seeds[t]).random(out=row)
                 pick = (vertex[live, np.newaxis] if vertex is not None  # one vertex per row
                         else np.arange(steps, steps + k) % m if m > 1 else None)
             hit, cum = _first_crossing(lookup(u, pick), threshold, wealth[live])

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ewm
-from ewm.coupling import _GUIDE, _cell_lookup
+from ewm.coupling import _GUIDE, _cell_lookup, _vertex_joints
 from ewm.errors import BadWeightsError, FormatError, InvalidPairError, InvalidPathError
+from ewm.simulation import _vertex_table
 
 from conftest import random_spec, random_target
 
@@ -35,6 +36,23 @@ class TestExtremeCoupling:
             ewm.ExtremePair(1, 1)
         with pytest.raises(InvalidPairError):
             ewm.extreme_coupling(spec_of([0.5, 0.5], 0.1), ewm.ExtremePair(0, 2))
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6))
+    def test_vertex_table_equals_the_path_couplings(self, seed, n):
+        # one closed-form stack for every vertex, bit for bit the single-hop paths
+        spec = random_spec(np.random.default_rng(seed), n=n)
+        pairs = ewm.enumerate_extremes(spec)
+        paths = [ewm.path_coupling(spec, ewm.PathSpec((p.gain, p.loss))) for p in pairs]
+        joints = _vertex_joints(spec, pairs)
+        assert joints.tobytes() == np.stack([w.joint for w in paths]).tobytes()
+        cdfs = np.stack([w.cdf for w in paths])
+        assert np.array(_vertex_table(spec)[2]).tobytes() == cdfs[:, :-1].tobytes()
+        for pair, cdf in zip(pairs, cdfs):
+            assert ewm.extreme_coupling(spec, pair).cdf.tobytes() == cdf.tobytes()
+        for pair in (ewm.ExtremePair(0, n), ewm.ExtremePair(n, 0), ewm.ExtremePair(n + 3, n)):
+            with pytest.raises(InvalidPairError):
+                ewm.extreme_coupling(spec, pair)
 
     # once truncated to the (0, 1) vertex, or a raw TypeError
     @pytest.mark.parametrize("gain, loss", [(0.5, 1), ("1", 0), (-1, 0), (None, 1), (1.0, 0)])

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ewm
+from ewm.coupling import _BLOCK_CELLS
 from ewm.detection import _blocks
 from ewm.errors import (
     AlreadyStoppedError,
@@ -513,8 +515,28 @@ class TestStreamFileBlocks:
             assert (self.blocks(lambda: ewm.read_stream_csv(text_file(text)), budget)
                     == self.blocks(lambda: csv_reader_pairs(text), budget))
 
+    def test_blocks_stop_doubling_at_the_cell_cap(self):
+        # 128, 256, ..., 8,192, then 16,384 rows at a time: a long null stream is read in
+        # bounded blocks, and both detectors read every row of it, as a scalar fold does
+        pairs = np.random.default_rng(4).integers(2, size=(100_000, 2)).tolist()
+        text = "step,v,s\n" + "".join(f"{t},{v},{s}\n" for t, (v, s) in enumerate(pairs))
+        widths = [v.size for _, v, _ in _blocks(ewm.read_stream_csv(text_file(text)), None, 2)]
+        assert widths[:8] == [128 << i for i in range(8)] and max(widths) == _BLOCK_CELLS
+        assert sum(widths) == len(pairs)
+        e, pbar = ewm.optimal_evalue(self.SPEC), ewm.worst_null_match_prob(self.SPEC)
+        log_e = e.log_scores.tolist()  # observe's fold is this left-to-right sum
+        path = list(accumulate(log_e[v][s] for v, s in pairs))
+        report = ewm.batch_detect(e, 1e-30, ewm.read_stream_csv(text_file(text)), None)
+        assert max(path) < report.threshold
+        assert (report.stop_step, report.steps, report.wealth) == (None, len(pairs), path[-1])
+        rows = ewm.read_stream_csv(text_file(text))
+        report = ewm.baseline_batch_detect(1e-30, pbar, rows, None, 2)
+        assert (report.decision, report.steps) == ("undecided", len(pairs))
+
     def test_a_block_past_one_match_is_checked_whole(self):
-        # the block of rows 32,640-65,407 is matched in two parts; its second part is not plain
+        # a block holds at most _BLOCK_CELLS rows, so its lines are matched in one part, and
+        # the bad row is found in the block of rows 49,024-59,999; take(20,000) is matched in
+        # two parts
         rows = [f"{t},{t % 2},{t // 2 % 2}" for t in range(60_000)]
         rows[52_640] = '52640,"0",1'
         text = "step,v,s\n" + "\n".join(rows) + "\n"

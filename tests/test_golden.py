@@ -5,7 +5,9 @@ The adaptive sweep-tau tables were written with
     ewm sweep-tau --anchor ANCHOR --delta 0.1 --alphas 1e-2,1e-120 --trials 4 \
         --seed 0 --policy POLICY --threads 1 --out tests/golden/sweep-tau-TAG-POLICY.csv
 
-for the adaptive policies on a 2- and a 4-symbol anchor.  ``roundrobin`` and
+for the adaptive policies on a 2- and a 4-symbol anchor, and ``sweep-tau-n4-greedy-deep.csv``
+the same way from ``DEEP_GREEDY``, the adaptive sweep whose greedy trials run longest before
+absorption.  ``roundrobin`` and
 ``random`` run the block engine: ``random`` reads three Philox words per two
 steps, the vertex draws of both from the low then the high half of the first
 word, and a trial whose block holds a draw numpy rejects is re-run by the
@@ -32,6 +34,8 @@ from ewm.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 ANCHORS = {"n2": "[0.5,0.5]", "n4": "[0.25,0.25,0.25,0.25]"}
 
+DEEP_GREEDY = ["sweep-tau", "--anchor", ANCHORS["n4"], "--delta", "0.1", "--alphas",
+               "1e-120,1e-300", "--trials", "8", "--seed", "0", "--policy", "greedy"]
 FIXED_ANCHORS = {"fair": "[0.5,0.5]", "skew": "[0.2,0.8]"}
 FIXED_SWEEP = ["--delta", "0.1", "--alphas", "log:1e-2:1e-60:4", "--trials", "50",
                "--seed", "0", "--policy", "fixed:0,1"]
@@ -66,6 +70,13 @@ def test_sweep_tau_matches_golden(tmp_path, tag, policy, threads):
                  "--policy", policy, "--threads", str(threads), "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / f"sweep-tau-{tag}-{policy}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_deep_greedy_sweep_matches_golden(tmp_path, threads):
+    out = tmp_path / "tau.csv"
+    assert main([*DEEP_GREEDY, "--threads", str(threads), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "sweep-tau-n4-greedy-deep.csv").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ewm
@@ -18,9 +18,9 @@ from ewm.coupling import _cell_lookup
 from ewm.detection import _first_crossing
 from ewm.errors import BadParamsError, InvalidPairError, OutsideNeighborhoodError
 from ewm.simulation import (
-    _STEP_CHUNK,
     StepOutcome,
     TrialRecord,
+    _GreedyWindow,
     _philox_at,
     _random_steps,
     _run_blocks,
@@ -149,6 +149,28 @@ class TestPolicies:
         chosen = ewm.simulation.choose_pair(ewm.HistoryGreedy(window=2), 8, history, spec, rng)
         assert (chosen.gain, chosen.loss) == (1, 2)
 
+    @settings(max_examples=150)
+    @example(m=2, window=1, pushes=[(0, 1.0, True)] * 3 + [(1, 0.5, True)] * 3)
+    @example(m=12, window=3, pushes=[(i, 0.0, False) for i in range(12)] + [(11, 0.0, True)])
+    @given(m=st.sampled_from([2, 12]), window=st.integers(1, 40),
+           pushes=st.lists(st.tuples(st.integers(0, 11),
+                                     st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0 / 3.0])
+                                     | st.floats(-50.0, 50.0), st.booleans()), max_size=120))
+    def test_greedy_window_equals_a_full_re_sum(self, m, window, pushes):
+        # exactly tied means, a push that pops from the vertex it appends to (window 1 or a
+        # run on one vertex), and chooses skipped between pushes: the cached means re-sum
+        # only the windows touched since the last choose
+        greedy, chosen, scores = _GreedyWindow(m, window, set()), [], []
+        for idx, score, ask in pushes:
+            absorbed = greedy.push(idx % m, score)
+            chosen.append(idx % m)
+            scores.append(score)
+            recent = list(zip(chosen[-window:], scores[-window:]))
+            held = [j for j, _ in recent]
+            assert absorbed == (len(set(chosen)) == m and held == [idx % m] * window)
+            if ask:
+                assert greedy.choose() == greedy_choice(m, chosen, recent)
+
     def test_history_greedy_needs_a_window(self):
         for window in (0, -3):
             with pytest.raises(BadParamsError):
@@ -165,6 +187,17 @@ class TestPolicies:
         assert np.array_equal(w.joint, expected.joint)
         assert np.array_equal(q.weights, expected.target.weights)
         assert 0 <= v < 3 and 0 <= s < 3
+
+
+def greedy_choice(m, chosen, recent):
+    """``HistoryGreedy``'s rule re-derived from the whole history: the first unplayed vertex,
+    else the first with the lowest mean over the ``recent`` (vertex, score) steps, each
+    vertex's scores summed oldest first; a vertex outside the window has no mean."""
+    if unplayed := [i for i in range(m) if i not in chosen]:
+        return unplayed[0]
+    held = {i: [x for j, x in recent if j == i] for i in range(m)}
+    means = {i: sum(xs) / len(xs) for i, xs in held.items() if xs}
+    return min(means, key=means.get)
 
 
 def reference_fold(spec, e, policy, alpha, cap, seed):
@@ -224,18 +257,11 @@ def greedy_fold(spec, window, alpha, cap, seed):
     threshold = math.log(1.0 / alpha)
     rng, chosen, scores, path, absorbed = ewm.trial_rng(seed), [], [], [], None
     while len(path) < cap and (not path or path[-1] < threshold):
-        unplayed = [i for i in range(len(pairs)) if i not in chosen]
-        if unplayed:
-            idx = unplayed[0]
-        else:  # the first vertex with the lowest mean over the window, summed oldest first
-            recent = list(zip(chosen[-window:], scores[-window:]))
-            held = {i: [x for j, x in recent if j == i] for i in range(len(pairs))}
-            means = {i: sum(xs) / len(xs) for i, xs in held.items() if xs}
-            idx = min(means, key=means.get)
+        idx = greedy_choice(len(pairs), chosen, list(zip(chosen[-window:], scores[-window:])))
         chosen.append(idx)
         scores.append(log_flat[bisect_right(cdfs[idx], rng.random())])
         path.append((path[-1] if path else 0.0) + scores[-1])
-        if (absorbed is None and path[-1] < threshold and not unplayed[1:]
+        if (absorbed is None and path[-1] < threshold and len(set(chosen)) == len(pairs)
                 and len(chosen) >= window and set(chosen[-window:]) == {idx}):
             absorbed = len(path)
     return path, absorbed
@@ -245,14 +271,16 @@ class TestRunTrial:
     def test_stepwise_loop_matches_the_reference_fold(self):
         # both engines, through _run_trials; (anchor, alpha, cap, seeds): n=4 has 12
         # vertices, so RandomPair's integers(12) is not a power-of-two draw; the cap of
-        # 15 censors; alpha 1e-300 on n=2 takes about 1,400 steps, more than one chunk
+        # 15 censors; alpha 1e-300 on n=2 takes about 1,400 steps, past 1,024; a window of
+        # 300 keeps greedy in the stepwise loop across several 128-uniform chunks
         cases = [([0.5, 0.5], 1e-300, 10**6, (0,)),
                  ([0.5, 0.5], 1e-6, 10**4, (1, 2)),
                  ([0.4, 0.3, 0.3], 1e-20, 10**4, (3, 4)),
                  ([0.4, 0.3, 0.18, 0.12], 1e-20, 10**4, (5, 6)),
                  ([0.4, 0.3, 0.18, 0.12], 1e-20, 15, (7, 8))]
         policies = (ewm.FixedPair(1, 0), ewm.RoundRobin(), ewm.RandomPair(),
-                    ewm.HistoryGreedy(window=8), ewm.HistoryGreedy(window=32))
+                    ewm.HistoryGreedy(window=8), ewm.HistoryGreedy(window=32),
+                    ewm.HistoryGreedy(window=300))
         censored = long_runs = 0
         for anchor, alpha, cap, seeds in cases:
             spec = spec_of(anchor, 0.1)
@@ -262,7 +290,7 @@ class TestRunTrial:
                     record = engine_record(spec, policy, alpha, cap, seed)
                     assert record == reference_fold(spec, e, policy, alpha, cap, seed)
                     censored += record.stop_step is None
-                    long_runs += record.steps_run > _STEP_CHUNK
+                    long_runs += record.steps_run > 1_024
         assert censored and long_runs == len(policies)
 
     def test_deterministic(self):
