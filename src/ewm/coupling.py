@@ -55,8 +55,8 @@ from .simplex import (
 # floating-point cancellation dust and are clamped to zero.
 NEG_CLAMP = 1e-14
 
-# Guide-table buckets of [0, 1).  A power of two, so ``u * _GUIDE`` is exact and
-# its integer part is the bucket of ``u``.
+# Guide-table buckets of [0, 1).  A power of two, so the bucket of the uniform a 64-bit
+# word reads as, ``(w >> 11) * 2**-53``, is the word's top 12 bits.
 _GUIDE = 4096
 _BLOCK_CELLS = 16_384  # per bounded block: fixed-pair sweep, calibrate_null, generate, detect
 _PLAIN_ROWS = re.compile(r"(?:[0-9]{1,18},[0-9]{1,18},[0-9]{1,18}\r?\n)+")  # csv, int() agree
@@ -173,16 +173,16 @@ def sample_pair(w: CouplingMatrix, rng: np.random.Generator) -> tuple[int, int]:
 
 
 def _cell_lookup(cdfs: np.ndarray, values: np.ndarray) -> Callable[..., np.ndarray]:
-    """The one vectorized uniform-to-cell map over a stack of nondecreasing CDFs:
-    ``lookup(u, rows=None)`` is a new array equal to ``values[min(searchsorted(cdfs[r],
-    u, side="right"), len(values) - 1)]`` for each ``u`` in [0, 1), as ``Generator.random``
-    draws, and its row ``r`` of ``rows`` (broadcast; None: row 0).
+    """The one vectorized word-to-cell map over a stack of nondecreasing CDFs:
+    ``lookup(w, rows=None)`` is a new array equal to ``values[min(searchsorted(cdfs[r], u,
+    side="right"), len(values) - 1)]`` for each uint64 word ``w``, read as ``Generator.random``
+    reads it, ``u = (w >> 11) * 2**-53``, and its row ``r`` of ``rows`` (broadcast; None: 0).
 
-    A guide table (indexed search) holds, per row, the answer of every bucket of
-    ``_GUIDE`` equal parts of [0, 1) whose least and greatest float land in the same
-    cell; ``searchsorted`` is monotone, so every float between them does too.  Only
-    uniforms in a bucket that straddles a CDF entry are searched, with the same
-    comparisons."""
+    A guide table (indexed search) holds, per row, the answer of every bucket of ``_GUIDE``
+    equal parts of [0, 1) whose least and greatest float land in the same cell;
+    ``searchsorted`` is monotone, so every float between them does too.  A word's bucket is
+    its top 12 bits; only words in a bucket that straddles a CDF entry become floats and are
+    searched, with the same comparisons."""
     top, scaled = len(values) - 1, np.asarray(cdfs) * _GUIDE  # exact, by a power of two
     def at_most(edge):  # per row and bucket b, the CDF entries c with edge(c * G) <= b
         at = np.clip(edge(scaled), 0, _GUIDE).astype(np.intp)  # nondecreasing in each row
@@ -193,13 +193,13 @@ def _cell_lookup(cdfs: np.ndarray, values: np.ndarray) -> Callable[..., np.ndarr
     lo, hi = at_most(np.ceil), at_most(np.floor)  # b's least float b / G; its greatest
     guide, straddles = values[lo].ravel(), (lo != hi).ravel()
 
-    def lookup(u: np.ndarray, rows=None) -> np.ndarray:
-        cell = (u * _GUIDE).astype(np.intp)  # the bucket, then its place in the stack
+    def lookup(w: np.ndarray, rows=None) -> np.ndarray:
+        cell = (w >> np.uint64(52)).view(np.intp)  # the bucket, then its place in the stack
         if rows is not None:
             cell += rows * _GUIDE
         out, search = guide[cell], straddles[cell]
         if search.any():
-            us = u[search]
+            us = (w[search] >> np.uint64(11)) * 2.0**-53  # numpy's double of the word
             if rows is None:
                 found = np.searchsorted(cdfs[0], us, side="right")
             else:  # one search per row that holds a straddler
@@ -213,10 +213,11 @@ def _cell_lookup(cdfs: np.ndarray, values: np.ndarray) -> Callable[..., np.ndarr
 
 
 def _pair_draws(w: CouplingMatrix) -> Callable[[int, np.random.Generator], np.ndarray]:
-    """``draw(count, rng)``: ``count`` uniforms of ``rng`` mapped through one guide
-    table to ``(count, 2)`` pairs, the row and column of ``w``'s row-major cells."""
+    """``draw(count, rng)``: ``count`` uniforms of any generator made back into their words
+    (not ``random_raw``: MT19937 makes one of two), as ``(count, 2)`` rows and columns of cells."""
     lookup = _cell_lookup(w.cdf[np.newaxis], np.arange(w.n * w.n, dtype=np.int64))
-    return lambda count, rng: np.stack(np.divmod(lookup(rng.random(count)), w.n), axis=1)
+    return lambda count, rng: np.stack(np.divmod(lookup(  # each uniform's word, exactly
+        (rng.random(count) * 2.0**53).astype(np.uint64) << np.uint64(11)), w.n), axis=1)
 
 
 def _stream_chunks(w: CouplingMatrix, steps: int, rng: np.random.Generator) -> Iterator[np.ndarray]:

@@ -14,26 +14,24 @@ Each trial owns an independent counter-based random stream (Philox) keyed by
                                   XOR trial_index )
 
 where ``mix64`` is the splitmix64 finalizer (xor-shift/multiply avalanche).
-Trials are therefore embarrassingly parallel, and results are identical for
-any worker count or scheduling order.  Two engines run the trials and return each
-seed's stop step (-1 when censored) and final wealth.  The block engine places a
-re-keyed Philox at every live trial's next word, reads the trials' blocks into one
-matrix, maps them to log scores through one guide table per vertex (the comparisons
-of ``searchsorted``) and carries the wealth of trials that have not crossed.
-``FixedPair`` and ``RoundRobin`` (vertex ``step % m``) read one uniform, one word, per
-step.  ``RandomPair`` draws its vertex (``integers(m)``) then its uniform (``random``):
-word 3j gives the vertex draws of steps 2j and 2j + 1 from its low then its high 32
-bits, as Lemire's ``(x * m) >> 32``, and words 3j + 1 and 3j + 2 their uniforms.  A
-draw numpy rejects, ``(x * m) mod 2**32 < (2**32 - m) mod m`` (never for a power-of-two
-m), shifts that layout, so a trial whose block holds one is re-run by the stepwise loop.
+Trials are therefore embarrassingly parallel, and results are identical for any worker
+count or scheduling order.  Two engines return each seed's stop step (-1 when censored) and
+final wealth.  The block engine reads each live trial's next raw 64-bit Philox words (one key
+write, state assignment and ``random_raw`` per row), maps them to log scores through one guide
+table per vertex and carries the wealth of trials that have not crossed.  ``FixedPair`` and
+``RoundRobin`` (vertex ``step % m``) read one word per step.  ``RandomPair`` draws its vertex
+(``integers(m)``) then its uniform: word 3j gives the vertex draws of steps 2j and 2j + 1 from
+its low then high 32 bits, as Lemire's ``(x * m) >> 32``, and words 3j + 1 and 3j + 2 their
+uniforms.  A draw numpy rejects, ``(x * m) mod 2**32 < (2**32 - m) mod m`` (never for a
+power-of-two m), shifts that layout, so a trial whose block holds one is re-run stepwise.
 ``HistoryGreedy`` runs stepwise, one re-keyed Philox drawing 128 uniforms at a time as read
-and each window's mean kept and re-summed (oldest first) only once a step touches it, until
-absorbed: every vertex played and the last ``window`` steps all on one vertex A.  Every other
-window is then empty, so A (a finite mean) is chosen at every later step: the block engine
-continues the trial as ``FixedPair(A)`` at word = steps taken, with its wealth carried.  Both
-engines consume each trial's stream exactly as a loop drawing one value at a time would.
-``calibrate_null`` reads a :func:`trial_rng` generator in bounded
-sub-blocks; per ``4_000_000 // horizon`` streams: all outcomes, then all seeds, row-major.
+and each window's mean re-summed (oldest first) only once a step touches it, until absorbed:
+every vertex played and the last ``window`` steps all on one vertex A, which every later step
+then chooses, so the block engine continues it as ``FixedPair(A)`` at word = steps taken, with
+its wealth.  Both engines consume each stream exactly as drawing one value at a time would.
+``calibrate_null`` reads raw words of a :func:`trial_rng` generator, as ``random`` consumes
+them, in bounded sub-blocks; per ``4_000_000 // horizon`` streams: all outcomes, then all
+seeds, row-major.  A word ``w`` reads as ``Generator.random``'s ``(w >> 11) * 2**-53``.
 """
 
 from __future__ import annotations
@@ -276,13 +274,14 @@ def default_horizon(spec: NeighborhoodSpec, alpha: float, factor: float = 10.0) 
 def _vertex_table(spec: NeighborhoodSpec, pair: ExtremePair | None = None) -> tuple:
     """``pair``'s, else every vertex's (lexicographic) :func:`_cell_lookup`, flat log scores
     and CDFs less their last entry (a uniform past the rest lands in the last cell, as the
-    lookup's does) as lists; the last key's is kept, so a sweep builds one per process."""
+    lookup's does) as lists, and J*; the last key's is kept, so a sweep builds one per process."""
     if (key := (spec, pair)) not in _TABLE:
         pairs = [pair] if pair is not None else enumerate_extremes(spec)
         cdfs = np.cumsum(_vertex_joints(spec, pairs).reshape(len(pairs), -1), axis=1)
         log_flat = optimal_evalue(spec).log_scores.ravel()
         _TABLE.clear()
-        _TABLE[key] = _cell_lookup(cdfs, log_flat), log_flat.tolist(), cdfs[:, :-1].tolist()
+        _TABLE[key] = (_cell_lookup(cdfs, log_flat), log_flat.tolist(), cdfs[:, :-1].tolist(),
+                       jstar(spec))
     return _TABLE[key]
 
 
@@ -292,7 +291,7 @@ def _run_stepwise(
     """The stepwise loop, one scalar step at a time, for ``HistoryGreedy`` and rejecting
     ``RandomPair`` trials: stop steps (-1 when censored or absorbed) and wealth, one per seed,
     and ``(row, steps, vertex)`` of each greedy trial absorbed first, for :func:`_run_blocks`."""
-    _, log_flat, cdfs = _vertex_table(spec)
+    _, log_flat, cdfs, _ = _vertex_table(spec)
     m, threshold = len(cdfs), math.log(1.0 / alpha)
     stops, wealth, absorbed = np.full(len(seeds), -1, dtype=np.int64), np.empty(len(seeds)), []
     state = (gen := trial_rng(0)).bit_generator.state  # re-keyed for every trial
@@ -323,14 +322,14 @@ def _run_stepwise(
 
 
 def _random_steps(raw: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``RandomPair``'s vertices and uniforms from rows of raw words, three per two steps
+    """``RandomPair``'s vertices and uniform words from rows of raw words, three per two steps
     (the layout of the module docstring), and the rows holding a draw numpy rejects."""
     words = raw.reshape(len(raw), -1, 3)
     x = np.stack((words[..., 0] & np.uint64(2**32 - 1), words[..., 0] >> np.uint64(32)), -1)
     x *= np.uint64(m)  # below 2**64: m = n * (n - 1) < 2**32 for any table that fits
     rejected = ((x & np.uint64(2**32 - 1)) < (2**32 - m) % m).any(axis=(1, 2))
-    vertex, u = x >> np.uint64(32), (words[..., 1:] >> np.uint64(11)) * 2.0**-53  # numpy's
-    return vertex.astype(np.intp).reshape(len(raw), -1), u.reshape(len(raw), -1), rejected
+    vertex = (x >> np.uint64(32)).astype(np.intp).reshape(len(raw), -1)
+    return vertex, words[..., 1:].reshape(len(raw), -1), rejected
 
 
 def _run_blocks(
@@ -344,12 +343,11 @@ def _run_blocks(
     1.25 expected stops in whole Philox blocks and at most ``_BLOCK_CELLS`` steps."""
     if vertex is None and not isinstance(policy, (FixedPair, RoundRobin, RandomPair)):
         raise BadParamsError(f"unknown policy {policy!r}")
-    lookup, _, cdfs = _vertex_table(spec, policy if isinstance(policy, FixedPair) else None)
-    m, random = len(cdfs), isinstance(policy, RandomPair)
-    threshold = math.log(1.0 / alpha)
-    expected = min(1.25 * threshold / jstar(spec), _BLOCK_CELLS)  # inf for a subnormal J*
+    lookup, _, cdfs, rate = _vertex_table(spec, policy if isinstance(policy, FixedPair) else None)
+    m, random, threshold = len(cdfs), isinstance(policy, RandomPair), math.log(1.0 / alpha)
+    expected = min(1.25 * threshold / rate, _BLOCK_CELLS)  # inf for a subnormal J*
     chunk = min(_BLOCK_CELLS, 4 * max(16, (int(expected) + 19) // 4))
-    state = (gen := trial_rng(0)).bit_generator.state  # re-keyed for every row
+    state, placed = (gen := trial_rng(0)).bit_generator.state, None  # re-keyed for every row
 
     stops, wealth, redo = np.full(len(seeds), -1, dtype=np.int64), np.zeros(len(seeds)) + carry, []
     start = np.zeros(len(seeds), dtype=np.int64) + start  # per row
@@ -359,21 +357,23 @@ def _run_blocks(
         live, steps = np.arange(lo, min(lo + rows, len(seeds))), 0
         while (live := live[horizon[live] > steps]).size:  # trials not yet crossed or censored
             k = min(chunk, int(horizon[live].max()) - steps)
-            if random:  # whole words: k rounded up to even, and steps is even
-                raw = np.empty((live.size, 3 * ((k + 1) // 2)), dtype=np.uint64)
-                for row, t in zip(raw, live):
-                    _philox_at(gen, state, 3 * steps // 2, seeds[t])
-                    row[:] = gen.bit_generator.random_raw(row.size)
-                pick, u, rejected = _random_steps(raw, m)
+            # RandomPair reads whole word triples: k rounded up to even, and steps is even
+            width, at = (3 * ((k + 1) // 2), 3 * steps // 2) if random else (k, steps)
+            words = np.empty((live.size, width), dtype=np.uint64)
+            for row, t, pos in zip(words, live.tolist(), (start[live] + at).tolist()):
+                if pos != placed:  # rows share a word unless absorbed greedy trials differ
+                    state["state"]["counter"] = (placed := pos) >> 2, 0, 0, 0  # below 2**63
+                state["state"]["key"][0] = seeds[t]
+                gen.bit_generator.state = state
+                row[:] = gen.bit_generator.random_raw(width + pos % 4)[pos % 4:]
+            if random:
+                pick, words, rejected = _random_steps(words, m)
                 redo += live[rejected].tolist()  # re-run stepwise at the end
-                live, pick, u = live[~rejected], pick[~rejected, :k], u[~rejected, :k]
+                live, pick, words = live[~rejected], pick[~rejected, :k], words[~rejected, :k]
             else:
-                u = np.empty((live.size, k))
-                for row, t in zip(u, live):
-                    _philox_at(gen, state, int(start[t]) + steps, seeds[t]).random(out=row)
                 pick = (vertex[live, np.newaxis] if vertex is not None  # one vertex per row
                         else np.arange(steps, steps + k) % m if m > 1 else None)
-            hit, cum = _first_crossing(lookup(u, pick), threshold, wealth[live])
+            hit, cum = _first_crossing(lookup(words, pick), threshold, wealth[live])
             left = np.minimum(horizon[live] - steps, k)  # a crossing past the horizon is censored
             crossed = (hit >= 0) & (hit < left)
             wealth[live] = cum[np.arange(live.size), np.where(crossed, hit, left - 1)]
@@ -420,10 +420,9 @@ def run_trial(
 
 
 def _sweep_task(args) -> np.ndarray:
-    """One (alpha, trial-range) work unit; returns stop steps, -1 = censored."""
-    config, alpha, alpha_index, lo, hi = args
-    seeds = _trial_seeds(config.base_seed, alpha_index, lo, hi)
-    return _run_trials(config, alpha, _cap(config, alpha), seeds)[0]
+    """One (alpha, horizon, trial-range) work unit; returns stop steps, -1 = censored."""
+    config, alpha, cap, alpha_index, lo, hi = args
+    return _run_trials(config, alpha, cap, _trial_seeds(config.base_seed, alpha_index, lo, hi))[0]
 
 
 def estimate_stopping(config: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
@@ -437,19 +436,18 @@ def estimate_stopping(config: ExperimentConfig, threads: int = 1) -> list[SweepR
     """
     workers = min(_count(threads, "threads"), os.cpu_count() or 1)
     step = math.ceil(config.trials / workers)
-    tasks = []
-    for ai, alpha in enumerate(config.alphas):
+    caps, tasks = [_cap(config, alpha) for alpha in config.alphas], []
+    for ai, (alpha, cap) in enumerate(zip(config.alphas, caps)):
         for lo in range(0, config.trials, step):
-            tasks.append((config, alpha, ai, lo, min(lo + step, config.trials)))
+            tasks.append((config, alpha, cap, ai, lo, min(lo + step, config.trials)))
     pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks))) if workers > 1 else None
     with pool or nullcontext():
         outputs = (pool.map if pool else map)(_sweep_task, tasks)  # in task order
-        rows = []
-        units = len(tasks) // len(config.alphas)
-        for alpha in config.alphas:
+        rows, units = [], len(tasks) // len(config.alphas)
+        for alpha, cap in zip(config.alphas, caps):
             taus = np.concatenate(list(islice(outputs, units)))
             censored = int(np.sum(taus < 0))
-            filled = np.where(taus < 0, float(_cap(config, alpha)), taus)
+            filled = np.where(taus < 0, float(cap), taus)
             log_inv = math.log(1.0 / alpha)
             mean = float(filled.mean())
             std_err = float(filled.std(ddof=1) / math.sqrt(filled.size)) if filled.size > 1 else 0.0
@@ -498,8 +496,8 @@ def calibrate_null(
         for r in range(0, b, rows):
             wealth, crossed = 0.0, False
             for c in range(0, horizon, width):
-                cell = row(rng.random((min(rows, b - r), min(width, horizon - c))))
-                cell += col(seeds.random(cell.shape))
+                cell = row(bitgen.random_raw((min(rows, b - r), min(width, horizon - c))))
+                cell += col(seeds.bit_generator.random_raw(cell.shape))
                 hit, cum = _first_crossing(log_flat[cell], threshold, wealth)
                 wealth, crossed = cum[:, -1], crossed | (hit >= 0)
             hits += int(np.count_nonzero(crossed))

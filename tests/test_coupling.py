@@ -200,6 +200,16 @@ class TestSampling:
         singles = [ewm.sample_pair(w, rng) for _ in range(64)]
         assert [tuple(row) for row in chunked] == singles
 
+    def test_stream_matches_single_draws_of_any_generator(self):
+        # MT19937 makes one double of two 32-bit outputs, so its words are never read raw
+        spec = spec_of([0.4, 0.3, 0.3], 0.1)
+        w = ewm.extreme_coupling(spec, ewm.ExtremePair(2, 0))
+        chunked = ewm.sample_stream(w, 300, np.random.Generator(np.random.MT19937(5)))
+        rng = np.random.Generator(np.random.MT19937(5))
+        singles = [ewm.sample_pair(w, rng) for _ in range(300)]
+        assert [tuple(row) for row in chunked] == singles
+        assert len(set(singles)) > 3
+
     def test_same_seed_same_pair(self):
         spec = spec_of([0.4, 0.3, 0.3], 0.1)
         w = ewm.extreme_coupling(spec, ewm.ExtremePair(1, 0))
@@ -224,13 +234,22 @@ def joint_cdfs(draw):
     return np.sort(cdf), rng.permutation(cells)
 
 
-def adversarial_uniforms(cdf):
-    """Every bucket edge, every CDF entry and both float neighbours of each,
-    0 and the largest float below 1, all inside [0, 1)."""
-    points = np.concatenate([np.arange(_GUIDE) / _GUIDE, cdf])
-    u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
-                        [0.0, np.nextafter(1.0, 0.0)]])
-    return u[(u >= 0.0) & (u < 1.0)]
+def adversarial_words(cdf):
+    """The first and last word of every bucket, and ``floor`` and ``ceil`` of ``c * 2**53``
+    for every CDF entry ``c`` below 1, shifted left by 11 with the low 11 bits all 0 and
+    all 1, and the first and last word overall."""
+    buckets = np.arange(_GUIDE, dtype=np.uint64) << np.uint64(52)
+    scaled = np.concatenate([np.floor(cdf * 2.0**53), np.ceil(cdf * 2.0**53)])
+    high = scaled[scaled < 2.0**53].astype(np.uint64) << np.uint64(11)
+    low = np.concatenate([buckets, high, [0]]).astype(np.uint64)
+    ones = np.concatenate([buckets | np.uint64(2**52 - 1), high | np.uint64(2**11 - 1),
+                           [2**64 - 1]]).astype(np.uint64)
+    return np.concatenate([low, ones])
+
+
+def clamped_search(cdf, values, words):
+    u = (words >> np.uint64(11)) * 2.0**-53  # the uniform Generator.random makes of a word
+    return values[np.minimum(np.searchsorted(cdf, u, side="right"), values.size - 1)]
 
 
 class TestCellLookup:
@@ -238,18 +257,23 @@ class TestCellLookup:
     @given(joint_cdfs(), st.integers(0, 2**32 - 1))
     def test_equals_clamped_searchsorted(self, table, seed):
         cdf, values = table
-        u = np.concatenate([adversarial_uniforms(cdf), np.random.default_rng(seed).random(999)])
-        expected = values[np.minimum(np.searchsorted(cdf, u, side="right"), values.size - 1)]
+        rng = np.random.default_rng(seed)
+        w = np.concatenate([adversarial_words(cdf), rng.bit_generator.random_raw(999)])
+        expected = clamped_search(cdf, values, w)
         lookup = _cell_lookup(cdf[np.newaxis], values)
-        assert np.array_equal(lookup(u), expected)
-        rows = u[: u.size // 3 * 3].reshape(3, -1)
+        assert np.array_equal(lookup(w), expected)
+        rows = w[: w.size // 3 * 3].reshape(3, -1)
         assert np.array_equal(lookup(rows), expected[: rows.size].reshape(rows.shape))
-        # a stack of CDFs, each uniform looked up in the row it names
+        # a stack of CDFs, each word looked up in the row it names
         stack = np.stack([cdf, cdf**2, np.zeros_like(cdf)])
-        which = np.random.default_rng(seed).integers(0, 3, u.size)
-        expected = [values[min(np.searchsorted(stack[r], x, side="right"), values.size - 1)]
-                    for r, x in zip(which, u)]
-        assert np.array_equal(_cell_lookup(stack, values)(u, which), expected)
+        which = rng.integers(0, 3, w.size)
+        named = np.stack([clamped_search(c, values, w) for c in stack])[which, np.arange(w.size)]
+        stacked = _cell_lookup(stack, values)
+        assert np.array_equal(stacked(w, which), named)
+        for bits in (0, 2**11 - 1, 0x5A5):  # the low 11 bits never reach the uniform
+            shifted = w >> np.uint64(11) << np.uint64(11) | np.uint64(bits)
+            assert np.array_equal(lookup(shifted), expected)
+            assert np.array_equal(stacked(shifted, which), named)
 
 
 class TestMarginalGuarantees:

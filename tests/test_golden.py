@@ -15,12 +15,17 @@ stepwise loop.  ``greedy`` runs the stepwise loop until every vertex is played
 and its last ``window`` steps all chose one vertex, which it then plays for good;
 the block engine continues it from there with its wealth.  The fixed-pair tables
 ``sweep-tau-fixed-TAG.csv`` were written the same way from ``FIXED_SWEEP`` and
-the ``FIXED_ANCHORS``, and each entry of
+the anchor and vertex of each ``FIXED_RUNS`` entry, and each entry of
 ``RUNS`` with ``ewm ARGV --out tests/golden/NAME.csv`` for a table (``NAME.json``
 for a report), with ``--trace tests/golden/NAME-trace.csv`` in place of
-``TRACE``.  The tables cover the paths that map uniforms to coupling cells in
-bulk: the fixed-pair sweep, calibrate-null and generate; the reports cover the
-closed-form rate, the two-token solver, both detectors on the committed
+``TRACE``.  The tables cover the paths that map random words to coupling cells in
+bulk: the fixed-pair sweep, calibrate-null and generate.  The block engine and
+calibrate-null read raw 64-bit Philox words, and generate makes its generator's
+uniforms back into words; ``calibrate-null-subblocks`` has rows longer than one
+16,384-cell sub-block, so each is read in column chunks that carry the wealth.  The
+``fixed-n4`` and ``calibrate-null-subblocks`` tables were written before the bulk
+paths read words, so they pin that those paths kept their bytes.  The reports cover
+the closed-form rate, the two-token solver, both detectors on the committed
 ``generate-pair.csv`` stream, the vertex decomposition and the audit.  Any
 worker count must reproduce the sweep tables.
 """
@@ -36,9 +41,10 @@ ANCHORS = {"n2": "[0.5,0.5]", "n4": "[0.25,0.25,0.25,0.25]"}
 
 DEEP_GREEDY = ["sweep-tau", "--anchor", ANCHORS["n4"], "--delta", "0.1", "--alphas",
                "1e-120,1e-300", "--trials", "8", "--seed", "0", "--policy", "greedy"]
-FIXED_ANCHORS = {"fair": "[0.5,0.5]", "skew": "[0.2,0.8]"}
+FIXED_RUNS = {"fair": ("[0.5,0.5]", "0,1"), "skew": ("[0.2,0.8]", "0,1"),
+              "n4": (ANCHORS["n4"], "0,3")}
 FIXED_SWEEP = ["--delta", "0.1", "--alphas", "log:1e-2:1e-60:4", "--trials", "50",
-               "--seed", "0", "--policy", "fixed:0,1"]
+               "--seed", "0"]
 CALIBRATE = ["calibrate-null", "--anchor", "[0.5,0.5]", "--delta", "0.1",
              "--alphas", "0.1,0.05,0.02", "--trials", "500", "--seed", "1"]
 ANCHOR3 = ["--anchor", "[0.4,0.3,0.3]", "--delta", "0.1"]
@@ -47,6 +53,9 @@ DETECT = ["detect", *ANCHOR3, "--alpha", "1e-30", "--stream", str(GOLDEN / "gene
 RUNS = {
     "calibrate-null-anchor": CALIBRATE,
     "calibrate-null-shifted": [*CALIBRATE, "--q-null", "[0.55,0.45]", "--horizon", "2000"],
+    "calibrate-null-subblocks": ["calibrate-null", "--anchor", "[0.5,0.5]", "--delta", "0.1",
+                                 "--alphas", "0.05", "--trials", "40", "--horizon", "20000",
+                                 "--q-null", "[0.55,0.45]", "--seed", "2"],
     "generate-pair": [*GENERATE, "--pair", "0,1"],
     "generate-target": [*GENERATE, "--target", "[0.43,0.32,0.25]"],
     "jstar": ["jstar", *ANCHOR3],
@@ -91,10 +100,10 @@ def test_run_matches_golden(tmp_path, name):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("tag", sorted(FIXED_ANCHORS))
+@pytest.mark.parametrize("tag", sorted(FIXED_RUNS))
 def test_fixed_sweep_matches_golden(tmp_path, tag, threads):
-    out = tmp_path / "tau.csv"
-    code = main(["sweep-tau", "--anchor", FIXED_ANCHORS[tag], *FIXED_SWEEP,
+    out, (anchor, pair) = tmp_path / "tau.csv", FIXED_RUNS[tag]
+    code = main(["sweep-tau", "--anchor", anchor, *FIXED_SWEEP, "--policy", f"fixed:{pair}",
                  "--threads", str(threads), "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / f"sweep-tau-fixed-{tag}.csv").read_bytes()

@@ -449,7 +449,7 @@ class TestEstimateStopping:
             seeds = [ewm.trial_seed(31, 0, t) for t in range(300)]
             taus = scalar_fold(spec, config.policy, alpha, cap, seeds)[0]
             assert (taus < 0).any() and (chunk is None or (taus > chunk).any())
-            assert np.array_equal(_sweep_task((config, alpha, 0, 0, 300)), taus)
+            assert np.array_equal(_sweep_task((config, alpha, cap, 0, 0, 300)), taus)
             row = ewm.estimate_stopping(config, threads=1)[0]
             assert ewm.estimate_stopping(config, threads=2) == [row]
             filled = np.where(taus < 0, cap, taus)
@@ -530,19 +530,20 @@ class TestBlockEngine:
         # five trials' first 150 words decode to the vertex, then the uniform, of
         # their first 100 steps
         raw = np.stack([ewm.trial_rng(seed).bit_generator.random_raw(150) for seed in range(5)])
-        vertex, u, rejected = _random_steps(raw, m)
+        vertex, words, rejected = _random_steps(raw, m)
         assert not rejected.any()
         for seed in range(5):
             twin = ewm.trial_rng(seed)
             expected = [(int(twin.integers(m)), twin.random()) for _ in range(100)]
-            assert list(zip(vertex[seed].tolist(), u[seed].tolist())) == expected
+            uniforms = (words[seed] >> np.uint64(11)) * 2.0**-53
+            assert list(zip(vertex[seed].tolist(), uniforms.tolist())) == expected
 
     def test_random_decode_flags_exactly_the_rejecting_blocks(self):
         # for m = 3 * 2**30 numpy rejects a quarter of its 32-bit draws; a two-step
         # block that none rejects leaves the twin at word 3 with no half-word kept
         m, seeds = 3 * 2**30, range(200)
         raw = np.stack([ewm.trial_rng(seed).bit_generator.random_raw(3) for seed in seeds])
-        vertex, u, rejected = _random_steps(raw, m)
+        vertex, words, rejected = _random_steps(raw, m)
         for seed in seeds:
             twin = ewm.trial_rng(seed)
             draws = [(int(twin.integers(m)), twin.random()) for _ in range(2)]
@@ -550,7 +551,8 @@ class TestBlockEngine:
             clean = word_position(state) == 3 and not state["has_uint32"]
             assert rejected[seed] == (not clean)
             if clean:
-                assert list(zip(vertex[seed].tolist(), u[seed].tolist())) == draws
+                uniforms = (words[seed] >> np.uint64(11)) * 2.0**-53
+                assert list(zip(vertex[seed].tolist(), uniforms.tolist())) == draws
         assert 0 < rejected.sum() < len(seeds)
 
     def test_a_rejecting_row_is_rerun_by_the_stepwise_loop(self, monkeypatch):
@@ -830,6 +832,11 @@ def adaptive_null_rate(spec, e, adversary, alpha, streams=10_000, steps=400):
     return float(crossed.mean())
 
 
+def words_of(u):
+    """The 64-bit words, low 11 bits 0, that ``Generator.random`` reads as the uniforms ``u``."""
+    return (u * 2.0**53).astype(np.uint64) << np.uint64(11)
+
+
 def whole_block_calibrate(spec, alpha, trials, horizon, q_null, rng, e=None):
     """``calibrate_null``'s draws and rate as two whole matrices per block of
     ``4_000_000 // horizon`` streams: all outcomes, then all seeds."""
@@ -842,8 +849,8 @@ def whole_block_calibrate(spec, alpha, trials, horizon, q_null, rng, e=None):
     done = 0
     while done < trials:
         b = min(block, trials - done)
-        cell = row(rng.random((b, horizon)))
-        cell += col(rng.random((b, horizon)))
+        cell = row(words_of(rng.random((b, horizon))))  # drawn as Generator.random does
+        cell += col(words_of(rng.random((b, horizon))))
         hit, _ = _first_crossing(log_flat[cell], threshold)
         hits += int(np.count_nonzero(hit >= 0))
         done += b
