@@ -178,35 +178,37 @@ def _cell_lookup(cdfs: np.ndarray, values: np.ndarray) -> Callable[..., np.ndarr
     side="right"), len(values) - 1)]`` for each uint64 word ``w``, read as ``Generator.random``
     reads it, ``u = (w >> 11) * 2**-53``, and its row ``r`` of ``rows`` (broadcast; None: 0).
 
-    A guide table (indexed search) holds, per row, the answer of every bucket of ``_GUIDE``
-    equal parts of [0, 1) whose least and greatest float land in the same cell;
-    ``searchsorted`` is monotone, so every float between them does too.  A word's bucket is
-    its top 12 bits; only words in a bucket that straddles a CDF entry become floats and are
-    searched, with the same comparisons."""
+    A guide table (indexed search) holds, per row and bucket of ``_GUIDE`` equal parts of
+    [0, 1) (a word's top 12 bits), the answer of the bucket's least float, or a mark (NaN for
+    float values, -1 for int ones) where a CDF entry before the clamp lies inside the bucket:
+    bucket ``floor(c * _GUIDE)`` unless that is whole.  ``searchsorted`` is monotone, so every
+    float of an unmarked bucket has that answer; only words reading a mark become floats and
+    are searched, so a value equal to the mark costs a search, never a wrong cell."""
     top, scaled = len(values) - 1, np.asarray(cdfs) * _GUIDE  # exact, by a power of two
-    def at_most(edge):  # per row and bucket b, the CDF entries c with edge(c * G) <= b
-        at = np.clip(edge(scaled), 0, _GUIDE).astype(np.intp)  # nondecreasing in each row
-        counts = np.tile(np.minimum(np.arange(at.shape[1] + 1), top), len(at))
-        widths = np.diff(at, axis=1, prepend=0, append=_GUIDE).ravel()
-        return np.repeat(counts, widths).reshape(len(at), _GUIDE)
-
-    lo, hi = at_most(np.ceil), at_most(np.floor)  # b's least float b / G; its greatest
-    guide, straddles = values[lo].ravel(), (lo != hi).ravel()
+    stack, cells = scaled.shape
+    at = np.clip(np.ceil(scaled), 0, _GUIDE).astype(np.intp)  # first bucket with b / G >= c
+    widths = np.diff(at, axis=1, prepend=0, append=_GUIDE).ravel()  # buckets per entry count
+    guide = np.repeat(np.tile(values[np.minimum(np.arange(cells + 1), top)], stack), widths)
+    edge, mark = np.floor(scaled), np.nan if values.dtype.kind == "f" else -1
+    row, entry = np.nonzero((edge != scaled) & (edge >= 0) & (edge < _GUIDE)
+                            & (np.arange(cells) < top))
+    guide[row * _GUIDE + edge[row, entry].astype(np.intp)] = mark
+    marked = np.isnan if mark != mark else (lambda out: out == mark)
 
     def lookup(w: np.ndarray, rows=None) -> np.ndarray:
         cell = (w >> np.uint64(52)).view(np.intp)  # the bucket, then its place in the stack
         if rows is not None:
             cell += rows * _GUIDE
-        out, search = guide[cell], straddles[cell]
-        if search.any():
-            us = (w[search] >> np.uint64(11)) * 2.0**-53  # numpy's double of the word
+        out = guide.take(cell)
+        if (search := np.flatnonzero(marked(out))).size:
+            us = (w.take(search) >> np.uint64(11)) * 2.0**-53  # numpy's double of the word
             if rows is None:
                 found = np.searchsorted(cdfs[0], us, side="right")
-            else:  # one search per row that holds a straddler
-                row, found = cell[search] // _GUIDE, np.empty(us.size, np.intp)
+            else:  # one search per row that holds a marked word
+                row, found = cell.take(search) // _GUIDE, np.empty(us.size, np.intp)
                 for r in np.unique(row):
                     found[row == r] = np.searchsorted(cdfs[r], us[row == r], side="right")
-            out[search] = values[np.minimum(found, top)]
+            out.put(search, values[np.minimum(found, top)])
         return out
 
     return lookup

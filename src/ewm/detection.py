@@ -241,15 +241,6 @@ def detector_to_json(state: DetectorState) -> str:
     )
 
 
-def _json_number(value, kind: type):
-    """``value`` as ``kind`` if it is a JSON number of that kind (a float field
-    also takes an integer); ``int()`` and ``float()`` would also take ``true``
-    or ``"3"``, and ``int()`` would truncate 2.7."""
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
-        raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
-    return kind(value)
-
-
 def _parse_json(text: str | bytes):
     """``json.loads(text)``; bad syntax or bytes, a huge int or too deep a nest: FormatError."""
     try:
@@ -259,23 +250,21 @@ def _parse_json(text: str | bytes):
 
 
 def detector_from_json(text: str) -> DetectorState:
+    """The state :func:`detector_to_json` writes: each field a JSON number of its kind (not
+    ``true`` or ``"3"``, nor 2.7 for a count) that :func:`_real` or :func:`_count` takes."""
     payload = _parse_json(text)
     try:
-        state = DetectorState(
-            wealth=_json_number(payload["wealth"], float),
-            steps=_json_number(payload["steps"], int),
-            alpha=_check_alpha(_json_number(payload["alpha"], float)),
-            rejected_at=(None if payload.get("rejected_at") is None
-                         else _json_number(payload["rejected_at"], int)),
-        )
-    except (KeyError, TypeError, OverflowError) as exc:
+        fields = [payload[f] for f in ("wealth", "steps", "alpha")] + [payload.get("rejected_at")]
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed detector state: {exc}") from exc
-    if not math.isfinite(state.wealth):
-        raise FormatError(f"wealth {state.wealth!r} is not finite")
-    if state.steps < 0:
-        raise FormatError(f"steps must be >= 0, got {state.steps}")
-    if state.rejected_at is not None and not 1 <= state.rejected_at <= state.steps:
-        raise FormatError(f"rejected_at {state.rejected_at} outside 1..{state.steps}")
+    if any(isinstance(value, bool) for value in fields):
+        raise FormatError("malformed detector state: a field holds true or false")
+    wealth, steps, alpha, rejected_at = fields
+    steps = _count(steps, "steps", 0, error=FormatError)
+    if rejected_at is not None:
+        rejected_at = _count(rejected_at, "rejected_at", 1, steps, FormatError)
+    state = DetectorState(_real(wealth, "wealth", FormatError), steps,
+                          _check_alpha(_real(alpha, "alpha", FormatError)), rejected_at)
     if state.running and state.wealth >= state.threshold:
         raise FormatError(f"wealth {state.wealth!r} meets the threshold but nothing rejected")
     return state

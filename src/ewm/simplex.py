@@ -271,17 +271,18 @@ def _shown(value) -> str:
     return f"<{type(value).__name__} past the digit limit>"
 
 
-def _count(value, name: str, low: int = 1, high: int | None = None) -> int:
+def _count(value, name: str, low: int = 1, high: int | None = None,
+           error: type[Exception] = BadParamsError) -> int:
     """The one count rule: ``value`` as the Python int :func:`operator.index` makes of it
     (numpy's too; a bool is 0/1), at least ``low`` and at most ``high`` when given; else
-    ``BadParamsError`` naming it, never a truncated, parsed or float count."""
+    ``error`` naming it, never a truncated, parsed or float count."""
     try:
         count = operator.index(value)
     except TypeError:
-        raise BadParamsError(f"{name} must be an integer, got {_shown(value)}") from None
+        raise error(f"{name} must be an integer, got {_shown(value)}") from None
     if count < low or high is not None and count > high:
         bound = f"be >= {low}" if high is None else f"lie in {low}..{high}"
-        raise BadParamsError(f"{name} must {bound}, got {_shown(count)}")
+        raise error(f"{name} must {bound}, got {_shown(count)}")
     return count
 
 

@@ -16,14 +16,15 @@ Each trial owns an independent counter-based random stream (Philox) keyed by
 where ``mix64`` is the splitmix64 finalizer (xor-shift/multiply avalanche).
 Trials are therefore embarrassingly parallel, and results are identical for any worker
 count or scheduling order.  Two engines return each seed's stop step (-1 when censored) and
-final wealth.  The block engine reads each live trial's next raw 64-bit Philox words (one key
-write, state assignment and ``random_raw`` per row), maps them to log scores through one guide
-table per vertex and carries the wealth of trials that have not crossed.  ``FixedPair`` and
-``RoundRobin`` (vertex ``step % m``) read one word per step.  ``RandomPair`` draws its vertex
-(``integers(m)``) then its uniform: word 3j gives the vertex draws of steps 2j and 2j + 1 from
-its low then high 32 bits, as Lemire's ``(x * m) >> 32``, and words 3j + 1 and 3j + 2 their
-uniforms.  A draw numpy rejects, ``(x * m) mod 2**32 < (2**32 - m) mod m`` (never for a
-power-of-two m), shifts that layout, so a trial whose block holds one is re-run stepwise.
+final wealth.  The block engine reads each live trial's next raw 64-bit Philox words (per row,
+one key written into a state template of plain Python ints, one state assignment and one
+``random_raw``), maps them to log scores through one guide table per vertex (a mark in each
+bucket that straddles a CDF entry) and carries the wealth of trials not yet crossed.
+``FixedPair`` and ``RoundRobin`` (vertex ``step % m``) read one word per step.  ``RandomPair``
+draws its vertex (``integers(m)``) then its uniform: word 3j gives the vertex draws of steps
+2j and 2j + 1 from its low then high 32 bits, as Lemire's ``(x * m) >> 32``, and words 3j + 1
+and 3j + 2 their uniforms.  A draw numpy rejects, ``(x * m) mod 2**32 < (2**32 - m) mod m``
+(never for a power-of-two m) shifts that layout, so a trial whose block holds one reruns stepwise.
 ``HistoryGreedy`` runs stepwise, one re-keyed Philox drawing 128 uniforms at a time as read
 and each window's mean re-summed (oldest first) only once a step touches it, until absorbed:
 every vertex played and the last ``window`` steps all on one vertex A, which every later step
@@ -97,19 +98,19 @@ def trial_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_count(seed, "seed", 0, 2**128 - 1)))
 
 
-def _philox_at(gen: np.random.Generator, state: dict, pos: int, key=None) -> np.random.Generator:
-    """``gen`` placed at 64-bit word ``pos`` (mod 2**258) of the Philox stream keyed by
-    ``state``, its low key word first set to ``key`` (below 2**64) when given; a stream read in
-    order stands at word ``4 * counter - 4 + buffer_pos``."""
-    if key is not None:
-        state["state"]["key"][0] = key
-    state["state"]["counter"] = (pos >> 2 & _MASK64, pos >> 66 & _MASK64,
-                                 pos >> 130 & _MASK64, pos >> 194 & _MASK64)
-    state["buffer_pos"] = 4
-    gen.bit_generator.state = state
+def _philox_at(bitgen: np.random.Philox, key: int, pos: int = 0, **half) -> dict:
+    """Place ``bitgen`` at 64-bit word ``pos`` (mod 2**258) of the Philox stream keyed by ``key``
+    (below 2**128), no 32-bit half kept unless ``half`` gives ``has_uint32`` and ``uinteger``;
+    return the state assigned, a template of plain Python ints (numpy's setter takes it in well
+    under half the time of the arrays ``bit_generator.state`` returns) to re-key in place.  A
+    stream read in order stands at word ``4 * counter - 4 + buffer_pos``."""
+    state = {"bit_generator": "Philox", "state": {"counter": tuple(
+        pos >> shift & _MASK64 for shift in (2, 66, 130, 194)), "key": (key & _MASK64, key >> 64)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0, **half}
+    bitgen.state = state
     if pos % 4:
-        gen.bit_generator.random_raw(pos % 4)
-    return gen
+        bitgen.random_raw(pos % 4)
+    return state
 
 
 # -- adversary policies ---------------------------------------------------------
@@ -294,9 +295,11 @@ def _run_stepwise(
     _, log_flat, cdfs, _ = _vertex_table(spec)
     m, threshold = len(cdfs), math.log(1.0 / alpha)
     stops, wealth, absorbed = np.full(len(seeds), -1, dtype=np.int64), np.empty(len(seeds)), []
-    state = (gen := trial_rng(0)).bit_generator.state  # re-keyed for every trial
+    rng = np.random.Generator(bitgen := np.random.Philox(key=0))
+    state = _philox_at(bitgen, 0)  # re-keyed for every trial
     for t, seed in enumerate(seeds):
-        rng = _philox_at(gen, state, 0, seed)
+        state["state"]["key"] = seed, 0  # word 0 of the trial's stream; seeds are 64-bit
+        bitgen.state = state
         greedy = isinstance(policy, HistoryGreedy) and _GreedyWindow(m, policy.window, set())
         if greedy:
             indices = iter(greedy.choose, None)  # uniforms are drawn in chunks as read
@@ -347,38 +350,43 @@ def _run_blocks(
     m, random, threshold = len(cdfs), isinstance(policy, RandomPair), math.log(1.0 / alpha)
     expected = min(1.25 * threshold / rate, _BLOCK_CELLS)  # inf for a subnormal J*
     chunk = min(_BLOCK_CELLS, 4 * max(16, (int(expected) + 19) // 4))
-    state, placed = (gen := trial_rng(0)).bit_generator.state, None  # re-keyed for every row
+    state = _philox_at(bitgen := np.random.Philox(key=0), 0)  # re-keyed for every row
+    raw, placed, rekey, keys = bitgen.random_raw, None, state["state"], [(s, 0) for s in seeds]
 
     stops, wealth, redo = np.full(len(seeds), -1, dtype=np.int64), np.zeros(len(seeds)) + carry, []
     start = np.zeros(len(seeds), dtype=np.int64) + start  # per row
     horizon = min(cap, 2**62) - start  # per row, in int64; no trial runs 2**62 steps
     rows = max(1, _BLOCK_CELLS // min(chunk, cap))
     for lo in range(0, len(seeds), rows):
-        live, steps = np.arange(lo, min(lo + rows, len(seeds))), 0
-        while (live := live[horizon[live] > steps]).size:  # trials not yet crossed or censored
-            k = min(chunk, int(horizon[live].max()) - steps)
+        live, steps = lo + np.flatnonzero(horizon[lo:lo + rows] > 0), 0
+        while live.size:  # trials not yet crossed or censored
+            left = horizon[live] - steps  # steps to each row's horizon
+            k = min(chunk, int(left.max()))
             # RandomPair reads whole word triples: k rounded up to even, and steps is even
             width, at = (3 * ((k + 1) // 2), 3 * steps // 2) if random else (k, steps)
-            words = np.empty((live.size, width), dtype=np.uint64)
-            for row, t, pos in zip(words, live.tolist(), (start[live] + at).tolist()):
+            block = []
+            for t, pos in zip(live.tolist(), (start[live] + at).tolist()):
                 if pos != placed:  # rows share a word unless absorbed greedy trials differ
-                    state["state"]["counter"] = (placed := pos) >> 2, 0, 0, 0  # below 2**63
-                state["state"]["key"][0] = seeds[t]
-                gen.bit_generator.state = state
-                row[:] = gen.bit_generator.random_raw(width + pos % 4)[pos % 4:]
+                    rekey["counter"], skip = ((placed := pos) >> 2, 0, 0, 0), pos % 4  # < 2**63
+                rekey["key"] = keys[t]
+                bitgen.state = state
+                block.append(raw(width + skip)[skip:] if skip else raw(width))
+            words = np.concatenate(block).reshape(live.size, width)
             if random:
                 pick, words, rejected = _random_steps(words, m)
                 redo += live[rejected].tolist()  # re-run stepwise at the end
-                live, pick, words = live[~rejected], pick[~rejected, :k], words[~rejected, :k]
+                live, left, pick, words = (live[~rejected], left[~rejected], pick[~rejected, :k],
+                                           words[~rejected, :k])
             else:
                 pick = (vertex[live, np.newaxis] if vertex is not None  # one vertex per row
                         else np.arange(steps, steps + k) % m if m > 1 else None)
             hit, cum = _first_crossing(lookup(words, pick), threshold, wealth[live])
-            left = np.minimum(horizon[live] - steps, k)  # a crossing past the horizon is censored
-            crossed = (hit >= 0) & (hit < left)
-            wealth[live] = cum[np.arange(live.size), np.where(crossed, hit, left - 1)]
-            stops[live[crossed]] = start[live[crossed]] + steps + hit[crossed] + 1
-            live = live[~crossed]
+            crossed = (hit >= 0) & (hit < left)  # a crossing past the horizon is censored
+            last = np.where(crossed, hit, np.minimum(left, k) - 1)  # each row's last step read
+            wealth[live] = cum.ravel()[np.arange(0, cum.size, k) + last]
+            done = live[crossed]
+            stops[done] = start[done] + hit[crossed] + (steps + 1)
+            live = live[~crossed & (left > k)]
             steps += k
     if redo:
         stops[redo], wealth[redo] = _run_stepwise(spec, policy, alpha, cap,
@@ -483,25 +491,25 @@ def calibrate_null(
     threshold = math.log(1.0 / alpha)
     row = _cell_lookup(np.cumsum(q_null.weights)[np.newaxis], np.arange(spec.n) * spec.n)
     col = _cell_lookup(np.cumsum(spec.anchor.weights)[np.newaxis], np.arange(spec.n))
-    state, seeds, seed_state = bitgen.state, trial_rng(0), bitgen.state
-    pos = 4 * int.from_bytes(state["state"]["counter"].astype("<u8"), "little")
-    pos += state["buffer_pos"] - 4
+    now, seeds = bitgen.state, np.random.Philox(key=0)  # the caller's, of numpy arrays
+    key, ctr = (int.from_bytes(now["state"][f].astype("<u8"), "little") for f in ("key", "counter"))
+    half, pos = {f: now[f] for f in ("has_uint32", "uinteger")}, 4 * ctr + now["buffer_pos"] - 4
     block, hits = max(1, 4_000_000 // horizon), 0
     rows, width = max(1, _BLOCK_CELLS // horizon), min(horizon, _BLOCK_CELLS)
     for lo in range(0, trials, block):
         b = min(block, trials - lo)
-        _philox_at(rng, state, pos)
-        _philox_at(seeds, seed_state, pos + b * horizon)
+        _philox_at(bitgen, key, pos)
+        _philox_at(seeds, key, pos + b * horizon)
         pos += 2 * b * horizon
         for r in range(0, b, rows):
             wealth, crossed = 0.0, False
             for c in range(0, horizon, width):
                 cell = row(bitgen.random_raw((min(rows, b - r), min(width, horizon - c))))
-                cell += col(seeds.bit_generator.random_raw(cell.shape))
+                cell += col(seeds.random_raw(cell.shape))
                 hit, cum = _first_crossing(log_flat[cell], threshold, wealth)
                 wealth, crossed = cum[:, -1], crossed | (hit >= 0)
             hits += int(np.count_nonzero(crossed))
-    _philox_at(rng, state, pos)
+    _philox_at(bitgen, key, pos, **half)  # the caller's kept 32-bit half, as found
     return hits / trials
 
 

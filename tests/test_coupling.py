@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,28 +254,52 @@ def clamped_search(cdf, values, words):
     return values[np.minimum(np.searchsorted(cdf, u, side="right"), values.size - 1)]
 
 
+def straddling(cdfs, top):
+    """Where a bucket's least and greatest float, ``b / G`` and ``(b + 1) / G`` less a float,
+    see different CDF entries (counts clamped at ``top``): the guide's marks, built the long way."""
+    def at_most(edge, c):
+        return np.searchsorted(np.clip(edge(c * _GUIDE), 0, _GUIDE), np.arange(_GUIDE), "right")
+    return np.stack([np.minimum(at_most(np.ceil, c), top) != np.minimum(at_most(np.floor, c), top)
+                     for c in cdfs])
+
+
+def same(got, want):
+    return got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+
+
 class TestCellLookup:
     @settings(max_examples=150, deadline=None)
-    @given(joint_cdfs(), st.integers(0, 2**32 - 1))
-    def test_equals_clamped_searchsorted(self, table, seed):
-        cdf, values = table
+    @given(joint_cdfs(), st.integers(0, 2**32 - 1), st.sampled_from([-1, np.nan]))
+    def test_equals_clamped_searchsorted(self, table, seed, mark):
+        cdf, cells = table
         rng = np.random.default_rng(seed)
+        # int or float values, a quarter of them equal to the guide's mark for their kind
+        values = np.where(rng.random(cells.size) < 0.25, mark, cells if mark == -1 else cells / 3)
         w = np.concatenate([adversarial_words(cdf), rng.bit_generator.random_raw(999)])
         expected = clamped_search(cdf, values, w)
         lookup = _cell_lookup(cdf[np.newaxis], values)
-        assert np.array_equal(lookup(w), expected)
+        assert same(lookup(w), expected)
         rows = w[: w.size // 3 * 3].reshape(3, -1)
-        assert np.array_equal(lookup(rows), expected[: rows.size].reshape(rows.shape))
+        assert same(lookup(rows), expected[: rows.size].reshape(rows.shape))
         # a stack of CDFs, each word looked up in the row it names
         stack = np.stack([cdf, cdf**2, np.zeros_like(cdf)])
         which = rng.integers(0, 3, w.size)
         named = np.stack([clamped_search(c, values, w) for c in stack])[which, np.arange(w.size)]
         stacked = _cell_lookup(stack, values)
-        assert np.array_equal(stacked(w, which), named)
+        assert same(stacked(w, which), named)
+        assert same(stacked(rows, which[: rows.size].reshape(rows.shape)),
+                    named[: rows.size].reshape(rows.shape))
         for bits in (0, 2**11 - 1, 0x5A5):  # the low 11 bits never reach the uniform
             shifted = w >> np.uint64(11) << np.uint64(11) | np.uint64(bits)
-            assert np.array_equal(lookup(shifted), expected)
-            assert np.array_equal(stacked(shifted, which), named)
+            assert same(lookup(shifted), expected)
+            assert same(stacked(shifted, which), named)
+        # with no value equal to the mark, the guide marks exactly the straddling buckets
+        clean = cells if mark == -1 else cells / 3
+        for cdfs in (cdf[np.newaxis], stack):
+            guide = inspect.getclosurevars(_cell_lookup(cdfs, clean)).nonlocals["guide"]
+            marked = np.isnan(guide) if mark != mark else guide == -1
+            expected = straddling(cdfs, cells.size - 1)
+            assert np.array_equal(marked.reshape(len(cdfs), _GUIDE), expected)
 
 
 class TestMarginalGuarantees:

@@ -637,6 +637,11 @@ class TestSerialization:
             '{"wealth": 0.5, "steps": true, "alpha": 0.02, "rejected_at": null}',
             '{"wealth": 1%s, "steps": 3, "alpha": 0.02, "rejected_at": null}' % ("0" * 400),
             '{"wealth": 5.0, "steps": 3, "alpha": 0.02, "rejected_at": 2.5}',
+            '{"wealth": 5.0, "steps": 3, "alpha": 0.02, "rejected_at": true}',
+            '{"wealth": false, "steps": 3, "alpha": 0.02, "rejected_at": null}',
+            '{"wealth": 0.5, "steps": 3, "alpha": "0.02", "rejected_at": null}',
+            '{"wealth": 0.5, "steps": 3, "alpha": [0.02], "rejected_at": null}',
+            '"wealth"',
             '[1, 2]',
         ):
             with pytest.raises(FormatError):

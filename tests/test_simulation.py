@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import os
 import subprocess
@@ -66,26 +67,38 @@ def word_position(state):
 
 class TestRekey:
     def test_rekeyed_stream_equals_fresh_stream(self):
-        gen = ewm.trial_rng(0)
-        state = gen.bit_generator.state
-        for seed in (0, 1, 2**63 + 5, 2**64 - 1):
-            state["state"]["key"][0] = 99
-            _philox_at(gen, state, 0)
-            gen.random(7)  # another key first draws an odd number of values
-            state["state"]["key"][0] = seed
-            _philox_at(gen, state, 0)
-            assert np.array_equal(gen.random(11), ewm.trial_rng(seed).random(11))
+        # one template re-keyed in place row after row, as the engines do, against a fresh
+        # Philox read in order; the 64-bit counter carries between 2**64 - 1 and 2**64
+        state = _philox_at(bitgen := np.random.Philox(key=0), 0)
+        for key, counter, skip in itertools.product((0, 2**63 + 5, 2**64 - 1),
+                                                    (0, 2**64 - 2, 2**64 - 1, 2**64, 2**64 + 1),
+                                                    (0, 1, 3)):
+            state["state"]["key"] = 99, 0
+            bitgen.state = state
+            np.random.Generator(bitgen).integers(3)  # another key leaves a half word
+            state["state"]["key"] = key, 0
+            state["state"]["counter"] = counter & (2**64 - 1), counter >> 64, 0, 0
+            bitgen.state = state
+            bitgen.random_raw(skip)
+            fresh = np.random.Generator(np.random.Philox(key=key, counter=counter))
+            fresh.bit_generator.random_raw(skip)
+            placed = np.random.Generator(bitgen)  # 32-bit draws would read a kept half word
+            assert np.array_equal(placed.integers(2**32, size=5), fresh.integers(2**32, size=5))
+            assert np.array_equal(placed.random(11), fresh.random(11))
+            # and placed in one call at the same word
+            _philox_at(bitgen, key, 4 * counter + skip)
+            fresh = np.random.Generator(np.random.Philox(key=key, counter=counter))
+            fresh.bit_generator.random_raw(skip)
+            assert np.array_equal(np.random.Generator(bitgen).random(5), fresh.random(5))
 
     def test_rekey_to_a_counter_continues_the_stream(self):
-        gen = ewm.trial_rng(0)
-        state = gen.bit_generator.state
-        for seed in (0, 2**64 - 1):
+        bitgen = np.random.Philox(key=0)
+        for seed in (0, 2**64 - 1, 2**64 + 3):
             fresh = ewm.trial_rng(seed).random(20)
-            state["state"]["key"][0] = seed
-            _philox_at(gen, state, 0)
-            gen.random(3)
-            _philox_at(gen, state, 12)
-            assert np.array_equal(gen.random(8), fresh[12:])
+            _philox_at(bitgen, seed)
+            np.random.Generator(bitgen).random(3)
+            _philox_at(bitgen, seed, 12)
+            assert np.array_equal(np.random.Generator(bitgen).random(8), fresh[12:])
 
     @given(key=st.sampled_from([0, 1, 2**63 + 5, 2**64 - 1]),
            key_hi=st.sampled_from([0, 7, 2**64 - 1]),
@@ -100,14 +113,26 @@ class TestRekey:
         state = caller.bit_generator.state
         assert state["state"]["key"].tolist() == [key, key_hi]
         assert word_position(state) % 2**258 == 4 * counter + taken  # the counter wraps
-        placed = ewm.trial_rng(0)
-        _philox_at(placed, state, word_position(state) + offset)
+        placed = np.random.Philox(key=0)
+        _philox_at(placed, key | key_hi << 64, word_position(state) + offset)
         caller.random(offset)
-        assert np.array_equal(placed.random(9), caller.random(9))
-        placed, caller = placed.bit_generator.state, caller.bit_generator.state
+        assert np.array_equal(np.random.Generator(placed).random(9), caller.random(9))
+        placed, caller = placed.state, caller.bit_generator.state
         assert placed["buffer_pos"] == caller["buffer_pos"]
         for field in ("counter", "key"):
             assert np.array_equal(placed["state"][field], caller["state"][field])
+
+    @pytest.mark.parametrize("policy", [ewm.RandomPair(), ewm.HistoryGreedy(window=400)])
+    def test_consecutive_stepwise_trials_each_equal_a_fresh_generator(self, policy):
+        # RandomPair draws integers(12) from 32-bit halves, so a trial that stops after an
+        # odd number of steps leaves a half word that the next trial must not read; greedy,
+        # never absorbed with a window past the cap, leaves a 128-uniform chunk part read
+        spec = spec_of([0.4, 0.3, 0.18, 0.12], 0.1)
+        e, seeds = ewm.optimal_evalue(spec), [ewm.trial_seed(3, 0, t) for t in range(12)]
+        stops, wealth, absorbed = _run_stepwise(spec, policy, 1e-4, 300, seeds)
+        records = [reference_fold(spec, e, policy, 1e-4, 300, seed) for seed in seeds]
+        assert [(r.stop_step or -1, r.final_wealth) for r in records] == list(zip(stops, wealth))
+        assert not absorbed and any(r.steps_run % 2 for r in records[:-1])
 
 
 class TestPolicies:
@@ -749,10 +774,12 @@ class TestCalibrateNull:
         for alpha, trials, horizon, double in cases:
             e = doubled if double else None
             got, want = ewm.trial_rng(21), ewm.trial_rng(21)
-            got.random(3)  # both stand mid-buffer
-            want.random(3)
+            for twin in (got, want):  # both stand mid-buffer, with a 32-bit half word kept
+                twin.random(3)
+                twin.integers(2**32)
             rate = ewm.calibrate_null(FAIR, alpha, trials, horizon, q, got, e=e)
             assert rate == whole_block_calibrate(FAIR, alpha, trials, horizon, q, want, e)
+            assert np.array_equal(got.integers(2**32, size=3), want.integers(2**32, size=3))
             assert np.array_equal(got.random(5), want.random(5))
             rates.add(rate)
         assert any(0.0 < r < 1.0 for r in rates)
