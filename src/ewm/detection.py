@@ -11,7 +11,9 @@ kept in log space only; the raw product would overflow in a few hundred steps.
 A match-count baseline is included for comparisons: it counts steps with
 ``v == s``, computes an exact binomial upper tail against the worst-case null
 match probability, and rejects on the schedule ``alpha / (k (k+1))`` whose sum
-telescopes to ``alpha``, preserving anytime validity for p-value tests.
+telescopes to ``alpha``, preserving anytime validity for p-value tests.  The
+batch baseline skips the tail at steps where a point-mass lower bound on it
+already rules rejection out.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
@@ -122,6 +124,10 @@ def init_baseline(alpha: float, null_match_prob: float) -> BaselineState:
     return BaselineState(matches=0, steps=0, alpha=_check_alpha(alpha), null_match_prob=pbar)
 
 
+_SCREENED_STEPS = 2**40  # below it a log point mass rounds by under 0.05; by 2**46, by log 2
+_TINY = float(np.finfo(float).tiny)
+
+
 def _binom_sf(x, k, p):
     """Exact binomial upper tail; scipy is imported on first use, so the package
     and its CLI import without it."""
@@ -152,7 +158,7 @@ def _first_crossing(inc: np.ndarray, boundary, carry=0.0) -> tuple[np.ndarray, n
     cum = np.cumsum(inc, axis=1, out=inc)
     met = cum >= boundary
     first = met.argmax(axis=1)
-    first[~met[np.arange(met.shape[0]), first]] = -1
+    first[~met.ravel()[np.arange(0, met.size, met.shape[1]) + first]] = -1  # row starts + first
     return first, cum
 
 
@@ -204,22 +210,44 @@ def batch_detect(e: EValueTable, alpha: float, stream, budget: int | None) -> De
     return DetectionReport("undecided", None, wealth, threshold, steps)
 
 
+def _may_reject(m: np.ndarray, k: np.ndarray, p: float, bound: np.ndarray) -> np.ndarray:
+    """Where the tail ``P(X >= m)``, ``X ~ Binomial(k, p)``, may fall below ``bound``.
+    Elsewhere a lower bound on that tail, the point mass ``P(X = j)`` at
+    ``j = max(m, floor(k p))`` (so ``m <= j <= k``), is at least twice ``bound`` and twice
+    the least normal float.  Rounding cannot cross that factor of 2: the log point mass is
+    off by far less than ``log 2`` while ``k < 2**40``, and scipy's tail keeps about 12
+    digits on normal floats (not on subnormal ones).  At ``p == 1`` the tail is 1."""
+    from scipy.special import gammaln
+
+    if p == 1.0:
+        return np.zeros(k.size, bool)
+    j = np.maximum(m, np.floor(k * p))  # m, or near the mode when m lies below it
+    log_mass = (gammaln(k + 1.0) - gammaln(j + 1.0) - gammaln(k - j + 1.0)
+                + j * math.log(p) + (k - j) * math.log1p(-p))
+    return log_mass < np.log(2.0 * np.maximum(bound, _TINY))
+
+
 def baseline_batch_detect(
     alpha: float, null_match_prob: float, stream, budget: int | None, n: int | None = None
 ) -> DetectionReport:
     """Fold :func:`baseline_observe` over up to ``budget`` pairs, with each
     block's tails in one array call; wealth is reported as NaN.  Without ``n``,
-    only the indices' type and sign are checked, as in :func:`baseline_observe`."""
+    only the indices' type and sign are checked, as in :func:`baseline_observe`.
+    Past the first block, tails are evaluated only at the steps :func:`_may_reject`
+    keeps, so a block that no step of comes near the schedule makes no scipy call."""
     state = init_baseline(alpha, null_match_prob)
-    matches, steps = 0, 0
+    p, matches, steps = state.null_match_prob, 0, 0
     for done, v, s in _blocks(stream, budget, n):
         m = matches + np.cumsum(v == s)
-        k = np.arange(done + 1, done + v.size + 1)
-        below = _binom_sf(m - 1, k, state.null_match_prob) < state.alpha / (k * (k + 1))
-        if below.any():
-            stop = done + int(below.argmax()) + 1
-            return DetectionReport("rejected", stop, math.nan, math.nan, stop)
         matches, steps = int(m[-1]), done + v.size
+        k = np.arange(done + 1, steps + 1)
+        bound = state.alpha / (k * (k + 1.0))  # rounds as the exact k (k + 1) would
+        if 0 < done < _SCREENED_STEPS:  # the first block's one call costs less than its screen
+            near = _may_reject(m, k, p, bound)
+            m, k, bound = m[near], k[near], bound[near]
+        if k.size and (below := _binom_sf(m - 1, k, p) < bound).any():
+            stop = int(k[below.argmax()])
+            return DetectionReport("rejected", stop, math.nan, math.nan, stop)
     return DetectionReport("undecided", None, math.nan, math.nan, steps)
 
 
@@ -271,4 +299,5 @@ def detector_from_json(text: str) -> DetectorState:
 
 
 def report_to_dict(report: DetectionReport) -> dict:
-    return asdict(report)
+    """The report's fields in order, as a new shallow dict (``asdict`` deep-copies)."""
+    return dict(vars(report))

@@ -246,6 +246,20 @@ def detection_cases(draw):
     return n, pairs, budget, draw(st.sampled_from([0.5, 0.02, 1e-30]))
 
 
+def tail_sizes(monkeypatch):
+    """The list to which each later ``_binom_sf`` call appends its number of steps."""
+    from ewm import detection
+
+    sizes, real = [], detection._binom_sf
+
+    def counting_sf(x, k, p):
+        sizes.append(np.size(k))
+        return real(x, k, p)
+
+    monkeypatch.setattr(detection, "_binom_sf", counting_sf)
+    return sizes
+
+
 class TestBatchMatchesFold:
     SPEC = spec_of([0.5, 0.5], 0.3)  # criterion 9
 
@@ -395,20 +409,83 @@ class TestBatchMatchesFold:
                 assert report.stop_step == fold(0.02, ints, pbar=pbar).rejected_at
 
     def test_baseline_work_tracks_the_stopping_step(self, monkeypatch):
-        from ewm import detection
-
-        sizes = []
-        real = detection._binom_sf
-
-        def counting_sf(x, k, p):
-            sizes.append(np.size(k))
-            return real(x, k, p)
-
-        monkeypatch.setattr(detection, "_binom_sf", counting_sf)
+        sizes = tail_sizes(monkeypatch)
         pbar = ewm.worst_null_match_prob(self.SPEC)
         pairs = [(0, 0)] * 100_000
         report = ewm.baseline_batch_detect(0.02, pbar, pairs, len(pairs), n=2)
         assert report.stop_step < 100 and sum(sizes) == 128
+
+
+def baseline_stream(seed, length, rate, big=False):
+    """``length`` pairs on two symbols whose ``v`` equals ``s`` at ``rate``; with ``big``, the
+    symbols are 0 and 2**70, so every block of the stream holds an index past 64 bits."""
+    rng = np.random.default_rng(seed)
+    s = rng.integers(2, size=length)
+    v = np.where(rng.random(length) < rate, s, 1 - s)
+    symbols = (0, 2**70) if big else (0, 1)
+    return [(symbols[a], symbols[b]) for a, b in zip(v.tolist(), s.tolist())]
+
+
+def unscreened(alpha, pbar, pairs):
+    """``(stop_step, steps)`` of the unscreened baseline: the exact tail at every step, against
+    the schedule in int64."""
+    from scipy.stats import binom
+
+    m = np.cumsum([v == s for v, s in pairs])
+    k = np.arange(1, len(pairs) + 1)
+    below = binom.sf(m - 1, k, pbar) < alpha / (k * (k + 1))
+    stop = int(below.argmax()) + 1 if below.any() else None
+    return stop, stop or len(pairs)
+
+
+@st.composite
+def screened_cases(draw):
+    """(alpha, pbar, pairs, budget, n): match rates at, just above or below ``pbar``, so
+    streams cross late or run undecided through several blocks; at alpha 1e-300 past 10,000
+    steps, where the schedule is subnormal."""
+    alpha = draw(st.sampled_from([0.5, 0.02, 1e-30, 1e-300]))
+    pbar = draw(st.sampled_from([1.0, 0.5, 0.345, 0.05]) | st.floats(1e-3, 1.0))
+    excess = draw(st.sampled_from([0.0, 0.005, 0.02, 0.05, 0.16, -0.1]))
+    length = draw(st.sampled_from([12_000, 16_500] if alpha == 1e-300 else [300, 1000, 4000]))
+    n = draw(st.sampled_from([2, None]))
+    pairs = baseline_stream(draw(st.integers(0, 2**32 - 1)), length,
+                            min(max(pbar + excess, 0.0), 1.0), n is None and draw(st.booleans()))
+    budget = draw(st.none() | st.integers(1, length))
+    return alpha, pbar, pairs, budget, n
+
+
+class TestBaselineScreen:
+    """Past its first block, the baseline evaluates the exact tail only where the point-mass
+    bound cannot clear twice the schedule; its reports must be those of every step's tail."""
+
+    @settings(max_examples=30)
+    @example(case=(1e-300, 0.5, baseline_stream(0, 16_000, 0.66), None, 2))  # stops past 13,000
+    @example(case=(1e-300, 0.5, baseline_stream(1, 16_000, 0.66, big=True), 13_000, None))
+    @example(case=(0.5, 1.0, [(1, 1)] * 1000, None, 2))  # pbar 1: every tail is 1
+    @example(case=(0.5, 1.0, baseline_stream(2, 1000, 0.9), 700, None))
+    @given(case=screened_cases())
+    def test_reports_equal_every_steps_tail(self, case):
+        alpha, pbar, pairs, budget, n = case
+        read = pairs[:budget]
+        report = ewm.baseline_batch_detect(alpha, pbar, pairs, budget, n=n)
+        assert (report.stop_step, report.steps) == unscreened(alpha, pbar, read)
+        assert report.decision == ("undecided" if report.stop_step is None else "rejected")
+        head = read[:400]  # one scalar scipy call a step; 400 steps reach two screened blocks
+        state = fold(alpha, head, pbar=pbar)
+        report = ewm.baseline_batch_detect(alpha, pbar, head, None, n=n)
+        assert (report.stop_step, report.steps) == (state.rejected_at, state.steps)
+
+    def test_a_null_stream_evaluates_only_its_first_block(self, monkeypatch):
+        sizes = tail_sizes(monkeypatch)
+        pbar = ewm.worst_null_match_prob(TestBatchMatchesFold.SPEC)
+        null = [tuple(map(int, p)) for p in np.random.default_rng(6).integers(2, size=(4000, 2))]
+        report = ewm.baseline_batch_detect(0.02, pbar, null, None, n=2)
+        assert report.decision == "undecided" and report.steps == 4000
+        assert sizes == [128]  # 128 + no near step: five later blocks make no call
+        sizes.clear()
+        report = ewm.baseline_batch_detect(0.02, pbar, baseline_stream(1, 4000, 0.56), None, n=2)
+        assert report.stop_step == unscreened(0.02, pbar, baseline_stream(1, 4000, 0.56))[0]
+        assert sizes == [128, 3, 437]  # the near steps of the second and third blocks
 
 
 def text_file(text: str):

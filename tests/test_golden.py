@@ -26,15 +26,24 @@ uniforms back into words; ``calibrate-null-subblocks`` has rows longer than one
 ``fixed-n4`` and ``calibrate-null-subblocks`` tables were written before the bulk
 paths read words, so they pin that those paths kept their bytes.  The reports cover
 the closed-form rate, the two-token solver, both detectors on the committed
-``generate-pair.csv`` stream, the vertex decomposition and the audit.  Any
-worker count must reproduce the sweep tables.
+``generate-pair.csv`` stream and on ``detect-null-stream.csv``, the vertex decomposition and
+the audit.  That null stream holds 4,000 pairs, drawn independently from the anchor by
+
+    rng = np.random.default_rng(20)
+    v, s = rng.choice(3, size=(2, 4000), p=[0.4, 0.3, 0.3])
+
+and written with ``ewm.coupling.write_stream_csv``; neither detector decides on it, so both
+read its six blocks, and its reports were written before the baseline screened its tails.
+Any worker count must reproduce the sweep tables.
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ewm.cli import main
+from ewm.coupling import write_stream_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 ANCHORS = {"n2": "[0.5,0.5]", "n4": "[0.25,0.25,0.25,0.25]"}
@@ -50,6 +59,8 @@ CALIBRATE = ["calibrate-null", "--anchor", "[0.5,0.5]", "--delta", "0.1",
 ANCHOR3 = ["--anchor", "[0.4,0.3,0.3]", "--delta", "0.1"]
 GENERATE = ["generate", *ANCHOR3, "--steps", "400", "--seed", "7"]
 DETECT = ["detect", *ANCHOR3, "--alpha", "1e-30", "--stream", str(GOLDEN / "generate-pair.csv")]
+DETECT_NULL = ["detect", *ANCHOR3, "--alpha", "0.02",
+               "--stream", str(GOLDEN / "detect-null-stream.csv")]
 RUNS = {
     "calibrate-null-anchor": CALIBRATE,
     "calibrate-null-shifted": [*CALIBRATE, "--q-null", "[0.55,0.45]", "--horizon", "2000"],
@@ -63,6 +74,8 @@ RUNS = {
                 "--refinements", "3", "--trace", "TRACE"],
     "detect-evalue": [*DETECT, "--method", "evalue"],
     "detect-baseline": [*DETECT, "--method", "baseline"],
+    "detect-evalue-null": [*DETECT_NULL, "--method", "evalue"],
+    "detect-baseline-null": [*DETECT_NULL, "--method", "baseline"],
     "decompose": ["decompose", *ANCHOR3, "--target", "[0.42,0.3,0.28]"],
     "audit": ["audit", *ANCHOR3, "--perturbations", "4", "--seed", "3"],
 }
@@ -97,6 +110,14 @@ def test_run_matches_golden(tmp_path, name):
     assert out.read_bytes() == (GOLDEN / f"{name}{suffix}").read_bytes()
     if "TRACE" in RUNS[name]:
         assert trace.read_bytes() == (GOLDEN / f"{name}-trace.csv").read_bytes()
+
+
+def test_null_stream_is_the_documented_draw(tmp_path):
+    rng = np.random.default_rng(20)
+    v, s = rng.choice(3, size=(2, 4000), p=[0.4, 0.3, 0.3])
+    with open(tmp_path / "null.csv", "w", newline="") as fh:
+        write_stream_csv(fh, zip(v.tolist(), s.tolist()))
+    assert (tmp_path / "null.csv").read_bytes() == (GOLDEN / "detect-null-stream.csv").read_bytes()
 
 
 @pytest.mark.parametrize("threads", [1, 2])
