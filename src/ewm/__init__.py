@@ -46,7 +46,6 @@ from .oracles import (
     TwoTokenSolution,
     best_path_inner_value,
     cycle_condition_check,
-    path_gain,
     saddle_check,
     two_token_maxmin,
 )

@@ -214,24 +214,20 @@ def _cell_lookup(cdfs: np.ndarray, values: np.ndarray) -> Callable[..., np.ndarr
     return lookup
 
 
-def _pair_draws(w: CouplingMatrix) -> Callable[[int, np.random.Generator], np.ndarray]:
-    """``draw(count, rng)``: ``count`` uniforms of any generator made back into their words
-    (not ``random_raw``: MT19937 makes one of two), as ``(count, 2)`` rows and columns of cells."""
-    lookup = _cell_lookup(w.cdf[np.newaxis], np.arange(w.n * w.n, dtype=np.int64))
-    return lambda count, rng: np.stack(np.divmod(lookup(  # each uniform's word, exactly
-        (rng.random(count) * 2.0**53).astype(np.uint64) << np.uint64(11)), w.n), axis=1)
-
-
 def _stream_chunks(w: CouplingMatrix, steps: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """``steps`` (a count) draws, drawn as read in ``_BLOCK_CELLS`` chunks via one guide table."""
-    steps, draw = _count(steps, "steps", 0), _pair_draws(w)
-    return (draw(min(_BLOCK_CELLS, steps - lo), rng) for lo in range(0, steps, _BLOCK_CELLS))
+    """``steps`` (a count, checked now) draws as int64 (row, column) cells, drawn as read in
+    ``_BLOCK_CELLS`` chunks via one guide table: each ``random`` uniform made back into its word."""
+    steps = _count(steps, "steps", 0)
+    lookup = _cell_lookup(w.cdf[np.newaxis], np.arange(w.n * w.n, dtype=np.int64))
+    words = ((rng.random(min(_BLOCK_CELLS, steps - lo)) * 2.0**53).astype(np.uint64)
+             << np.uint64(11) for lo in range(0, steps, _BLOCK_CELLS))  # each uniform's, exactly
+    return (np.stack(np.divmod(lookup(chunk), w.n), axis=1) for chunk in words)
 
 
 def sample_stream(w: CouplingMatrix, steps: int, rng: np.random.Generator) -> np.ndarray:
     """``steps`` (a count) draws at once; consumes the stream exactly like repeated
     :func:`sample_pair`, so chunked and one-at-a-time sampling agree."""
-    return _pair_draws(w)(_count(steps, "steps", 0), rng)
+    return np.concatenate([*_stream_chunks(w, steps, rng), np.empty((0, 2), np.int64)])
 
 
 # -- CSV stream format --------------------------------------------------------

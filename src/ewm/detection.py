@@ -136,6 +136,12 @@ def _binom_sf(x, k, p):
     return binom.sf(x, k, p)
 
 
+def _schedule(alpha: float, k):
+    """``alpha / (k (k + 1))``, ``k`` an int or int64 array: one rounding of the exact product
+    (for ``k < 2**53``), never an int64 product's wrap."""
+    return alpha / (k * (k + 1.0))
+
+
 def baseline_observe(state: BaselineState, v: int, s: int) -> BaselineState:
     """Exact binomial upper tail on the match count vs the rejection schedule; ``v``
     and ``s`` are vocabulary indices, of any size, as no ``n`` is at hand."""
@@ -145,7 +151,7 @@ def baseline_observe(state: BaselineState, v: int, s: int) -> BaselineState:
     matches = state.matches + (1 if v == s else 0)
     k = state.steps + 1
     p_k = float(_binom_sf(matches - 1, k, state.null_match_prob))
-    rejected_at = k if p_k < state.alpha / (k * (k + 1)) else None
+    rejected_at = k if p_k < _schedule(state.alpha, k) else None
     return replace(state, matches=matches, steps=k, rejected_at=rejected_at)
 
 
@@ -241,7 +247,7 @@ def baseline_batch_detect(
         m = matches + np.cumsum(v == s)
         matches, steps = int(m[-1]), done + v.size
         k = np.arange(done + 1, steps + 1)
-        bound = state.alpha / (k * (k + 1.0))  # rounds as the exact k (k + 1) would
+        bound = _schedule(state.alpha, k)
         if 0 < done < _SCREENED_STEPS:  # the first block's one call costs less than its screen
             near = _may_reject(m, k, p, bound)
             m, k, bound = m[near], k[near], bound[near]

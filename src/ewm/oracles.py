@@ -4,11 +4,11 @@ These routines re-derive, at desk scale and by exhaustive enumeration, the
 quantities the rest of the package computes in closed form, so the two routes
 can be checked against each other to machine precision.
 
-* :func:`path_gain` / :func:`best_path_inner_value` -- the best achievable
-  expected log score against a vertex target equals
-  ``J0 + (delta/2) * max_P W(P)`` where ``J0 = sum_v p0(v) M(v, v)``,
-  ``M = log e`` is the cached ``log_scores`` of the table ``e`` passed in
-  (every score must be positive), and ``W(P)`` ranges over the gains of all
+* :func:`best_path_inner_value` -- the best achievable expected log score
+  against a vertex target equals ``J0 + (delta/2) * max_P W(P)`` where
+  ``J0 = sum_v p0(v) M(v, v)``, ``M = log e`` is the cached ``log_scores`` of
+  the table ``e`` passed in (every score must be positive), and ``W(P)``, the
+  gain ``sum_i ( M(u_i, u_{i+1}) - M(u_{i+1}, u_{i+1}) )``, ranges over all
   simple directed paths from the gain index to the loss index.  The maximum
   is found by enumerating every simple path of the complete digraph
   (n <= 10) with ``itertools.permutations``, so no LP solver is involved.
@@ -34,9 +34,9 @@ from itertools import permutations
 import numpy as np
 
 from .coupling import PathSpec
-from .errors import BadParamsError, InvalidPathError, TooLargeError
+from .errors import BadParamsError, TooLargeError
 from .evalue import EValueTable, _check_dims, jstar, kernel_of, optimal_evalue
-from .simplex import (ExtremePair, NeighborhoodSpec, _check_pair, _count, _indices, _real,
+from .simplex import (ExtremePair, NeighborhoodSpec, _check_pair, _count, _real,
                       enumerate_extremes)
 
 # Refuse cycle enumerations beyond this many cycles (the full cap at n = 8 fits).
@@ -65,13 +65,8 @@ def _log_matrix(e: EValueTable) -> list[list[float]]:
     return e.log_scores.tolist()
 
 
-def path_gain(e: EValueTable, path: PathSpec) -> float:
-    """``W(P) = sum_i ( M(u_i, u_{i+1}) - M(u_{i+1}, u_{i+1}) )``."""
-    return _gain(_log_matrix(e), _indices(path.vertices, e.n, InvalidPathError))
-
-
 def _gain(m: list[list[float]], verts: tuple[int, ...]) -> float:
-    """``W`` of the vertex sequence ``verts``; :func:`path_gain` checks its range."""
+    """``W`` of the path ``verts``, vocabulary indices below ``len(m)``."""
     total = 0.0
     for u, nxt in zip(verts[:-1], verts[1:]):
         total += m[u][nxt] - m[nxt][nxt]

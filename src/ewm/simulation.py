@@ -44,6 +44,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -52,7 +53,7 @@ from .coupling import _BLOCK_CELLS, _cell_lookup, _vertex_joints
 from .coupling import extreme_coupling  # noqa: F401 -- a name the benchmark tracer wraps
 from .detection import _check_alpha, _first_crossing
 from .errors import BadParamsError
-from .evalue import EValueTable, jstar, optimal_evalue
+from .evalue import jstar, optimal_evalue
 from .simplex import (
     ExtremePair,
     NeighborhoodSpec,
@@ -67,7 +68,6 @@ from .simplex import (
 _MASK64 = (1 << 64) - 1
 _ALPHA_STRIDE = 0x9E3779B97F4A7C15  # golden-ratio odd constant
 _STEP_CHUNK = 128  # uniforms per draw of the stepwise loop's HistoryGreedy
-_TABLE: dict = {}  # the last (spec, FixedPair or None) and its table; a spec hashes by identity
 
 
 def mix64(x: int) -> int:
@@ -198,6 +198,8 @@ class ExperimentConfig:
         object.__setattr__(self, "trials", _count(self.trials, "trials"))
         if self.horizon_cap is not None:
             object.__setattr__(self, "horizon_cap", _count(self.horizon_cap, "horizon cap"))
+        if not isinstance(self.policy, AdversaryPolicy):
+            raise BadParamsError(f"unknown policy {self.policy!r}")
         if isinstance(self.policy, FixedPair):
             _check_pair(self.spec, self.policy)
 
@@ -272,18 +274,15 @@ def default_horizon(spec: NeighborhoodSpec, alpha: float, factor: float = 10.0) 
     raise BadParamsError(f"J* = {rate!r} is too small for a default horizon; give one")
 
 
-def _vertex_table(spec: NeighborhoodSpec, pair: ExtremePair | None = None) -> tuple:
-    """``pair``'s, else every vertex's (lexicographic) :func:`_cell_lookup`, flat log scores
-    and CDFs less their last entry (a uniform past the rest lands in the last cell, as the
-    lookup's does) as lists, and J*; the last key's is kept, so a sweep builds one per process."""
-    if (key := (spec, pair)) not in _TABLE:
-        pairs = [pair] if pair is not None else enumerate_extremes(spec)
-        cdfs = np.cumsum(_vertex_joints(spec, pairs).reshape(len(pairs), -1), axis=1)
-        log_flat = optimal_evalue(spec).log_scores.ravel()
-        _TABLE.clear()
-        _TABLE[key] = (_cell_lookup(cdfs, log_flat), log_flat.tolist(), cdfs[:, :-1].tolist(),
-                       jstar(spec))
-    return _TABLE[key]
+@lru_cache(maxsize=1)
+def _vertex_table(spec: NeighborhoodSpec, pair: ExtremePair | None) -> tuple:
+    """``pair``'s, else (None) every vertex's (lexicographic) :func:`_cell_lookup`, flat log scores
+    and CDFs less their last entry (a uniform past it lands in the last cell, as the lookup's does)
+    as lists, and J*; the last call's is kept, so a sweep builds one (both arguments positional)."""
+    pairs = [pair] if pair is not None else enumerate_extremes(spec)
+    cdfs = np.cumsum(_vertex_joints(spec, pairs).reshape(len(pairs), -1), axis=1)
+    log_flat = optimal_evalue(spec).log_scores.ravel()
+    return _cell_lookup(cdfs, log_flat), log_flat.tolist(), cdfs[:, :-1].tolist(), jstar(spec)
 
 
 def _run_stepwise(
@@ -292,7 +291,7 @@ def _run_stepwise(
     """The stepwise loop, one scalar step at a time, for ``HistoryGreedy`` and rejecting
     ``RandomPair`` trials: stop steps (-1 when censored or absorbed) and wealth, one per seed,
     and ``(row, steps, vertex)`` of each greedy trial absorbed first, for :func:`_run_blocks`."""
-    _, log_flat, cdfs, _ = _vertex_table(spec)
+    _, log_flat, cdfs, _ = _vertex_table(spec, None)
     m, threshold = len(cdfs), math.log(1.0 / alpha)
     stops, wealth, absorbed = np.full(len(seeds), -1, dtype=np.int64), np.empty(len(seeds)), []
     rng = np.random.Generator(bitgen := np.random.Philox(key=0))
@@ -305,11 +304,9 @@ def _run_stepwise(
             indices = iter(greedy.choose, None)  # uniforms are drawn in chunks as read
             uniforms = (u for lo in range(0, cap, _STEP_CHUNK)
                         for u in rng.random(min(_STEP_CHUNK, cap - lo)).tolist())
-        elif isinstance(policy, RandomPair):  # the vertex, then the uniform, each step
+        else:  # RandomPair: the vertex, then the uniform, each step
             indices = iter(lambda: int(rng.integers(m)), None)
             uniforms = iter(rng.random, None)
-        else:
-            raise BadParamsError(f"unknown policy {policy!r}")
         total = 0.0
         for step, idx, u in zip(range(1, cap + 1), indices, uniforms):  # vertex, then uniform
             log_e = log_flat[bisect_right(cdfs[idx], u)]
@@ -344,8 +341,6 @@ def _run_blocks(
     trials ``start`` steps in with wealth ``carry`` (arrays, one per row) that play that vertex
     (an :func:`enumerate_extremes` index) to ``cap``.  A block is one chunk per row, about
     1.25 expected stops in whole Philox blocks and at most ``_BLOCK_CELLS`` steps."""
-    if vertex is None and not isinstance(policy, (FixedPair, RoundRobin, RandomPair)):
-        raise BadParamsError(f"unknown policy {policy!r}")
     lookup, _, cdfs, rate = _vertex_table(spec, policy if isinstance(policy, FixedPair) else None)
     m, random, threshold = len(cdfs), isinstance(policy, RandomPair), math.log(1.0 / alpha)
     expected = min(1.25 * threshold / rate, _BLOCK_CELLS)  # inf for a subnormal J*
@@ -464,15 +459,8 @@ def estimate_stopping(config: ExperimentConfig, threads: int = 1) -> list[SweepR
     return rows
 
 
-def calibrate_null(
-    spec: NeighborhoodSpec,
-    alpha: float,
-    trials: int,
-    horizon: int,
-    q_null: VocabDistribution,
-    rng: np.random.Generator,
-    e: EValueTable | None = None,
-) -> float:
+def calibrate_null(spec: NeighborhoodSpec, alpha: float, trials: int, horizon: int,
+                   q_null: VocabDistribution, rng: np.random.Generator) -> float:
     """Fraction of independent null streams whose wealth ever crosses.
 
     Outcomes are drawn from ``q_null`` and seeds independently from the
@@ -487,7 +475,7 @@ def calibrate_null(
     _check_inside(spec, q_null)
     if not isinstance(bitgen := rng.bit_generator, np.random.Philox):
         raise BadParamsError(f"calibrate_null takes a Philox generator, got {type(bitgen).__name__}")
-    log_flat = (e if e is not None else optimal_evalue(spec)).log_scores.ravel()
+    log_flat = optimal_evalue(spec).log_scores.ravel()
     threshold = math.log(1.0 / alpha)
     row = _cell_lookup(np.cumsum(q_null.weights)[np.newaxis], np.arange(spec.n) * spec.n)
     col = _cell_lookup(np.cumsum(spec.anchor.weights)[np.newaxis], np.arange(spec.n))

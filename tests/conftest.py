@@ -32,3 +32,9 @@ def random_target(rng, spec):
     z -= z.mean()
     z *= float(rng.uniform(0.0, 1.0)) * spec.delta / np.abs(z).sum()
     return ewm.make_distribution(spec.anchor.weights + z)
+
+
+def path_gain(e, verts):
+    """``W`` of the path ``verts`` (vocabulary indices below ``e.n``) under ``e``, through the
+    oracles' own ``_gain``."""
+    return ewm.oracles._gain(e.log_scores.tolist(), tuple(verts))

@@ -186,6 +186,7 @@ class TestErrors:
         code, _, err = run(capsys, "generate", "--anchor", "[0.5,0.5]", "--delta", "0.1",
                            "--pair", "0,1", "--steps", "-1", "--out", str(tmp_path / "s.csv"))
         assert code == 1 and "steps must be >= 0" in err and "Traceback" not in err
+        assert not (tmp_path / "s.csv").exists()  # checked before the file is opened
 
     @pytest.mark.parametrize("case", sorted(BAD_COUNTS))
     def test_bad_count_is_a_typed_error(self, case):

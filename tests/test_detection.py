@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import ewm
 from ewm.coupling import _BLOCK_CELLS
-from ewm.detection import _blocks
+from ewm.detection import _binom_sf, _blocks, _may_reject, _schedule
 from ewm.errors import (
     AlreadyStoppedError,
     BadAlphaError,
@@ -486,6 +487,35 @@ class TestBaselineScreen:
         report = ewm.baseline_batch_detect(0.02, pbar, baseline_stream(1, 4000, 0.56), None, n=2)
         assert report.stop_step == unscreened(0.02, pbar, baseline_stream(1, 4000, 0.56))[0]
         assert sizes == [128, 3, 437]  # the near steps of the second and third blocks
+
+    def test_one_schedule_rounds_the_exact_product_once(self):
+        # an int64 k (k + 1) wraps from k = 3,037,000,500; both detectors read this bound
+        ks = [1, 12, 3_037_000_499, 3_037_000_500, 3_100_000_000]
+        for alpha in (0.5, 0.02, 1e-300, 5.6e-309):
+            want = [alpha / (k * (k + 1)) for k in ks]
+            assert [_schedule(alpha, k) for k in ks] == want
+            assert _schedule(alpha, np.array(ks, np.int64)).tolist() == want
+
+    @pytest.mark.parametrize("k, p", [(1735, 0.625), (900, 0.375), (1275, 0.5), (400, 0.125),
+                                      (2000, 1.0)])
+    def test_screen_keeps_every_step_a_subnormal_bound_rejects(self, k, p):
+        # alpha near 1e-308 makes the schedule subnormal from k = 1.  scipy's tail flushes some
+        # subnormal tails to 0, and baseline_observe then rejects: the least-normal floor keeps
+        # those steps.  It flushes some normal tails too (from m = 1,697 at k = 1,735, a tail
+        # of 4.3e-285), which the screen, sound for the exact tail, drops: not asserted here
+        num, den = p.as_integer_ratio()
+        terms = [math.comb(k, i) * num**i * (den - num)**(k - i) for i in range(k + 1)]
+        exact = [Fraction(t, den**k) for t in accumulate(reversed(terms))][-2::-1]  # m = 1..k
+        m, steps, tiny = np.arange(1, k + 1), np.full(k, k), np.finfo(float).tiny
+        subnormal = np.array([tail < tiny for tail in exact])
+        for alpha in (1e-308, 5.6e-309):
+            bound = _schedule(alpha, steps)
+            assert (bound < tiny).all()
+            below = np.array([tail < b for tail, b in zip(exact, bound.tolist())])
+            rejects = _binom_sf(m - 1, steps, p) < bound  # baseline_observe's rule
+            near = _may_reject(m, steps, p, bound)
+            assert near[below | rejects & subnormal].all()
+            assert below.any() if p < 1.0 else not near.any()  # at p = 1 every tail is 1
 
 
 def text_file(text: str):

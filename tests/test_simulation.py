@@ -28,6 +28,7 @@ from ewm.simulation import (
     _run_stepwise,
     _sweep_task,
     _trial_seeds,
+    _vertex_table,
     choose_pair,
 )
 
@@ -649,7 +650,8 @@ class TestBlockEngine:
 
     def test_the_vertex_table_is_built_once_and_kept_alone(self):
         # one process runs four sweeps, each of which a fresh process reproduces byte
-        # for byte; spec B's table evicts A's, and A's is rebuilt when it comes back
+        # for byte; each sweep builds its table once (one miss), spec B's table evicts
+        # A's, and A's is rebuilt when it comes back
         code = textwrap.dedent("""
             import io, sys, ewm
             spec = ewm.make_neighborhood(ewm.make_distribution(eval(sys.argv[1])), 0.1)
@@ -660,8 +662,9 @@ class TestBlockEngine:
         """)
         src = str(Path(ewm.__file__).resolve().parents[1])
         a, b = spec_of([0.4, 0.3, 0.3], 0.1), spec_of([0.25, 0.25, 0.25, 0.25], 0.1)
-        for spec, policy in ((a, "fixed"), (a, "roundrobin"), (b, "roundrobin"),
-                             (a, "roundrobin")):
+        _vertex_table.cache_clear()
+        for sweeps, (spec, policy) in enumerate(((a, "fixed"), (a, "roundrobin"),
+                                                 (b, "roundrobin"), (a, "roundrobin")), 1):
             config = ewm.ExperimentConfig(
                 spec=spec, alphas=(1e-2, 1e-20), trials=20, base_seed=5,
                 policy=ewm.FixedPair(0, 1) if policy == "fixed" else ewm.RoundRobin())
@@ -671,13 +674,16 @@ class TestBlockEngine:
             fresh = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                                    text=True, check=True, env={**os.environ, "PYTHONPATH": src})
             assert buf.getvalue() == fresh.stdout
-            assert list(ewm.simulation._TABLE) == [(spec, config.policy
-                                                    if policy == "fixed" else None)]
+            info = _vertex_table.cache_info()
+            assert (info.misses, info.currsize) == (sweeps, 1)
+            _vertex_table(spec, config.policy if policy == "fixed" else None)  # the key kept
+            assert _vertex_table.cache_info().misses == sweeps
 
-    def test_stepwise_loop_runs_only_the_adaptive_policies(self):
-        for policy in (ewm.FixedPair(0, 1), ewm.RoundRobin()):
+    def test_config_refuses_an_unknown_policy(self):
+        # the one policy check: the engines run whatever policy a config holds
+        for policy in ("greedy", None, ewm.ExtremePair):  # a name, nothing, a class
             with pytest.raises(BadParamsError, match="unknown policy"):
-                _run_stepwise(FAIR, policy, 0.01, 10, [0])
+                ewm.ExperimentConfig(spec=FAIR, alphas=(0.01,), trials=1, policy=policy)
 
 
 class TestDriftIdentity:
@@ -741,11 +747,11 @@ class TestCalibrateNull:
             ewm.calibrate_null(FAIR, 0.05, 100, 10,
                                ewm.make_distribution([0.8, 0.2]), ewm.trial_rng(17))
 
-    def test_inflated_table_is_invalid(self):
+    def test_inflated_table_is_invalid(self, monkeypatch):
         # doubling the scores breaks the null constraint and the rate blows up
         doubled = ewm.make_evalue_table(2.0 * ewm.optimal_evalue(FAIR).scores)
-        rate = ewm.calibrate_null(FAIR, 0.05, 2000, 31, FAIR.anchor,
-                                  ewm.trial_rng(18), e=doubled)
+        monkeypatch.setattr(ewm.simulation, "optimal_evalue", lambda spec: doubled)
+        rate = ewm.calibrate_null(FAIR, 0.05, 2000, 31, FAIR.anchor, ewm.trial_rng(18))
         assert rate > 0.25
 
     def test_bad_params(self):
@@ -769,15 +775,17 @@ class TestCalibrateNull:
                       (0.3, 3, 40_000, True)]
         monkeypatch.setattr(ewm.simulation, "_BLOCK_CELLS", block_cells)
         q = ewm.extreme_target(FAIR, ewm.ExtremePair(0, 1))
-        doubled = ewm.make_evalue_table(2.0 * ewm.optimal_evalue(FAIR).scores)
+        optimal = ewm.optimal_evalue(FAIR)
+        doubled = ewm.make_evalue_table(2.0 * optimal.scores)
         rates = set()
         for alpha, trials, horizon, double in cases:
-            e = doubled if double else None
+            e = doubled if double else optimal
+            monkeypatch.setattr(ewm.simulation, "optimal_evalue", lambda spec, e=e: e)
             got, want = ewm.trial_rng(21), ewm.trial_rng(21)
             for twin in (got, want):  # both stand mid-buffer, with a 32-bit half word kept
                 twin.random(3)
                 twin.integers(2**32)
-            rate = ewm.calibrate_null(FAIR, alpha, trials, horizon, q, got, e=e)
+            rate = ewm.calibrate_null(FAIR, alpha, trials, horizon, q, got)
             assert rate == whole_block_calibrate(FAIR, alpha, trials, horizon, q, want, e)
             assert np.array_equal(got.integers(2**32, size=3), want.integers(2**32, size=3))
             assert np.array_equal(got.random(5), want.random(5))
@@ -864,10 +872,10 @@ def words_of(u):
     return (u * 2.0**53).astype(np.uint64) << np.uint64(11)
 
 
-def whole_block_calibrate(spec, alpha, trials, horizon, q_null, rng, e=None):
-    """``calibrate_null``'s draws and rate as two whole matrices per block of
-    ``4_000_000 // horizon`` streams: all outcomes, then all seeds."""
-    log_flat = (e if e is not None else ewm.optimal_evalue(spec)).log_scores.ravel()
+def whole_block_calibrate(spec, alpha, trials, horizon, q_null, rng, e):
+    """``calibrate_null``'s draws and rate under table ``e`` as two whole matrices per block
+    of ``4_000_000 // horizon`` streams: all outcomes, then all seeds."""
+    log_flat = e.log_scores.ravel()
     threshold = math.log(1.0 / alpha)
     row = _cell_lookup(np.cumsum(q_null.weights)[np.newaxis], np.arange(spec.n) * spec.n)
     col = _cell_lookup(np.cumsum(spec.anchor.weights)[np.newaxis], np.arange(spec.n))
