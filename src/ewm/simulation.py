@@ -25,10 +25,10 @@ draws its vertex (``integers(m)``) then its uniform: word 3j gives the vertex dr
 2j and 2j + 1 from its low then high 32 bits, as Lemire's ``(x * m) >> 32``, and words 3j + 1
 and 3j + 2 their uniforms.  A draw numpy rejects, ``(x * m) mod 2**32 < (2**32 - m) mod m``
 (never for a power-of-two m) shifts that layout, so a trial whose block holds one reruns stepwise.
-``HistoryGreedy`` runs stepwise, one re-keyed Philox drawing 128 uniforms at a time as read
-and each window's mean re-summed (oldest first) only once a step touches it, until absorbed:
-every vertex played and the last ``window`` steps all on one vertex A, which every later step
-then chooses, so the block engine continues it as ``FixedPair(A)`` at word = steps taken, with
+``HistoryGreedy`` runs stepwise, one re-keyed Philox drawing 128 uniforms at a time as read, each
+window's sum a left fold kept up to date as steps arrive (so the same bits on any Python), until
+absorbed: every vertex played and the last ``window`` steps all on one vertex A, which every later
+step then chooses, so the block engine continues it as ``FixedPair(A)`` at word = steps taken with
 its wealth.  Both engines consume each stream exactly as drawing one value at a time would.
 ``calibrate_null`` reads raw words of a :func:`trial_rng` generator, as ``random`` consumes
 them, in bounded sub-blocks; per ``4_000_000 // horizon`` streams: all outcomes, then all
@@ -41,11 +41,11 @@ import math
 import os
 from bisect import bisect_right
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import islice
+from operator import add
 
 import numpy as np
 
@@ -220,45 +220,38 @@ def choose_pair(
     if isinstance(policy, RandomPair):
         return pairs[int(rng.integers(len(pairs)))]
     if isinstance(policy, HistoryGreedy):
-        greedy = _GreedyWindow(len(pairs), policy.window, {rec.pair_index for rec in history})
-        for rec in history[-policy.window:]:
-            greedy.push(rec.pair_index, rec.log_e)
-        return pairs[greedy.choose()]
+        greedy, idx = _GreedyWindow(len(pairs), policy.window, {r.pair_index for r in history}), 0
+        for rec in history[-policy.window:]:  # the window replayed, with every vertex played
+            idx = greedy.push(rec.pair_index, rec.log_e)
+        return pairs[history[-1].pair_index if idx is None else idx]  # None: absorbed
     raise BadParamsError(f"unknown policy {policy!r}")
 
 
 class _GreedyWindow:
-    """``HistoryGreedy``'s state and its one rule.  ``recent[i]`` holds vertex i's log scores of
-    the last ``window`` steps, oldest first, ``means[i]`` their mean unless i is ``touched``,
-    ``order`` those steps' vertices, ``played`` every one played; ``push`` is True once absorbed."""
+    """``HistoryGreedy``'s state and its one rule, one :meth:`push` per step: ``recent[i]`` holds
+    vertex i's scores among the last ``window`` steps (``order``), oldest first, ``sums[i]`` their
+    left fold from 0.0 (the bits of a full re-sum); the vertices in ``played`` count as played."""
 
-    def __init__(self, m: int, window: int, played: set[int]):
+    def __init__(self, m: int, window: int, played=()):
         self.recent: list[deque[float]] = [deque() for _ in range(m)]
-        self.means, self.touched = [math.inf] * m, set()
-        self.order: deque[int] = deque()
-        self.window, self.played = window, played
+        self.sums, self.means, self.order = [0.0] * m, [math.inf] * m, deque()
+        self.window, self.unplayed = window, set(range(m)).difference(played)
 
-    def push(self, idx: int, log_e: float) -> bool:
-        if len(self.order) == self.window:
-            self.touched.add(old := self.order.popleft())
-            self.recent[old].popleft()
+    def push(self, idx: int, log_e: float) -> int | None:
+        """Take a step on vertex ``idx``: the next vertex (the first unplayed, else the first with
+        the lowest mean recent log score, +inf outside the window), or None once absorbed."""
+        (scores := self.recent[idx]).append(log_e)
+        self.sums[idx] += log_e  # an append extends its vertex's fold
         self.order.append(idx)
-        self.recent[idx].append(log_e)
-        self.touched.add(idx)
-        self.played.add(idx)
-        return len(self.recent[idx]) == self.window and len(self.played) == len(self.recent)
-
-    def choose(self) -> int:
-        """The first unplayed vertex, else the first with the lowest mean recent log score,
-        summed oldest first; a vertex outside the window counts as +inf.  Only the windows
-        touched since the last call are re-summed: the others hold the same scores."""
-        if len(self.played) < len(self.recent):
-            return next(i for i in range(len(self.recent)) if i not in self.played)
-        for idx in self.touched:
-            scores = self.recent[idx]
-            self.means[idx] = sum(scores) / len(scores) if scores else math.inf
-        self.touched.clear()
-        return self.means.index(min(self.means))
+        if len(self.order) > self.window:  # refold the oldest step's vertex, after any append
+            (held := self.recent[old := self.order.popleft()]).popleft()
+            self.sums[old] = reduce(add, held, 0.0)
+            self.means[old] = self.sums[old] / len(held) if held else math.inf
+        self.means[idx] = self.sums[idx] / len(scores)
+        self.unplayed.discard(idx)
+        if self.unplayed:
+            return min(self.unplayed)
+        return None if len(scores) == self.window else self.means.index(min(self.means))
 
 
 def default_horizon(spec: NeighborhoodSpec, alpha: float, factor: float = 10.0) -> int:
@@ -299,24 +292,29 @@ def _run_stepwise(
     for t, seed in enumerate(seeds):
         state["state"]["key"] = seed, 0  # word 0 of the trial's stream; seeds are 64-bit
         bitgen.state = state
-        greedy = isinstance(policy, HistoryGreedy) and _GreedyWindow(m, policy.window, set())
-        if greedy:
-            indices = iter(greedy.choose, None)  # uniforms are drawn in chunks as read
-            uniforms = (u for lo in range(0, cap, _STEP_CHUNK)
-                        for u in rng.random(min(_STEP_CHUNK, cap - lo)).tolist())
-        else:  # RandomPair: the vertex, then the uniform, each step
-            indices = iter(lambda: int(rng.integers(m)), None)
-            uniforms = iter(rng.random, None)
         total = 0.0
-        for step, idx, u in zip(range(1, cap + 1), indices, uniforms):  # vertex, then uniform
-            log_e = log_flat[bisect_right(cdfs[idx], u)]
-            total += log_e
-            if total >= threshold:
-                stops[t] = step
-                break
-            if greedy and greedy.push(idx, log_e):
-                absorbed.append((t, step, idx))
-                break
+        if isinstance(policy, RandomPair):  # the vertex, then the uniform, each step
+            indices = iter(lambda: int(rng.integers(m)), None)
+            for step, idx, u in zip(range(1, cap + 1), indices, iter(rng.random, None)):
+                total += log_flat[bisect_right(cdfs[idx], u)]
+                if total >= threshold:
+                    stops[t] = step
+                    break
+        else:  # HistoryGreedy, one push per step, 128 uniforms drawn at a time as read
+            push, idx, after = _GreedyWindow(m, policy.window).push, 0, 0
+            for lo in range(0, cap, _STEP_CHUNK):
+                for step, u in enumerate(rng.random(min(_STEP_CHUNK, cap - lo)).tolist(), lo + 1):
+                    log_e = log_flat[bisect_right(cdfs[idx], u)]
+                    total += log_e
+                    if total >= threshold:
+                        stops[t] = step
+                        break
+                    if (after := push(idx, log_e)) is None:
+                        absorbed.append((t, step, idx))
+                        break
+                    idx = after
+                if total >= threshold or after is None:
+                    break
         wealth[t] = total
     return stops, wealth, absorbed
 
@@ -443,6 +441,8 @@ def estimate_stopping(config: ExperimentConfig, threads: int = 1) -> list[SweepR
     for ai, (alpha, cap) in enumerate(zip(config.alphas, caps)):
         for lo in range(0, config.trials, step):
             tasks.append((config, alpha, cap, ai, lo, min(lo + step, config.trials)))
+    if workers > 1:  # the only user of multiprocessing, which takes long to import
+        from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks))) if workers > 1 else None
     with pool or nullcontext():
         outputs = (pool.map if pool else map)(_sweep_task, tasks)  # in task order

@@ -147,6 +147,14 @@ class TestImport:
         env = dict(os.environ, PYTHONPATH=src)
         assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # the worker pool is the only user of multiprocessing and is made on first use
+        src = str(Path(ewm.__file__).resolve().parents[1])
+        probe = ("import sys, ewm.cli; sys.exit(int(any(name in sys.modules for name in "
+                 "('multiprocessing', 'concurrent.futures'))))")
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
 
 class TestErrors:
     def test_unknown_subcommand_usage_error(self, capsys):

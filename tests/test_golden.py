@@ -34,9 +34,12 @@ the audit.  That null stream holds 4,000 pairs, drawn independently from the anc
 
 and written with ``ewm.coupling.write_stream_csv``; neither detector decides on it, so both
 read its six blocks, and its reports were written before the baseline screened its tails.
-Any worker count must reproduce the sweep tables.
+Any worker count must reproduce the sweep tables, and the greedy ones must also come out
+unchanged where ``sum`` compensates its float rounding, as Python 3.12's does.
 """
 
+import builtins
+import math
 from pathlib import Path
 
 import numpy as np
@@ -46,10 +49,15 @@ from ewm.cli import main
 from ewm.coupling import write_stream_csv
 
 GOLDEN = Path(__file__).parent / "golden"
+SUM = builtins.sum  # kept for compensated_sum, which stands in for it
 ANCHORS = {"n2": "[0.5,0.5]", "n4": "[0.25,0.25,0.25,0.25]"}
 
 DEEP_GREEDY = ["sweep-tau", "--anchor", ANCHORS["n4"], "--delta", "0.1", "--alphas",
                "1e-120,1e-300", "--trials", "8", "--seed", "0", "--policy", "greedy"]
+GREEDY_RUNS = {"sweep-tau-n4-greedy-deep": DEEP_GREEDY,
+               "sweep-tau-n2-greedy": ["sweep-tau", "--anchor", ANCHORS["n2"], "--delta", "0.1",
+                                       "--alphas", "1e-2,1e-120", "--trials", "4", "--seed", "0",
+                                       "--policy", "greedy"]}
 FIXED_RUNS = {"fair": ("[0.5,0.5]", "0,1"), "skew": ("[0.2,0.8]", "0,1"),
               "n4": (ANCHORS["n4"], "0,3")}
 FIXED_SWEEP = ["--delta", "0.1", "--alphas", "log:1e-2:1e-60:4", "--trials", "50",
@@ -99,6 +107,29 @@ def test_deep_greedy_sweep_matches_golden(tmp_path, threads):
     out = tmp_path / "tau.csv"
     assert main([*DEEP_GREEDY, "--threads", str(threads), "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "sweep-tau-n4-greedy-deep.csv").read_bytes()
+
+
+def compensated_sum(iterable, /, start=0):
+    """Builtin ``sum`` as Python 3.12 computes it over floats: Neumaier's compensated
+    summation.  Anything else is summed as before."""
+    items = list(iterable)
+    if not items or type(start) not in (int, float) or any(type(x) is not float for x in items):
+        return SUM(items, start)
+    total, compensation = float(start), 0.0
+    for x in items:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+@pytest.mark.parametrize("name", sorted(GREEDY_RUNS))
+def test_greedy_sweep_bytes_do_not_depend_on_the_python_sum(tmp_path, monkeypatch, name):
+    # Python 3.12's sum rounds some window means one ulp off a left fold, which flips a tie
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    out = tmp_path / "tau.csv"
+    assert main([*GREEDY_RUNS[name], "--threads", "1", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import itertools
 import math
@@ -176,26 +177,38 @@ class TestPolicies:
         assert (chosen.gain, chosen.loss) == (1, 2)
 
     @settings(max_examples=150)
-    @example(m=2, window=1, pushes=[(0, 1.0, True)] * 3 + [(1, 0.5, True)] * 3)
-    @example(m=12, window=3, pushes=[(i, 0.0, False) for i in range(12)] + [(11, 0.0, True)])
+    @example(m=2, window=1, pushes=[(0, 1.0)] * 3 + [(1, 0.5)] * 3)
+    @example(m=12, window=3, pushes=[(i, 0.0) for i in range(12)] + [(11, 0.0)])
     @given(m=st.sampled_from([2, 12]), window=st.integers(1, 40),
            pushes=st.lists(st.tuples(st.integers(0, 11),
                                      st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0 / 3.0])
-                                     | st.floats(-50.0, 50.0), st.booleans()), max_size=120))
+                                     | st.floats(-50.0, 50.0)), max_size=120))
     def test_greedy_window_equals_a_full_re_sum(self, m, window, pushes):
         # exactly tied means, a push that pops from the vertex it appends to (window 1 or a
-        # run on one vertex), and chooses skipped between pushes: the cached means re-sum
-        # only the windows touched since the last choose
-        greedy, chosen, scores = _GreedyWindow(m, window, set()), [], []
-        for idx, score, ask in pushes:
-            absorbed = greedy.push(idx % m, score)
+        # run on one vertex) and pushes past absorption: after every push, the folds kept up
+        # to date hold the bits of a full re-sum of the window and choose as it does
+        greedy, chosen, scores = _GreedyWindow(m, window), [], []
+        for idx, score in pushes:
+            after = greedy.push(idx % m, score)
             chosen.append(idx % m)
             scores.append(score)
             recent = list(zip(chosen[-window:], scores[-window:]))
             held = [j for j, _ in recent]
-            assert absorbed == (len(set(chosen)) == m and held == [idx % m] * window)
-            if ask:
-                assert greedy.choose() == greedy_choice(m, chosen, recent)
+            absorbed = len(set(chosen)) == m and held == [idx % m] * window
+            assert (after is None) == absorbed
+            assert (idx % m if absorbed else after) == greedy_choice(m, chosen, recent)
+            windows = [[x for j, x in recent if j == i] for i in range(m)]
+            assert greedy.means == [left_fold(xs) / len(xs) if xs else math.inf for xs in windows]
+
+    def test_greedy_means_are_left_folds(self):
+        # a window mean that a compensated sum (Python 3.12's sum) rounds one ulp lower, to
+        # 1.0239971230527591: vertex 1's mean, so the tie would then go to vertex 0
+        a, b = math.log(0.95 / 0.25), math.log(0.05 / 3 / 0.25)
+        greedy, low = _GreedyWindow(2, 14), 1.0239971230527591
+        assert greedy.push(1, low) == 0
+        for score in [a] * 7 + [b] + [a] * 5:
+            after = greedy.push(0, score)
+        assert greedy.means == [1.0239971230527594, low] and after == 1
 
     def test_history_greedy_needs_a_window(self):
         for window in (0, -3):
@@ -215,14 +228,23 @@ class TestPolicies:
         assert 0 <= v < 3 and 0 <= s < 3
 
 
+def left_fold(xs):
+    """``xs`` added oldest first from 0.0, one rounding per addition, as ``sum`` did before
+    Python 3.12 compensated it."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 def greedy_choice(m, chosen, recent):
     """``HistoryGreedy``'s rule re-derived from the whole history: the first unplayed vertex,
     else the first with the lowest mean over the ``recent`` (vertex, score) steps, each
-    vertex's scores summed oldest first; a vertex outside the window has no mean."""
+    vertex's scores a :func:`left_fold`; a vertex outside the window has no mean."""
     if unplayed := [i for i in range(m) if i not in chosen]:
         return unplayed[0]
     held = {i: [x for j, x in recent if j == i] for i in range(m)}
-    means = {i: sum(xs) / len(xs) for i, xs in held.items() if xs}
+    means = {i: left_fold(xs) / len(xs) for i, xs in held.items() if xs}
     return min(means, key=means.get)
 
 
@@ -440,7 +462,7 @@ class TestEstimateStopping:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(ewm.simulation, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         config = ewm.ExperimentConfig(spec=FAIR, alphas=(1e-3, 1e-6), trials=5,
                                       policy=policy, base_seed=3)
         serial = ewm.estimate_stopping(config, threads=1)
