@@ -11,9 +11,9 @@ kept in log space only; the raw product would overflow in a few hundred steps.
 A match-count baseline is included for comparisons: it counts steps with
 ``v == s``, computes an exact binomial upper tail against the worst-case null
 match probability, and rejects on the schedule ``alpha / (k (k+1))`` whose sum
-telescopes to ``alpha``, preserving anytime validity for p-value tests.  The
-batch baseline skips the tail at steps where a point-mass lower bound on it
-already rules rejection out.
+telescopes to ``alpha``, preserving anytime validity for p-value tests.  Both
+baseline forms decide each step by one rule, which past the first 128 steps skips
+the tail where a point-mass lower bound on it already rules rejection out.
 """
 
 from __future__ import annotations
@@ -125,6 +125,7 @@ def init_baseline(alpha: float, null_match_prob: float) -> BaselineState:
 
 
 _SCREENED_STEPS = 2**40  # below it a log point mass rounds by under 0.05; by 2**46, by log 2
+_FIRST_BLOCK = 128  # _blocks' first width; its steps are never screened: one call costs less
 _TINY = float(np.finfo(float).tiny)
 
 
@@ -142,17 +143,25 @@ def _schedule(alpha: float, k):
     return alpha / (k * (k + 1.0))
 
 
+def _rejections(m: np.ndarray, k: np.ndarray, p: float, alpha: float) -> np.ndarray:
+    """The baseline's one rule: the steps ``k`` (ascending; ``m`` matches) whose tail is below the
+    schedule; a step in (``_FIRST_BLOCK``, ``_SCREENED_STEPS``) must pass :func:`_may_reject`."""
+    bound = _schedule(alpha, k)
+    if k[-1] > _FIRST_BLOCK:
+        near = (k <= _FIRST_BLOCK) | (k >= _SCREENED_STEPS) | _may_reject(m, k, p, bound)
+        m, k, bound = m[near], k[near], bound[near]
+    return k[_binom_sf(m - 1, k, p) < bound] if k.size else k
+
+
 def baseline_observe(state: BaselineState, v: int, s: int) -> BaselineState:
-    """Exact binomial upper tail on the match count vs the rejection schedule; ``v``
-    and ``s`` are vocabulary indices, of any size, as no ``n`` is at hand."""
+    """:func:`baseline_batch_detect`'s rule at one step; ``v`` and ``s`` are vocabulary
+    indices, of any size, as no ``n`` is at hand."""
     if not state.running:
         raise AlreadyStoppedError(f"baseline rejected at step {state.rejected_at}")
     v, s = _indices((v, s), None, IndexOutOfRangeError)
-    matches = state.matches + (1 if v == s else 0)
-    k = state.steps + 1
-    p_k = float(_binom_sf(matches - 1, k, state.null_match_prob))
-    rejected_at = k if p_k < _schedule(state.alpha, k) else None
-    return replace(state, matches=matches, steps=k, rejected_at=rejected_at)
+    matches, k = state.matches + (1 if v == s else 0), state.steps + 1
+    rejects = _rejections(np.array([matches]), np.array([k]), state.null_match_prob, state.alpha)
+    return replace(state, matches=matches, steps=k, rejected_at=k if rejects.size else None)
 
 
 def _first_crossing(inc: np.ndarray, boundary, carry=0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -177,7 +186,7 @@ def _blocks(stream, budget, n):
     left = sys.maxsize if budget is None else min(_count(budget, "budget"), sys.maxsize)
     take = (stream.take if isinstance(stream, _StreamRows)
             else lambda k, pairs=iter(stream): list(islice(pairs, k)))
-    done, width = 0, 128
+    done, width = 0, _FIRST_BLOCK
     while len(block := take(min(width, left - done))):
         try:
             a = np.asarray(block)
@@ -242,18 +251,13 @@ def baseline_batch_detect(
     Past the first block, tails are evaluated only at the steps :func:`_may_reject`
     keeps, so a block that no step of comes near the schedule makes no scipy call."""
     state = init_baseline(alpha, null_match_prob)
-    p, matches, steps = state.null_match_prob, 0, 0
+    matches, steps = 0, 0
     for done, v, s in _blocks(stream, budget, n):
         m = matches + np.cumsum(v == s)
         matches, steps = int(m[-1]), done + v.size
-        k = np.arange(done + 1, steps + 1)
-        bound = _schedule(state.alpha, k)
-        if 0 < done < _SCREENED_STEPS:  # the first block's one call costs less than its screen
-            near = _may_reject(m, k, p, bound)
-            m, k, bound = m[near], k[near], bound[near]
-        if k.size and (below := _binom_sf(m - 1, k, p) < bound).any():
-            stop = int(k[below.argmax()])
-            return DetectionReport("rejected", stop, math.nan, math.nan, stop)
+        stops = _rejections(m, np.arange(done + 1, steps + 1), state.null_match_prob, state.alpha)
+        if stops.size:
+            return DetectionReport("rejected", int(stops[0]), math.nan, math.nan, int(stops[0]))
     return DetectionReport("undecided", None, math.nan, math.nan, steps)
 
 

@@ -439,6 +439,17 @@ def unscreened(alpha, pbar, pairs):
     return stop, stop or len(pairs)
 
 
+def exact_tails(pbar, pairs):
+    """Each step's exact tail ``P(Bin(k, pbar) >= m)``, summed with ``math.comb``."""
+    num, den = pbar.as_integer_ratio()
+    tails, m = [], 0
+    for k, (v, s) in enumerate(pairs, 1):
+        m += v == s
+        tail = sum(math.comb(k, i) * num**i * (den - num)**(k - i) for i in range(m, k + 1))
+        tails.append(Fraction(tail, den**k))
+    return tails
+
+
 @st.composite
 def screened_cases(draw):
     """(alpha, pbar, pairs, budget, n): match rates at, just above or below ``pbar``, so
@@ -471,7 +482,7 @@ class TestBaselineScreen:
         report = ewm.baseline_batch_detect(alpha, pbar, pairs, budget, n=n)
         assert (report.stop_step, report.steps) == unscreened(alpha, pbar, read)
         assert report.decision == ("undecided" if report.stop_step is None else "rejected")
-        head = read[:400]  # one scalar scipy call a step; 400 steps reach two screened blocks
+        head = read[:400]  # 400 steps reach two screened blocks
         state = fold(alpha, head, pbar=pbar)
         report = ewm.baseline_batch_detect(alpha, pbar, head, None, n=n)
         assert (report.stop_step, report.steps) == (state.rejected_at, state.steps)
@@ -487,6 +498,30 @@ class TestBaselineScreen:
         report = ewm.baseline_batch_detect(0.02, pbar, baseline_stream(1, 4000, 0.56), None, n=2)
         assert report.stop_step == unscreened(0.02, pbar, baseline_stream(1, 4000, 0.56))[0]
         assert sizes == [128, 3, 437]  # the near steps of the second and third blocks
+
+    def test_the_fold_screens_past_the_first_block(self, monkeypatch):
+        sizes = tail_sizes(monkeypatch)
+        pbar = ewm.worst_null_match_prob(TestBatchMatchesFold.SPEC)
+        null = [tuple(map(int, p)) for p in np.random.default_rng(6).integers(2, size=(400, 2))]
+        state = fold(0.02, null, pbar=pbar)
+        assert state.running and state.steps == 400
+        assert sizes == [1] * 128  # steps 1-128 only: no later step nears the schedule
+
+    def test_fold_equals_the_batch_where_scipy_flushes_a_normal_tail(self):
+        # scipy's binom.sf(1507, 1546, 0.625) is 0.0, where the exact tail is 1.96e-248: the
+        # fold once rejected at step 1,546 at every alpha here, against the batch's screen
+        pairs = [(0, 1)] * 38 + [(0, 0)] * 1697
+        tails = exact_tails(0.625, pairs)
+        for alpha, stop in ((1e-300, None), (1e-245, 1564), (1e-240, 1540)):
+            state = fold(alpha, pairs, pbar=0.625)
+            report = ewm.baseline_batch_detect(alpha, 0.625, pairs, None)
+            assert (state.rejected_at, state.steps) == (report.stop_step, report.steps)
+            assert report.stop_step == stop
+            # at 1e-245 the exact tail first falls below the schedule at 1,566; scipy's 0.0 at
+            # steps 1,564-1,566 is on tails within the screen's factor 2 of it: not asserted
+            if alpha != 1e-245:
+                below = (k for k, tail in enumerate(tails, 1) if tail < _schedule(alpha, k))
+                assert next(below, None) == stop
 
     def test_one_schedule_rounds_the_exact_product_once(self):
         # an int64 k (k + 1) wraps from k = 3,037,000,500; both detectors read this bound

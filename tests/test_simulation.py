@@ -754,7 +754,54 @@ class TestWaldIdentity:
         assert abs(d.mean()) < 4.0 * d.std(ddof=1) / math.sqrt(d.size)
 
 
+def exact_fair_crossing(e, alpha, horizon):
+    """Exact chance that a null stream on the fair anchor crosses ``log(1/alpha)`` within
+    ``horizon`` steps under table ``e``: each step is a match or a miss with probability 1/2,
+    so the wealth after ``t`` steps is set by the match count, and a DP over counts drops the
+    mass that has crossed."""
+    (hit, miss), (miss2, hit2) = e.log_scores.tolist()
+    assert (hit, miss) == (hit2, miss2)
+    threshold, alive, crossed = math.log(1.0 / alpha), {0: 1.0}, 0.0
+    for t in range(1, horizon + 1):
+        step = {}
+        for j, mass in alive.items():
+            step[j] = step.get(j, 0.0) + mass / 2
+            step[j + 1] = step.get(j + 1, 0.0) + mass / 2
+        crossed += sum(step.pop(j) for j in list(step) if j * hit + (t - j) * miss >= threshold)
+        alive = step
+    return crossed
+
+
+def calibration_z(trials=40_000):
+    """Per alpha of criterion 6, ``calibrate_null``'s rate on the anchor null minus the exact
+    rate under the optimal table, in standard errors."""
+    optimal, zs = ewm.optimal_evalue(FAIR), []
+    for ai, (alpha, horizon, rate) in enumerate(((0.1, 24, 0.0745), (0.05, 31, 0.0389),
+                                                  (0.02, 40, 0.0125))):
+        assert ewm.default_horizon(FAIR, alpha, factor=5.0) == horizon
+        exact = exact_fair_crossing(optimal, alpha, horizon)
+        assert round(exact, 4) == rate
+        got = ewm.calibrate_null(FAIR, alpha, trials, horizon, FAIR.anchor,
+                                 ewm.trial_rng(ewm.trial_seed(1, ai, 0)))
+        zs.append((got - exact) / math.sqrt(exact * (1.0 - exact) / trials))
+    return zs
+
+
 class TestCalibrateNull:
+    def test_rate_equals_the_exact_crossing_law(self):
+        assert all(abs(z) <= 4.0 for z in calibration_z())
+
+    def test_exact_gate_rejects_a_slightly_inflated_table(self, monkeypatch):
+        # scaled by 1.02, the exact rates (0.0823, 0.0440, 0.0205) stay inside criterion 6's
+        # Ville bound, alpha plus 3 standard errors of 10^4 trials; the exact law does not
+        scaled = ewm.make_evalue_table(1.02 * ewm.optimal_evalue(FAIR).scores)
+        monkeypatch.setattr(ewm.simulation, "optimal_evalue", lambda spec: scaled)
+        for alpha in (0.1, 0.05, 0.02):
+            horizon = ewm.default_horizon(FAIR, alpha, factor=5.0)
+            bound = alpha + 3.0 * math.sqrt(alpha * (1.0 - alpha) / 10_000)
+            assert exact_fair_crossing(scaled, alpha, horizon) <= bound
+        assert not all(abs(z) <= 4.0 for z in calibration_z())
+
     def test_rate_bounded_at_anchor(self):
         rate = ewm.calibrate_null(FAIR, 0.05, 4000, 31, FAIR.anchor, ewm.trial_rng(15))
         assert rate <= 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / 4000)
