@@ -12,8 +12,9 @@ A match-count baseline is included for comparisons: it counts steps with
 ``v == s``, computes an exact binomial upper tail against the worst-case null
 match probability, and rejects on the schedule ``alpha / (k (k+1))`` whose sum
 telescopes to ``alpha``, preserving anytime validity for p-value tests.  Both
-baseline forms decide each step by one rule, which past the first 128 steps skips
-the tail where a point-mass lower bound on it already rules rejection out.
+baseline forms decide each step by one exact rule: a step at or below the null mean
+is skipped (its tail is at least 1/2), a numpy bracket on the log tail decides most
+others, and a scalar saddle-point tail decides the few the bracket leaves open.
 """
 
 from __future__ import annotations
@@ -124,17 +125,8 @@ def init_baseline(alpha: float, null_match_prob: float) -> BaselineState:
     return BaselineState(matches=0, steps=0, alpha=_check_alpha(alpha), null_match_prob=pbar)
 
 
-_SCREENED_STEPS = 2**40  # below it a log point mass rounds by under 0.05; by 2**46, by log 2
-_FIRST_BLOCK = 128  # _blocks' first width; its steps are never screened: one call costs less
-_TINY = float(np.finfo(float).tiny)
-
-
-def _binom_sf(x, k, p):
-    """Exact binomial upper tail; scipy is imported on first use, so the package
-    and its CLI import without it."""
-    from scipy.stats import binom
-
-    return binom.sf(x, k, p)
+_FIRST_BLOCK = 128  # _blocks' first width
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _schedule(alpha: float, k):
@@ -143,14 +135,67 @@ def _schedule(alpha: float, k):
     return alpha / (k * (k + 1.0))
 
 
+def _stirlerr(n: int) -> float:
+    """Loader's ``stirlerr``: ``log n! - (n + 1/2) log n + n - log sqrt(2 pi)`` for ``n >= 1``."""
+    if n < 16:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _LOG_SQRT_2PI
+    nn = n * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
+
+
+def _bd0(x: int, M: float, d: float) -> float:
+    """Loader's ``x log(x / M) + M - x``, ``d = x - M``; its series near ``M`` cancels nothing."""
+    if abs(d) >= 0.1 * (s := x + M):
+        return x * (math.log(x) - math.log(M)) - d
+    total, term, v, j = d * d / s, 2 * x * d / s, (d / s) ** 2, 3
+    while (nxt := total + (term := term * v) / j) != total:
+        total, j = nxt, j + 2
+    return total
+
+
+def _log_tail(m: int, k: int, p: float) -> float:
+    """``log P(Binomial(k, p) >= m)``, ``k p < m <= k``: Loader's saddle-point log mass plus
+    ``log(m (1 - p) / CF)``, CF DiDonato & Morris's fraction for ``I_p(m, k - m + 1)`` by modified
+    Lentz; its terms are positive, so nothing cancels, and it ends by ``k - m + 1`` of them."""
+    num, den = p.as_integer_ratio()
+    d = (m * den - k * num) / den  # m - k p, rounded once
+    b, q, c = k - m + 1, 1.0 - p, d + 1.0 - p  # c = 1 + m - (k + 1) p > 0
+    log_mass = k * math.log(p) if m == k else (
+        _stirlerr(k) - _stirlerr(m) - _stirlerr(k - m) - _bd0(m, k * p, d)
+        - _bd0(k - m, k * q, -d) + 0.5 * math.log(k / (m * (k - m))) - _LOG_SQRT_2PI)
+    cf = big = c * m / (m + 1)
+    small, n, step = 0.0, 0, 0.0
+    while abs(step - 1.0) > 2**-50:
+        n += 1
+        alpha = (m + n - 1) * (k + n) * n * (b - n) * p * p / (m + 2 * n - 1) ** 2
+        beta = n + n * (b - n) * p / (m + 2 * n - 1) + (m + n) * (c + n * (1 + q)) / (m + 2 * n + 1)
+        small, big = 1.0 / (beta + alpha * small), beta + alpha / big
+        cf *= (step := big * small)
+    return log_mass + math.log(m * q / cf)
+
+
 def _rejections(m: np.ndarray, k: np.ndarray, p: float, alpha: float) -> np.ndarray:
-    """The baseline's one rule: the steps ``k`` (ascending; ``m`` matches) whose tail is below the
-    schedule; a step in (``_FIRST_BLOCK``, ``_SCREENED_STEPS``) must pass :func:`_may_reject`."""
-    bound = _schedule(alpha, k)
-    if k[-1] > _FIRST_BLOCK:
-        near = (k <= _FIRST_BLOCK) | (k >= _SCREENED_STEPS) | _may_reject(m, k, p, bound)
-        m, k, bound = m[near], k[near], bound[near]
-    return k[_binom_sf(m - 1, k, p) < bound] if k.size else k
+    """The baseline's one rule: the first step of ``k`` (ascending; ``m`` matches), as an array
+    of at most one, whose tail ``P(Binomial(k, p) >= m)`` is below the schedule.  At ``m <= k p``
+    it is at least 1/2, a median being floor or ceil of ``k p`` (Kaas & Buhrman); a sound bracket
+    on the log tail decides most other steps at once, and :func:`_log_tail` those it leaves."""
+    near = (m > k * p) & ((bound := _schedule(alpha, k)) > 0.0)
+    log_bound, k, m = np.log(bound[near]), k[near], m[near]
+    if not k.size:
+        return k
+    # Stirling's log mass with Robbins' 0 < stirlerr(n) < 1/(12 n), and up to 1/(1 - r) times
+    # it, r = P(X = m + 1) / P(X = m) > each later ratio; each end widened for its rounding
+    log_p, log_q, j = math.log(p), math.log1p(-p), k - m
+    h = np.maximum(j, 1.0)
+    t = k / (m * h)  # 1/m + 1/j for j > 0
+    log_mass = (0.5 * np.log(t) - _LOG_SQRT_2PI * (j > 0)  # at j = 0: log p**k, exactly
+                - m * (np.log(m / k) - log_p) - j * (np.log(h / k) - log_q))
+    slack = 2**-44 * (k[-1] + 1000.0) * (1.0 - log_p - log_q)
+    hi = log_mass + (1.0 / (12.0 * k) + slack) - np.log1p(-j * p / ((m + 1.0) * (1.0 - p)))
+    for i in np.flatnonzero(log_mass - (t / 12.0 + slack) < log_bound):  # lo < bound
+        if hi[i] < log_bound[i] or _log_tail(int(m[i]), int(k[i]), p) < log_bound[i]:
+            return k[i:i + 1]
+    return k[:0]
 
 
 def baseline_observe(state: BaselineState, v: int, s: int) -> BaselineState:
@@ -225,31 +270,12 @@ def batch_detect(e: EValueTable, alpha: float, stream, budget: int | None) -> De
     return DetectionReport("undecided", None, wealth, threshold, steps)
 
 
-def _may_reject(m: np.ndarray, k: np.ndarray, p: float, bound: np.ndarray) -> np.ndarray:
-    """Where the tail ``P(X >= m)``, ``X ~ Binomial(k, p)``, may fall below ``bound``.
-    Elsewhere a lower bound on that tail, the point mass ``P(X = j)`` at
-    ``j = max(m, floor(k p))`` (so ``m <= j <= k``), is at least twice ``bound`` and twice
-    the least normal float.  Rounding cannot cross that factor of 2: the log point mass is
-    off by far less than ``log 2`` while ``k < 2**40``, and scipy's tail keeps about 12
-    digits on normal floats (not on subnormal ones).  At ``p == 1`` the tail is 1."""
-    from scipy.special import gammaln
-
-    if p == 1.0:
-        return np.zeros(k.size, bool)
-    j = np.maximum(m, np.floor(k * p))  # m, or near the mode when m lies below it
-    log_mass = (gammaln(k + 1.0) - gammaln(j + 1.0) - gammaln(k - j + 1.0)
-                + j * math.log(p) + (k - j) * math.log1p(-p))
-    return log_mass < np.log(2.0 * np.maximum(bound, _TINY))
-
-
 def baseline_batch_detect(
     alpha: float, null_match_prob: float, stream, budget: int | None, n: int | None = None
 ) -> DetectionReport:
-    """Fold :func:`baseline_observe` over up to ``budget`` pairs, with each
-    block's tails in one array call; wealth is reported as NaN.  Without ``n``,
-    only the indices' type and sign are checked, as in :func:`baseline_observe`.
-    Past the first block, tails are evaluated only at the steps :func:`_may_reject`
-    keeps, so a block that no step of comes near the schedule makes no scipy call."""
+    """Fold :func:`baseline_observe` over up to ``budget`` pairs, each block decided
+    by one :func:`_rejections` call; wealth is reported as NaN.  Without ``n``,
+    only the indices' type and sign are checked, as in :func:`baseline_observe`."""
     state = init_baseline(alpha, null_match_prob)
     matches, steps = 0, 0
     for done, v, s in _blocks(stream, budget, n):

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import ewm
 from ewm.coupling import _BLOCK_CELLS
-from ewm.detection import _binom_sf, _blocks, _may_reject, _schedule
+from ewm.detection import _blocks, _log_tail, _rejections, _schedule
 from ewm.errors import (
     AlreadyStoppedError,
     BadAlphaError,
@@ -247,18 +248,18 @@ def detection_cases(draw):
     return n, pairs, budget, draw(st.sampled_from([0.5, 0.02, 1e-30]))
 
 
-def tail_sizes(monkeypatch):
-    """The list to which each later ``_binom_sf`` call appends its number of steps."""
+def exact_steps(monkeypatch):
+    """The list to which each later exact scalar tail, ``_log_tail``, appends its ``(m, k)``."""
     from ewm import detection
 
-    sizes, real = [], detection._binom_sf
+    steps = []
 
-    def counting_sf(x, k, p):
-        sizes.append(np.size(k))
-        return real(x, k, p)
+    def recording(m, k, p):
+        steps.append((m, k))
+        return _log_tail(m, k, p)
 
-    monkeypatch.setattr(detection, "_binom_sf", counting_sf)
-    return sizes
+    monkeypatch.setattr(detection, "_log_tail", recording)
+    return steps
 
 
 class TestBatchMatchesFold:
@@ -409,12 +410,12 @@ class TestBatchMatchesFold:
                 report = ewm.baseline_batch_detect(0.02, pbar, pairs, None, n=n)
                 assert report.stop_step == fold(0.02, ints, pbar=pbar).rejected_at
 
-    def test_baseline_work_tracks_the_stopping_step(self, monkeypatch):
-        sizes = tail_sizes(monkeypatch)
+    def test_baseline_work_tracks_the_stopping_step(self):
+        # a stop in the first block leaves every pair past it unread
         pbar = ewm.worst_null_match_prob(self.SPEC)
-        pairs = [(0, 0)] * 100_000
-        report = ewm.baseline_batch_detect(0.02, pbar, pairs, len(pairs), n=2)
-        assert report.stop_step < 100 and sum(sizes) == 128
+        pairs = iter([(0, 0)] * 100_000)
+        report = ewm.baseline_batch_detect(0.02, pbar, pairs, 100_000, n=2)
+        assert report.stop_step < 100 and sum(1 for _ in pairs) == 100_000 - 128
 
 
 def baseline_stream(seed, length, rate, big=False):
@@ -427,26 +428,50 @@ def baseline_stream(seed, length, rate, big=False):
     return [(symbols[a], symbols[b]) for a, b in zip(v.tolist(), s.tolist())]
 
 
+def mp_log_tail(m, k, p, dps=50):
+    """``log P(Bin(k, p) >= m)``, ``m >= 1``, by mpmath at ``dps`` digits: the incomplete beta
+    ``I_p(m, k - m + 1)`` as a quadrature of its density, which for ``m > k p`` is highest near
+    ``p``, over intervals that shrink geometrically towards ``p``."""
+    with mpmath.workdps(dps):
+        p, a, b = mpmath.mpf(p), mpmath.mpf(m), mpmath.mpf(k - m + 1)
+        log_density = lambda t: (a - 1) * mpmath.log(t) + (b - 1) * mpmath.log1p(-t)
+        top, width = log_density(p), mpmath.sqrt(p * (1 - p) / k) / 8
+        cuts = [p - width * 4**j for j in range(40, -1, -1) if width * 4**j < p]
+        area = mpmath.quad(lambda t: mpmath.exp(log_density(t) - top), [0, *cuts, p])
+        return top + mpmath.log(area) - mpmath.log(mpmath.beta(a, b))
+
+
 def unscreened(alpha, pbar, pairs):
-    """``(stop_step, steps)`` of the unscreened baseline: the exact tail at every step, against
-    the schedule in int64."""
+    """``(stop_step, steps)`` of the baseline by scipy's tail at every step, against the schedule
+    in int64; where that tail is 0 or subnormal, which scipy flushes, by mpmath's."""
     from scipy.stats import binom
 
     m = np.cumsum([v == s for v, s in pairs])
     k = np.arange(1, len(pairs) + 1)
-    below = binom.sf(m - 1, k, pbar) < alpha / (k * (k + 1))
-    stop = int(below.argmax()) + 1 if below.any() else None
-    return stop, stop or len(pairs)
+    tail, bound, tiny = binom.sf(m - 1, k, pbar), alpha / (k * (k + 1)), np.finfo(float).tiny
+    for i in np.flatnonzero((tail < bound) | (tail < tiny)):
+        if tail[i] >= tiny or mp_log_tail(int(m[i]), int(k[i]), pbar, 30) < math.log(bound[i]):
+            return int(k[i]), int(k[i])
+    return None, len(pairs)
 
 
 def exact_tails(pbar, pairs):
-    """Each step's exact tail ``P(Bin(k, pbar) >= m)``, summed with ``math.comb``."""
-    num, den = pbar.as_integer_ratio()
-    tails, m = [], 0
-    for k, (v, s) in enumerate(pairs, 1):
-        m += v == s
-        tail = sum(math.comb(k, i) * num**i * (den - num)**(k - i) for i in range(m, k + 1))
-        tails.append(Fraction(tail, den**k))
+    """Each step's exact tail ``P(Bin(k, pbar) >= m)``: ``T(k, m) / den**k`` for the integer
+    ``T(k, m) = sum_{i >= m} C(k, i) a**i b**(k - i)``, ``pbar = a / den``, ``b = den - a``.
+    Pascal's rule gives ``T(k + 1, j) = b T(k, j) + a T(k, j - 1)``, so a match takes ``T(k, m)``
+    to ``den T(k, m) - b t(k, m)`` and a miss to ``den T(k, m) + a t(k, m - 1)``, where
+    ``t(k, i) = C(k, i) a**i b**(k - i)``."""
+    a, den = pbar.as_integer_ratio()
+    b, tails, total, m = den - a, [], 1, 0  # T(0, 0) = 1
+    for k, (v, s) in enumerate(pairs):  # k steps so far
+        if v == s:
+            total = den * total - b * math.comb(k, m) * a**m * b**(k - m)
+            m += 1
+        elif m:
+            total = den * total + a * math.comb(k, m - 1) * a**(m - 1) * b**(k - m + 1)
+        else:
+            total *= den
+        tails.append(Fraction(total, den ** (k + 1)))
     return tails
 
 
@@ -466,9 +491,38 @@ def screened_cases(draw):
     return alpha, pbar, pairs, budget, n
 
 
+@st.composite
+def dyadic_cases(draw):
+    """(alpha, p, pairs): ``p = j / 64`` and up to 2,000 pairs matching at, above or below it,
+    or always; at alpha 1e-300 and 5.6e-309 the schedule is subnormal from a few steps on."""
+    alpha = draw(st.sampled_from([0.5, 0.02, 1e-30, 1e-300, 5.6e-309]))
+    p = draw(st.integers(1, 64)) / 64
+    rate = min(max(p + draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0, -0.1])), 0.0), 1.0)
+    length = draw(st.sampled_from([2000, 1200]) | st.integers(1, 2000))
+    return alpha, p, baseline_stream(draw(st.integers(0, 2**32 - 1)), length, rate)
+
+
 class TestBaselineScreen:
-    """Past its first block, the baseline evaluates the exact tail only where the point-mass
-    bound cannot clear twice the schedule; its reports must be those of every step's tail."""
+    """The baseline skips steps at or below the null mean, decides most others by a bracket on
+    the log tail and the rest by an exact scalar tail; its reports must be those of every
+    step's exact tail."""
+
+    @settings(max_examples=40)
+    @example(case=(1e-300, 0.625, [(0, 1)] * 38 + [(0, 0)] * 1697))  # the scipy-flush stream
+    @example(case=(5.6e-309, 1 / 64, [(1, 1)] * 200))  # stops at 174
+    @example(case=(1e-300, 0.5, baseline_stream(3, 2000, 0.95)))  # stops at 1,452
+    @example(case=(1e-30, 22 / 64, baseline_stream(4, 2000, 0.5)))  # stops at 1,605
+    # k p = 1e-299 is below the last bit of m = 1, so m - (m - k p) would be 0 in the band
+    @example(case=(1.2e-297, 1e-300, [(0, 1)] * 9 + [(0, 0)]))  # stops at 10
+    @example(case=(1e-297, 1e-300, [(0, 1)] * 9 + [(0, 0)]))
+    @given(case=dyadic_cases())
+    def test_first_stop_is_the_first_step_below_in_exact_arithmetic(self, case):
+        alpha, p, pairs = case
+        tails = exact_tails(p, pairs)
+        below = (k for k, tail in enumerate(tails, 1) if tail < Fraction(_schedule(alpha, k)))
+        stop = next(below, None)
+        assert ewm.baseline_batch_detect(alpha, p, pairs, None).stop_step == stop
+        assert fold(alpha, pairs, pbar=p).rejected_at == stop
 
     @settings(max_examples=30)
     @example(case=(1e-300, 0.5, baseline_stream(0, 16_000, 0.66), None, 2))  # stops past 13,000
@@ -487,41 +541,40 @@ class TestBaselineScreen:
         report = ewm.baseline_batch_detect(alpha, pbar, head, None, n=n)
         assert (report.stop_step, report.steps) == (state.rejected_at, state.steps)
 
-    def test_a_null_stream_evaluates_only_its_first_block(self, monkeypatch):
-        sizes = tail_sizes(monkeypatch)
+    def test_a_null_stream_evaluates_no_exact_tail(self, monkeypatch):
+        steps = exact_steps(monkeypatch)
         pbar = ewm.worst_null_match_prob(TestBatchMatchesFold.SPEC)
         null = [tuple(map(int, p)) for p in np.random.default_rng(6).integers(2, size=(4000, 2))]
         report = ewm.baseline_batch_detect(0.02, pbar, null, None, n=2)
         assert report.decision == "undecided" and report.steps == 4000
-        assert sizes == [128]  # 128 + no near step: five later blocks make no call
-        sizes.clear()
+        assert steps == []  # the median pre-screen and the bracket decide all 4,000 steps
         report = ewm.baseline_batch_detect(0.02, pbar, baseline_stream(1, 4000, 0.56), None, n=2)
         assert report.stop_step == unscreened(0.02, pbar, baseline_stream(1, 4000, 0.56))[0]
-        assert sizes == [128, 3, 437]  # the near steps of the second and third blocks
+        # a slow drift lingers near the schedule, and the bracket leaves the steps it
+        # straddles to the exact tail, up to the stop and none past it
+        assert len(steps) == 51 and max(k for _, k in steps) <= report.stop_step
 
     def test_the_fold_screens_past_the_first_block(self, monkeypatch):
-        sizes = tail_sizes(monkeypatch)
+        steps = exact_steps(monkeypatch)
         pbar = ewm.worst_null_match_prob(TestBatchMatchesFold.SPEC)
         null = [tuple(map(int, p)) for p in np.random.default_rng(6).integers(2, size=(400, 2))]
         state = fold(0.02, null, pbar=pbar)
         assert state.running and state.steps == 400
-        assert sizes == [1] * 128  # steps 1-128 only: no later step nears the schedule
+        assert steps == []  # no step, in the first block or past it, nears the schedule
 
     def test_fold_equals_the_batch_where_scipy_flushes_a_normal_tail(self):
         # scipy's binom.sf(1507, 1546, 0.625) is 0.0, where the exact tail is 1.96e-248: the
-        # fold once rejected at step 1,546 at every alpha here, against the batch's screen
+        # fold once rejected at step 1,546 at every alpha here, and the batch, which trusted
+        # scipy's tail, at 1,564 at 1e-245
         pairs = [(0, 1)] * 38 + [(0, 0)] * 1697
         tails = exact_tails(0.625, pairs)
-        for alpha, stop in ((1e-300, None), (1e-245, 1564), (1e-240, 1540)):
+        for alpha, stop in ((1e-300, None), (1e-245, 1566), (1e-240, 1540)):
             state = fold(alpha, pairs, pbar=0.625)
             report = ewm.baseline_batch_detect(alpha, 0.625, pairs, None)
             assert (state.rejected_at, state.steps) == (report.stop_step, report.steps)
             assert report.stop_step == stop
-            # at 1e-245 the exact tail first falls below the schedule at 1,566; scipy's 0.0 at
-            # steps 1,564-1,566 is on tails within the screen's factor 2 of it: not asserted
-            if alpha != 1e-245:
-                below = (k for k, tail in enumerate(tails, 1) if tail < _schedule(alpha, k))
-                assert next(below, None) == stop
+            below = (k for k, tail in enumerate(tails, 1) if tail < _schedule(alpha, k))
+            assert next(below, None) == stop
 
     def test_one_schedule_rounds_the_exact_product_once(self):
         # an int64 k (k + 1) wraps from k = 3,037,000,500; both detectors read this bound
@@ -534,23 +587,50 @@ class TestBaselineScreen:
     @pytest.mark.parametrize("k, p", [(1735, 0.625), (900, 0.375), (1275, 0.5), (400, 0.125),
                                       (2000, 1.0)])
     def test_screen_keeps_every_step_a_subnormal_bound_rejects(self, k, p):
-        # alpha near 1e-308 makes the schedule subnormal from k = 1.  scipy's tail flushes some
-        # subnormal tails to 0, and baseline_observe then rejects: the least-normal floor keeps
-        # those steps.  It flushes some normal tails too (from m = 1,697 at k = 1,735, a tail
-        # of 4.3e-285), which the screen, sound for the exact tail, drops: not asserted here
+        # alpha near 1e-308 makes the schedule subnormal from k = 1.  scipy's tail flushed some
+        # subnormal tails to 0, and some normal ones too (from m = 1,697 at k = 1,735, a tail
+        # of 4.3e-285); the rule must decide every m as its exact tail does
         num, den = p.as_integer_ratio()
         terms = [math.comb(k, i) * num**i * (den - num)**(k - i) for i in range(k + 1)]
         exact = [Fraction(t, den**k) for t in accumulate(reversed(terms))][-2::-1]  # m = 1..k
-        m, steps, tiny = np.arange(1, k + 1), np.full(k, k), np.finfo(float).tiny
-        subnormal = np.array([tail < tiny for tail in exact])
         for alpha in (1e-308, 5.6e-309):
-            bound = _schedule(alpha, steps)
-            assert (bound < tiny).all()
-            below = np.array([tail < b for tail, b in zip(exact, bound.tolist())])
-            rejects = _binom_sf(m - 1, steps, p) < bound  # baseline_observe's rule
-            near = _may_reject(m, steps, p, bound)
-            assert near[below | rejects & subnormal].all()
-            assert below.any() if p < 1.0 else not near.any()  # at p = 1 every tail is 1
+            bound = _schedule(alpha, k)
+            assert bound < np.finfo(float).tiny
+            below = [tail < bound for tail in exact]
+            rejects = [_rejections(np.array([m]), np.array([k]), p, alpha).size == 1
+                       for m in range(1, k + 1)]
+            assert rejects == below
+            assert any(below) == (p < 1.0)  # at p = 1 every tail is 1
+
+    @pytest.mark.parametrize("k", [2_000, 10**6, 10**9, 10**12])
+    def test_the_exact_tail_matches_mpmath_at_large_k(self, k):
+        # m sits z standard deviations above the mean; Loader's mass keeps its digits where
+        # m log(m / (k p)) and (k - m) log((k - m) / (k q)) nearly cancel
+        for p in (0.05, 0.625):
+            for z in (0.5, 3, 8, 12):
+                m = math.ceil(k * p + z * math.sqrt(k * p * (1 - p)))
+                want = mp_log_tail(m, k, p)
+                assert abs(_log_tail(m, k, p) - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("k", [100, 2_000, 10**6, 3_037_000_500, 2**40])
+    def test_the_bracket_decides_as_the_exact_tail(self, monkeypatch, k):
+        # every step the bracket decides without an exact tail gets the exact tail's decision;
+        # at k = 2**40 the schedule at 1e-300 underflows to 0, which no tail is below
+        steps, decided, total = exact_steps(monkeypatch), 0, 0
+        for p in (0.05, 0.5, 0.9):
+            sd = math.sqrt(k * p * (1 - p))
+            ms = sorted({min(k, math.floor(k * p + z * sd) + 1) for z in np.arange(0, 40, 0.1)})
+            for alpha in (0.5, 1e-30, 1e-280, 1e-300):
+                bound = _schedule(alpha, k)
+                log_bound = math.log(bound) if bound else -math.inf
+                for m in ms:
+                    steps.clear()
+                    total += 1
+                    rejects = _rejections(np.array([m]), np.array([k]), p, alpha).size == 1
+                    if not steps:
+                        decided += 1
+                        assert rejects == (_log_tail(m, k, p) < log_bound), (m, p, alpha)
+        assert decided > 0.9 * total
 
 
 def text_file(text: str):
