@@ -129,12 +129,6 @@ def _resolve_anchor(args) -> NeighborhoodSpec:
     return make_neighborhood(make_distribution(_parse_json(payload)), args.delta)
 
 
-def _add_anchor_flags(sub) -> None:
-    sub.add_argument("--anchor", help="inline JSON array of anchor weights")
-    sub.add_argument("--anchor-file", help="path to a JSON array of anchor weights")
-    sub.add_argument("--delta", type=float, required=True, help="L1 radius")
-
-
 def _default_threads() -> int:
     value = os.environ.get("EWM_THREADS", "1")
     try:
@@ -153,8 +147,7 @@ def _parse_pair(token: str) -> ExtremePair:
         raise FormatError(f"malformed pair {token!r}: {exc}") from exc
 
 
-def _cmd_jstar(args) -> int:
-    spec = _resolve_anchor(args)
+def _cmd_jstar(args, spec: NeighborhoodSpec) -> int:
     j = jstar(spec)
     _emit(
         {"n": spec.n, "delta": spec.delta, "entropy": entropy(spec.anchor),
@@ -194,8 +187,7 @@ def _parse_policy(token: str) -> simulation.AdversaryPolicy:
     raise FormatError(f"unknown policy {token!r}")
 
 
-def _cmd_sweep_tau(args) -> int:
-    spec = _resolve_anchor(args)
+def _cmd_sweep_tau(args, spec: NeighborhoodSpec) -> int:
     config = simulation.ExperimentConfig(
         spec=spec,
         alphas=parse_alpha_grid(args.alphas),
@@ -210,8 +202,7 @@ def _cmd_sweep_tau(args) -> int:
     return 0
 
 
-def _cmd_calibrate_null(args) -> int:
-    spec = _resolve_anchor(args)
+def _cmd_calibrate_null(args, spec: NeighborhoodSpec) -> int:
     alphas = parse_alpha_grid(args.alphas)
     q_null = make_distribution(_parse_json(args.q_null)) if args.q_null else spec.anchor
     rows = []
@@ -226,8 +217,7 @@ def _cmd_calibrate_null(args) -> int:
     return 0
 
 
-def _cmd_generate(args) -> int:
-    spec = _resolve_anchor(args)
+def _cmd_generate(args, spec: NeighborhoodSpec) -> int:
     if (args.pair is None) == (args.target is None):
         raise FormatError("provide exactly one of --pair or --target")
     if args.pair is not None:
@@ -241,8 +231,7 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_detect(args) -> int:
-    spec = _resolve_anchor(args)
+def _cmd_detect(args, spec: NeighborhoodSpec) -> int:
     with open(args.stream, newline="") as fh:  # rows are read only as far as the detector goes
         stream = read_stream_csv(fh)
         if args.method == "evalue":
@@ -257,8 +246,7 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-def _cmd_decompose(args) -> int:
-    spec = _resolve_anchor(args)
+def _cmd_decompose(args, spec: NeighborhoodSpec) -> int:
     q = make_distribution(_parse_json(args.target))
     mix = decompose_target(spec, q)
     payload = {
@@ -271,8 +259,7 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _cmd_audit(args) -> int:
-    spec = _resolve_anchor(args)
+def _cmd_audit(args, spec: NeighborhoodSpec) -> int:
     e = optimal_evalue(spec)
     worst = null_worst_expectation(e, spec)
     null_ok = worst <= 1.0 + 1e-10
@@ -299,75 +286,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("jstar", help="closed-form optimal growth rate")
-    _add_anchor_flags(p)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_jstar)
+    def sub(name, func, help, anchored=True) -> argparse.ArgumentParser:
+        p = subs.add_parser(name, help=help)
+        if anchored:
+            p.add_argument("--anchor", help="inline JSON array of anchor weights")
+            p.add_argument("--anchor-file", help="path to a JSON array of anchor weights")
+            p.add_argument("--delta", type=float, required=True, help="L1 radius")
+            # resolved when run_command calls func, so a bad anchor is its typed error too
+            p.set_defaults(func=lambda args: func(args, _resolve_anchor(args)))
+        else:
+            p.set_defaults(func=func)
+        return p
 
-    p = subs.add_parser("maxmin2", help="two-token max-min grid solver")
+    sub("jstar", _cmd_jstar, "closed-form optimal growth rate")
+
+    p = sub("maxmin2", _cmd_maxmin2, "two-token max-min grid solver", anchored=False)
     p.add_argument("--p", type=float, required=True, help="anchor weight of symbol 0")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--refinements", type=int, default=4)
     p.add_argument("--trace", help="CSV trace of incumbents per refinement")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_maxmin2)
 
-    p = subs.add_parser("sweep-tau", help="Monte Carlo stopping-time table")
-    _add_anchor_flags(p)
+    p = sub("sweep-tau", _cmd_sweep_tau, "Monte Carlo stopping-time table")
     p.add_argument("--alphas", required=True, help="log:<start>:<end>:<count> or comma list")
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--policy", default="fixed:0,1")
     p.add_argument("--horizon-cap", type=int, default=None)
     p.add_argument("--threads", type=int, default=None, help="default: $EWM_THREADS or 1")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_sweep_tau)
 
-    p = subs.add_parser("calibrate-null", help="false-positive rate under the null")
-    _add_anchor_flags(p)
+    p = sub("calibrate-null", _cmd_calibrate_null, "false-positive rate under the null")
     p.add_argument("--alphas", required=True)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--horizon", type=int, default=None,
                    help="default: ceil(5 log(1/alpha) / jstar)")
     p.add_argument("--q-null", help="inline JSON target (default: the anchor)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_calibrate_null)
 
-    p = subs.add_parser("generate", help="sample a watermarked stream to CSV")
-    _add_anchor_flags(p)
+    p = sub("generate", _cmd_generate, "sample a watermarked stream to CSV")
     p.add_argument("--pair", help="vertex target as 'gain,loss'")
     p.add_argument("--target", help="inline JSON target distribution")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_generate)
 
-    p = subs.add_parser("detect", help="run sequential detection over a stream")
-    _add_anchor_flags(p)
+    p = sub("detect", _cmd_detect, "run sequential detection over a stream")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--method", choices=["evalue", "baseline"], default="evalue")
     p.add_argument("--stream", required=True, help="CSV stream with header step,v,s")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_detect)
 
-    p = subs.add_parser("decompose", help="decompose a target into vertex weights")
-    _add_anchor_flags(p)
+    p = sub("decompose", _cmd_decompose, "decompose a target into vertex weights")
     p.add_argument("--target", required=True, help="inline JSON target distribution")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_decompose)
 
-    p = subs.add_parser("audit", help="null-constraint, cycle, and saddle checks")
-    _add_anchor_flags(p)
+    p = sub("audit", _cmd_audit, "null-constraint, cycle, and saddle checks")
     p.add_argument("--perturbations", type=int, default=200)
     p.add_argument("--magnitude", type=float, default=0.05)
     p.add_argument("--max-cycle-len", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_audit)
 
+    for p in subs.choices.values():
+        p.add_argument("--out")
     return parser
 
 

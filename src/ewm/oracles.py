@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -73,10 +72,9 @@ def _gain(m: list[list[float]], verts: tuple[int, ...]) -> float:
     return total
 
 
-@lru_cache(maxsize=None)
 def _simple_paths(n: int, a: int, b: int) -> tuple[tuple[int, ...], ...]:
     """All simple directed a -> b paths in the complete digraph on n vertices,
-    in lexicographic vertex order."""
+    in lexicographic vertex order; built per call, since at n = 10 one list is about 13 MB."""
     inner = [v for v in range(n) if v not in (a, b)]
     return tuple(sorted((a, *mid, b) for k in range(len(inner) + 1)
                         for mid in permutations(inner, k)))
@@ -203,14 +201,18 @@ def saddle_check(
         raise BadParamsError(f"magnitude must be >= 0 and 2 * magnitude finite, got {magnitude!r}")
     r_star = kernel_of(optimal_evalue(spec), spec)
     target = jstar(spec)
-    pairs = enumerate_extremes(spec)
+    # each vertex's paths, built once for this audit and dropped with it
+    paths = [_simple_paths(spec.n, pair.gain, pair.loss) for pair in enumerate_extremes(spec)]
     p0 = spec.anchor.weights
     for _ in range(perturbations):
         noise = rng.uniform(-magnitude, magnitude, size=(spec.n, spec.n))
         r = np.clip(r_star + noise, 1e-12, None)
         r /= r.sum(axis=1, keepdims=True)
         e = EValueTable(r / p0[np.newaxis, :])
-        worst = min(best_path_inner_value(e, spec, pair)[0] for pair in pairs)
+        m = _log_matrix(e)
+        j0 = float(p0 @ np.diag(e.log_scores))  # best_path_inner_value's value, vertex by vertex
+        worst = min(j0 + spec.delta / 2.0 * max(_gain(m, verts) for verts in vertex_paths)
+                    for vertex_paths in paths)
         if worst > target + 1e-9:
             return False
     return True

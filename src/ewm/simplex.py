@@ -205,35 +205,28 @@ def decompose_target(spec: NeighborhoodSpec, q: VocabDistribution) -> MixtureDec
     delta = spec.delta
     shift = q.weights - spec.anchor.weights
 
-    supply = [(i, float(shift[i])) for i in range(spec.n) if shift[i] > 0.0]
-    demand = [(j, float(-shift[j])) for j in range(spec.n) if shift[j] < 0.0]
+    supply = ((i, float(s)) for i, s in enumerate(shift) if s > 0.0)
+    demand = ((j, float(-s)) for j, s in enumerate(shift) if s < 0.0)
 
     weights: dict[tuple[int, int], float] = {}
     moved = 0.0
-    di = 0
-    remaining_demand = demand[di][1] if demand else 0.0
-    for i, si in supply:
-        left = si
-        while left > 0.0 and di < len(demand):
-            amount = min(left, remaining_demand)
-            if amount > 0.0:
-                key = (i, demand[di][0])
-                weights[key] = weights.get(key, 0.0) + amount * 2.0 / delta
-                moved += amount
-                left -= amount
-                remaining_demand -= amount
-            if remaining_demand <= 0.0:
-                di += 1
-                remaining_demand = demand[di][1] if di < len(demand) else 0.0
+    (i, left), (j, need) = next(supply, (0, 0.0)), next(demand, (0, 0.0))
+    while left > 0.0 and need > 0.0:  # each route empties one side, so no key repeats
+        amount = min(left, need)
+        weights[(i, j)] = amount * 2.0 / delta
+        moved += amount
+        left, need = left - amount, need - amount
+        if left <= 0.0:
+            i, left = next(supply, (0, 0.0))
+        if need <= 0.0:
+            j, need = next(demand, (0, 0.0))
 
     pad = 1.0 - 2.0 * moved / delta
     if pad > EXACT_ATOL:  # below that it is rounding dust, not residual mass
         weights[(0, 1)] = weights.get((0, 1), 0.0) + pad / 2.0
         weights[(1, 0)] = weights.get((1, 0), 0.0) + pad / 2.0
 
-    terms = tuple(
-        (ExtremePair._trusted(a, b), w) for (a, b), w in sorted(weights.items()) if w > 0.0
-    )
+    terms = tuple((ExtremePair._trusted(a, b), w) for (a, b), w in sorted(weights.items()))
     return MixtureDecomposition(terms=terms)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ewm
-from ewm.cli import main, parse_alpha_grid
+from ewm.cli import build_parser, main, parse_alpha_grid
 from ewm.errors import FormatError
 
 
@@ -168,6 +169,62 @@ class TestImport:
                  "('multiprocessing', 'concurrent.futures'))))")
         env = dict(os.environ, PYTHONPATH=src)
         assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
+H = (("-h", "--help"), False, argparse.SUPPRESS, None, None)
+ANCHOR = [(("--anchor",), False, None, None, None), (("--anchor-file",), False, None, None, None),
+          (("--delta",), True, None, float, None)]
+OUT = (("--out",), False, None, None, None)
+# parser -> its actions in order, as (option strings, required, default, type, choices); the
+# --help text holds the same facts, but argparse wraps it at the terminal's width
+PARSER_SHAPE = {
+    "ewm": [H, (("command",), True, None, None, ("jstar", "maxmin2", "sweep-tau",
+                                                  "calibrate-null", "generate", "detect",
+                                                  "decompose", "audit"))],
+    "jstar": [H, *ANCHOR, OUT],
+    "maxmin2": [H, (("--p",), True, None, float, None), (("--delta",), True, None, float, None),
+                (("--grid",), False, 256, int, None), (("--refinements",), False, 4, int, None),
+                (("--trace",), False, None, None, None), OUT],
+    "sweep-tau": [H, *ANCHOR, (("--alphas",), True, None, None, None),
+                  (("--trials",), False, 10_000, int, None), (("--seed",), False, 0, int, None),
+                  (("--policy",), False, "fixed:0,1", None, None),
+                  (("--horizon-cap",), False, None, int, None),
+                  (("--threads",), False, None, int, None), OUT],
+    "calibrate-null": [H, *ANCHOR, (("--alphas",), True, None, None, None),
+                       (("--trials",), False, 10_000, int, None),
+                       (("--horizon",), False, None, int, None),
+                       (("--q-null",), False, None, None, None),
+                       (("--seed",), False, 0, int, None), OUT],
+    "generate": [H, *ANCHOR, (("--pair",), False, None, None, None),
+                 (("--target",), False, None, None, None), (("--steps",), True, None, int, None),
+                 (("--seed",), False, 0, int, None), OUT],
+    "detect": [H, *ANCHOR, (("--alpha",), True, None, float, None),
+               (("--method",), False, "evalue", None, ("evalue", "baseline")),
+               (("--stream",), True, None, None, None), (("--budget",), False, None, int, None),
+               OUT],
+    "decompose": [H, *ANCHOR, (("--target",), True, None, None, None), OUT],
+    "audit": [H, *ANCHOR, (("--perturbations",), False, 200, int, None),
+              (("--magnitude",), False, 0.05, float, None),
+              (("--max-cycle-len",), False, None, int, None), (("--seed",), False, 0, int, None),
+              OUT],
+}
+
+
+def parser_shape(parser):
+    return [(tuple(a.option_strings) or (a.dest,), a.required, a.default, a.type,
+             None if a.choices is None else tuple(a.choices)) for a in parser._actions]
+
+
+class TestParserShape:
+    def test_every_parser_keeps_its_options_in_order(self):
+        parser = build_parser()
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        shapes = {"ewm": parser_shape(parser),
+                  **{name: parser_shape(sub) for name, sub in subs.choices.items()}}
+        assert shapes == PARSER_SHAPE
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
 
 
 class TestErrors:

@@ -1,4 +1,5 @@
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +116,50 @@ class TestMixtureCoupling:
                 wt * ewm.extreme_coupling(spec, pair).joint for pair, wt in mix.terms
             )
             assert np.array_equal(w.joint, manual)
+
+
+HALF = ewm.make_distribution([0.5, 0.5])
+TILTED = ewm.make_distribution([0.6, 0.4])
+PAIR, REVERSED = ewm.ExtremePair(0, 1), ewm.ExtremePair(1, 0)
+
+# refusal -> (call, message fragment): each check of make_coupling and mixture_coupling that
+# no valid coupling reaches, every one a BadWeightsError
+COUPLING_REFUSALS = {
+    "joint-shape": (lambda: ewm.make_coupling(np.full((2, 3), 1 / 6), HALF, HALF),
+                    "joint shape (2, 3) incompatible with n=2"),
+    # marginals (0.5, 0.5) and (0.25, ...) hold; only the vocabulary sizes differ
+    "sizes-differ": (lambda: ewm.make_coupling(np.full((2, 4), 1 / 8), HALF,
+                                               ewm.make_distribution([0.25] * 4)),
+                     "joint shape (2, 4) incompatible with n=4"),
+    "below-clamp": (lambda: ewm.make_coupling([[0.5, 1e-13], [-1e-13, 0.5]], HALF, HALF),
+                    "below clamp threshold"),
+    "row-marginal": (lambda: ewm.make_coupling(np.diag([0.5, 0.5]), TILTED, HALF),
+                     "row marginal does not match the target"),
+    "column-marginal": (lambda: ewm.make_coupling(np.diag([0.6, 0.4]), TILTED, HALF),
+                        "column marginal does not match the anchor"),
+    # each marginal is off by 0.9 EXACT_ATOL, within its check; the total is off by 1.8
+    "total-mass": (lambda: ewm.make_coupling(np.eye(2) * (0.5 + 0.9 * ewm.EXACT_ATOL), HALF,
+                                             HALF), "differs from 1"),
+    "no-terms": (lambda: ewm.mixture_coupling(spec_of([0.5, 0.5], 0.1),
+                                              ewm.MixtureDecomposition(terms=())),
+                 "mixture has no terms"),
+    "negative-weight": (lambda: ewm.mixture_coupling(spec_of([0.5, 0.5], 0.1),
+                                                     ewm.MixtureDecomposition(
+                                                         terms=((PAIR, 1.5), (REVERSED, -0.5)))),
+                        "mixture weights must be nonnegative"),
+}
+
+
+class TestCouplingRefusals:
+    @pytest.mark.parametrize("refusal", sorted(COUPLING_REFUSALS))
+    def test_refused_with_a_typed_error(self, refusal):
+        call, fragment = COUPLING_REFUSALS[refusal]
+        with pytest.raises(BadWeightsError, match=re.escape(fragment)):
+            call()
+
+    def test_dust_within_the_clamp_is_zeroed(self):
+        w = ewm.make_coupling([[0.5, 1e-15], [-1e-15, 0.5]], HALF, HALF)
+        assert w.joint.min() == 0.0
 
 
 class TestPathCoupling:

@@ -130,6 +130,14 @@ class TestBaseline:
         with pytest.raises(AlreadyStoppedError):
             ewm.baseline_observe(state, 0, 0)
 
+    @pytest.mark.parametrize("pbar", [0.0, -0.25, 1.0 + 1e-12, 2.0])
+    def test_null_match_probability_outside_the_unit_interval_refused(self, pbar):
+        with pytest.raises(BadParamsError, match=r"must lie in \(0, 1\], got"):
+            ewm.init_baseline(0.05, pbar)
+
+    def test_null_match_probability_one_is_accepted(self):
+        assert ewm.init_baseline(0.05, 1.0).null_match_prob == 1.0
+
     def test_schedule_telescopes_to_alpha(self):
         alpha = 0.05
         partial = sum(alpha / (k * (k + 1)) for k in range(1, 10_001))

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 import ewm
-from ewm.errors import DimensionMismatchError, FormatError, ZeroRowError
+from ewm.errors import DimensionMismatchError, FormatError, NegativeWeightError, ZeroRowError
 
 from conftest import noise_profile, random_spec
 
@@ -31,6 +33,15 @@ class TestOptimalEvalue:
         assert np.array_equal(e.log_scores, [[np.log(2.0), -np.inf], [np.log(0.5), 0.0]])
         with pytest.raises(ValueError):
             e.log_scores[0, 0] = 0.0
+
+    @pytest.mark.parametrize("scores, error, fragment", [
+        (np.ones((2, 3)), DimensionMismatchError, "scores must be square, got shape (2, 3)"),
+        (np.ones(4), DimensionMismatchError, "scores must be square, got shape (4,)"),
+        ([[1.0, -0.5], [0.5, 1.0]], NegativeWeightError, "scores must be nonnegative"),
+    ])
+    def test_malformed_tables_refused(self, scores, error, fragment):
+        with pytest.raises(error, match=re.escape(fragment)):
+            ewm.make_evalue_table(scores)
 
     def test_overflowing_scores_refused(self):
         # 0.95 / 1e-320 overflows; at 7e-309 every score is still finite

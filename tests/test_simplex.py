@@ -142,7 +142,45 @@ class TestEnumerateExtremes:
                 assert abs(ewm.l1_distance(q, spec.anchor) - spec.delta) < 1e-12
 
 
+def reference_decompose(spec, q):
+    """The northwest-corner loop ``decompose_target`` once ran, with a guard against
+    zero-mass routes and a running sum per (gain, loss) key, as its ``(pair, weight)`` terms."""
+    shift = q.weights - spec.anchor.weights
+    supply = [(i, float(shift[i])) for i in range(spec.n) if shift[i] > 0.0]
+    demand = [(j, float(-shift[j])) for j in range(spec.n) if shift[j] < 0.0]
+    weights, moved, di = {}, 0.0, 0
+    remaining_demand = demand[di][1] if demand else 0.0
+    for i, si in supply:
+        left = si
+        while left > 0.0 and di < len(demand):
+            amount = min(left, remaining_demand)
+            if amount > 0.0:
+                key = (i, demand[di][0])
+                weights[key] = weights.get(key, 0.0) + amount * 2.0 / spec.delta
+                moved += amount
+                left -= amount
+                remaining_demand -= amount
+            if remaining_demand <= 0.0:
+                di += 1
+                remaining_demand = demand[di][1] if di < len(demand) else 0.0
+    pad = 1.0 - 2.0 * moved / spec.delta
+    if pad > ewm.EXACT_ATOL:
+        weights[(0, 1)] = weights.get((0, 1), 0.0) + pad / 2.0
+        weights[(1, 0)] = weights.get((1, 0), 0.0) + pad / 2.0
+    return [(key, w) for key, w in sorted(weights.items()) if w > 0.0]
+
+
 class TestDecomposeTarget:
+    def test_terms_equal_the_reference_loop(self):
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            spec = random_spec(rng)
+            vertices = [ewm.extreme_target(spec, pair) for pair in ewm.enumerate_extremes(spec)]
+            for q in (random_target(rng, spec), spec.anchor, *vertices[:4]):
+                got = [((p.gain, p.loss), w) for p, w in ewm.decompose_target(spec, q).terms]
+                assert got == reference_decompose(spec, q)  # float-identical, same order
+
+
     def test_full_transport(self):
         spec = spec_of([0.4, 0.3, 0.3], 0.1)
         mix = ewm.decompose_target(spec, ewm.make_distribution([0.43, 0.32, 0.25]))
