@@ -96,15 +96,18 @@ def init_detector(e: EValueTable, alpha: float) -> DetectorState:
     return DetectorState(wealth=0.0, steps=0, alpha=_check_alpha(alpha))
 
 
+def _state_at(wealth: float, steps: int, alpha: float) -> DetectorState:
+    """The one stop rule: a state rejected at ``steps`` iff its ``wealth`` meets the threshold."""
+    state = DetectorState(wealth, steps, alpha)
+    return replace(state, rejected_at=steps) if wealth >= state.threshold else state
+
+
 def observe(state: DetectorState, e: EValueTable, v: int, s: int) -> DetectorState:
     """Fold one (outcome, seed) pair of vocabulary indices below ``e.n`` into the wealth."""
     if not state.running:
         raise AlreadyStoppedError(f"detector rejected at step {state.rejected_at}")
     v, s = _indices((v, s), e.n, IndexOutOfRangeError)
-    wealth = state.wealth + float(e.log_scores[v, s])
-    steps = state.steps + 1
-    rejected_at = steps if wealth >= state.threshold else None
-    return replace(state, wealth=wealth, steps=steps, rejected_at=rejected_at)
+    return _state_at(state.wealth + float(e.log_scores[v, s]), state.steps + 1, state.alpha)
 
 
 def worst_null_match_prob(spec: NeighborhoodSpec) -> float:
@@ -314,8 +317,8 @@ def _parse_json(text: str | bytes):
 
 
 def detector_from_json(text: str) -> DetectorState:
-    """The state :func:`detector_to_json` writes: each field a JSON number of its kind (not
-    ``true`` or ``"3"``, nor 2.7 for a count) that :func:`_real` or :func:`_count` takes."""
+    """The state :func:`detector_to_json` writes: JSON numbers of each field's kind (not ``true``,
+    ``"3"`` or 2.7 for a count), and the stop and status :func:`_state_at` derives from them."""
     payload = _parse_json(text)
     try:
         fields = [payload[f] for f in ("wealth", "steps", "alpha")] + [payload.get("rejected_at")]
@@ -326,11 +329,12 @@ def detector_from_json(text: str) -> DetectorState:
     wealth, steps, alpha, rejected_at = fields
     steps = _count(steps, "steps", 0, error=FormatError)
     if rejected_at is not None:
-        rejected_at = _count(rejected_at, "rejected_at", 1, steps, FormatError)
-    state = DetectorState(_real(wealth, "wealth", FormatError), steps,
-                          _check_alpha(_real(alpha, "alpha", FormatError)), rejected_at)
-    if state.running and state.wealth >= state.threshold:
-        raise FormatError(f"wealth {state.wealth!r} meets the threshold but nothing rejected")
+        rejected_at = _count(rejected_at, "rejected_at", error=FormatError)
+    state = _state_at(_real(wealth, "wealth", FormatError), steps,
+                      _check_alpha(_real(alpha, "alpha", FormatError)))
+    status = "running" if state.running else "rejected"
+    if (rejected_at, payload.get("status", status)) != (state.rejected_at, status):
+        raise FormatError(f"stop or status contradicts wealth {state.wealth!r} at step {steps}")
     return state
 
 

@@ -153,12 +153,10 @@ def two_token_maxmin(
     h = -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p))
     lo = np.array([0.0, 0.0])
     hi = np.array([1.0, 1.0])
-    incumbent = (math.nan, math.nan, -math.inf)
     trace: list[tuple[int, float, float, float]] = []
     for round_idx in range(refinements):
-        centers0 = lo[0] + (hi[0] - lo[0]) * (np.arange(grid) + 0.5) / grid
-        centers1 = lo[1] + (hi[1] - lo[1]) * (np.arange(grid) + 0.5) / grid
-        r00, r11 = np.meshgrid(centers0, centers1, indexing="ij")
+        centers = lo[:, np.newaxis] + (hi - lo)[:, np.newaxis] * (np.arange(grid) + 0.5) / grid
+        r00, r11 = np.meshgrid(*centers, indexing="ij")
         obj = (
             h
             + p * np.log(r00)
@@ -167,17 +165,14 @@ def two_token_maxmin(
                 np.log((1.0 - r00) / r11), np.log((1.0 - r11) / r00)
             )
         )
-        flat = int(np.argmax(obj))
-        i, j = divmod(flat, grid)
-        incumbent = (float(centers0[i]), float(centers1[j]), float(obj[i, j]))
-        trace.append((round_idx, incumbent[0], incumbent[1], incumbent[2]))
+        i, j = divmod(int(np.argmax(obj)), grid)
+        trace.append((round_idx, float(centers[0, i]), float(centers[1, j]), float(obj[i, j])))
         width = (hi - lo) / grid
-        center = np.array(incumbent[:2])
+        center = centers[[0, 1], [i, j]]
         lo = np.maximum(0.0, center - width / 2.0)
         hi = np.minimum(1.0, center + width / 2.0)
-    return TwoTokenSolution(
-        value=incumbent[2], r00=incumbent[0], r11=incumbent[1], trace=tuple(trace)
-    )
+    _, r00, r11, value = trace[-1]  # refinements >= 1
+    return TwoTokenSolution(value=value, r00=r00, r11=r11, trace=tuple(trace))
 
 
 def saddle_check(

@@ -178,10 +178,7 @@ def l1_distance(p: VocabDistribution, q: VocabDistribution) -> float:
 def extreme_target(spec: NeighborhoodSpec, pair: ExtremePair) -> VocabDistribution:
     """The vertex distribution ``p0 + (delta/2)(1_gain - 1_loss)``."""
     _check_pair(spec, pair)
-    q = spec.anchor.weights.copy()
-    q[pair.gain] += spec.delta / 2.0
-    q[pair.loss] -= spec.delta / 2.0
-    return VocabDistribution(q)
+    return reconstruct_mixture(spec, MixtureDecomposition(((pair, 1.0),)))
 
 
 def enumerate_extremes(spec: NeighborhoodSpec) -> list[ExtremePair]:

@@ -46,6 +46,18 @@ BAD_COUNTS = {
                           "magnitude") for m in ("inf", "nan", "1e308")},
 }
 
+# name -> (argv, stderr fragment): each malformed token the parsers refuse
+BAD_TOKENS = {
+    "log-grid-number": (["sweep-tau", *FAIR, "--alphas", "log:1e-2:x:4", "--trials", "2"],
+                        "malformed grid token"),
+    "empty-alphas": (["sweep-tau", *FAIR, "--alphas", " , ", "--trials", "2"],
+                     "empty alpha list"),
+    "pair-three-fields": (["generate", *FAIR, "--pair", "0,1,2", "--steps", "3"],
+                          "expected 'gain,loss'"),
+    "pair-non-integer": (["generate", *FAIR, "--pair", "0,x", "--steps", "3"], "malformed pair"),
+    "unknown-policy": ([*SWEEP, "--policy", "sneaky"], "unknown policy"),
+}
+
 
 # a valid neighborhood whose J* (about 5.5e-318) is subnormal and whose scores overflow
 SUBNORMAL = ["--anchor", "[1,1e-320]", "--delta", "5e-321"]
@@ -271,6 +283,12 @@ class TestErrors:
     def test_bad_count_is_a_typed_error(self, case):
         argv, threads_env, message = BAD_COUNTS[case]
         code, err = run_isolated(argv, threads_env)
+        assert code == 1 and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(BAD_TOKENS))
+    def test_bad_token_is_a_typed_error(self, case):
+        argv, message = BAD_TOKENS[case]
+        code, err = run_isolated(argv)
         assert code == 1 and message in err and "Traceback" not in err
 
     def test_out_of_memory_is_a_typed_error(self, capsys, monkeypatch):
@@ -502,6 +520,13 @@ class TestAuditCommand:
         assert payload["audit_pass"] is True
         assert abs(payload["null_worst_expectation"] - 1.0) < 1e-10
         assert payload["cycle_condition"] is True and payload["saddle_ok"] is True
+
+    def test_a_failed_saddle_check_fails_the_audit(self, capsys, monkeypatch):
+        monkeypatch.setattr(ewm.oracles, "jstar", lambda spec: ewm.jstar(spec) - 0.01)
+        code, out, _ = run(capsys, "audit", *THREE, "--perturbations", "1", "--magnitude", "0")
+        payload = json.loads(out)
+        assert code == 1 and payload["saddle_ok"] is False and payload["audit_pass"] is False
+        assert payload["null_ok"] is True and payload["cycle_condition"] is True
 
 
 

@@ -556,11 +556,16 @@ class TestBaselineScreen:
         report = ewm.baseline_batch_detect(0.02, pbar, null, None, n=2)
         assert report.decision == "undecided" and report.steps == 4000
         assert steps == []  # the median pre-screen and the bracket decide all 4,000 steps
-        report = ewm.baseline_batch_detect(0.02, pbar, baseline_stream(1, 4000, 0.56), None, n=2)
-        assert report.stop_step == unscreened(0.02, pbar, baseline_stream(1, 4000, 0.56))[0]
+        drift = baseline_stream(1, 4000, 0.56)
+        report = ewm.baseline_batch_detect(0.02, pbar, drift, None, n=2)
+        assert report.stop_step == unscreened(0.02, pbar, drift)[0]
         # a slow drift lingers near the schedule, and the bracket leaves the steps it
         # straddles to the exact tail, up to the stop and none past it
         assert len(steps) == 51 and max(k for _, k in steps) <= report.stop_step
+        # each of them but the stop keeps its tail at or above the schedule: the bracket's
+        # point-mass lower end, not its upper end, leaves those steps open
+        tails = exact_tails(pbar, drift[:report.stop_step])
+        assert all(tails[k - 1] >= _schedule(0.02, k) for _, k in steps if k < report.stop_step)
 
     def test_the_fold_screens_past_the_first_block(self, monkeypatch):
         steps = exact_steps(monkeypatch)
@@ -867,6 +872,14 @@ class TestSerialization:
             '{"wealth": 0.5, "steps": true, "alpha": 0.02, "rejected_at": null}',
             '{"wealth": 1%s, "steps": 3, "alpha": 0.02, "rejected_at": null}' % ("0" * 400),
             '{"wealth": 5.0, "steps": 3, "alpha": 0.02, "rejected_at": 2.5}',
+            '{"wealth": 5.0, "steps": 3, "alpha": 0.02, "rejected_at": 3.0}',
+            # a stop its wealth does not imply: below the threshold, or before the last step
+            '{"wealth": 0.5, "steps": 3, "alpha": 0.02, "rejected_at": 3}',
+            '{"wealth": 5.0, "steps": 9, "alpha": 0.02, "rejected_at": 2}',
+            # a status that contradicts the stop
+            '{"wealth": 5.0, "steps": 3, "alpha": 0.02, "rejected_at": 3, "status": "running"}',
+            '{"wealth": 0.5, "steps": 3, "alpha": 0.02, "rejected_at": null, "status": "rejected"}',
+            '{"wealth": 0.5, "steps": 3, "alpha": 0.02, "status": "stopped"}',
             '{"wealth": 5.0, "steps": 3, "alpha": 0.02, "rejected_at": true}',
             '{"wealth": false, "steps": 3, "alpha": 0.02, "rejected_at": null}',
             '{"wealth": 0.5, "steps": 3, "alpha": "0.02", "rejected_at": null}',
@@ -879,6 +892,9 @@ class TestSerialization:
         state = ewm.detector_from_json(
             '{"wealth": 5.0, "steps": 3, "alpha": 0.02, "rejected_at": 3}')
         assert state.rejected_at == 3 and not state.running
+        state = ewm.detector_from_json(
+            '{"wealth": 0.5, "steps": 3, "alpha": 0.02, "rejected_at": null, "status": "running"}')
+        assert state.running and state.steps == 3
 
     def test_unparsable_json_is_a_format_error(self):
         # an int past str's digit limit and nesting past the recursion limit were raw errors

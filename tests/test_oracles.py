@@ -324,6 +324,12 @@ class TestSaddleCheck:
         spec = spec_of([0.4, 0.3, 0.3], 0.1)
         assert ewm.saddle_check(spec, 5, 0.0, ewm.trial_rng(101))
 
+    def test_a_kernel_above_the_target_fails(self, monkeypatch):
+        # 0.01 below the closed form, the target is beaten by the optimal kernel itself
+        spec = spec_of([0.4, 0.3, 0.3], 0.1)
+        monkeypatch.setattr(oracles, "jstar", lambda spec: ewm.jstar(spec) - 0.01)
+        assert not ewm.saddle_check(spec, 1, 0.0, ewm.trial_rng(101))
+
     @pytest.mark.parametrize("magnitude", [-0.1, math.nan, math.inf, 1e308])
     def test_magnitude_must_be_nonnegative_with_finite_width(self, magnitude):
         spec = spec_of([0.4, 0.3, 0.3], 0.1)

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ewm
+from ewm.cli import parse_alpha_grid
 from ewm.coupling import _cell_lookup
 from ewm.detection import _first_crossing
 from ewm.errors import BadParamsError, InvalidPairError, OutsideNeighborhoodError
@@ -438,6 +439,21 @@ class TestRunTrial:
 
 
 class TestEstimateStopping:
+    def test_fixed_pair_mean_equals_the_exact_law(self):
+        # on the fair anchor the vertex (0, 1) matches with probability 1 - delta/2 = 0.95, so
+        # the wealth is set by the match count: E[tau ^ cap] sums P(tau > t) for t < cap, and
+        # E[(tau ^ cap)^2] sums (2t + 1) P(tau > t); a stop one step late moves the mean by 1
+        config = ewm.ExperimentConfig(spec=FAIR, alphas=parse_alpha_grid("log:1e-2:1e-60:4"),
+                                      trials=10_000, policy=ewm.FixedPair(0, 1))
+        e = ewm.optimal_evalue(FAIR)
+        for row in ewm.estimate_stopping(config):
+            cap = ewm.simulation._cap(config, row.alpha)
+            survival = exact_fair_survival(e, row.alpha, cap, 0.95)[:-1]
+            mean = survival.sum()
+            sd = math.sqrt(((2.0 * np.arange(cap) + 1.0) * survival).sum() - mean**2)
+            assert row.censored_count == 0
+            assert abs(row.mean_tau - mean) <= 4.0 * sd / math.sqrt(config.trials)
+
     def test_thread_count_does_not_change_results(self):
         config = ewm.ExperimentConfig(
             spec=FAIR, alphas=(1e-3, 1e-8), trials=150, policy=ewm.FixedPair(0, 1), base_seed=11
@@ -754,22 +770,26 @@ class TestWaldIdentity:
         assert abs(d.mean()) < 4.0 * d.std(ddof=1) / math.sqrt(d.size)
 
 
-def exact_fair_crossing(e, alpha, horizon):
-    """Exact chance that a null stream on the fair anchor crosses ``log(1/alpha)`` within
-    ``horizon`` steps under table ``e``: each step is a match or a miss with probability 1/2,
-    so the wealth after ``t`` steps is set by the match count, and a DP over counts drops the
-    mass that has crossed."""
+def exact_fair_survival(e, alpha, horizon, match=0.5):
+    """``P(tau > t)`` for ``t = 0..horizon`` of a stream on the fair anchor whose steps match
+    with probability ``match`` (1/2 under the null) under table ``e``: a step is a match or a
+    miss, so the wealth after ``t`` steps is set by the match count, and a DP over counts drops
+    the mass that has crossed ``log(1/alpha)``."""
     (hit, miss), (miss2, hit2) = e.log_scores.tolist()
     assert (hit, miss) == (hit2, miss2)
-    threshold, alive, crossed = math.log(1.0 / alpha), {0: 1.0}, 0.0
+    threshold, alive, survival = math.log(1.0 / alpha), np.ones(1), [1.0]
     for t in range(1, horizon + 1):
-        step = {}
-        for j, mass in alive.items():
-            step[j] = step.get(j, 0.0) + mass / 2
-            step[j + 1] = step.get(j + 1, 0.0) + mass / 2
-        crossed += sum(step.pop(j) for j in list(step) if j * hit + (t - j) * miss >= threshold)
-        alive = step
-    return crossed
+        alive = np.append(alive * (1.0 - match), 0.0) + np.append(0.0, alive * match)
+        j = np.arange(t + 1)
+        alive[j * hit + (t - j) * miss >= threshold] = 0.0
+        survival.append(float(alive.sum()))
+    return np.array(survival)
+
+
+def exact_fair_crossing(e, alpha, horizon):
+    """Exact chance that a null stream on the fair anchor crosses ``log(1/alpha)`` within
+    ``horizon`` steps under table ``e``."""
+    return 1.0 - exact_fair_survival(e, alpha, horizon)[-1]
 
 
 def calibration_z(trials=40_000):
