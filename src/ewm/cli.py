@@ -163,9 +163,7 @@ def _cmd_maxmin2(args) -> int:
     j = jstar(spec)
     if args.trace:
         with open(args.trace, "w", newline="") as fh:
-            fh.write("refinement,r00,r11,objective\n")
-            for ref, r00, r11, obj in sol.trace:
-                fh.write(f"{ref},{r00:.12g},{r11:.12g},{obj:.12g}\n")
+            simulation._write_csv(fh, "refinement,r00,r11,objective", sol.trace)
     _emit(
         {"j_numeric": sol.value, "r00": sol.r00, "r11": sol.r11,
          "jstar": j, "abs_error": abs(sol.value - j)},

@@ -46,6 +46,7 @@ from .simplex import (
     _count,
     _freeze,
     _indices,
+    _reals,
     _shown,
     extreme_target,
     reconstruct_mixture,
@@ -100,8 +101,8 @@ class PathSpec:
 
 
 def make_coupling(joint, target: VocabDistribution, anchor: VocabDistribution) -> CouplingMatrix:
-    """Clamp cancellation dust and enforce the marginal constraints."""
-    w = np.array(joint, dtype=np.float64)
+    """Check a :func:`~ewm.simplex._reals` joint, clamp its dust and enforce the marginals."""
+    w = _reals(joint, "joint", BadWeightsError)
     if w.ndim != 2 or w.shape != (target.n, anchor.n) or target.n != anchor.n:
         raise BadWeightsError(f"joint shape {w.shape} incompatible with n={anchor.n}")
     low = float(w.min())
@@ -136,13 +137,16 @@ def _vertex_joints(spec: NeighborhoodSpec, pairs: list[ExtremePair]) -> np.ndarr
 
 
 def mixture_coupling(spec: NeighborhoodSpec, mix: MixtureDecomposition) -> CouplingMatrix:
-    """Weight-average of vertex couplings; marginals are (reconstructed q, p0)."""
-    if not mix.terms:
+    """Weight-average of vertex couplings, :func:`~ewm.simplex._reals` weights; marginals are
+    (reconstructed q, p0)."""
+    weights = _reals([w for _, w in mix.terms], "mixture weights", BadWeightsError)
+    if not weights.size:
         raise BadWeightsError("mixture has no terms")
-    if any(w < 0.0 for _, w in mix.terms):
+    if np.any(weights < 0.0):
         raise BadWeightsError("mixture weights must be nonnegative")
-    if abs(mix.weight_sum() - 1.0) > EXACT_ATOL:
-        raise BadWeightsError(f"mixture weights sum to {mix.weight_sum()!r}")
+    if abs((total := float(weights.sum())) - 1.0) > EXACT_ATOL:
+        raise BadWeightsError(f"mixture weights sum to {total!r}")
+    mix = MixtureDecomposition(tuple(zip([pair for pair, _ in mix.terms], weights.tolist())))
     joint = np.zeros((spec.n, spec.n))
     for pair, w in mix.terms:
         joint += w * extreme_coupling(spec, pair).joint

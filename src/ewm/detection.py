@@ -37,7 +37,7 @@ from .errors import (
     IndexOutOfRangeError,
 )
 from .evalue import EValueTable
-from .simplex import NeighborhoodSpec, _count, _indices, _real
+from .simplex import NeighborhoodSpec, _ball_sup, _count, _indices, _real
 
 
 @dataclass(frozen=True)
@@ -111,13 +111,9 @@ def observe(state: DetectorState, e: EValueTable, v: int, s: int) -> DetectorSta
 
 
 def worst_null_match_prob(spec: NeighborhoodSpec) -> float:
-    """Largest P(v == s) over all nulls in the neighborhood.
-
-    ``sum_v q(v) p0(v)`` is linear in q; its supremum over the ball moves
-    ``delta/2`` of mass onto the anchor's argmax from its argmin.
-    """
-    p0 = spec.anchor.weights
-    return float(p0 @ p0 + spec.delta / 2.0 * (p0.max() - p0.min()))
+    """Largest P(v == s) over all nulls in the neighborhood: the supremum of
+    ``sum_v q(v) p0(v)`` over the ball."""
+    return _ball_sup(spec, spec.anchor.weights)
 
 
 def init_baseline(alpha: float, null_match_prob: float) -> BaselineState:
@@ -309,10 +305,10 @@ def detector_to_json(state: DetectorState) -> str:
 
 
 def _parse_json(text: str | bytes):
-    """``json.loads(text)``; bad syntax or bytes, a huge int or too deep a nest: FormatError."""
+    """``json.loads(text)``; bad syntax, bytes or type, a huge int, too deep a nest: FormatError."""
     try:
         return json.loads(text)
-    except (ValueError, RecursionError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise FormatError(f"not valid JSON: {exc}") from None
 
 

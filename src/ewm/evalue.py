@@ -3,9 +3,11 @@
 A score table ``e(v, s) >= 0`` over (outcome, seed) pairs is a valid one-step
 detection score for a neighborhood when its expectation is at most 1 under
 *every* admissible null: ``sum_{v,s} q(v) p0(s) e(v,s) <= 1`` for all targets
-``q`` in the L1 ball.  The expectation is linear in ``q``, so the supremum over
-the ball is attained at a vertex, and :func:`null_worst_expectation` audits
-exactly the ``n(n-1)`` vertices.
+``q`` in the L1 ball.  The expectation ``sum_v q(v) A(v)``, with row normalizers
+``A(v) = sum_s p0(s) e(v, s)``, is linear in ``q``, so its supremum over the ball
+is attained at the vertex moving ``delta/2`` onto A's argmax from its argmin,
+and :func:`null_worst_expectation` audits exactly that supremum,
+``p0 @ A + (delta/2)(max A - min A)``.
 
 The unique score table maximizing the worst-case expected log score under the
 alternative has the closed form built by :func:`optimal_evalue`::
@@ -13,7 +15,7 @@ alternative has the closed form built by :func:`optimal_evalue`::
     e*(v, s) = (1 - delta/2) / p0(s)          if v == s
              = delta / (2 (n-1) p0(s))        otherwise
 
-Its row normalizers ``A(v) = sum_s p0(s) e(v, s)`` all equal 1, so the kernel
+Its row normalizers ``A(v)`` all equal 1, so the kernel
 ``r(v, s) = p0(s) e(v, s) / A(v)`` is row-stochastic with constant diagonal
 ``1 - delta/2`` and constant off-diagonal ``delta / (2n - 2)``.  The resulting
 optimal growth rate is
@@ -34,13 +36,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    FormatError,
-    NegativeWeightError,
-    ZeroRowError,
-)
-from .simplex import NeighborhoodSpec, _freeze, entropy
+from .errors import DimensionMismatchError, NegativeWeightError, ZeroRowError
+from .simplex import NeighborhoodSpec, _ball_sup, _freeze, _reals, entropy
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,12 +62,10 @@ class EValueTable:
 
 
 def make_evalue_table(scores) -> EValueTable:
-    """Validate a square, finite, nonnegative score matrix."""
-    m = np.asarray(scores, dtype=np.float64)
+    """Validate a square, nonnegative score matrix of :func:`_reals`."""
+    m = _reals(scores, "scores")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"scores must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise FormatError("scores must be finite")
     if np.any(m < 0.0):
         raise NegativeWeightError("scores must be nonnegative")
     return EValueTable(m)
@@ -99,17 +94,11 @@ def row_sums(e: EValueTable, spec: NeighborhoodSpec) -> np.ndarray:
 
 
 def null_worst_expectation(e: EValueTable, spec: NeighborhoodSpec) -> float:
-    """Largest null expectation of the table over the whole neighborhood.
-
-    Equals ``max`` over the vertices ``q_ab`` of ``sum_v q_ab(v) A(v)``; a
-    table is a valid score iff the result is <= 1 (up to 1e-10 slack).
+    """Largest null expectation of the table over the whole neighborhood, the
+    supremum of ``sum_v q(v) A(v)`` over the ball; a table is a valid score iff
+    the result is <= 1 (up to 1e-10 slack).
     """
-    a = row_sums(e, spec)
-    base = float(spec.anchor.weights @ a)
-    # value at vertex (gain, loss) is base + (delta/2) * (A[gain] - A[loss])
-    diff = a[:, np.newaxis] - a[np.newaxis, :]
-    np.fill_diagonal(diff, -np.inf)
-    return base + spec.delta / 2.0 * float(diff.max())
+    return _ball_sup(spec, row_sums(e, spec))
 
 
 def jstar(spec: NeighborhoodSpec) -> float:

@@ -35,8 +35,8 @@ import numpy as np
 from .coupling import PathSpec
 from .errors import BadParamsError, TooLargeError
 from .evalue import EValueTable, _check_dims, jstar, kernel_of, optimal_evalue
-from .simplex import (ExtremePair, NeighborhoodSpec, _check_pair, _count, _real,
-                      enumerate_extremes)
+from .simplex import (ExtremePair, NeighborhoodSpec, VocabDistribution, _check_pair, _count,
+                      _real, entropy, enumerate_extremes)
 
 # Refuse cycle enumerations beyond this many cycles (the full cap at n = 8 fits).
 _CYCLE_BUDGET = 100_000
@@ -80,6 +80,15 @@ def _simple_paths(n: int, a: int, b: int) -> tuple[tuple[int, ...], ...]:
                         for mid in permutations(inner, k)))
 
 
+def _inner_values(e: EValueTable, spec: NeighborhoodSpec, paths) -> list[tuple[float, tuple]]:
+    """``(J0 + (delta/2) * W*, best path)`` for each vertex's path list of ``paths``, the log
+    matrix and ``J0`` read once for the table; ``W*`` is the largest gain over the list and the
+    path its first maximizer (``max`` keeps the first), so lexicographically first on ties."""
+    m, j0 = _log_matrix(e), float(spec.anchor.weights @ np.diag(e.log_scores))
+    best = [max(vertex_paths, key=lambda verts: _gain(m, verts)) for vertex_paths in paths]
+    return [(j0 + spec.delta / 2.0 * _gain(m, verts), verts) for verts in best]
+
+
 def best_path_inner_value(
     e: EValueTable, spec: NeighborhoodSpec, pair: ExtremePair
 ) -> tuple[float, PathSpec]:
@@ -93,11 +102,8 @@ def best_path_inner_value(
     if spec.n > _MAX_PATH_N:
         raise TooLargeError(f"path enumeration supports n <= {_MAX_PATH_N}, got {spec.n}")
     _check_pair(spec, pair)
-    m = _log_matrix(e)
-    j0 = float(spec.anchor.weights @ np.diag(e.log_scores))
-    # max keeps the first maximizer, so ties go to the lexicographically first path
-    best = max(_simple_paths(spec.n, pair.gain, pair.loss), key=lambda verts: _gain(m, verts))
-    return j0 + spec.delta / 2.0 * _gain(m, best), PathSpec(best)
+    [(value, best)] = _inner_values(e, spec, [_simple_paths(spec.n, pair.gain, pair.loss)])
+    return value, PathSpec(best)
 
 
 def cycle_condition_check(e: EValueTable, max_cycle_len: int) -> bool:
@@ -150,7 +156,7 @@ def two_token_maxmin(
     grid = _count(grid, "grid", 64, 1024)  # each pass holds several grid x grid arrays
     refinements = _count(refinements, "refinements")
 
-    h = -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p))
+    h = entropy(VocabDistribution(np.array([p, 1.0 - p])))
     lo = np.array([0.0, 0.0])
     hi = np.array([1.0, 1.0])
     trace: list[tuple[int, float, float, float]] = []
@@ -204,10 +210,7 @@ def saddle_check(
         r = np.clip(r_star + noise, 1e-12, None)
         r /= r.sum(axis=1, keepdims=True)
         e = EValueTable(r / p0[np.newaxis, :])
-        m = _log_matrix(e)
-        j0 = float(p0 @ np.diag(e.log_scores))  # best_path_inner_value's value, vertex by vertex
-        worst = min(j0 + spec.delta / 2.0 * max(_gain(m, verts) for verts in vertex_paths)
-                    for vertex_paths in paths)
+        worst = min(value for value, _ in _inner_values(e, spec, paths))
         if worst > target + 1e-9:
             return False
     return True

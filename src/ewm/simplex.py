@@ -120,26 +120,18 @@ class MixtureDecomposition:
 
     terms: tuple[tuple[ExtremePair, float], ...]
 
-    def weight_sum(self) -> float:
-        return float(sum(w for _, w in self.terms))
-
 
 def make_distribution(weights) -> VocabDistribution:
     """Validate a weight vector and return it as a distribution.
 
-    Weights must be nonnegative and sum to 1 within ``SIMPLEX_ATOL``; within
-    that slack, they are renormalized to an exact unit sum.
+    Weights are :func:`_reals`, nonnegative and sum to 1 within ``SIMPLEX_ATOL``;
+    within that slack, they are renormalized to an exact unit sum.
     """
-    try:
-        w = np.asarray(weights, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):  # overflow: an int past the float range
-        raise FormatError(f"weights must be numbers, got {_shown(weights)}") from None
+    w = _reals(weights, "weights")
     if w.ndim != 1:
         raise FormatError(f"weights must be one-dimensional, got shape {w.shape}")
     if w.shape[0] < 2:
         raise TooShortError(f"need at least 2 symbols, got {w.shape[0]}")
-    if not np.all(np.isfinite(w)):
-        raise FormatError("weights must be finite")
     if np.any(w < 0.0):
         raise NegativeWeightError(f"negative weight at index {int(np.argmin(w))}")
     total = float(w.sum())
@@ -177,7 +169,6 @@ def l1_distance(p: VocabDistribution, q: VocabDistribution) -> float:
 
 def extreme_target(spec: NeighborhoodSpec, pair: ExtremePair) -> VocabDistribution:
     """The vertex distribution ``p0 + (delta/2)(1_gain - 1_loss)``."""
-    _check_pair(spec, pair)
     return reconstruct_mixture(spec, MixtureDecomposition(((pair, 1.0),)))
 
 
@@ -232,6 +223,7 @@ def reconstruct_mixture(spec: NeighborhoodSpec, mix: MixtureDecomposition) -> Vo
     q = spec.anchor.weights.copy()
     half = spec.delta / 2.0
     for pair, w in mix.terms:
+        _check_pair(spec, pair)
         q[pair.gain] += w * half
         q[pair.loss] -= w * half
     return VocabDistribution(q)
@@ -285,8 +277,26 @@ def _real(value, name: str, error: type[Exception] = BadParamsError) -> float:
     raise error(f"{name} must be a finite real number, got {_shown(value)}")
 
 
+def _reals(values, name: str, error: type[Exception] = FormatError) -> np.ndarray:
+    """The one real-array rule: ``values`` as numpy converts them (a numeric string too), a new
+    float64 array, every entry finite; else ``error`` naming it, never a NaN or an infinity."""
+    try:
+        array = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # overflow: an int past the float range
+        raise error(f"{name} must be numbers, got {_shown(values)}") from None
+    if not np.isfinite(array).all():
+        raise error(f"{name} must be finite")
+    return array
+
+
 def _check_pair(spec: NeighborhoodSpec, pair: ExtremePair) -> None:
     _indices((pair.gain, pair.loss), spec.n, InvalidPairError)
+
+
+def _ball_sup(spec: NeighborhoodSpec, f: np.ndarray) -> float:
+    """The one supremum over the ball of ``sum_v q(v) f(v)``, at the vertex moving ``delta/2``
+    onto f's argmax from its argmin: ``p0 @ f + (delta/2)(max f - min f)``."""
+    return float(spec.anchor.weights @ f + spec.delta / 2.0 * (f.max() - f.min()))
 
 
 def _check_inside(spec: NeighborhoodSpec, q: VocabDistribution) -> None:

@@ -83,7 +83,10 @@ def mix64(x: int) -> int:
 
 
 def trial_seed(base_seed: int, alpha_index: int, trial_index: int) -> int:
-    """Order-independent per-trial seed derivation."""
+    """Order-independent per-trial seed derivation; a base seed of any sign, indices >= 0."""
+    base_seed = _count(base_seed, "base seed", -math.inf)
+    alpha_index = _count(alpha_index, "alpha index", 0)
+    trial_index = _count(trial_index, "trial index", 0)
     return mix64(base_seed ^ ((alpha_index * _ALPHA_STRIDE) & _MASK64) ^ trial_index)
 
 
@@ -503,18 +506,19 @@ def calibrate_null(spec: NeighborhoodSpec, alpha: float, trials: int, horizon: i
 
 # -- CSV emission ---------------------------------------------------------------
 
+def _write_csv(fh, header: str, rows) -> None:
+    """The one table format: ``header``, then rows; floats to 12 significant digits, ints as is."""
+    fh.write(f"{header}\n")
+    for row in rows:
+        fh.write(",".join([format(x, ".12g" if isinstance(x, float) else "") for x in row]) + "\n")
+
+
 def write_sweep_csv(fh, rows: list[SweepRow]) -> None:
     """Columns: alpha,log_inv_alpha,mean_tau,std_err,ratio,censored_count."""
-    fh.write("alpha,log_inv_alpha,mean_tau,std_err,ratio,censored_count\n")
-    for r in rows:
-        fh.write(
-            f"{r.alpha:.12g},{r.log_inv_alpha:.12g},{r.mean_tau:.12g},"
-            f"{r.std_err:.12g},{r.ratio:.12g},{r.censored_count}\n"
-        )
+    header = "alpha,log_inv_alpha,mean_tau,std_err,ratio,censored_count"
+    _write_csv(fh, header, [vars(r).values() for r in rows])  # each row's fields, in order
 
 
 def write_calibration_csv(fh, rows) -> None:
     """Columns: alpha,trials,horizon,false_positives,rate."""
-    fh.write("alpha,trials,horizon,false_positives,rate\n")
-    for alpha, trials, horizon, fp, rate in rows:
-        fh.write(f"{alpha:.12g},{trials},{horizon},{fp},{rate:.12g}\n")
+    _write_csv(fh, "alpha,trials,horizon,false_positives,rate", rows)

@@ -147,6 +147,19 @@ COUPLING_REFUSALS = {
                                                      ewm.MixtureDecomposition(
                                                          terms=((PAIR, 1.5), (REVERSED, -0.5)))),
                         "mixture weights must be nonnegative"),
+    # the NaN joint and the NaN weight were accepted, and sampled as cell 0; the texts were
+    # raw ValueError and TypeError
+    "nan-joint": (lambda: ewm.make_coupling(np.full((2, 2), np.nan), HALF, HALF),
+                  "joint must be finite"),
+    "text-joint": (lambda: ewm.make_coupling("x", HALF, HALF), "joint must be numbers, got 'x'"),
+    "nan-weight": (lambda: ewm.mixture_coupling(spec_of([0.5, 0.5], 0.1),
+                                                ewm.MixtureDecomposition(
+                                                    terms=((PAIR, np.nan), (REVERSED, 1.0)))),
+                   "mixture weights must be finite"),
+    "text-weight": (lambda: ewm.mixture_coupling(spec_of([0.5, 0.5], 0.1),
+                                                 ewm.MixtureDecomposition(
+                                                     terms=((PAIR, "a"), (REVERSED, 0.5)))),
+                    "mixture weights must be numbers"),
 }
 
 

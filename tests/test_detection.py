@@ -110,6 +110,17 @@ class TestWorstNullMatchProb:
         p0 = spec.anchor.weights
         assert abs(ewm.worst_null_match_prob(spec) - float(p0 @ p0)) < 1e-12
 
+    def test_equals_the_vertex_maximum_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            spec = random_spec(rng)
+            p0 = spec.anchor.weights
+            expected = float(p0 @ p0 + spec.delta / 2.0 * (p0.max() - p0.min()))  # once inline
+            assert ewm.worst_null_match_prob(spec) == expected
+            vertices = [ewm.extreme_target(spec, pair).weights @ p0
+                        for pair in ewm.enumerate_extremes(spec)]
+            assert abs(expected - max(vertices)) < 1e-12
+
 
 class TestBaseline:
     def test_single_match_keeps_running(self):
@@ -895,6 +906,11 @@ class TestSerialization:
         state = ewm.detector_from_json(
             '{"wealth": 0.5, "steps": 3, "alpha": 0.02, "rejected_at": null, "status": "running"}')
         assert state.running and state.steps == 3
+
+    def test_a_payload_that_is_not_text_is_a_format_error(self):
+        for payload in (123, None, 1.5, [1], {"wealth": 0.5}):  # each a raw TypeError before
+            with pytest.raises(FormatError, match="not valid JSON"):
+                ewm.detector_from_json(payload)
 
     def test_unparsable_json_is_a_format_error(self):
         # an int past str's digit limit and nesting past the recursion limit were raw errors

@@ -38,6 +38,8 @@ class TestOptimalEvalue:
         (np.ones((2, 3)), DimensionMismatchError, "scores must be square, got shape (2, 3)"),
         (np.ones(4), DimensionMismatchError, "scores must be square, got shape (4,)"),
         ([[1.0, -0.5], [0.5, 1.0]], NegativeWeightError, "scores must be nonnegative"),
+        ("x", FormatError, "scores must be numbers, got 'x'"),  # both were raw ValueErrors
+        ([[1.0, "a"], [0.5, 1.0]], FormatError, "scores must be numbers"),
     ])
     def test_malformed_tables_refused(self, scores, error, fragment):
         with pytest.raises(error, match=re.escape(fragment)):
@@ -57,7 +59,31 @@ class TestOptimalEvalue:
             assert float(np.abs(a - 1.0).max()) < 1e-12
 
 
+def reference_null_worst(e, spec):
+    """The largest ``base + (delta/2)(A[a] - A[b])`` over vertices ``a != b``, from the n x n
+    difference matrix ``null_worst_expectation`` once maximized."""
+    a = ewm.row_sums(e, spec)
+    diff = a[:, np.newaxis] - a[np.newaxis, :]
+    np.fill_diagonal(diff, -np.inf)
+    return float(spec.anchor.weights @ a) + spec.delta / 2.0 * float(diff.max())
+
+
 class TestNullWorstExpectation:
+    def test_equals_the_largest_vertex_value_bit_for_bit(self):
+        # rounding is monotone, so the largest rounded A[a] - A[b] is the rounded max - min
+        rng = np.random.default_rng(6)
+        for _ in range(1000):
+            spec = random_spec(rng)
+            n = spec.n
+            for scores in (ewm.optimal_evalue(spec).scores, np.exp(rng.normal(size=(n, n))),
+                           rng.integers(1, 3, size=(n, n)), np.ones((n, n))):  # ties, flat A
+                e = ewm.make_evalue_table(scores)
+                worst = ewm.null_worst_expectation(e, spec)
+                assert worst == reference_null_worst(e, spec)
+                vertices = [ewm.extreme_target(spec, p).weights @ ewm.row_sums(e, spec)
+                            for p in ewm.enumerate_extremes(spec)]
+                assert abs(worst - max(vertices)) <= 1e-12 * max(1.0, abs(worst))
+
     def test_optimal_is_exactly_one(self):
         spec = spec_of([0.4, 0.3, 0.3], 0.1)
         assert abs(ewm.null_worst_expectation(ewm.optimal_evalue(spec), spec) - 1.0) < 1e-10

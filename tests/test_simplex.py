@@ -9,6 +9,9 @@ from ewm.coupling import _stream_chunks
 from ewm.errors import (
     BadAlphaError,
     BadParamsError,
+    BadWeightsError,
+    FormatError,
+    InvalidPairError,
     InvalidSpecError,
     LengthMismatchError,
     NegativeWeightError,
@@ -16,7 +19,7 @@ from ewm.errors import (
     SumNotOneError,
     TooShortError,
 )
-from ewm.simplex import _count, _real
+from ewm.simplex import _count, _real, _reals
 
 from conftest import noise_profile, random_spec, random_target
 
@@ -46,6 +49,12 @@ class TestMakeDistribution:
     def test_too_short(self):
         with pytest.raises(TooShortError):
             ewm.make_distribution([1.0])
+
+    def test_a_non_finite_entry_is_reported_first(self):
+        # [nan] is also too short, and [[nan, 0.5]] also two-dimensional: both were reported so
+        for weights in ([math.nan], [[math.nan, 0.5]], math.inf):
+            with pytest.raises(FormatError, match="^weights must be finite$"):
+                ewm.make_distribution(weights)
 
     def test_renormalizes_within_slack(self):
         d = ewm.make_distribution([0.5, 0.5 + 4e-10])
@@ -221,6 +230,13 @@ class TestDecomposeTarget:
             back = ewm.reconstruct_mixture(spec, mix)
             assert float(np.abs(back.weights - q.weights).max()) < 1e-10
 
+    def test_reconstruction_refuses_a_vertex_outside_the_vocabulary(self):
+        # index 5 at n = 2 was a raw IndexError, and -1 would have shifted the last symbol
+        for pair in (ewm.ExtremePair(0, 5), ewm.ExtremePair._trusted(0, -1)):
+            mix = ewm.MixtureDecomposition(((ewm.ExtremePair(1, 0), 0.5), (pair, 0.5)))
+            with pytest.raises(InvalidPairError, match="out of range for n=2|negative index"):
+                ewm.reconstruct_mixture(spec_of([0.5, 0.5], 0.1), mix)
+
 
 class TestNoiseProfile:
     def test_two_symbols(self):
@@ -285,6 +301,9 @@ COUNT_SITES = {
                              "perturbations", 0, None, 2),
     "trial-rng-seed": (lambda k: ewm.trial_rng(k).random(), "seed", 0, 2**128 - 1, 3),
     "sweep-base-seed": (lambda k: _sweep(base_seed=k).base_seed, "base seed", -math.inf, None, 3),
+    "trial-seed-base": (lambda k: ewm.trial_seed(k, 0, 0), "base seed", -math.inf, None, 3),
+    "trial-seed-alpha-index": (lambda k: ewm.trial_seed(0, k, 0), "alpha index", 0, None, 3),
+    "trial-seed-trial-index": (lambda k: ewm.trial_seed(0, 0, k), "trial index", 0, None, 3),
     "count-rule": (lambda k: _count(k, "x", 0, 5), "x", 0, 5, 3),  # 10**5000 once raised its repr
 }
 
@@ -379,3 +398,43 @@ class TestRealRule:
         assert config.alphas == (0.1, 1e-3) and type(config.alphas[0]) is float
         assert _sweep(alphas=iter([0.1, 0.2])).alphas == (0.1, 0.2)  # read once
         assert ewm.default_horizon(FAIR, 0.01, factor=5) == ewm.default_horizon(FAIR, 0.01, 5.0)
+
+
+HALF = FAIR.anchor
+PAIR, REVERSED = ewm.ExtremePair(0, 1), ewm.ExtremePair(1, 0)
+
+# site -> (call with the entry x, its error, the name the error gives, a valid x): every
+# real-valued array of the package; a NaN joint or mixture weight was once accepted (sampled
+# as cell 0), and "a" in a joint, a weight or a score table was a raw error
+ARRAY_SITES = {
+    "distribution-weights": (lambda x: ewm.make_distribution([x, 0.5]).weights, FormatError,
+                             "weights", 0.5),
+    "score-table": (lambda x: ewm.make_evalue_table([[x, 1.0], [1.0, 1.0]]).scores, FormatError,
+                    "scores", 1.0),
+    "coupling-joint": (lambda x: ewm.make_coupling([[0.4, x], [0.1, 0.4]], HALF, HALF).joint,
+                       BadWeightsError, "joint", 0.1),
+    "mixture-weights": (lambda x: ewm.mixture_coupling(FAIR, ewm.MixtureDecomposition(
+        ((PAIR, x), (REVERSED, 0.5)))).joint, BadWeightsError, "mixture weights", 0.5),
+    "array-rule": (lambda x: _reals([x, 0.5], "x"), FormatError, "x", 0.5),
+}
+
+
+class TestRealArrayRule:
+    @pytest.mark.parametrize("site", sorted(ARRAY_SITES))
+    def test_every_entry_is_a_finite_number(self, site):
+        call, error, name, x = ARRAY_SITES[site]
+        # 10**400 and 10**5000 overflow the conversion (the second has no repr either), a
+        # nested entry is ragged, and None converts to NaN
+        for bad, rule in (("a", "numbers"), ([0.5, 0.5], "numbers"), (10**400, "numbers"),
+                          (10**5000, "numbers"), (math.nan, "finite"), (None, "finite"),
+                          (math.inf, "finite"), (-math.inf, "finite")):
+            with pytest.raises(error, match=f"^{re.escape(name)} must be {rule}"):
+                call(bad)
+        assert np.array_equal(call(np.float64(x)), call(x))
+
+    def test_the_array_is_a_new_float64_array(self):
+        given = np.array([0.25, 0.75])
+        got = _reals(given, "x")
+        assert got.dtype == np.float64 and got is not given and np.array_equal(got, given)
+        got[0] = 1.0
+        assert given[0] == 0.25
