@@ -42,7 +42,6 @@ from .simplex import (
     MixtureDecomposition,
     NeighborhoodSpec,
     VocabDistribution,
-    _check_pair,
     _count,
     _freeze,
     _indices,
@@ -105,15 +104,12 @@ def make_coupling(joint, target: VocabDistribution, anchor: VocabDistribution) -
     w = _reals(joint, "joint", BadWeightsError)
     if w.ndim != 2 or w.shape != (target.n, anchor.n) or target.n != anchor.n:
         raise BadWeightsError(f"joint shape {w.shape} incompatible with n={anchor.n}")
-    low = float(w.min())
-    if low < -NEG_CLAMP:
+    if (low := float(w.min())) < -NEG_CLAMP:
         raise BadWeightsError(f"joint entry {low!r} below clamp threshold -{NEG_CLAMP}")
     w[w < 0.0] = 0.0
-    rows = w.sum(axis=1)
-    cols = w.sum(axis=0)
-    if float(np.abs(rows - target.weights).max()) > EXACT_ATOL:
+    if float(np.abs(w.sum(axis=1) - target.weights).max()) > EXACT_ATOL:
         raise BadWeightsError("row marginal does not match the target")
-    if float(np.abs(cols - anchor.weights).max()) > EXACT_ATOL:
+    if float(np.abs(w.sum(axis=0) - anchor.weights).max()) > EXACT_ATOL:
         raise BadWeightsError("column marginal does not match the anchor")
     if abs(float(w.sum()) - 1.0) > EXACT_ATOL:
         raise BadWeightsError(f"total mass {float(w.sum())!r} differs from 1")
@@ -122,8 +118,8 @@ def make_coupling(joint, target: VocabDistribution, anchor: VocabDistribution) -
 
 def extreme_coupling(spec: NeighborhoodSpec, pair: ExtremePair) -> CouplingMatrix:
     """Optimal coupling for a vertex target: the single-hop path (gain, loss)."""
-    _check_pair(spec, pair)
-    return make_coupling(_vertex_joints(spec, [pair])[0], extreme_target(spec, pair), spec.anchor)
+    target = extreme_target(spec, pair)  # checks the pair before it indexes the joint
+    return make_coupling(_vertex_joints(spec, [pair])[0], target, spec.anchor)
 
 
 def _vertex_joints(spec: NeighborhoodSpec, pairs: list[ExtremePair]) -> np.ndarray:
@@ -137,20 +133,13 @@ def _vertex_joints(spec: NeighborhoodSpec, pairs: list[ExtremePair]) -> np.ndarr
 
 
 def mixture_coupling(spec: NeighborhoodSpec, mix: MixtureDecomposition) -> CouplingMatrix:
-    """Weight-average of vertex couplings, :func:`~ewm.simplex._reals` weights; marginals are
-    (reconstructed q, p0)."""
-    weights = _reals([w for _, w in mix.terms], "mixture weights", BadWeightsError)
-    if not weights.size:
-        raise BadWeightsError("mixture has no terms")
-    if np.any(weights < 0.0):
-        raise BadWeightsError("mixture weights must be nonnegative")
-    if abs((total := float(weights.sum())) - 1.0) > EXACT_ATOL:
+    """Weight-average of vertex couplings, the weights (checked by the mixture) summing to 1;
+    marginals are (reconstructed q, p0)."""
+    if abs((total := float(np.sum([w for _, w in mix.terms]))) - 1.0) > EXACT_ATOL:
         raise BadWeightsError(f"mixture weights sum to {total!r}")
-    mix = MixtureDecomposition(tuple(zip([pair for pair, _ in mix.terms], weights.tolist())))
-    joint = np.zeros((spec.n, spec.n))
-    for pair, w in mix.terms:
-        joint += w * extreme_coupling(spec, pair).joint
-    return make_coupling(joint, reconstruct_mixture(spec, mix), spec.anchor)
+    target = reconstruct_mixture(spec, mix)  # checks each pair before its joint is indexed
+    return make_coupling(sum(w * _vertex_joints(spec, [pair])[0] for pair, w in mix.terms),
+                         target, spec.anchor)  # one vertex joint at a time, not m n^2 floats
 
 
 def path_coupling(spec: NeighborhoodSpec, path: PathSpec) -> CouplingMatrix:
@@ -161,8 +150,7 @@ def path_coupling(spec: NeighborhoodSpec, path: PathSpec) -> CouplingMatrix:
     while the outcome marginal gains at u0 and loses at uK.
     """
     verts = _indices(path.vertices, spec.n, InvalidPathError)
-    w = np.diag(spec.anchor.weights).astype(np.float64)
-    half = spec.delta / 2.0
+    w, half = np.diag(spec.anchor.weights), spec.delta / 2.0
     for u, nxt in zip(verts[:-1], verts[1:]):
         w[u, nxt] += half
         w[nxt, nxt] -= half

@@ -25,7 +25,6 @@ All types are immutable values and all operations are pure functions.
 
 from __future__ import annotations
 
-import numbers
 import operator
 from contextlib import suppress
 from dataclasses import dataclass
@@ -34,6 +33,7 @@ import numpy as np
 
 from .errors import (
     BadParamsError,
+    BadWeightsError,
     FormatError,
     InvalidPairError,
     InvalidSpecError,
@@ -116,9 +116,22 @@ class ExtremePair:
 
 @dataclass(frozen=True, eq=False)
 class MixtureDecomposition:
-    """Convex combination of extreme pairs: tuple of (pair, weight) terms."""
+    """Combination of extreme pairs: a nonempty tuple of (:class:`ExtremePair`, weight) terms, the
+    weights :func:`_reals`, nonnegative and kept as Python floats; else a BadWeightsError."""
 
     terms: tuple[tuple[ExtremePair, float], ...]
+
+    def __post_init__(self):  # the sum is the caller's: mixture_coupling needs 1
+        terms = self.terms if isinstance(self.terms, (tuple, list)) else [self.terms]
+        if not all(isinstance(t, (tuple, list)) and len(t) == 2 and isinstance(t[0], ExtremePair)
+                   for t in terms):
+            raise BadWeightsError(f"mixture terms must be (pair, weight), got {_shown(self.terms)}")
+        if not terms:
+            raise BadWeightsError("mixture has no terms")
+        weights = _reals([w for _, w in terms], "mixture weights", BadWeightsError)
+        if weights.ndim != 1 or (weights < 0.0).any():
+            raise BadWeightsError("mixture weights must be nonnegative, one number per term")
+        object.__setattr__(self, "terms", tuple(zip([p for p, _ in terms], weights.tolist())))
 
 
 def make_distribution(weights) -> VocabDistribution:
@@ -220,8 +233,7 @@ def decompose_target(spec: NeighborhoodSpec, q: VocabDistribution) -> MixtureDec
 
 def reconstruct_mixture(spec: NeighborhoodSpec, mix: MixtureDecomposition) -> VocabDistribution:
     """Weighted sum of vertex distributions; inverse of :func:`decompose_target`."""
-    q = spec.anchor.weights.copy()
-    half = spec.delta / 2.0
+    q, half = spec.anchor.weights.copy(), spec.delta / 2.0
     for pair, w in mix.terms:
         _check_pair(spec, pair)
         q[pair.gain] += w * half
@@ -269,22 +281,23 @@ def _count(value, name: str, low: int = 1, high: int | None = None,
 
 
 def _real(value, name: str, error: type[Exception] = BadParamsError) -> float:
-    """The one real-parameter rule: ``value`` as the float of a finite :class:`numbers.Real` (a
-    Python or numpy int or float; a bool is 0/1); else ``error`` naming it, never a parsed value."""
-    with suppress(OverflowError):  # an int past the float range is not finite either
-        if isinstance(value, numbers.Real) and np.isfinite(real := float(value)):
-            return real
+    """The 0-d case of :func:`_reals`: ``value`` as a Python float; else ``error`` naming it."""
+    with suppress(error):
+        if (real := _reals(value, name, error)).ndim == 0:
+            return float(real)
     raise error(f"{name} must be a finite real number, got {_shown(value)}")
 
 
 def _reals(values, name: str, error: type[Exception] = FormatError) -> np.ndarray:
-    """The one real-array rule: ``values`` as numpy converts them (a numeric string too), a new
-    float64 array, every entry finite; else ``error`` naming it, never a NaN or an infinity."""
+    """The one real rule, for arrays and (as :func:`_real`) scalars: ``np.asarray(values)`` of a
+    bool, int, uint or float dtype, so not a string, bytes, None, a ragged list or an int past 64
+    bits, as a new float64 array, every entry finite; else ``error`` naming it."""
     try:
-        array = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):  # overflow: an int past the float range
+        if (array := np.asarray(values)).dtype.kind not in "biuf":
+            raise TypeError
+    except (TypeError, ValueError):  # ValueError: a ragged list
         raise error(f"{name} must be numbers, got {_shown(values)}") from None
-    if not np.isfinite(array).all():
+    if not np.isfinite(array := array.astype(np.float64)).all():
         raise error(f"{name} must be finite")
     return array
 
@@ -300,8 +313,7 @@ def _ball_sup(spec: NeighborhoodSpec, f: np.ndarray) -> float:
 
 
 def _check_inside(spec: NeighborhoodSpec, q: VocabDistribution) -> None:
-    """The one ball-membership test: ``||q - p0||_1 <= delta`` up to
-    ``RECONSTRUCT_ATOL``."""
+    """The one ball-membership test: ``||q - p0||_1 <= delta`` up to ``RECONSTRUCT_ATOL``."""
     dist = l1_distance(q, spec.anchor)
     if dist > spec.delta + RECONSTRUCT_ATOL:
         raise OutsideNeighborhoodError(f"target at L1 distance {dist!r} > delta {spec.delta!r}")

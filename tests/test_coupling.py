@@ -100,6 +100,11 @@ class TestMixtureCoupling:
         w = ewm.mixture_coupling(spec, mix)
         assert np.allclose(w.joint.sum(axis=1), [0.43, 0.32, 0.25], atol=1e-14)
 
+    def test_terms_keep_each_pair_and_a_python_float_weight(self):
+        mix = ewm.MixtureDecomposition([[PAIR, np.float64(0.25)], (REVERSED, 1)])
+        assert mix.terms == ((PAIR, 0.25), (REVERSED, 1.0))
+        assert [type(w) for _, w in mix.terms] == [float, float]
+
     def test_bad_weights(self):
         spec = spec_of([0.5, 0.5], 0.1)
         mix = ewm.MixtureDecomposition(terms=((ewm.ExtremePair(0, 1), 0.7),))
@@ -122,8 +127,8 @@ HALF = ewm.make_distribution([0.5, 0.5])
 TILTED = ewm.make_distribution([0.6, 0.4])
 PAIR, REVERSED = ewm.ExtremePair(0, 1), ewm.ExtremePair(1, 0)
 
-# refusal -> (call, message fragment): each check of make_coupling and mixture_coupling that
-# no valid coupling reaches, every one a BadWeightsError
+# refusal -> (call, message fragment): each check of make_coupling, mixture_coupling and
+# MixtureDecomposition that no valid coupling reaches, every one a BadWeightsError
 COUPLING_REFUSALS = {
     "joint-shape": (lambda: ewm.make_coupling(np.full((2, 3), 1 / 6), HALF, HALF),
                     "joint shape (2, 3) incompatible with n=2"),
@@ -160,6 +165,22 @@ COUPLING_REFUSALS = {
                                                  ewm.MixtureDecomposition(
                                                      terms=((PAIR, "a"), (REVERSED, 0.5)))),
                     "mixture weights must be numbers"),
+    # the nested weights summed to 1 and then raised a raw TypeError; reconstruct_mixture read
+    # its weights unchecked, to [nan nan] and to [0.35 0.65] outside the ball; a tuple for a
+    # pair was a raw AttributeError
+    "nested-weight": (lambda: ewm.mixture_coupling(spec_of([0.5, 0.5], 0.1),
+                                                   ewm.MixtureDecomposition(
+                                                       terms=((PAIR, [0.5]), (REVERSED, [0.5])))),
+                      "mixture weights must be nonnegative, one number per term"),
+    "nan-weight-reconstructed": (lambda: ewm.reconstruct_mixture(
+        spec_of([0.5, 0.5], 0.1), ewm.MixtureDecomposition(terms=((PAIR, np.nan),))),
+        "mixture weights must be finite"),
+    "negative-weight-reconstructed": (lambda: ewm.reconstruct_mixture(
+        spec_of([0.5, 0.5], 0.1), ewm.MixtureDecomposition(terms=((PAIR, -3.0),))),
+        "mixture weights must be nonnegative"),
+    "tuple-pair": (lambda: ewm.mixture_coupling(spec_of([0.5, 0.5], 0.1),
+                                                ewm.MixtureDecomposition(terms=(((0, 1), 1.0),))),
+                   "mixture terms must be (pair, weight), got (((0, 1), 1.0),)"),
 }
 
 

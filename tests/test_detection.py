@@ -474,24 +474,30 @@ def unscreened(alpha, pbar, pairs):
     return None, len(pairs)
 
 
-def exact_tails(pbar, pairs):
-    """Each step's exact tail ``P(Bin(k, pbar) >= m)``: ``T(k, m) / den**k`` for the integer
-    ``T(k, m) = sum_{i >= m} C(k, i) a**i b**(k - i)``, ``pbar = a / den``, ``b = den - a``.
-    Pascal's rule gives ``T(k + 1, j) = b T(k, j) + a T(k, j - 1)``, so a match takes ``T(k, m)``
-    to ``den T(k, m) - b t(k, m)`` and a miss to ``den T(k, m) + a t(k, m - 1)``, where
-    ``t(k, i) = C(k, i) a**i b**(k - i)``."""
+def exact_tail_ratios(pbar, pairs):
+    """Each step's exact tail ``P(Bin(k, pbar) >= m)`` as the integers ``(T(k, m), den**k)``:
+    ``T(k, m) = sum_{i >= m} t(k, i)``, ``t(k, i) = C(k, i) a**i b**(k - i)``, ``pbar = a / den``,
+    ``b = den - a``.  Pascal's rule gives ``T(k + 1, j) = b T(k, j) + a T(k, j - 1)``, so a match
+    takes ``T(k, m)`` to ``den T(k, m) - b t(k, m)`` and a miss to ``den T(k, m) + a t(k, m - 1)``,
+    where ``a t(k, m - 1) = t(k, m) b m / (k - m + 1)``.  The term moves with the step, to
+    ``t(k + 1, m + 1) = t(k, m) a (k + 1) / (m + 1)`` or ``t(k + 1, m) = t(k, m) b (k + 1) /
+    (k + 1 - m)``; every division is exact."""
     a, den = pbar.as_integer_ratio()
-    b, tails, total, m = den - a, [], 1, 0  # T(0, 0) = 1
+    b, total, term, power, m = den - a, 1, 1, 1, 0  # T(0, 0) = t(0, 0) = den**0 = 1
     for k, (v, s) in enumerate(pairs):  # k steps so far
         if v == s:
-            total = den * total - b * math.comb(k, m) * a**m * b**(k - m)
-            m += 1
-        elif m:
-            total = den * total + a * math.comb(k, m - 1) * a**(m - 1) * b**(k - m + 1)
+            total = den * total - b * term
+            term, m = term * a * (k + 1) // (m + 1), m + 1
         else:
-            total *= den
-        tails.append(Fraction(total, den ** (k + 1)))
-    return tails
+            total = den * total + term * b * m // (k - m + 1)
+            term = term * b * (k + 1) // (k + 1 - m)
+        power *= den
+        yield total, power
+
+
+def exact_tails(pbar, pairs):
+    """Each step's exact tail, :func:`exact_tail_ratios`, as a :class:`Fraction`."""
+    return [Fraction(*ratio) for ratio in exact_tail_ratios(pbar, pairs)]
 
 
 @st.composite
@@ -537,9 +543,13 @@ class TestBaselineScreen:
     @given(case=dyadic_cases())
     def test_first_stop_is_the_first_step_below_in_exact_arithmetic(self, case):
         alpha, p, pairs = case
-        tails = exact_tails(p, pairs)
-        below = (k for k, tail in enumerate(tails, 1) if tail < Fraction(_schedule(alpha, k)))
-        stop = next(below, None)
+
+        def below(k, total, power):  # T / den**k < the schedule's num / den, in integers
+            num, den = _schedule(alpha, k).as_integer_ratio()
+            return total * den < num * power
+
+        tails = enumerate(exact_tail_ratios(p, pairs), 1)
+        stop = next((k for k, (total, power) in tails if below(k, total, power)), None)
         assert ewm.baseline_batch_detect(alpha, p, pairs, None).stop_step == stop
         assert fold(alpha, pairs, pbar=p).rejected_at == stop
 

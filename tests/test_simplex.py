@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -373,8 +374,9 @@ class TestRealRule:
     @pytest.mark.parametrize("site", sorted(REAL_SITES))
     def test_real_is_a_finite_number(self, site):
         call, error, name, x = REAL_SITES[site]
-        # 10**5000 has no repr: str refuses ints past 4,300 digits
-        for bad in ("0.05", None, math.nan, math.inf, 10**400, 10**5000):
+        # 10**5000 has no repr: str refuses ints past 4,300 digits; a Fraction, like an int
+        # past 64 bits, is no numpy number
+        for bad in ("0.05", None, math.nan, math.inf, 10**400, 10**5000, 2**64, Fraction(1, 20)):
             with pytest.raises(error, match=f"^{re.escape(name)} must be a finite real number"):
                 call(bad)
         assert _outcome(call, np.float64(x)) == _outcome(call, x)
@@ -423,11 +425,13 @@ class TestRealArrayRule:
     @pytest.mark.parametrize("site", sorted(ARRAY_SITES))
     def test_every_entry_is_a_finite_number(self, site):
         call, error, name, x = ARRAY_SITES[site]
-        # 10**400 and 10**5000 overflow the conversion (the second has no repr either), a
-        # nested entry is ragged, and None converts to NaN
-        for bad, rule in (("a", "numbers"), ([0.5, 0.5], "numbers"), (10**400, "numbers"),
-                          (10**5000, "numbers"), (math.nan, "finite"), (None, "finite"),
-                          (math.inf, "finite"), (-math.inf, "finite")):
+        # 10**400 and 10**5000 are past 64 bits (the second has no repr either), a nested
+        # entry is ragged, and a numeric string, bytes and None are not numbers: numpy would
+        # convert "0.5" and b"1", and read None as NaN
+        for bad, rule in (("a", "numbers"), ("0.5", "numbers"), (b"1", "numbers"),
+                          ([0.5, 0.5], "numbers"), (10**400, "numbers"), (10**5000, "numbers"),
+                          (None, "numbers"), (math.nan, "finite"), (math.inf, "finite"),
+                          (-math.inf, "finite")):
             with pytest.raises(error, match=f"^{re.escape(name)} must be {rule}"):
                 call(bad)
         assert np.array_equal(call(np.float64(x)), call(x))
