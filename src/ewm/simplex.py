@@ -232,7 +232,10 @@ def decompose_target(spec: NeighborhoodSpec, q: VocabDistribution) -> MixtureDec
 
 
 def reconstruct_mixture(spec: NeighborhoodSpec, mix: MixtureDecomposition) -> VocabDistribution:
-    """Weighted sum of vertex distributions; inverse of :func:`decompose_target`."""
+    """Weighted sum of vertex distributions, the weights summing to at most 1; inverse of
+    :func:`decompose_target`."""
+    if (total := sum(w for _, w in mix.terms)) > 1.0 + EXACT_ATOL:
+        raise BadWeightsError(f"mixture weights sum to {total!r}, past 1")
     q, half = spec.anchor.weights.copy(), spec.delta / 2.0
     for pair, w in mix.terms:
         _check_pair(spec, pair)

@@ -31,8 +31,9 @@ absorbed: every vertex played and the last ``window`` steps all on one vertex A,
 step then chooses, so the block engine continues it as ``FixedPair(A)`` at word = steps taken with
 its wealth.  Both engines consume each stream exactly as drawing one value at a time would.
 ``calibrate_null`` reads raw words of a :func:`trial_rng` generator, as ``random`` consumes
-them, in bounded sub-blocks; per ``4_000_000 // horizon`` streams: all outcomes, then all
-seeds, row-major.  A word ``w`` reads as ``Generator.random``'s ``(w >> 11) * 2**-53``.
+them; per ``4_000_000 // horizon`` streams: all outcomes, then all seeds, row-major, a long row
+read until it crosses or no longer can (each row at its own words).  A word ``w`` reads as
+``Generator.random``'s ``(w >> 11) * 2**-53``.
 """
 
 from __future__ import annotations
@@ -462,6 +463,16 @@ def estimate_stopping(config: ExperimentConfig, threads: int = 1) -> list[SweepR
     return rows
 
 
+def _may_cross(wealth: np.ndarray, left: int, top: float, threshold: float) -> np.ndarray:
+    """Whether each wealth may still meet ``threshold`` in ``left`` steps of log scores at most
+    ``top >= 0``.  Rounding is monotone, so no later wealth exceeds the left fold of ``wealth`` and
+    ``left`` copies of ``top``, which is within ``2u left S`` of ``wealth + left top`` (u = 2**-53,
+    S = |wealth| + left top; (1 + u)**left <= 2).  The test adds ``g S``, g = 16u left <= 1/2, whose
+    excess covers its own six roundings (10u S); |wealth| is a factor so that -inf stays -inf."""
+    g = 2**-49 * left
+    return (wealth * (1.0 + g * np.sign(wealth)) + left * top * (1.0 + g) >= threshold) | (g > 0.5)
+
+
 def calibrate_null(spec: NeighborhoodSpec, alpha: float, trials: int, horizon: int,
                    q_null: VocabDistribution, rng: np.random.Generator) -> float:
     """Fraction of independent null streams whose wealth ever crosses.
@@ -470,8 +481,9 @@ def calibrate_null(spec: NeighborhoodSpec, alpha: float, trials: int, horizon: i
     anchor, which is exactly the null the score table must guard against;
     the returned rate must stay at or below alpha up to Monte Carlo noise.  ``trials`` and
     ``horizon`` are counts; ``rng`` is a Philox generator (:func:`trial_rng`), left just past the
-    draws: per block of ``4_000_000 // horizon`` streams (at least one), all
-    outcomes, then all seeds, row-major, read in bounded ``_BLOCK_CELLS`` sub-blocks.
+    draws: per block of ``4_000_000 // horizon`` streams (at least one), all outcomes, then all
+    seeds, row-major, read in ``_BLOCK_CELLS`` sub-blocks, a row past ``_BLOCK_CELLS // 16`` steps
+    in chunks of that many, until it crosses or :func:`_may_cross` says it cannot (layout kept).
     """
     alpha = _check_alpha(alpha)
     trials, horizon = _count(trials, "trials"), _count(horizon, "horizon")
@@ -479,28 +491,41 @@ def calibrate_null(spec: NeighborhoodSpec, alpha: float, trials: int, horizon: i
     if not isinstance(bitgen := rng.bit_generator, np.random.Philox):
         raise BadParamsError(f"calibrate_null takes a Philox generator, got {type(bitgen).__name__}")
     log_flat = optimal_evalue(spec).log_scores.ravel()
-    threshold = math.log(1.0 / alpha)
+    threshold, top = math.log(1.0 / alpha), max(float(log_flat.max()), 0.0)
     row = _cell_lookup(np.cumsum(q_null.weights)[np.newaxis], np.arange(spec.n) * spec.n)
     col = _cell_lookup(np.cumsum(spec.anchor.weights)[np.newaxis], np.arange(spec.n))
-    now, seeds = bitgen.state, np.random.Philox(key=0)  # the caller's, of numpy arrays
+    now, reader = bitgen.state, np.random.Philox(key=0)  # the caller's, of numpy arrays
     key, ctr = (int.from_bytes(now["state"][f].astype("<u8"), "little") for f in ("key", "counter"))
     half, pos = {f: now[f] for f in ("has_uint32", "uinteger")}, 4 * ctr + now["buffer_pos"] - 4
-    block, hits = max(1, 4_000_000 // horizon), 0
-    rows, width = max(1, _BLOCK_CELLS // horizon), min(horizon, _BLOCK_CELLS)
-    for lo in range(0, trials, block):
-        b = min(block, trials - lo)
-        _philox_at(bitgen, key, pos)
-        _philox_at(seeds, key, pos + b * horizon)
-        pos += 2 * b * horizon
-        for r in range(0, b, rows):
-            wealth, crossed = 0.0, False
-            for c in range(0, horizon, width):
-                cell = row(bitgen.random_raw((min(rows, b - r), min(width, horizon - c))))
-                cell += col(seeds.random_raw(cell.shape))
+    state = _philox_at(reader, key)  # placed at each read's word
+
+    def words(base: int, starts: list[int], k: int) -> np.ndarray:  # k words of each row, in turn
+        runs = []
+        for at in (base + t * horizon for t in starts):  # row t's words from base + t * horizon
+            state["state"]["counter"] = (at >> 2 & _MASK64, at >> 66 & _MASK64,
+                                         at >> 130 & _MASK64, at >> 194 & _MASK64)
+            reader.state = state
+            runs.append(reader.random_raw(k + at % 4)[at % 4:])
+        return np.concatenate(runs) if len(runs) > 1 else runs[0]
+
+    block, hits, chunk = max(1, 4_000_000 // horizon), 0, max(1, _BLOCK_CELLS // 16)
+    for lo in range(0, trials if _may_cross(np.zeros(1), horizon, top, threshold)[0] else 0, block):
+        b, at = min(block, trials - lo), pos + 2 * lo * horizon  # the block's first word
+        for r in range(0, b, rows := _BLOCK_CELLS // min(horizon, chunk)):
+            live, wealth = np.arange(r, min(r + rows, b)), 0.0
+            for c in range(0, horizon, chunk):
+                k = min(chunk, horizon - c)
+                # whole rows (then all live) in one read, else k words of each live row
+                starts, width = ([r], k * live.size) if k == horizon else (live.tolist(), k)
+                cell = row(words(at + c, starts, width).reshape(-1, k))  # outcomes, then seeds
+                cell += col(words(at + b * horizon + c, starts, width).reshape(-1, k))
                 hit, cum = _first_crossing(log_flat[cell], threshold, wealth)
-                wealth, crossed = cum[:, -1], crossed | (hit >= 0)
-            hits += int(np.count_nonzero(crossed))
-    _philox_at(bitgen, key, pos, **half)  # the caller's kept 32-bit half, as found
+                hits += int(np.count_nonzero(crossed := hit >= 0))
+                keep = ~crossed & _may_cross(cum[:, -1], horizon - c - k, top, threshold)
+                if not (live := live[keep]).size:
+                    break
+                wealth = cum[keep, -1]
+    _philox_at(bitgen, key, pos + 2 * trials * horizon, **half)  # the caller's 32-bit half kept
     return hits / trials
 
 

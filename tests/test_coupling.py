@@ -108,7 +108,7 @@ class TestMixtureCoupling:
     def test_bad_weights(self):
         spec = spec_of([0.5, 0.5], 0.1)
         mix = ewm.MixtureDecomposition(terms=((ewm.ExtremePair(0, 1), 0.7),))
-        with pytest.raises(BadWeightsError):
+        with pytest.raises(BadWeightsError, match="sum to 0.7"):
             ewm.mixture_coupling(spec, mix)
 
     def test_mixture_linearity(self):
@@ -178,6 +178,10 @@ COUPLING_REFUSALS = {
     "negative-weight-reconstructed": (lambda: ewm.reconstruct_mixture(
         spec_of([0.5, 0.5], 0.1), ewm.MixtureDecomposition(terms=((PAIR, -3.0),))),
         "mixture weights must be nonnegative"),
+    # weights summing past 1 reconstructed to [0.75 0.25], outside the ball
+    "weights-past-one-reconstructed": (lambda: ewm.reconstruct_mixture(
+        spec_of([0.5, 0.5], 0.1), ewm.MixtureDecomposition(terms=((PAIR, 5.0),))),
+        "mixture weights sum to 5.0, past 1"),
     "tuple-pair": (lambda: ewm.mixture_coupling(spec_of([0.5, 0.5], 0.1),
                                                 ewm.MixtureDecomposition(terms=(((0, 1), 1.0),))),
                    "mixture terms must be (pair, weight), got (((0, 1), 1.0),)"),

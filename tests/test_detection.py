@@ -311,6 +311,20 @@ class TestBatchMatchesFold:
             decisions.add(report.decision)
         assert decisions == {"rejected", "undecided"}
 
+    def test_baseline_fold_hovering_at_the_null_match_rate(self):
+        # matches step across k * pbar (0.345) and back, so the fold's screen and tail test
+        # alternate; 3 sqrt(k) above it, the baseline rejects
+        pbar = ewm.worst_null_match_prob(spec_of([0.4, 0.3, 0.3], 0.1))
+        for lift, stop in ((0.0, None), (3.0, 8)):
+            pairs, matches = [], 0
+            for k in range(1, 2001):
+                matches += (hit := matches < k * pbar + lift * math.sqrt(k))
+                pairs.append((0, 0) if hit else (0, 1))
+            report = ewm.baseline_batch_detect(0.02, pbar, pairs, len(pairs), n=2)
+            state = fold(0.02, pairs, pbar=pbar)
+            assert (report.stop_step, report.steps) == (state.rejected_at, state.steps)
+            assert report.stop_step == stop
+
     def test_out_of_range_pair_after_the_stop_is_never_read(self):
         e = ewm.optimal_evalue(self.SPEC)
         pbar = ewm.worst_null_match_prob(self.SPEC)

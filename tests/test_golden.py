@@ -22,9 +22,11 @@ for a report), with ``--trace tests/golden/NAME-trace.csv`` in place of
 bulk: the fixed-pair sweep, calibrate-null and generate.  The block engine and
 calibrate-null read raw 64-bit Philox words, and generate makes its generator's
 uniforms back into words; ``calibrate-null-subblocks`` has rows longer than one
-16,384-cell sub-block, so each is read in column chunks that carry the wealth.  The
-``fixed-n4`` and ``calibrate-null-subblocks`` tables were written before the bulk
-paths read words, so they pin that those paths kept their bytes.  The reports cover
+16,384-cell sub-block, so each is read in column chunks that carry the wealth, and
+``calibrate-null-pruned`` has 3-symbol rows of three column chunks, almost all of which stop
+before the third, as they can no longer cross.  The ``fixed-n4`` and ``calibrate-null-subblocks``
+tables were written before the bulk paths read words, and ``calibrate-null-pruned`` before
+calibrate-null pruned its rows, so they pin that those paths kept their bytes.  The reports cover
 the closed-form rate, the two-token solver, both detectors on the committed
 ``generate-pair.csv`` stream and on ``detect-null-stream.csv``, the vertex decomposition and
 the audit.  That null stream holds 4,000 pairs, drawn independently from the anchor by
@@ -75,6 +77,8 @@ RUNS = {
     "calibrate-null-subblocks": ["calibrate-null", "--anchor", "[0.5,0.5]", "--delta", "0.1",
                                  "--alphas", "0.05", "--trials", "40", "--horizon", "20000",
                                  "--q-null", "[0.55,0.45]", "--seed", "2"],
+    "calibrate-null-pruned": ["calibrate-null", *ANCHOR3, "--alphas", "0.1,0.02", "--trials", "300",
+                              "--horizon", "3000", "--q-null", "[0.45,0.25,0.3]", "--seed", "4"],
     "generate-pair": [*GENERATE, "--pair", "0,1"],
     "generate-target": [*GENERATE, "--target", "[0.43,0.32,0.25]"],
     "jstar": ["jstar", *ANCHOR3],

@@ -40,6 +40,7 @@ def spec_of(weights, delta):
 
 
 FAIR = spec_of([0.5, 0.5], 0.1)
+THREE = spec_of([0.4, 0.3, 0.3], 0.2)
 
 
 class TestSeeding:
@@ -853,33 +854,55 @@ class TestCalibrateNull:
 
     @pytest.mark.parametrize("block_cells", [7, 1_000, 16_384])
     def test_sub_blocks_match_whole_blocks(self, monkeypatch, block_cells):
-        # (alpha, trials, horizon, doubled table): whole rows per sub-block,
-        # rows of 3 or 20 split into chunks of 7, horizons above 16,384, and
-        # with 1,000 cells or more, 4,001 x 1,000 and 2 x 2,000,001 cells that
-        # each span two 4M-cell blocks; the doubled table crosses mid-row
-        cases = [(0.3, 9, 3, True), (0.3, 50, 20, True), (0.05, 30, 31, False),
-                 (0.3, 2, 16_390, True)]
+        # (spec, alpha, trials, horizon, doubled table): whole rows per sub-block, rows of 3
+        # or 20 split into chunks, horizons above 16,384, and with 1,000 cells or more, 4,001 x
+        # 1,000 and 2 x 2,000,001 cells that each span two 4M-cell blocks; the doubled table
+        # crosses mid-row.  Rows of one column chunk, of one step more and of several chunks
+        # are read a row at a time and leave once they can no longer cross; pruning as if the
+        # largest log score were the next one down must then change a rate
+        chunk = max(1, block_cells // 16)
+        cases = [(FAIR, 0.3, 9, 3, True), (FAIR, 0.3, 50, 20, True), (FAIR, 0.05, 30, 31, False),
+                 (FAIR, 0.3, 2, 16_390, True), (FAIR, 0.3, 60, chunk, False),
+                 (FAIR, 0.3, 60, chunk + 1, False), (FAIR, 0.2, 40, 4 * chunk + 3, False),
+                 (THREE, 0.12, 300, 2, False), (THREE, 0.3, 60, chunk + 1, False),
+                 (THREE, 0.15, 300, 4 * chunk + 3, False), (THREE, 0.3, 30, 4 * chunk + 3, True)]
         if block_cells >= 1_000:
-            cases += [(0.05, 4_001, 1_000, False), (1e-3, 2, 2_000_001, False),
-                      (0.3, 3, 40_000, True)]
+            cases += [(FAIR, 0.05, 4_001, 1_000, False), (FAIR, 1e-3, 2, 2_000_001, False),
+                      (FAIR, 0.3, 3, 40_000, True)]
         monkeypatch.setattr(ewm.simulation, "_BLOCK_CELLS", block_cells)
-        q = ewm.extreme_target(FAIR, ewm.ExtremePair(0, 1))
-        optimal = ewm.optimal_evalue(FAIR)
-        doubled = ewm.make_evalue_table(2.0 * optimal.scores)
-        rates = set()
-        for alpha, trials, horizon, double in cases:
-            e = doubled if double else optimal
+        may_cross, rates, pruned = ewm.simulation._may_cross, set(), set()
+        for spec, alpha, trials, horizon, double in cases:
+            q = ewm.extreme_target(spec, ewm.ExtremePair(0, 1))
+            optimal = ewm.optimal_evalue(spec)
+            e = ewm.make_evalue_table(2.0 * optimal.scores) if double else optimal
             monkeypatch.setattr(ewm.simulation, "optimal_evalue", lambda spec, e=e: e)
-            got, want = ewm.trial_rng(21), ewm.trial_rng(21)
-            for twin in (got, want):  # both stand mid-buffer, with a 32-bit half word kept
+            got, want, mutant = ewm.trial_rng(21), ewm.trial_rng(21), ewm.trial_rng(21)
+            for twin in (got, want, mutant):  # each stands mid-buffer, a 32-bit half word kept
                 twin.random(3)
                 twin.integers(2**32)
-            rate = ewm.calibrate_null(FAIR, alpha, trials, horizon, q, got)
-            assert rate == whole_block_calibrate(FAIR, alpha, trials, horizon, q, want, e)
+            rate = ewm.calibrate_null(spec, alpha, trials, horizon, q, got)
+            assert rate == whole_block_calibrate(spec, alpha, trials, horizon, q, want, e)
             assert np.array_equal(got.integers(2**32, size=3), want.integers(2**32, size=3))
             assert np.array_equal(got.random(5), want.random(5))
             rates.add(rate)
+            if spec is THREE:  # its second-largest log score is one notch below the largest
+                second = float(np.unique(e.log_scores)[-2])
+                monkeypatch.setattr(ewm.simulation, "_may_cross",
+                                    lambda w, left, top, thr: may_cross(w, left, second, thr))
+                pruned.add(ewm.calibrate_null(spec, alpha, trials, horizon, q, mutant) != rate)
+                monkeypatch.setattr(ewm.simulation, "_may_cross", may_cross)
         assert any(0.0 < r < 1.0 for r in rates)
+        assert True in pruned
+
+    def test_a_row_at_minus_infinity_leaves_quietly(self, monkeypatch):
+        # a zero score sends the wealth to -inf, which can no longer cross: no inf - inf is taken
+        scores = ewm.optimal_evalue(FAIR).scores.copy()
+        scores[1, 0] = 0.0
+        e = ewm.make_evalue_table(scores)
+        monkeypatch.setattr(ewm.simulation, "optimal_evalue", lambda spec: e)
+        q = ewm.extreme_target(FAIR, ewm.ExtremePair(0, 1))
+        rate = ewm.calibrate_null(FAIR, 0.3, 200, 5_000, q, ewm.trial_rng(3))
+        assert rate == whole_block_calibrate(FAIR, 0.3, 200, 5_000, q, ewm.trial_rng(3), e) > 0.0
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
     def test_memory_does_not_grow_with_the_horizon(self):
