@@ -226,11 +226,12 @@ def _first_crossing(inc: np.ndarray, boundary, carry=0.0) -> tuple[np.ndarray, n
 def _blocks(stream, budget, n):
     """``(done, v, s)``: up to ``budget`` pairs of ``stream`` (a count, None: all) in blocks of
     128, 256, ... up to ``_BLOCK_CELLS`` after ``done``, each read when asked for (a file's in
-    one parse).  A pair that is not two vocabulary indices below ``n`` (None: of any size) raises
-    once the caller reads past the pairs before it, as in a fold; a valid block costs a
-    conversion and a test."""
+    one parse, an array's as one slice).  A pair that is not two vocabulary indices below ``n``
+    (None: of any size) raises once the caller reads past the pairs before it, as in a fold; a
+    valid block costs a conversion and a test."""
     left = sys.maxsize if budget is None else min(_count(budget, "budget"), sys.maxsize)
     take = (stream.take if isinstance(stream, _StreamRows)
+            else (lambda k: stream[done:done + k]) if isinstance(stream, np.ndarray) and stream.ndim
             else lambda k, pairs=iter(stream): list(islice(pairs, k)))
     done, width = 0, _FIRST_BLOCK
     while len(block := take(min(width, left - done))):

@@ -16,10 +16,11 @@ Each trial owns an independent counter-based random stream (Philox) keyed by
 where ``mix64`` is the splitmix64 finalizer (xor-shift/multiply avalanche).
 Trials are therefore embarrassingly parallel, and results are identical for any worker
 count or scheduling order.  Two engines return each seed's stop step (-1 when censored) and
-final wealth.  The block engine reads each live trial's next raw 64-bit Philox words (per row,
-one key written into a state template of plain Python ints, one state assignment and one
-``random_raw``), maps them to log scores through one guide table per vertex (a mark in each
-bucket that straddles a CDF entry) and carries the wealth of trials not yet crossed.
+final wealth.  The block engine reads in passes: each reads the next chunk of raw 64-bit Philox
+words of every live trial (per row, one key written into a state template of plain Python ints,
+one state assignment and one ``random_raw``), maps them to log scores through one guide table
+per vertex (a mark in each bucket that straddles a CDF entry), and carries the wealth of the
+trials not yet crossed or censored, all together, into the next pass.
 ``FixedPair`` and ``RoundRobin`` (vertex ``step % m``) read one word per step.  ``RandomPair``
 draws its vertex (``integers(m)``) then its uniform: word 3j gives the vertex draws of steps
 2j and 2j + 1 from its low then high 32 bits, as Lemire's ``(x * m) >> 32``, and words 3j + 1
@@ -102,18 +103,26 @@ def trial_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_count(seed, "seed", 0, 2**128 - 1)))
 
 
+def _place(state: dict, pos: int) -> int:
+    """The one counter rule: write into ``state``, a :func:`_philox_at` template, the counter at
+    which a stream read in order stands at 64-bit word ``pos`` (mod 2**258), as it stands at word
+    ``4 * counter - 4 + buffer_pos``; return ``pos % 4``, the words to read past once assigned."""
+    state["state"]["counter"] = (pos >> 2 & _MASK64, pos >> 66 & _MASK64, pos >> 130 & _MASK64,
+                                 pos >> 194 & _MASK64)
+    return pos % 4
+
+
 def _philox_at(bitgen: np.random.Philox, key: int, pos: int = 0, **half) -> dict:
-    """Place ``bitgen`` at 64-bit word ``pos`` (mod 2**258) of the Philox stream keyed by ``key``
-    (below 2**128), no 32-bit half kept unless ``half`` gives ``has_uint32`` and ``uinteger``;
-    return the state assigned, a template of plain Python ints (numpy's setter takes it in well
-    under half the time of the arrays ``bit_generator.state`` returns) to re-key in place.  A
-    stream read in order stands at word ``4 * counter - 4 + buffer_pos``."""
-    state = {"bit_generator": "Philox", "state": {"counter": tuple(
-        pos >> shift & _MASK64 for shift in (2, 66, 130, 194)), "key": (key & _MASK64, key >> 64)},
-        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0, **half}
+    """Place ``bitgen`` at 64-bit word ``pos`` (:func:`_place`) of the Philox stream keyed by
+    ``key`` (below 2**128), no 32-bit half kept unless ``half`` gives ``has_uint32`` and
+    ``uinteger``; return the state assigned, a template of plain Python ints (numpy's setter takes
+    it in well under half the time of the arrays ``bit_generator.state`` returns) to re-key."""
+    state = {"bit_generator": "Philox", "state": {"key": (key & _MASK64, key >> 64)},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0, **half}
+    skip = _place(state, pos)
     bitgen.state = state
-    if pos % 4:
-        bitgen.random_raw(pos % 4)
+    if skip:
+        bitgen.random_raw(skip)
     return state
 
 
@@ -341,8 +350,9 @@ def _run_blocks(
     """The block engine: stop steps (-1 when censored) and final wealth, one per seed, of
     ``FixedPair``, ``RoundRobin``, ``RandomPair`` or, given ``vertex``, absorbed ``HistoryGreedy``
     trials ``start`` steps in with wealth ``carry`` (arrays, one per row) that play that vertex
-    (an :func:`enumerate_extremes` index) to ``cap``.  A block is one chunk per row, about
-    1.25 expected stops in whole Philox blocks and at most ``_BLOCK_CELLS`` steps."""
+    (an :func:`enumerate_extremes` index) to ``cap``.  A pass reads one chunk (about 1.25
+    expected stops in whole Philox blocks, at most ``_BLOCK_CELLS`` steps) of each live row, in
+    blocks of at most ``_BLOCK_CELLS`` cells; the rows left run on together in the next pass."""
     lookup, _, cdfs, rate = _vertex_table(spec, policy if isinstance(policy, FixedPair) else None)
     m, random, threshold = len(cdfs), isinstance(policy, RandomPair), math.log(1.0 / alpha)
     expected = min(1.25 * threshold / rate, _BLOCK_CELLS)  # inf for a subnormal J*
@@ -353,38 +363,37 @@ def _run_blocks(
     stops, wealth, redo = np.full(len(seeds), -1, dtype=np.int64), np.zeros(len(seeds)) + carry, []
     start = np.zeros(len(seeds), dtype=np.int64) + start  # per row
     horizon = min(cap, 2**62) - start  # per row, in int64; no trial runs 2**62 steps
-    rows = max(1, _BLOCK_CELLS // min(chunk, cap))
-    for lo in range(0, len(seeds), rows):
-        live, steps = lo + np.flatnonzero(horizon[lo:lo + rows] > 0), 0
-        while live.size:  # trials not yet crossed or censored
-            left = horizon[live] - steps  # steps to each row's horizon
-            k = min(chunk, int(left.max()))
-            # RandomPair reads whole word triples: k rounded up to even, and steps is even
-            width, at = (3 * ((k + 1) // 2), 3 * steps // 2) if random else (k, steps)
-            block = []
-            for t, pos in zip(live.tolist(), (start[live] + at).tolist()):
+    rows, live, steps = max(1, _BLOCK_CELLS // min(chunk, cap)), np.flatnonzero(horizon > 0), 0
+    while live.size:  # a pass: the next k steps of every trial not yet crossed or censored
+        k = min(chunk, int(horizon[live].max()) - steps)
+        # RandomPair reads whole word triples: k rounded up to even, and steps is even
+        width, at = (3 * ((k + 1) // 2), 3 * steps // 2) if random else (k, steps)
+        going = []  # the trials that run on into the next pass
+        for group in (live[lo:lo + rows] for lo in range(0, live.size, rows)):
+            left, block = horizon[group] - steps, []  # steps to each row's horizon
+            for t, pos in zip(group.tolist(), (start[group] + at).tolist()):
                 if pos != placed:  # rows share a word unless absorbed greedy trials differ
-                    rekey["counter"], skip = ((placed := pos) >> 2, 0, 0, 0), pos % 4  # < 2**63
+                    skip = _place(state, placed := pos)
                 rekey["key"] = keys[t]
                 bitgen.state = state
                 block.append(raw(width + skip)[skip:] if skip else raw(width))
-            words = np.concatenate(block).reshape(live.size, width)
+            words = np.concatenate(block).reshape(group.size, width)
             if random:
                 pick, words, rejected = _random_steps(words, m)
-                redo += live[rejected].tolist()  # re-run stepwise at the end
-                live, left, pick, words = (live[~rejected], left[~rejected], pick[~rejected, :k],
-                                           words[~rejected, :k])
+                redo += group[rejected].tolist()  # re-run stepwise at the end
+                group, left, pick, words = (group[~rejected], left[~rejected], pick[~rejected, :k],
+                                            words[~rejected, :k])
             else:
-                pick = (vertex[live, np.newaxis] if vertex is not None  # one vertex per row
+                pick = (vertex[group, np.newaxis] if vertex is not None  # one vertex per row
                         else np.arange(steps, steps + k) % m if m > 1 else None)
-            hit, cum = _first_crossing(lookup(words, pick), threshold, wealth[live])
+            hit, cum = _first_crossing(lookup(words, pick), threshold, wealth[group])
             crossed = (hit >= 0) & (hit < left)  # a crossing past the horizon is censored
             last = np.where(crossed, hit, np.minimum(left, k) - 1)  # each row's last step read
-            wealth[live] = cum.ravel()[np.arange(0, cum.size, k) + last]
-            done = live[crossed]
+            wealth[group] = cum.ravel()[np.arange(0, cum.size, k) + last]
+            done = group[crossed]
             stops[done] = start[done] + hit[crossed] + (steps + 1)
-            live = live[~crossed & (left > k)]
-            steps += k
+            going.append(group[~crossed & (left > k)])
+        live, steps = np.concatenate(going), steps + k
     if redo:
         stops[redo], wealth[redo] = _run_stepwise(spec, policy, alpha, cap,
                                                   [seeds[t] for t in redo])[:2]
@@ -502,10 +511,9 @@ def calibrate_null(spec: NeighborhoodSpec, alpha: float, trials: int, horizon: i
     def words(base: int, starts: list[int], k: int) -> np.ndarray:  # k words of each row, in turn
         runs = []
         for at in (base + t * horizon for t in starts):  # row t's words from base + t * horizon
-            state["state"]["counter"] = (at >> 2 & _MASK64, at >> 66 & _MASK64,
-                                         at >> 130 & _MASK64, at >> 194 & _MASK64)
+            skip = _place(state, at)
             reader.state = state
-            runs.append(reader.random_raw(k + at % 4)[at % 4:])
+            runs.append(reader.random_raw(k + skip)[skip:])
         return np.concatenate(runs) if len(runs) > 1 else runs[0]
 
     block, hits, chunk = max(1, 4_000_000 // horizon), 0, max(1, _BLOCK_CELLS // 16)

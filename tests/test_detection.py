@@ -803,6 +803,30 @@ class TestStreamFileBlocks:
         report = ewm.baseline_batch_detect(1e-30, pbar, rows, None, 2)
         assert (report.decision, report.steps) == ("undecided", len(pairs))
 
+    def test_an_array_a_list_and_a_file_read_alike(self):
+        # an int64 array is read a slice per block: its blocks and both reports equal a list's
+        # and a file's, and so does the error at a bad pair in the third block (pairs 384-895),
+        # which the scalar rule names after the good pairs before it
+        e, pbar = ewm.optimal_evalue(self.SPEC), ewm.worst_null_match_prob(self.SPEC)
+        good = np.random.default_rng(5).integers(2, size=(20_000, 2))
+        bad = good.copy()
+        bad[600] = 1, 2
+        for pairs in (good, bad):
+            text = "step,v,s\n" + "".join(f"{t},{v},{s}\n"
+                                          for t, (v, s) in enumerate(pairs.tolist()))
+            makes = (lambda: pairs, lambda: list(map(tuple, pairs.tolist())),
+                     lambda: ewm.read_stream_csv(text_file(text)))
+            for budget in (None, 700):
+                runs = [(self.blocks(make, budget),
+                         outcome(lambda: ewm.batch_detect(e, 1e-30, make(), budget)),
+                         outcome(lambda: ewm.baseline_batch_detect(1e-30, pbar, make(), budget, 2)))
+                        for make in makes]
+                assert runs[0] == runs[1] == runs[2]
+        blocks, report, _ = runs[0]
+        assert report == (IndexOutOfRangeError, "indices (1, 2) out of range for n=2")
+        assert [b[:2] for b in blocks[2:]] == [(384, np.int64), (IndexOutOfRangeError, report[1])]
+        assert len(blocks[2][2]) == 216
+
     def test_a_block_past_one_match_is_checked_whole(self):
         # a block holds at most _BLOCK_CELLS rows, so its lines are matched in one part, and
         # the bad row is found in the block of rows 49,024-59,999; take(20,000) is matched in

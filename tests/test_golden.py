@@ -14,8 +14,9 @@ word, and a trial whose block holds a draw numpy rejects is re-run by the
 stepwise loop.  ``greedy`` runs the stepwise loop until every vertex is played
 and its last ``window`` steps all chose one vertex, which it then plays for good;
 the block engine continues it from there with its wealth.  The fixed-pair tables
-``sweep-tau-fixed-TAG.csv`` were written the same way from ``FIXED_SWEEP`` and
-the anchor and vertex of each ``FIXED_RUNS`` entry, and each entry of
+``sweep-tau-fixed-TAG.csv`` were written the same way from each ``FIXED_RUNS`` entry; on the
+weak, noisy drift of ``noisy`` about 12% of trials outlast their first chunk and its cap
+censors some, and it was written before the block engine read in passes.  Each entry of
 ``RUNS`` with ``ewm ARGV --out tests/golden/NAME.csv`` for a table (``NAME.json``
 for a report), with ``--trace tests/golden/NAME-trace.csv`` in place of
 ``TRACE``.  The tables cover the paths that map random words to coupling cells in
@@ -60,10 +61,14 @@ GREEDY_RUNS = {"sweep-tau-n4-greedy-deep": DEEP_GREEDY,
                "sweep-tau-n2-greedy": ["sweep-tau", "--anchor", ANCHORS["n2"], "--delta", "0.1",
                                        "--alphas", "1e-2,1e-120", "--trials", "4", "--seed", "0",
                                        "--policy", "greedy"]}
-FIXED_RUNS = {"fair": ("[0.5,0.5]", "0,1"), "skew": ("[0.2,0.8]", "0,1"),
-              "n4": (ANCHORS["n4"], "0,3")}
 FIXED_SWEEP = ["--delta", "0.1", "--alphas", "log:1e-2:1e-60:4", "--trials", "50",
                "--seed", "0"]
+FIXED_RUNS = {"fair": ["--anchor", "[0.5,0.5]", *FIXED_SWEEP, "--policy", "fixed:0,1"],
+              "skew": ["--anchor", "[0.2,0.8]", *FIXED_SWEEP, "--policy", "fixed:0,1"],
+              "n4": ["--anchor", ANCHORS["n4"], *FIXED_SWEEP, "--policy", "fixed:0,3"],
+              "noisy": ["--anchor", "[0.85,0.15]", "--delta", "0.14", "--alphas",
+                        "log:1e-3:1e-6:4", "--trials", "400", "--seed", "0",
+                        "--horizon-cap", "150", "--policy", "fixed:0,1"]}
 CALIBRATE = ["calibrate-null", "--anchor", "[0.5,0.5]", "--delta", "0.1",
              "--alphas", "0.1,0.05,0.02", "--trials", "500", "--seed", "1"]
 ANCHOR3 = ["--anchor", "[0.4,0.3,0.3]", "--delta", "0.1"]
@@ -158,8 +163,7 @@ def test_null_stream_is_the_documented_draw(tmp_path):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("tag", sorted(FIXED_RUNS))
 def test_fixed_sweep_matches_golden(tmp_path, tag, threads):
-    out, (anchor, pair) = tmp_path / "tau.csv", FIXED_RUNS[tag]
-    code = main(["sweep-tau", "--anchor", anchor, *FIXED_SWEEP, "--policy", f"fixed:{pair}",
-                 "--threads", str(threads), "--out", str(out)])
+    out = tmp_path / "tau.csv"
+    code = main(["sweep-tau", *FIXED_RUNS[tag], "--threads", str(threads), "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / f"sweep-tau-fixed-{tag}.csv").read_bytes()

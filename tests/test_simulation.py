@@ -521,6 +521,22 @@ class TestEstimateStopping:
             assert row.censored_count == int((taus < 0).sum())
             assert row.mean_tau == float(filled.astype(np.float64).mean())
 
+    def test_trials_outlasting_their_chunk_continue_in_one_pass(self, monkeypatch):
+        # the first case above: 300 trials read their first 104 steps in groups of 157 rows,
+        # then the 36 of both groups that ran on read their last 16 steps, to the cap, together
+        spec, shapes = spec_of([0.85, 0.15], 0.14), []
+
+        def recorded(inc, *args):
+            shapes.append(inc.shape)
+            return _first_crossing(inc, *args)
+
+        monkeypatch.setattr(ewm.simulation, "_first_crossing", recorded)
+        seeds = [ewm.trial_seed(31, 0, t) for t in range(300)]
+        stops, wealth = _run_blocks(spec, ewm.FixedPair(0, 1), 1e-5, 120, seeds)
+        assert shapes == [(157, 104), (143, 104), (36, 16)]
+        expected = scalar_fold(spec, ewm.FixedPair(0, 1), 1e-5, 120, seeds)
+        assert np.array_equal(stops, expected[0]) and np.array_equal(wealth, expected[1])
+
     def test_small_rate_keeps_chunks_bounded(self):
         # J* ~ 7.8e-6: 1.25 expected stopping times would be a 739,000-draw chunk
         spec = spec_of([1 - 1e-6, 1e-6], 9e-7)
