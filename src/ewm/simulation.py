@@ -16,11 +16,10 @@ Each trial owns an independent counter-based random stream (Philox) keyed by
 where ``mix64`` is the splitmix64 finalizer (xor-shift/multiply avalanche).
 Trials are therefore embarrassingly parallel, and results are identical for any worker
 count or scheduling order.  Two engines return each seed's stop step (-1 when censored) and
-final wealth.  The block engine reads in passes: each reads the next chunk of raw 64-bit Philox
-words of every live trial (per row, one key written into a state template of plain Python ints,
-one state assignment and one ``random_raw``), maps them to log scores through one guide table
-per vertex (a mark in each bucket that straddles a CDF entry), and carries the wealth of the
-trials not yet crossed or censored, all together, into the next pass.
+final wealth.  The block engine reads in passes: one ``_read`` call per group of live trials
+reads each trial's next chunk of raw 64-bit Philox words, one guide table per vertex (a mark in
+each bucket that straddles a CDF entry) maps them to log scores, and the wealth of the trials
+not yet crossed or censored is carried, all together, into the next pass.
 ``FixedPair`` and ``RoundRobin`` (vertex ``step % m``) read one word per step.  ``RandomPair``
 draws its vertex (``integers(m)``) then its uniform: word 3j gives the vertex draws of steps
 2j and 2j + 1 from its low then high 32 bits, as Lemire's ``(x * m) >> 32``, and words 3j + 1
@@ -31,10 +30,10 @@ window's sum a left fold kept up to date as steps arrive (so the same bits on an
 absorbed: every vertex played and the last ``window`` steps all on one vertex A, which every later
 step then chooses, so the block engine continues it as ``FixedPair(A)`` at word = steps taken with
 its wealth.  Both engines consume each stream exactly as drawing one value at a time would.
-``calibrate_null`` reads raw words of a :func:`trial_rng` generator, as ``random`` consumes
-them; per ``4_000_000 // horizon`` streams: all outcomes, then all seeds, row-major, a long row
-read until it crosses or no longer can (each row at its own words).  A word ``w`` reads as
-``Generator.random``'s ``(w >> 11) * 2**-53``.
+``calibrate_null`` reads, through ``_read``, raw words of a :func:`trial_rng` generator, as
+``random`` consumes them; per ``4_000_000 // horizon`` streams: all outcomes, then all seeds,
+row-major, a long row read until it crosses or no longer can (each row at its own words).  A
+word ``w`` reads as ``Generator.random``'s ``(w >> 11) * 2**-53``.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import islice
+from itertools import islice, repeat
 from operator import add
 
 import numpy as np
@@ -103,26 +102,32 @@ def trial_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_count(seed, "seed", 0, 2**128 - 1)))
 
 
-def _place(state: dict, pos: int) -> int:
-    """The one counter rule: write into ``state``, a :func:`_philox_at` template, the counter at
-    which a stream read in order stands at 64-bit word ``pos`` (mod 2**258), as it stands at word
-    ``4 * counter - 4 + buffer_pos``; return ``pos % 4``, the words to read past once assigned."""
-    state["state"]["counter"] = (pos >> 2 & _MASK64, pos >> 66 & _MASK64, pos >> 130 & _MASK64,
-                                 pos >> 194 & _MASK64)
-    return pos % 4
+def _read(bitgen: np.random.Philox, state: dict, keys, words, width: int) -> np.ndarray:
+    """The one reader: row i holds ``width`` raw words from 64-bit word ``words[i]`` (mod 2**258)
+    of the Philox stream keyed ``keys[i]``, a pair of 64-bit words.  Each row writes its key, and
+    the counter at which a stream read in order stands at that word (as it stands at word
+    ``4 * counter - 4 + buffer_pos``), into ``state``, a :func:`_philox_at` template, assigns it
+    and reads past ``word % 4`` words; consecutive rows at one word are placed once."""
+    rows, placed, raw, rekey = [], None, bitgen.random_raw, state["state"]
+    for key, pos in zip(keys, words):
+        if pos != placed:
+            rekey["counter"] = (pos >> 2 & _MASK64, pos >> 66 & _MASK64, pos >> 130 & _MASK64,
+                                pos >> 194 & _MASK64)
+            skip, placed = pos % 4, pos
+        rekey["key"] = key
+        bitgen.state = state
+        rows.append(raw(width + skip)[skip:] if skip else raw(width))
+    return (np.concatenate(rows) if len(rows) > 1 else rows[0]).reshape(len(rows), width)
 
 
 def _philox_at(bitgen: np.random.Philox, key: int, pos: int = 0, **half) -> dict:
-    """Place ``bitgen`` at 64-bit word ``pos`` (:func:`_place`) of the Philox stream keyed by
-    ``key`` (below 2**128), no 32-bit half kept unless ``half`` gives ``has_uint32`` and
+    """Place ``bitgen`` at 64-bit word ``pos`` (a :func:`_read` of width 0) of the Philox stream
+    keyed by ``key`` (below 2**128), no 32-bit half kept unless ``half`` gives ``has_uint32`` and
     ``uinteger``; return the state assigned, a template of plain Python ints (numpy's setter takes
     it in well under half the time of the arrays ``bit_generator.state`` returns) to re-key."""
     state = {"bit_generator": "Philox", "state": {"key": (key & _MASK64, key >> 64)},
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0, **half}
-    skip = _place(state, pos)
-    bitgen.state = state
-    if skip:
-        bitgen.random_raw(skip)
+    _read(bitgen, state, [state["state"]["key"]], [pos], 0)
     return state
 
 
@@ -358,7 +363,7 @@ def _run_blocks(
     expected = min(1.25 * threshold / rate, _BLOCK_CELLS)  # inf for a subnormal J*
     chunk = min(_BLOCK_CELLS, 4 * max(16, (int(expected) + 19) // 4))
     state = _philox_at(bitgen := np.random.Philox(key=0), 0)  # re-keyed for every row
-    raw, placed, rekey, keys = bitgen.random_raw, None, state["state"], [(s, 0) for s in seeds]
+    keys = [(s, 0) for s in seeds]
 
     stops, wealth, redo = np.full(len(seeds), -1, dtype=np.int64), np.zeros(len(seeds)) + carry, []
     start = np.zeros(len(seeds), dtype=np.int64) + start  # per row
@@ -370,14 +375,9 @@ def _run_blocks(
         width, at = (3 * ((k + 1) // 2), 3 * steps // 2) if random else (k, steps)
         going = []  # the trials that run on into the next pass
         for group in (live[lo:lo + rows] for lo in range(0, live.size, rows)):
-            left, block = horizon[group] - steps, []  # steps to each row's horizon
-            for t, pos in zip(group.tolist(), (start[group] + at).tolist()):
-                if pos != placed:  # rows share a word unless absorbed greedy trials differ
-                    skip = _place(state, placed := pos)
-                rekey["key"] = keys[t]
-                bitgen.state = state
-                block.append(raw(width + skip)[skip:] if skip else raw(width))
-            words = np.concatenate(block).reshape(group.size, width)
+            left = horizon[group] - steps  # steps to each row's horizon
+            words = _read(bitgen, state, [keys[t] for t in group.tolist()],
+                          (start[group] + at).tolist(), width)  # one word unless greedy rows differ
             if random:
                 pick, words, rejected = _random_steps(words, m)
                 redo += group[rejected].tolist()  # re-run stepwise at the end
@@ -486,13 +486,13 @@ def calibrate_null(spec: NeighborhoodSpec, alpha: float, trials: int, horizon: i
                    q_null: VocabDistribution, rng: np.random.Generator) -> float:
     """Fraction of independent null streams whose wealth ever crosses.
 
-    Outcomes are drawn from ``q_null`` and seeds independently from the
-    anchor, which is exactly the null the score table must guard against;
-    the returned rate must stay at or below alpha up to Monte Carlo noise.  ``trials`` and
-    ``horizon`` are counts; ``rng`` is a Philox generator (:func:`trial_rng`), left just past the
-    draws: per block of ``4_000_000 // horizon`` streams (at least one), all outcomes, then all
-    seeds, row-major, read in ``_BLOCK_CELLS`` sub-blocks, a row past ``_BLOCK_CELLS // 16`` steps
-    in chunks of that many, until it crosses or :func:`_may_cross` says it cannot (layout kept).
+    Outcomes are drawn from ``q_null`` and seeds independently from the anchor, which is exactly
+    the null the score table must guard against; the returned rate must stay at or below alpha up
+    to Monte Carlo noise.  ``trials`` and ``horizon`` are counts; ``rng`` is a Philox generator
+    (:func:`trial_rng`), left just past the draws: per block of ``4_000_000 // horizon`` streams
+    (at least one), all outcomes, then all seeds, row-major, one :func:`_read` of each per
+    ``_BLOCK_CELLS`` sub-block, a row past ``_BLOCK_CELLS // 16`` steps in chunks of that many,
+    until it crosses or :func:`_may_cross` says it cannot (layout kept).
     """
     alpha = _check_alpha(alpha)
     trials, horizon = _count(trials, "trials"), _count(horizon, "horizon")
@@ -507,14 +507,7 @@ def calibrate_null(spec: NeighborhoodSpec, alpha: float, trials: int, horizon: i
     key, ctr = (int.from_bytes(now["state"][f].astype("<u8"), "little") for f in ("key", "counter"))
     half, pos = {f: now[f] for f in ("has_uint32", "uinteger")}, 4 * ctr + now["buffer_pos"] - 4
     state = _philox_at(reader, key)  # placed at each read's word
-
-    def words(base: int, starts: list[int], k: int) -> np.ndarray:  # k words of each row, in turn
-        runs = []
-        for at in (base + t * horizon for t in starts):  # row t's words from base + t * horizon
-            skip = _place(state, at)
-            reader.state = state
-            runs.append(reader.random_raw(k + skip)[skip:])
-        return np.concatenate(runs) if len(runs) > 1 else runs[0]
+    keys = repeat(state["state"]["key"])
 
     block, hits, chunk = max(1, 4_000_000 // horizon), 0, max(1, _BLOCK_CELLS // 16)
     for lo in range(0, trials if _may_cross(np.zeros(1), horizon, top, threshold)[0] else 0, block):
@@ -525,9 +518,10 @@ def calibrate_null(spec: NeighborhoodSpec, alpha: float, trials: int, horizon: i
                 k = min(chunk, horizon - c)
                 # whole rows (then all live) in one read, else k words of each live row
                 starts, width = ([r], k * live.size) if k == horizon else (live.tolist(), k)
-                cell = row(words(at + c, starts, width).reshape(-1, k))  # outcomes, then seeds
-                cell += col(words(at + b * horizon + c, starts, width).reshape(-1, k))
-                hit, cum = _first_crossing(log_flat[cell], threshold, wealth)
+                first = [at + c + t * horizon for t in starts]  # outcomes; seeds b rows on
+                cell = row(_read(reader, state, keys, first, width))
+                cell += col(_read(reader, state, keys, [w + b * horizon for w in first], width))
+                hit, cum = _first_crossing(log_flat[cell.reshape(-1, k)], threshold, wealth)
                 hits += int(np.count_nonzero(crossed := hit >= 0))
                 keep = ~crossed & _may_cross(cum[:, -1], horizon - c - k, top, threshold)
                 if not (live := live[keep]).size:

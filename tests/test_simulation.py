@@ -26,6 +26,7 @@ from ewm.simulation import (
     _GreedyWindow,
     _philox_at,
     _random_steps,
+    _read,
     _run_blocks,
     _run_stepwise,
     _sweep_task,
@@ -125,6 +126,21 @@ class TestRekey:
         assert placed["buffer_pos"] == caller["buffer_pos"]
         for field in ("counter", "key"):
             assert np.array_equal(placed["state"][field], caller["state"][field])
+
+    @pytest.mark.parametrize("width", [5, 0])
+    def test_one_read_equals_a_fresh_stream_per_row(self, width):
+        # three keys at word 6 share one placement, whose skip of 2 carries past the first
+        # row; one key past the low 64-bit counter word, then at the last word before the wrap
+        rows = [((3, 0), 6), ((2**63 + 5, 1), 6), ((2**64 - 1, 7), 6),
+                ((11, 2**64 - 1), 2**66 + 3), ((11, 2**64 - 1), 2**258 - 1)]
+        state = _philox_at(bitgen := np.random.Philox(key=0), 0)
+        got = _read(bitgen, state, [key for key, _ in rows], [pos for _, pos in rows], width)
+        assert got.shape == (len(rows), width) and got.dtype == np.uint64
+        for words, (key, pos) in zip(got, rows):
+            fresh = np.random.Philox(key=np.array(key, dtype=np.uint64), counter=pos // 4 % 2**256)
+            fresh.random_raw(pos % 4)
+            assert np.array_equal(words, fresh.random_raw(width))
+        assert np.array_equal(bitgen.random_raw(6), fresh.random_raw(6))  # the last row reads on
 
     @pytest.mark.parametrize("policy", [ewm.RandomPair(), ewm.HistoryGreedy(window=400)])
     def test_consecutive_stepwise_trials_each_equal_a_fresh_generator(self, policy):
@@ -807,6 +823,75 @@ def exact_fair_crossing(e, alpha, horizon):
     """Exact chance that a null stream on the fair anchor crosses ``log(1/alpha)`` within
     ``horizon`` steps under table ``e``."""
     return 1.0 - exact_fair_survival(e, alpha, horizon)[-1]
+
+
+def exact_stop_law(e, alpha, match, horizon):
+    """``law[i, j] = P(tau_e = i, tau_b = j)``, ``0 < i, j <= horizon``, and the mass left running
+    at ``horizon``, of a stream on the fair anchor whose steps match with probability ``match``:
+    ``tau_e`` the detector's stop under table ``e``, ``tau_b`` the baseline's at null match
+    probability exactly 1/2.  Both read only the match count m after k steps.  The detector stops
+    once ``m hit + (k - m) miss`` meets ``log(1/alpha)``; no reachable (k, m) lies within 1e-9 of
+    it, so no summation order moves a stop.  The baseline stops once its tail, an integer count
+    over ``2**k``, is below the float ``alpha / (k (k + 1.0))``, compared exactly.  A DP over
+    (step, matches) carries the mass with neither stopped, and a row per first stop step."""
+    (hit, miss), (miss2, hit2) = e.log_scores.tolist()
+    assert (hit, miss) == (hit2, miss2) and hit > miss
+    threshold, size = math.log(1.0 / alpha), horizon + 2
+    k, m = np.arange(horizon + 1)[:, np.newaxis], np.arange(size)
+    wealth = m * hit + (k - m) * miss
+    assert np.abs(wealth - threshold)[m <= k].min() > 1e-9
+    e_at, b_at = np.sum(wealth < threshold, axis=1), [size] * (horizon + 1)  # least stopping m
+    for k in range(1, horizon + 1):
+        num, den = (alpha / (k * (k + 1.0))).as_integer_ratio()
+        tail, below, term = 0, k + 1, 1  # tail = sum of comb(k, j), j >= below; term the next
+        while below and (tail + term) * den < num << k:
+            below, tail = below - 1, tail + term
+            term = term * below // (k - below + 1)  # comb(k, below - 1)
+        b_at[k] = below
+    law, both = np.zeros((horizon + 1, horizon + 1)), np.eye(1, size)[0]
+    after_e, after_b, e_steps, b_steps = np.zeros((0, size)), np.zeros((0, size)), [], []
+    for k in range(1, horizon + 1):
+        for mass in (both, after_e, after_b):
+            mass[..., 1:k + 1] = mass[..., 1:k + 1] * (1.0 - match) + mass[..., :k] * match
+            mass[..., 0] *= 1.0 - match
+        te, tb = e_at[k], b_at[k]
+        law[e_steps, k] += after_e[:, tb:].sum(axis=1)  # the baseline stops after the detector
+        law[k, b_steps] += after_b[:, te:].sum(axis=1)
+        after_e[:, tb:], after_b[:, te:] = 0.0, 0.0
+        law[k, k] += both[max(te, tb):].sum()
+        if te < tb and both[te:tb].any():  # only the detector stops at these counts
+            after_e = np.vstack((after_e, np.where((m >= te) & (m < tb), both, 0.0)))
+            e_steps.append(k)
+        if tb < te and both[tb:te].any():
+            after_b = np.vstack((after_b, np.where((m >= tb) & (m < te), both, 0.0)))
+            b_steps.append(k)
+        both[min(te, tb):] = 0.0
+    return law, both.sum() + after_e.sum() + after_b.sum()
+
+
+class TestExactStopLaw:
+    def test_criterion_9_stops_follow_their_exact_law(self):
+        # criterion 9's 1,000 seeded streams: the fair anchor at delta 0.3, vertex (0, 1),
+        # alpha 0.02, 600 pairs.  A stop one step late leaves the lattice the law lives on
+        spec = spec_of([0.5, 0.5], 0.3)
+        e, pbar = ewm.optimal_evalue(spec), ewm.worst_null_match_prob(spec)
+        w = ewm.extreme_coupling(spec, ewm.ExtremePair(0, 1))
+        assert pbar == 0.5 and abs(np.trace(w.joint) - 0.85) < 1e-12
+        law, left = exact_stop_law(e, 0.02, float(np.trace(w.joint)), 600)
+        assert left < 1e-20 and abs(law.sum() + left - 1.0) < 1e-12
+        stops = []
+        for t in range(1000):
+            stream = ewm.sample_stream(w, 600, ewm.trial_rng(ewm.trial_seed(909, 0, t)))
+            stops.append((ewm.batch_detect(e, 0.02, stream, 600).stop_step,
+                          ewm.baseline_batch_detect(0.02, pbar, stream, 600).stop_step))
+        assert None not in itertools.chain(*stops)
+        tau_e, tau_b = np.array(stops).T
+        assert (law[tau_e, tau_b] > 0.0).all()
+        steps = np.arange(601)
+        for taus, p, exact in ((tau_e, law.sum(axis=1), 15.335), (tau_b, law.sum(axis=0), 33.930)):
+            mean = steps @ p
+            assert round(mean, 3) == exact
+            assert abs(taus.mean() - mean) <= 4.0 * math.sqrt((steps - mean) ** 2 @ p / taus.size)
 
 
 def calibration_z(trials=40_000):
