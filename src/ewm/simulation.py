@@ -24,12 +24,13 @@ not yet crossed or censored is carried, all together, into the next pass.
 draws its vertex (``integers(m)``) then its uniform: word 3j gives the vertex draws of steps
 2j and 2j + 1 from its low then high 32 bits, as Lemire's ``(x * m) >> 32``, and words 3j + 1
 and 3j + 2 their uniforms.  A draw numpy rejects, ``(x * m) mod 2**32 < (2**32 - m) mod m``
-(never for a power-of-two m) shifts that layout, so a trial whose block holds one reruns stepwise.
-``HistoryGreedy`` runs stepwise, one re-keyed Philox drawing 128 uniforms at a time as read, each
-window's sum a left fold kept up to date as steps arrive (so the same bits on any Python), until
-absorbed: every vertex played and the last ``window`` steps all on one vertex A, which every later
-step then chooses, so the block engine continues it as ``FixedPair(A)`` at word = steps taken with
-its wealth.  Both engines consume each stream exactly as drawing one value at a time would.
+(never for a power-of-two m) shifts that layout, so the block engine hands such a trial to the
+stepwise engine: one step loop, placed by ``_read`` at word 0 of each trial's stream, that also
+runs ``HistoryGreedy``, 128 uniforms drawn at a time as read, each window's sum a left fold kept up
+to date as steps arrive (so the same bits on any Python), until absorbed: every vertex played and
+the last ``window`` steps all on one vertex A, which every later step then chooses, so it hands the
+trial to the block engine, which continues it as ``FixedPair(A)`` at word = steps taken with its
+wealth.  Both engines consume each stream exactly as drawing one value at a time would.
 ``calibrate_null`` reads, through ``_read``, raw words of a :func:`trial_rng` generator, as
 ``random`` consumes them; per ``4_000_000 // horizon`` streams: all outcomes, then all seeds,
 row-major, a long row read until it crosses or no longer can (each row at its own words).  A
@@ -45,7 +46,7 @@ from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import add
 
 import numpy as np
@@ -298,43 +299,37 @@ def _vertex_table(spec: NeighborhoodSpec, pair: ExtremePair | None) -> tuple:
 
 def _run_stepwise(
     spec: NeighborhoodSpec, policy: AdversaryPolicy, alpha: float, cap: int, seeds: list[int]
-) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
-    """The stepwise loop, one scalar step at a time, for ``HistoryGreedy`` and rejecting
-    ``RandomPair`` trials: stop steps (-1 when censored or absorbed) and wealth, one per seed,
-    and ``(row, steps, vertex)`` of each greedy trial absorbed first, for :func:`_run_blocks`."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one step loop of ``HistoryGreedy`` and rejecting ``RandomPair`` trials: stop steps (-1
+    when censored) and final wealth, one per seed.  :func:`_read` places each trial at word 0, each
+    step plays the vertex ``push`` gave, and absorbed greedy trials go on in :func:`_run_blocks`."""
     _, log_flat, cdfs, _ = _vertex_table(spec, None)
-    m, threshold = len(cdfs), math.log(1.0 / alpha)
+    m, threshold, greedy = len(cdfs), math.log(1.0 / alpha), isinstance(policy, HistoryGreedy)
     stops, wealth, absorbed = np.full(len(seeds), -1, dtype=np.int64), np.empty(len(seeds)), []
     rng = np.random.Generator(bitgen := np.random.Philox(key=0))
-    state = _philox_at(bitgen, 0)  # re-keyed for every trial
+    state = _philox_at(bitgen, 0)  # placed at word 0 of every trial's stream
+    draw = lambda *_: int(rng.integers(m))  # noqa: E731 -- RandomPair's push: the next vertex
+    chunks = iter(lambda: rng.random(_STEP_CHUNK).tolist(), None)  # greedy's uniforms, as read
     for t, seed in enumerate(seeds):
-        state["state"]["key"] = seed, 0  # word 0 of the trial's stream; seeds are 64-bit
-        bitgen.state = state
+        _read(bitgen, state, [(seed, 0)], [0], 0)  # seeds are 64-bit
+        push, idx = (_GreedyWindow(m, policy.window).push, 0) if greedy else (draw, draw())
+        uniforms = chain.from_iterable(chunks) if greedy else iter(rng.random, None)
         total = 0.0
-        if isinstance(policy, RandomPair):  # the vertex, then the uniform, each step
-            indices = iter(lambda: int(rng.integers(m)), None)
-            for step, idx, u in zip(range(1, cap + 1), indices, iter(rng.random, None)):
-                total += log_flat[bisect_right(cdfs[idx], u)]
-                if total >= threshold:
-                    stops[t] = step
-                    break
-        else:  # HistoryGreedy, one push per step, 128 uniforms drawn at a time as read
-            push, idx, after = _GreedyWindow(m, policy.window).push, 0, 0
-            for lo in range(0, cap, _STEP_CHUNK):
-                for step, u in enumerate(rng.random(min(_STEP_CHUNK, cap - lo)).tolist(), lo + 1):
-                    log_e = log_flat[bisect_right(cdfs[idx], u)]
-                    total += log_e
-                    if total >= threshold:
-                        stops[t] = step
-                        break
-                    if (after := push(idx, log_e)) is None:
-                        absorbed.append((t, step, idx))
-                        break
-                    idx = after
-                if total >= threshold or after is None:
-                    break
+        for step, u in zip(range(1, cap + 1), uniforms):
+            log_e = log_flat[bisect_right(cdfs[idx], u)]
+            total += log_e
+            if total >= threshold:
+                stops[t] = step
+                break
+            if (after := push(idx, log_e)) is None:
+                absorbed.append((t, step, idx))
+                break
+            idx = after
         wealth[t] = total
-    return stops, wealth, absorbed
+    rows, start, vertex = np.array(absorbed, dtype=np.int64).reshape(-1, 3).T
+    stops[rows], wealth[rows] = _run_blocks(spec, policy, alpha, cap, [seeds[t] for t in rows],
+                                            start, wealth[rows], vertex)
+    return stops, wealth
 
 
 def _random_steps(raw: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -396,7 +391,7 @@ def _run_blocks(
         live, steps = np.concatenate(going), steps + k
     if redo:
         stops[redo], wealth[redo] = _run_stepwise(spec, policy, alpha, cap,
-                                                  [seeds[t] for t in redo])[:2]
+                                                  [seeds[t] for t in redo])
     return stops, wealth
 
 
@@ -408,16 +403,10 @@ def _cap(config: ExperimentConfig, alpha: float) -> int:
 def _run_trials(
     config: ExperimentConfig, alpha: float, cap: int, seeds: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The one policy dispatch: ``HistoryGreedy``, which reads its history, runs stepwise
-    until its window holds one vertex, then in blocks like every other policy."""
-    spec, policy = config.spec, config.policy
-    if not isinstance(policy, HistoryGreedy):
-        return _run_blocks(spec, policy, alpha, cap, seeds)
-    stops, wealth, absorbed = _run_stepwise(spec, policy, alpha, cap, seeds)
-    rows, start, vertex = np.array(absorbed, dtype=np.int64).reshape(-1, 3).T
-    stops[rows], wealth[rows] = _run_blocks(spec, policy, alpha, cap, [seeds[t] for t in rows],
-                                            start, wealth[rows], vertex)
-    return stops, wealth
+    """The one policy dispatch: ``HistoryGreedy``, which reads its history, starts in the
+    stepwise loop, which hands it to the block engine once absorbed; the rest run in blocks."""
+    run = _run_stepwise if isinstance(config.policy, HistoryGreedy) else _run_blocks
+    return run(config.spec, config.policy, alpha, cap, seeds)
 
 
 def run_trial(

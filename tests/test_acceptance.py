@@ -243,9 +243,8 @@ def test_criterion_9_baseline_comparison():
     tau_b = np.empty(trials, dtype=np.int64)
     for t in range(trials):
         stream = ewm.sample_stream(w, budget, ewm.trial_rng(ewm.trial_seed(909, 0, t)))
-        pairs = [tuple(row) for row in stream]
-        re = ewm.batch_detect(e, alpha, pairs, budget)
-        rb = ewm.baseline_batch_detect(alpha, pbar, pairs, budget)
+        re = ewm.batch_detect(e, alpha, stream, budget)
+        rb = ewm.baseline_batch_detect(alpha, pbar, stream, budget)
         assert re.decision == "rejected" and rb.decision == "rejected"
         tau_e[t] = re.stop_step
         tau_b[t] = rb.stop_step

@@ -10,13 +10,19 @@ the same way from ``DEEP_GREEDY``, the adaptive sweep whose greedy trials run lo
 absorption.  ``roundrobin`` and
 ``random`` run the block engine: ``random`` reads three Philox words per two
 steps, the vertex draws of both from the low then the high half of the first
-word, and a trial whose block holds a draw numpy rejects is re-run by the
-stepwise loop.  ``greedy`` runs the stepwise loop until every vertex is played
-and its last ``window`` steps all chose one vertex, which it then plays for good;
-the block engine continues it from there with its wealth.  The fixed-pair tables
+word, and the block engine hands each trial whose block holds a draw numpy rejects
+to the stepwise loop.  ``greedy`` runs the one step loop of the stepwise engine, which
+places each trial at word 0 through the one Philox reader, until every vertex is played
+and its last ``window`` steps all chose one vertex, which it then plays for good; the
+stepwise engine hands it to the block engine, which continues it from there with its
+wealth.  The fixed-pair tables
 ``sweep-tau-fixed-TAG.csv`` were written the same way from each ``FIXED_RUNS`` entry; on the
 weak, noisy drift of ``noisy`` about 12% of trials outlast their first chunk and its cap
-censors some, and it was written before the block engine read in passes.  Each entry of
+censors some, and it was written before the block engine read in passes.
+``sweep-tau-greedy-noisy.csv`` is that drift under ``greedy`` (``GREEDY_RUNS``): 161 to 358 of
+each alpha's 400 trials are absorbed and handed to the block engine, and 3 to 29 of those are
+then censored at the cap; it was written before the stepwise engine made the hand-off
+itself.  Each entry of
 ``RUNS`` with ``ewm ARGV --out tests/golden/NAME.csv`` for a table (``NAME.json``
 for a report), with ``--trace tests/golden/NAME-trace.csv`` in place of
 ``TRACE``.  The tables cover the paths that map random words to coupling cells in
@@ -57,18 +63,19 @@ ANCHORS = {"n2": "[0.5,0.5]", "n4": "[0.25,0.25,0.25,0.25]"}
 
 DEEP_GREEDY = ["sweep-tau", "--anchor", ANCHORS["n4"], "--delta", "0.1", "--alphas",
                "1e-120,1e-300", "--trials", "8", "--seed", "0", "--policy", "greedy"]
+NOISY = ["--anchor", "[0.85,0.15]", "--delta", "0.14", "--alphas", "log:1e-3:1e-6:4",
+         "--trials", "400", "--seed", "0", "--horizon-cap", "150"]
 GREEDY_RUNS = {"sweep-tau-n4-greedy-deep": DEEP_GREEDY,
                "sweep-tau-n2-greedy": ["sweep-tau", "--anchor", ANCHORS["n2"], "--delta", "0.1",
                                        "--alphas", "1e-2,1e-120", "--trials", "4", "--seed", "0",
-                                       "--policy", "greedy"]}
+                                       "--policy", "greedy"],
+               "sweep-tau-greedy-noisy": ["sweep-tau", *NOISY, "--policy", "greedy"]}
 FIXED_SWEEP = ["--delta", "0.1", "--alphas", "log:1e-2:1e-60:4", "--trials", "50",
                "--seed", "0"]
 FIXED_RUNS = {"fair": ["--anchor", "[0.5,0.5]", *FIXED_SWEEP, "--policy", "fixed:0,1"],
               "skew": ["--anchor", "[0.2,0.8]", *FIXED_SWEEP, "--policy", "fixed:0,1"],
               "n4": ["--anchor", ANCHORS["n4"], *FIXED_SWEEP, "--policy", "fixed:0,3"],
-              "noisy": ["--anchor", "[0.85,0.15]", "--delta", "0.14", "--alphas",
-                        "log:1e-3:1e-6:4", "--trials", "400", "--seed", "0",
-                        "--horizon-cap", "150", "--policy", "fixed:0,1"]}
+              "noisy": [*NOISY, "--policy", "fixed:0,1"]}
 CALIBRATE = ["calibrate-null", "--anchor", "[0.5,0.5]", "--delta", "0.1",
              "--alphas", "0.1,0.05,0.02", "--trials", "500", "--seed", "1"]
 ANCHOR3 = ["--anchor", "[0.4,0.3,0.3]", "--delta", "0.1"]

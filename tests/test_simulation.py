@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import io
 import itertools
 import math
@@ -143,16 +144,24 @@ class TestRekey:
         assert np.array_equal(bitgen.random_raw(6), fresh.random_raw(6))  # the last row reads on
 
     @pytest.mark.parametrize("policy", [ewm.RandomPair(), ewm.HistoryGreedy(window=400)])
-    def test_consecutive_stepwise_trials_each_equal_a_fresh_generator(self, policy):
+    def test_consecutive_stepwise_trials_each_equal_a_fresh_generator(self, monkeypatch, policy):
         # RandomPair draws integers(12) from 32-bit halves, so a trial that stops after an
         # odd number of steps leaves a half word that the next trial must not read; greedy,
         # never absorbed with a window past the cap, leaves a 128-uniform chunk part read
+        # and hands the block engine no seeds
+        blocks, handed = _run_blocks, []
+
+        def recorded_blocks(spec, policy, alpha, cap, seeds, *carried):
+            handed.extend(seeds)
+            return blocks(spec, policy, alpha, cap, seeds, *carried)
+
+        monkeypatch.setattr(ewm.simulation, "_run_blocks", recorded_blocks)
         spec = spec_of([0.4, 0.3, 0.18, 0.12], 0.1)
         e, seeds = ewm.optimal_evalue(spec), [ewm.trial_seed(3, 0, t) for t in range(12)]
-        stops, wealth, absorbed = _run_stepwise(spec, policy, 1e-4, 300, seeds)
+        stops, wealth = _run_stepwise(spec, policy, 1e-4, 300, seeds)
         records = [reference_fold(spec, e, policy, 1e-4, 300, seed) for seed in seeds]
         assert [(r.stop_step or -1, r.final_wealth) for r in records] == list(zip(stops, wealth))
-        assert not absorbed and any(r.steps_run % 2 for r in records[:-1])
+        assert not handed and any(r.steps_run % 2 for r in records[:-1])
 
 
 class TestPolicies:
@@ -456,19 +465,32 @@ class TestRunTrial:
 
 
 class TestEstimateStopping:
-    def test_fixed_pair_mean_equals_the_exact_law(self):
-        # on the fair anchor the vertex (0, 1) matches with probability 1 - delta/2 = 0.95, so
-        # the wealth is set by the match count: E[tau ^ cap] sums P(tau > t) for t < cap, and
-        # E[(tau ^ cap)^2] sums (2t + 1) P(tau > t); a stop one step late moves the mean by 1
+    @pytest.mark.parametrize("policy", [ewm.FixedPair(0, 1), ewm.RoundRobin(), ewm.RandomPair(),
+                                        ewm.HistoryGreedy(), ewm.HistoryGreedy(window=4)],
+                             ids=["fixed", "roundrobin", "random", "greedy", "greedy-window4"])
+    def test_stop_mean_equals_the_fixed_pair_exact_law(self, monkeypatch, policy):
+        # on the fair anchor both vertices match with probability 1 - delta/2 = 0.95 and the table
+        # has one match score and one miss score, so the wealth is set by the match count, whatever
+        # vertex is played: every predictable policy has the fixed pair's stop law (Wald 1947).
+        # E[tau ^ cap] sums P(tau > t) for t < cap, and E[(tau ^ cap)^2] sums (2t + 1) P(tau > t);
+        # a stop one step late, or a greedy hand-off that drops its wealth, moves the mean
+        sweep, stops = _sweep_task, []
+
+        def recorded_sweep(task):  # one work unit per alpha, with one worker
+            stops.append(sweep(task))
+            return stops[-1]
+
+        monkeypatch.setattr(ewm.simulation, "_sweep_task", recorded_sweep)
         config = ewm.ExperimentConfig(spec=FAIR, alphas=parse_alpha_grid("log:1e-2:1e-60:4"),
-                                      trials=10_000, policy=ewm.FixedPair(0, 1))
-        e = ewm.optimal_evalue(FAIR)
-        for row in ewm.estimate_stopping(config):
+                                      trials=10_000 if isinstance(policy, ewm.FixedPair) else 4_000,
+                                      policy=policy)
+        for row, taus in zip(ewm.estimate_stopping(config), stops, strict=True):
             cap = ewm.simulation._cap(config, row.alpha)
-            survival = exact_fair_survival(e, row.alpha, cap, 0.95)[:-1]
-            mean = survival.sum()
-            sd = math.sqrt(((2.0 * np.arange(cap) + 1.0) * survival).sum() - mean**2)
+            survival = fair_sweep_survival(row.alpha, cap)
             assert row.censored_count == 0
+            assert (survival[taus - 1] > survival[taus]).all()  # every stop has positive mass
+            mean = survival[:-1].sum()
+            sd = math.sqrt(((2.0 * np.arange(cap) + 1.0) * survival[:-1]).sum() - mean**2)
             assert abs(row.mean_tau - mean) <= 4.0 * sd / math.sqrt(config.trials)
 
     def test_thread_count_does_not_change_results(self):
@@ -814,9 +836,17 @@ def exact_fair_survival(e, alpha, horizon, match=0.5):
     for t in range(1, horizon + 1):
         alive = np.append(alive * (1.0 - match), 0.0) + np.append(0.0, alive * match)
         j = np.arange(t + 1)
-        alive[j * hit + (t - j) * miss >= threshold] = 0.0
-        survival.append(float(alive.sum()))
+        crossed = j * hit + (t - j) * miss >= threshold
+        survival.append(survival[-1] - float(alive[crossed].sum()))  # no mass crossed, no change
+        alive[crossed] = 0.0
     return np.array(survival)
+
+
+@functools.lru_cache(maxsize=None)
+def fair_sweep_survival(alpha, horizon):
+    """:func:`exact_fair_survival` of a sweep on the fair anchor, whose steps match with
+    probability 0.95, kept for every policy that is held to it."""
+    return exact_fair_survival(ewm.optimal_evalue(FAIR), alpha, horizon, 0.95)
 
 
 def exact_fair_crossing(e, alpha, horizon):
