@@ -48,6 +48,7 @@ from .oracles import cycle_condition_check, saddle_check, two_token_maxmin
 from .simplex import (
     ExtremePair,
     NeighborhoodSpec,
+    _count,
     decompose_target,
     entropy,
     make_distribution,
@@ -96,8 +97,7 @@ def parse_alpha_grid(token: str) -> list[float]:
             count = int(parts[3])
         except ValueError as exc:
             raise FormatError(f"malformed grid token {token!r}: {exc}") from exc
-        if not 2 <= count <= 10_000:  # 333x the paper's 30 points, at about 40 bytes each
-            raise FormatError(f"grid count must lie in 2..10000, got {count}")
+        _count(count, "grid count", 2, 10_000, FormatError)  # 333x the paper's 30 points, 40 B each
         start, end = _grid_alpha(start), _grid_alpha(end)
         grid = np.exp(np.linspace(math.log(start), math.log(end), count))
         grid[0], grid[-1] = start, end  # endpoints exact, not exp(log(x))

@@ -70,6 +70,7 @@ from .simplex import (
 _MASK64 = (1 << 64) - 1
 _ALPHA_STRIDE = 0x9E3779B97F4A7C15  # golden-ratio odd constant
 _STEP_CHUNK = 128  # uniforms per draw of the stepwise loop's HistoryGreedy
+_UNIT_TRIALS = 2**16  # trials per sweep work unit at most, so its seed lists stay bounded
 
 
 def mix64(x: int) -> int:
@@ -103,13 +104,17 @@ def trial_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_count(seed, "seed", 0, 2**128 - 1)))
 
 
-def _read(bitgen: np.random.Philox, state: dict, keys, words, width: int) -> np.ndarray:
+def _read(bitgen: np.random.Philox, keys, words, width: int, **half) -> np.ndarray:
     """The one reader: row i holds ``width`` raw words from 64-bit word ``words[i]`` (mod 2**258)
     of the Philox stream keyed ``keys[i]``, a pair of 64-bit words.  Each row writes its key, and
     the counter at which a stream read in order stands at that word (as it stands at word
-    ``4 * counter - 4 + buffer_pos``), into ``state``, a :func:`_philox_at` template, assigns it
+    ``4 * counter - 4 + buffer_pos``), into a state of plain Python ints built once per call
+    (numpy's setter takes it in well under half the time of the arrays ``bit_generator.state``
+    returns), no 32-bit half kept unless ``half`` gives ``has_uint32`` and ``uinteger``, assigns it
     and reads past ``word % 4`` words; consecutive rows at one word are placed once."""
-    rows, placed, raw, rekey = [], None, bitgen.random_raw, state["state"]
+    state = {"bit_generator": "Philox", "state": (rekey := {}), "buffer": (0, 0, 0, 0),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0, **half}
+    rows, placed, raw = [], None, bitgen.random_raw
     for key, pos in zip(keys, words):
         if pos != placed:
             rekey["counter"] = (pos >> 2 & _MASK64, pos >> 66 & _MASK64, pos >> 130 & _MASK64,
@@ -119,17 +124,6 @@ def _read(bitgen: np.random.Philox, state: dict, keys, words, width: int) -> np.
         bitgen.state = state
         rows.append(raw(width + skip)[skip:] if skip else raw(width))
     return (np.concatenate(rows) if len(rows) > 1 else rows[0]).reshape(len(rows), width)
-
-
-def _philox_at(bitgen: np.random.Philox, key: int, pos: int = 0, **half) -> dict:
-    """Place ``bitgen`` at 64-bit word ``pos`` (a :func:`_read` of width 0) of the Philox stream
-    keyed by ``key`` (below 2**128), no 32-bit half kept unless ``half`` gives ``has_uint32`` and
-    ``uinteger``; return the state assigned, a template of plain Python ints (numpy's setter takes
-    it in well under half the time of the arrays ``bit_generator.state`` returns) to re-key."""
-    state = {"bit_generator": "Philox", "state": {"key": (key & _MASK64, key >> 64)},
-             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0, **half}
-    _read(bitgen, state, [state["state"]["key"]], [pos], 0)
-    return state
 
 
 # -- adversary policies ---------------------------------------------------------
@@ -306,12 +300,11 @@ def _run_stepwise(
     _, log_flat, cdfs, _ = _vertex_table(spec, None)
     m, threshold, greedy = len(cdfs), math.log(1.0 / alpha), isinstance(policy, HistoryGreedy)
     stops, wealth, absorbed = np.full(len(seeds), -1, dtype=np.int64), np.empty(len(seeds)), []
-    rng = np.random.Generator(bitgen := np.random.Philox(key=0))
-    state = _philox_at(bitgen, 0)  # placed at word 0 of every trial's stream
+    rng = np.random.Generator(bitgen := np.random.Philox(key=0))  # placed at each trial's word 0
     draw = lambda *_: int(rng.integers(m))  # noqa: E731 -- RandomPair's push: the next vertex
     chunks = iter(lambda: rng.random(_STEP_CHUNK).tolist(), None)  # greedy's uniforms, as read
     for t, seed in enumerate(seeds):
-        _read(bitgen, state, [(seed, 0)], [0], 0)  # seeds are 64-bit
+        _read(bitgen, [(seed, 0)], [0], 0)  # seeds are 64-bit
         push, idx = (_GreedyWindow(m, policy.window).push, 0) if greedy else (draw, draw())
         uniforms = chain.from_iterable(chunks) if greedy else iter(rng.random, None)
         total = 0.0
@@ -357,7 +350,7 @@ def _run_blocks(
     m, random, threshold = len(cdfs), isinstance(policy, RandomPair), math.log(1.0 / alpha)
     expected = min(1.25 * threshold / rate, _BLOCK_CELLS)  # inf for a subnormal J*
     chunk = min(_BLOCK_CELLS, 4 * max(16, (int(expected) + 19) // 4))
-    state = _philox_at(bitgen := np.random.Philox(key=0), 0)  # re-keyed for every row
+    bitgen = np.random.Philox(key=0)  # re-keyed for every row
     keys = [(s, 0) for s in seeds]
 
     stops, wealth, redo = np.full(len(seeds), -1, dtype=np.int64), np.zeros(len(seeds)) + carry, []
@@ -371,7 +364,7 @@ def _run_blocks(
         going = []  # the trials that run on into the next pass
         for group in (live[lo:lo + rows] for lo in range(0, live.size, rows)):
             left = horizon[group] - steps  # steps to each row's horizon
-            words = _read(bitgen, state, [keys[t] for t in group.tolist()],
+            words = _read(bitgen, [keys[t] for t in group.tolist()],
                           (start[group] + at).tolist(), width)  # one word unless greedy rows differ
             if random:
                 pick, words, rejected = _random_steps(words, m)
@@ -433,12 +426,12 @@ def estimate_stopping(config: ExperimentConfig, threads: int = 1) -> list[SweepR
 
     Censored trials are counted at the horizon cap and reported in
     ``censored_count``.  The ratio column ``mean_tau / log(1/alpha)``
-    converges to ``1 / jstar`` as alpha tends to zero.  ``threads`` (a count) worker
-    processes run, at most one per CPU; the rows never depend on the worker count.
-    Each row is reduced as its work units arrive, so one alpha's trials are held.
+    converges to ``1 / jstar`` as alpha tends to zero.  ``threads`` (a count) worker processes
+    run, at most one per CPU; the rows never depend on the worker count.  Each row is reduced as
+    its work units (``_UNIT_TRIALS`` trials at most) arrive, so one alpha's stops are held.
     """
     workers = min(_count(threads, "threads"), os.cpu_count() or 1)
-    step = math.ceil(config.trials / workers)
+    step = min(math.ceil(config.trials / workers), _UNIT_TRIALS)
     caps, tasks = [_cap(config, alpha) for alpha in config.alphas], []
     for ai, (alpha, cap) in enumerate(zip(config.alphas, caps)):
         for lo in range(0, config.trials, step):
@@ -495,8 +488,7 @@ def calibrate_null(spec: NeighborhoodSpec, alpha: float, trials: int, horizon: i
     now, reader = bitgen.state, np.random.Philox(key=0)  # the caller's, of numpy arrays
     key, ctr = (int.from_bytes(now["state"][f].astype("<u8"), "little") for f in ("key", "counter"))
     half, pos = {f: now[f] for f in ("has_uint32", "uinteger")}, 4 * ctr + now["buffer_pos"] - 4
-    state = _philox_at(reader, key)  # placed at each read's word
-    keys = repeat(state["state"]["key"])
+    key = key & _MASK64, key >> 64  # a pair, as _read takes keys
 
     block, hits, chunk = max(1, 4_000_000 // horizon), 0, max(1, _BLOCK_CELLS // 16)
     for lo in range(0, trials if _may_cross(np.zeros(1), horizon, top, threshold)[0] else 0, block):
@@ -508,15 +500,15 @@ def calibrate_null(spec: NeighborhoodSpec, alpha: float, trials: int, horizon: i
                 # whole rows (then all live) in one read, else k words of each live row
                 starts, width = ([r], k * live.size) if k == horizon else (live.tolist(), k)
                 first = [at + c + t * horizon for t in starts]  # outcomes; seeds b rows on
-                cell = row(_read(reader, state, keys, first, width))
-                cell += col(_read(reader, state, keys, [w + b * horizon for w in first], width))
+                cell = row(_read(reader, repeat(key), first, width))
+                cell += col(_read(reader, repeat(key), [w + b * horizon for w in first], width))
                 hit, cum = _first_crossing(log_flat[cell.reshape(-1, k)], threshold, wealth)
                 hits += int(np.count_nonzero(crossed := hit >= 0))
                 keep = ~crossed & _may_cross(cum[:, -1], horizon - c - k, top, threshold)
                 if not (live := live[keep]).size:
                     break
                 wealth = cum[keep, -1]
-    _philox_at(bitgen, key, pos + 2 * trials * horizon, **half)  # the caller's 32-bit half kept
+    _read(bitgen, [key], [pos + 2 * trials * horizon], 0, **half)  # the caller's 32-bit half kept
     return hits / trials
 
 

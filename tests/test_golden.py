@@ -31,9 +31,12 @@ calibrate-null read raw 64-bit Philox words, and generate makes its generator's
 uniforms back into words; ``calibrate-null-subblocks`` has rows longer than one
 16,384-cell sub-block, so each is read in column chunks that carry the wealth, and
 ``calibrate-null-pruned`` has 3-symbol rows of three column chunks, almost all of which stop
-before the third, as they can no longer cross.  The ``fixed-n4`` and ``calibrate-null-subblocks``
-tables were written before the bulk paths read words, and ``calibrate-null-pruned`` before
-calibrate-null pruned its rows, so they pin that those paths kept their bytes.  The reports cover
+before the third, as they can no longer cross; ``calibrate-null-chunk-edge`` has rows one step
+past their first 1,024-step chunk, so each row still live reads a one-word second chunk.  The
+``fixed-n4`` and ``calibrate-null-subblocks`` tables were written before the bulk paths read
+words, ``calibrate-null-pruned`` before calibrate-null pruned its rows, and
+``calibrate-null-chunk-edge`` before the one Philox reader built its own state, so they pin
+that those paths kept their bytes.  The reports cover
 the closed-form rate, the two-token solver, both detectors on the committed
 ``generate-pair.csv`` stream and on ``detect-null-stream.csv``, the vertex decomposition and
 the audit.  That null stream holds 4,000 pairs, drawn independently from the anchor by
@@ -91,6 +94,9 @@ RUNS = {
                                  "--q-null", "[0.55,0.45]", "--seed", "2"],
     "calibrate-null-pruned": ["calibrate-null", *ANCHOR3, "--alphas", "0.1,0.02", "--trials", "300",
                               "--horizon", "3000", "--q-null", "[0.45,0.25,0.3]", "--seed", "4"],
+    "calibrate-null-chunk-edge": ["calibrate-null", "--anchor", "[0.5,0.5]", "--delta", "0.1",
+                                  "--alphas", "0.05,0.02", "--trials", "4000", "--horizon", "1025",
+                                  "--q-null", "[0.55,0.45]", "--seed", "5"],
     "generate-pair": [*GENERATE, "--pair", "0,1"],
     "generate-target": [*GENERATE, "--target", "[0.43,0.32,0.25]"],
     "jstar": ["jstar", *ANCHOR3],

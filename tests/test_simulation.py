@@ -25,7 +25,6 @@ from ewm.simulation import (
     StepOutcome,
     TrialRecord,
     _GreedyWindow,
-    _philox_at,
     _random_steps,
     _read,
     _run_blocks,
@@ -65,6 +64,23 @@ class TestSeeding:
                 assert _trial_seeds(base, ai, lo, hi) == expected
 
 
+def peak_growth_mib(setup: str, small: str, large: str) -> float:
+    """How far the statement ``large`` raises the peak RSS (VmHWM, in MiB) of a fresh interpreter
+    that has imported ewm and run ``setup``, then ``small``."""
+    code = textwrap.dedent("""
+        import ewm
+
+        def peak_kib():
+            with open("/proc/self/status") as fh:
+                return next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:"))
+    """) + "\n".join([textwrap.dedent(setup), small, "before = peak_kib()", large,
+                      "print((peak_kib() - before) / 1024)"])
+    src = str(Path(ewm.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    return float(out.stdout)
+
+
 def word_position(state):
     """The 64-bit word a sequential reader of ``state``'s stream stands at."""
     counter = sum(int(c) << 64 * i for i, c in enumerate(state["state"]["counter"]))
@@ -73,37 +89,47 @@ def word_position(state):
 
 class TestRekey:
     def test_rekeyed_stream_equals_fresh_stream(self):
-        # one template re-keyed in place row after row, as the engines do, against a fresh
-        # Philox read in order; the 64-bit counter carries between 2**64 - 1 and 2**64
-        state = _philox_at(bitgen := np.random.Philox(key=0), 0)
+        # one bit generator placed row after row, as the engines do, against a fresh Philox
+        # read in order; the 64-bit counter carries between 2**64 - 1 and 2**64
+        bitgen = np.random.Philox(key=0)
         for key, counter, skip in itertools.product((0, 2**63 + 5, 2**64 - 1),
                                                     (0, 2**64 - 2, 2**64 - 1, 2**64, 2**64 + 1),
                                                     (0, 1, 3)):
-            state["state"]["key"] = 99, 0
-            bitgen.state = state
+            _read(bitgen, [(99, 0)], [0], 0)
             np.random.Generator(bitgen).integers(3)  # another key leaves a half word
-            state["state"]["key"] = key, 0
-            state["state"]["counter"] = counter & (2**64 - 1), counter >> 64, 0, 0
-            bitgen.state = state
-            bitgen.random_raw(skip)
+            _read(bitgen, [(key, 0)], [4 * counter + skip], 0)
             fresh = np.random.Generator(np.random.Philox(key=key, counter=counter))
             fresh.bit_generator.random_raw(skip)
             placed = np.random.Generator(bitgen)  # 32-bit draws would read a kept half word
             assert np.array_equal(placed.integers(2**32, size=5), fresh.integers(2**32, size=5))
             assert np.array_equal(placed.random(11), fresh.random(11))
-            # and placed in one call at the same word
-            _philox_at(bitgen, key, 4 * counter + skip)
+            # and placed again at the same word, wherever the last read left it
+            _read(bitgen, [(key, 0)], [4 * counter + skip], 0)
             fresh = np.random.Generator(np.random.Philox(key=key, counter=counter))
             fresh.bit_generator.random_raw(skip)
             assert np.array_equal(np.random.Generator(bitgen).random(5), fresh.random(5))
 
+    def test_a_half_word_lasts_one_call(self):
+        # a width-0 read given a 32-bit half leaves it for the next 32-bit draw; the next read,
+        # given none, keeps none, whether or not that half was drawn
+        bitgen, u = np.random.Philox(key=0), 0x9E3779B9
+        for drawn in (True, False):
+            _read(bitgen, [(5, 0)], [6], 0, has_uint32=1, uinteger=u)
+            if drawn:
+                assert np.random.Generator(bitgen).integers(2**32) == u
+            _read(bitgen, [(5, 0)], [6], 0)
+            fresh = np.random.Generator(np.random.Philox(key=5, counter=1))
+            fresh.bit_generator.random_raw(2)
+            placed = np.random.Generator(bitgen)
+            assert np.array_equal(placed.integers(2**32, size=3), fresh.integers(2**32, size=3))
+
     def test_rekey_to_a_counter_continues_the_stream(self):
         bitgen = np.random.Philox(key=0)
         for seed in (0, 2**64 - 1, 2**64 + 3):
-            fresh = ewm.trial_rng(seed).random(20)
-            _philox_at(bitgen, seed)
+            fresh, key = ewm.trial_rng(seed).random(20), (seed & (2**64 - 1), seed >> 64)
+            _read(bitgen, [key], [0], 0)
             np.random.Generator(bitgen).random(3)
-            _philox_at(bitgen, seed, 12)
+            _read(bitgen, [key], [12], 0)
             assert np.array_equal(np.random.Generator(bitgen).random(8), fresh[12:])
 
     @given(key=st.sampled_from([0, 1, 2**63 + 5, 2**64 - 1]),
@@ -120,7 +146,7 @@ class TestRekey:
         assert state["state"]["key"].tolist() == [key, key_hi]
         assert word_position(state) % 2**258 == 4 * counter + taken  # the counter wraps
         placed = np.random.Philox(key=0)
-        _philox_at(placed, key | key_hi << 64, word_position(state) + offset)
+        _read(placed, [(key, key_hi)], [word_position(state) + offset], 0)
         caller.random(offset)
         assert np.array_equal(np.random.Generator(placed).random(9), caller.random(9))
         placed, caller = placed.state, caller.bit_generator.state
@@ -134,8 +160,8 @@ class TestRekey:
         # row; one key past the low 64-bit counter word, then at the last word before the wrap
         rows = [((3, 0), 6), ((2**63 + 5, 1), 6), ((2**64 - 1, 7), 6),
                 ((11, 2**64 - 1), 2**66 + 3), ((11, 2**64 - 1), 2**258 - 1)]
-        state = _philox_at(bitgen := np.random.Philox(key=0), 0)
-        got = _read(bitgen, state, [key for key, _ in rows], [pos for _, pos in rows], width)
+        bitgen = np.random.Philox(key=0)
+        got = _read(bitgen, [key for key, _ in rows], [pos for _, pos in rows], width)
         assert got.shape == (len(rows), width) and got.dtype == np.uint64
         for words, (key, pos) in zip(got, rows):
             fresh = np.random.Philox(key=np.array(key, dtype=np.uint64), counter=pos // 4 % 2**256)
@@ -618,6 +644,30 @@ class TestEstimateStopping:
         ewm.estimate_stopping(config, threads=1)
         assert reduced == [1, 2, 3]
 
+    def test_capped_work_units_leave_the_rows_as_they_were(self, monkeypatch):
+        # seeds depend only on the alpha and trial index, and units are reduced in task order
+        config = ewm.ExperimentConfig(spec=FAIR, alphas=(1e-2, 1e-5), trials=10,
+                                      policy=ewm.RandomPair(), base_seed=17)
+        uncapped = ewm.estimate_stopping(config, threads=1)
+        task, sizes = ewm.simulation._sweep_task, []
+        monkeypatch.setattr(ewm.simulation, "_UNIT_TRIALS", 3)
+        monkeypatch.setattr(ewm.simulation, "_sweep_task",
+                            lambda args: sizes.append(args[5] - args[4]) or task(args))
+        assert ewm.estimate_stopping(config, threads=1) == uncapped
+        assert sizes == [3, 3, 3, 1] * 2
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+    def test_memory_does_not_grow_with_the_trials(self):
+        # a work unit holds at most 2**16 trials, so its seed lists no longer grow with them
+        setup = """
+            def sweep(trials):
+                spec = ewm.make_neighborhood(ewm.make_distribution([0.5, 0.5]), 0.1)
+                config = ewm.ExperimentConfig(spec=spec, alphas=(0.01,), trials=trials,
+                                              policy=ewm.FixedPair(0, 1))
+                ewm.estimate_stopping(config)
+        """
+        assert peak_growth_mib(setup, "sweep(10**5)", "sweep(4 * 10**5)") < 20.0
+
     def test_csv_shape(self):
         config = ewm.ExperimentConfig(
             spec=FAIR, alphas=(0.01, 0.001), trials=20, policy=ewm.FixedPair(0, 1), base_seed=13
@@ -1038,23 +1088,9 @@ class TestCalibrateNull:
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
     def test_memory_does_not_grow_with_the_horizon(self):
         # one stream of 10^7 steps: a whole row would be several 80 MB arrays
-        code = textwrap.dedent("""
-            import ewm
-
-            def peak_kib():
-                with open("/proc/self/status") as fh:
-                    return next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:"))
-
-            spec = ewm.make_neighborhood(ewm.make_distribution([0.5, 0.5]), 0.1)
-            ewm.calibrate_null(spec, 0.05, 1, 100, spec.anchor, ewm.trial_rng(0))
-            before = peak_kib()
-            ewm.calibrate_null(spec, 0.05, 1, 10**7, spec.anchor, ewm.trial_rng(0))
-            print((peak_kib() - before) / 1024)
-        """)
-        src = str(Path(ewm.__file__).resolve().parents[1])
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": src})
-        assert float(out.stdout) < 32.0
+        setup = "spec = ewm.make_neighborhood(ewm.make_distribution([0.5, 0.5]), 0.1)"
+        run = "ewm.calibrate_null(spec, 0.05, 1, {}, spec.anchor, ewm.trial_rng(0))"
+        assert peak_growth_mib(setup, run.format(100), run.format(10**7)) < 32.0
 
 
 class TestAdaptiveNull:
