@@ -204,8 +204,6 @@ def baseline_observe(state: BaselineState, v: int, s: int) -> BaselineState:
         raise AlreadyStoppedError(f"baseline rejected at step {state.rejected_at}")
     v, s = _indices((v, s), None, IndexOutOfRangeError)
     matches, k = state.matches + (1 if v == s else 0), state.steps + 1
-    if matches <= k * state.null_match_prob:  # _rejections' screen, as it compares the floats
-        return replace(state, matches=matches, steps=k)
     rejects = _rejections(np.array([matches]), np.array([k]), state.null_match_prob, state.alpha)
     return replace(state, matches=matches, steps=k, rejected_at=k if rejects.size else None)
 

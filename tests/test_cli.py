@@ -153,27 +153,6 @@ class TestJstarCommand:
 
 
 class TestImport:
-    def test_every_subcommand_matches_its_golden_without_scipy(self, tmp_path):
-        # scipy is a test-only reference: with its import blocked, one fresh process runs every
-        # golden run through run_command, detect with both methods, and a sweep of each kind
-        from test_golden import ANCHORS, FIXED_SWEEP, GOLDEN, GREEDY_RUNS, RUNS, TABLES
-
-        runs = {f"{name}.{'csv' if argv[0] in TABLES else 'json'}": argv
-                for name, argv in RUNS.items()}
-        runs["sweep-tau-fixed-fair.csv"] = ["sweep-tau", "--anchor", ANCHORS["n2"], *FIXED_SWEEP,
-                                            "--policy", "fixed:0,1", "--threads", "1"]
-        runs["sweep-tau-n2-greedy.csv"] = [*GREEDY_RUNS["sweep-tau-n2-greedy"], "--threads", "1"]
-        trace = tmp_path / "maxmin2-trace.csv"
-        argvs = [[str(trace) if a == "TRACE" else a for a in argv] + ["--out", str(tmp_path / name)]
-                 for name, argv in runs.items()]
-        probe = ("import json, sys; sys.modules['scipy'] = None; from ewm.cli import run_command; "
-                 "sys.exit(max([run_command(argv) for argv in json.loads(sys.argv[1])]))")
-        env = dict(os.environ, PYTHONPATH=str(Path(ewm.__file__).resolve().parents[1]))
-        assert subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)],
-                              env=env).returncode == 0
-        for name in [*runs, trace.name]:
-            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
-
     def test_import_leaves_multiprocessing_unloaded(self):
         # the worker pool is the only user of multiprocessing and is made on first use
         src = str(Path(ewm.__file__).resolve().parents[1])
