@@ -20,7 +20,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -42,7 +41,7 @@ from .detection import (
     report_to_dict,
     worst_null_match_prob,
 )
-from .errors import BadAlphaError, EwmError, FormatError
+from .errors import EwmError, FormatError
 from .evalue import jstar, null_worst_expectation, optimal_evalue
 from .oracles import cycle_condition_check, saddle_check, two_token_maxmin
 from .simplex import (
@@ -71,18 +70,16 @@ def _emit(payload: dict, out: str | None) -> None:
         text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:  # strict JSON: inv_jstar is infinite at a subnormal J*
         raise FormatError(f"report holds an infinite value: {report}") from exc
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(out, lambda fh: fh.write(text))
 
 
-def _write_table(out: str | None, write, rows) -> None:
+def _write(out: str | None, write, *args) -> None:
+    """The one writer: ``write(fh, *args)`` to the file ``out``, with LF line endings, or stdout."""
     if out:
         with open(out, "w", newline="") as fh:
-            write(fh, rows)
+            write(fh, *args)
     else:
-        write(sys.stdout, rows)
+        write(sys.stdout, *args)
 
 
 def parse_alpha_grid(token: str) -> list[float]:
@@ -98,7 +95,7 @@ def parse_alpha_grid(token: str) -> list[float]:
         except ValueError as exc:
             raise FormatError(f"malformed grid token {token!r}: {exc}") from exc
         _count(count, "grid count", 2, 10_000, FormatError)  # 333x the paper's 30 points, 40 B each
-        start, end = _grid_alpha(start), _grid_alpha(end)
+        start, end = _check_alpha(start, FormatError), _check_alpha(end, FormatError)
         grid = np.exp(np.linspace(math.log(start), math.log(end), count))
         grid[0], grid[-1] = start, end  # endpoints exact, not exp(log(x))
         return [float(a) for a in grid]
@@ -108,15 +105,7 @@ def parse_alpha_grid(token: str) -> list[float]:
         raise FormatError(f"malformed alpha list {token!r}: {exc}") from exc
     if not values:
         raise FormatError("empty alpha list")
-    return [_grid_alpha(a) for a in values]
-
-
-def _grid_alpha(alpha: float) -> float:
-    """:func:`~ewm.detection._check_alpha`, failing as a malformed grid."""
-    try:
-        return _check_alpha(alpha)
-    except BadAlphaError as exc:
-        raise FormatError(str(exc)) from exc
+    return [_check_alpha(a, FormatError) for a in values]
 
 
 def _resolve_anchor(args) -> NeighborhoodSpec:
@@ -127,14 +116,6 @@ def _resolve_anchor(args) -> NeighborhoodSpec:
     else:
         raise FormatError("provide --anchor or --anchor-file")
     return make_neighborhood(make_distribution(_parse_json(payload)), args.delta)
-
-
-def _default_threads() -> int:
-    value = os.environ.get("EWM_THREADS", "1")
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise FormatError(f"EWM_THREADS must be an integer, got {value!r}") from exc
 
 
 def _parse_pair(token: str) -> ExtremePair:
@@ -162,8 +143,7 @@ def _cmd_maxmin2(args) -> int:
     spec = make_neighborhood(make_distribution([args.p, 1.0 - args.p]), args.delta)
     j = jstar(spec)
     if args.trace:
-        with open(args.trace, "w", newline="") as fh:
-            simulation._write_csv(fh, "refinement,r00,r11,objective", sol.trace)
+        _write(args.trace, simulation._write_csv, "refinement,r00,r11,objective", sol.trace)
     _emit(
         {"j_numeric": sol.value, "r00": sol.r00, "r11": sol.r11,
          "jstar": j, "abs_error": abs(sol.value - j)},
@@ -194,9 +174,8 @@ def _cmd_sweep_tau(args, spec: NeighborhoodSpec) -> int:
         horizon_cap=args.horizon_cap,
         base_seed=args.seed,
     )
-    threads = _default_threads() if args.threads is None else args.threads
-    rows = simulation.estimate_stopping(config, threads=threads)
-    _write_table(args.out, simulation.write_sweep_csv, rows)
+    rows = simulation.estimate_stopping(config, threads=args.threads)
+    _write(args.out, simulation.write_sweep_csv, rows)
     return 0
 
 
@@ -211,7 +190,7 @@ def _cmd_calibrate_null(args, spec: NeighborhoodSpec) -> int:
         rng = simulation.trial_rng(simulation.trial_seed(args.seed, ai, 0))
         rate = simulation.calibrate_null(spec, alpha, args.trials, horizon, q_null, rng)
         rows.append((alpha, args.trials, horizon, round(rate * args.trials), rate))
-    _write_table(args.out, simulation.write_calibration_csv, rows)
+    _write(args.out, simulation.write_calibration_csv, rows)
     return 0
 
 
@@ -225,7 +204,7 @@ def _cmd_generate(args, spec: NeighborhoodSpec) -> int:
         w = mixture_coupling(spec, decompose_target(spec, q))
     rng = simulation.trial_rng(simulation.mix64(args.seed))
     draws = (pair for chunk in _stream_chunks(w, args.steps, rng) for pair in chunk.tolist())
-    _write_table(args.out, write_stream_csv, draws)
+    _write(args.out, write_stream_csv, draws)
     return 0
 
 
@@ -276,8 +255,7 @@ def _cmd_audit(args, spec: NeighborhoodSpec) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use; no default depends
-    on the environment, which the commands read when they run."""
+    """The one parser of the process, built on first use."""
     parser = argparse.ArgumentParser(
         prog="ewm",
         description="Worst-case log-optimal watermark scores, couplings, and anytime-valid detection.",
@@ -311,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--policy", default="fixed:0,1")
     p.add_argument("--horizon-cap", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None, help="default: $EWM_THREADS or 1")
+    p.add_argument("--threads", type=int, default=1, help="worker processes")
 
     p = sub("calibrate-null", _cmd_calibrate_null, "false-positive rate under the null")
     p.add_argument("--alphas", required=True)

@@ -82,11 +82,12 @@ class DetectionReport:
     steps: int
 
 
-def _check_alpha(alpha: float) -> float:
-    """A :func:`_real` ``alpha`` in (0, 1) with ``1/alpha``, so ``log(1/alpha)``, finite."""
-    alpha = _real(alpha, "alpha", BadAlphaError)
+def _check_alpha(alpha: float, error: type[Exception] = BadAlphaError) -> float:
+    """A :func:`_real` ``alpha`` in (0, 1) with ``1/alpha``, so ``log(1/alpha)``, finite;
+    else ``error``."""
+    alpha = _real(alpha, "alpha", error)
     if not (0.0 < alpha < 1.0 and math.isfinite(1.0 / alpha)):
-        raise BadAlphaError(f"alpha must lie in (0, 1) with 1/alpha finite, got {alpha!r}")
+        raise error(f"alpha must lie in (0, 1) with 1/alpha finite, got {alpha!r}")
     return alpha
 
 

@@ -6,7 +6,6 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,22 +26,20 @@ def run(capsys, *argv):
 FAIR = ["--anchor", "[0.5,0.5]", "--delta", "0.1"]
 THREE = ["--anchor", "[0.4,0.3,0.3]", "--delta", "0.1"]
 SWEEP = ["sweep-tau", *FAIR, "--alphas", "0.01", "--trials", "2", "--horizon-cap", "50"]
-# name -> (argv, EWM_THREADS or None, stderr fragment): counts that were once
-# masked or clamped, and magnitudes that once overflowed, each end in a typed error.
+# name -> (argv, stderr fragment): counts that were once masked or clamped, and
+# magnitudes that once overflowed, each end in a typed error.
 BAD_COUNTS = {
     "horizon-0": (["calibrate-null", *FAIR, "--alphas", "0.05", "--trials", "10",
-                   "--horizon", "0"], None, "horizon must be >= 1"),
+                   "--horizon", "0"], "horizon must be >= 1"),
     "max-cycle-len-0": (["audit", *THREE, "--perturbations", "1", "--max-cycle-len", "0"],
-                        None, "cycle length cap must be >= 2"),
-    "threads-negative": ([*SWEEP, "--threads", "-4"], None, "threads must be >= 1"),
-    "threads-0": ([*SWEEP, "--threads", "0"], None, "threads must be >= 1"),
-    "env-threads-abc": (SWEEP, "abc", "EWM_THREADS must be an integer"),
-    "env-threads-negative": (SWEEP, "-2", "threads must be >= 1"),
-    "grid-1025": (["maxmin2", "--p", "0.3", "--delta", "0.1", "--grid", "1025"], None,
+                        "cycle length cap must be >= 2"),
+    "threads-negative": ([*SWEEP, "--threads", "-4"], "threads must be >= 1"),
+    "threads-0": ([*SWEEP, "--threads", "0"], "threads must be >= 1"),
+    "grid-1025": (["maxmin2", "--p", "0.3", "--delta", "0.1", "--grid", "1025"],
                   "grid must lie in 64..1024"),
     "alphas-count-10001": (["sweep-tau", *FAIR, "--alphas", "log:0.1:0.01:10001",
-                            "--trials", "2"], None, "grid count must lie in 2..10000"),
-    **{f"magnitude-{m}": (["audit", *THREE, "--perturbations", "1", "--magnitude", m], None,
+                            "--trials", "2"], "grid count must lie in 2..10000"),
+    **{f"magnitude-{m}": (["audit", *THREE, "--perturbations", "1", "--magnitude", m],
                           "magnitude") for m in ("inf", "nan", "1e308")},
 }
 
@@ -56,6 +53,10 @@ BAD_TOKENS = {
                           "expected 'gain,loss'"),
     "pair-non-integer": (["generate", *FAIR, "--pair", "0,x", "--steps", "3"], "malformed pair"),
     "unknown-policy": ([*SWEEP, "--policy", "sneaky"], "unknown policy"),
+    # JSON strings and null are not weights; the strings once passed as floats
+    "anchor-strings": (["jstar", "--anchor", '["0.5","0.5"]', "--delta", "0.1"],
+                       "weights must be numbers"),
+    "anchor-null": (["jstar", "--anchor", "null", "--delta", "0.1"], "weights must be numbers"),
 }
 
 
@@ -80,17 +81,13 @@ TINY_DELTA = {
 }
 
 
-def run_isolated(argv, threads_env=None):
-    """``main(argv)`` with stdout and stderr captured and ``EWM_THREADS`` set to
-    ``threads_env`` (unset for None); returns (exit code, stderr)."""
-    environ = {k: v for k, v in os.environ.items() if k != "EWM_THREADS"}
-    if threads_env is not None:
-        environ["EWM_THREADS"] = threads_env
-    err = io.StringIO()
-    with mock.patch.dict(os.environ, environ, clear=True), \
-            redirect_stdout(io.StringIO()), redirect_stderr(err):
+def run_isolated(argv):
+    """``main(argv)`` with stdout and stderr captured, for tests that cannot take ``capsys``;
+    returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestParseAlphaGrid:
@@ -113,8 +110,11 @@ class TestParseAlphaGrid:
             parse_alpha_grid("log:1e-2:1e-120")
         with pytest.raises(FormatError):
             parse_alpha_grid("abc")
-        with pytest.raises(FormatError):
-            parse_alpha_grid("0.5,2.0")
+        for token, shown in (("0.5,2.0", "2.0"), ("log:0.5:2:3", "2.0"), ("1e-320", "1e-320")):
+            with pytest.raises(FormatError) as info:  # detect --alpha's text, as a grid's error
+                parse_alpha_grid(token)
+            assert type(info.value) is FormatError
+            assert str(info.value) == f"alpha must lie in (0, 1) with 1/alpha finite, got {shown}"
 
 
 class TestJstarCommand:
@@ -180,7 +180,7 @@ PARSER_SHAPE = {
                   (("--trials",), False, 10_000, int, None), (("--seed",), False, 0, int, None),
                   (("--policy",), False, "fixed:0,1", None, None),
                   (("--horizon-cap",), False, None, int, None),
-                  (("--threads",), False, None, int, None), OUT],
+                  (("--threads",), False, 1, int, None), OUT],
     "calibrate-null": [H, *ANCHOR, (("--alphas",), True, None, None, None),
                        (("--trials",), False, 10_000, int, None),
                        (("--horizon",), False, None, int, None),
@@ -260,15 +260,15 @@ class TestErrors:
 
     @pytest.mark.parametrize("case", sorted(BAD_COUNTS))
     def test_bad_count_is_a_typed_error(self, case):
-        argv, threads_env, message = BAD_COUNTS[case]
-        code, err = run_isolated(argv, threads_env)
+        argv, message = BAD_COUNTS[case]
+        code, _, err = run_isolated(argv)
         assert code == 1 and message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("case", sorted(BAD_TOKENS))
     def test_bad_token_is_a_typed_error(self, case):
         argv, message = BAD_TOKENS[case]
-        code, err = run_isolated(argv)
-        assert code == 1 and message in err and "Traceback" not in err
+        code, out, err = run_isolated(argv)
+        assert code == 1 and out == "" and message in err and "Traceback" not in err
 
     def test_out_of_memory_is_a_typed_error(self, capsys, monkeypatch):
         def exhausted(config, threads=1):
@@ -450,21 +450,23 @@ class TestSweepTauCommand:
         assert lines[0] == "alpha,log_inv_alpha,mean_tau,std_err,ratio,censored_count"
         assert len(lines) == 3
 
-    def test_threads_default_is_read_on_every_call(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("flags, environ, threads",
+                             [([], False, 1), (["--threads", "2"], False, 2), ([], True, 1)],
+                             ids=["default", "flag", "environment-ignored"])
+    def test_threads_come_from_the_flag_alone(self, capsys, monkeypatch, flags, environ,
+                                              threads):
+        # environ: an EWM_<OPTION> variable named after each sweep-tau option, set to junk
         seen = []
 
-        def record_threads(config, threads=1):
+        def record_threads(config, threads):
             seen.append(threads)
             return []
 
         monkeypatch.setattr(ewm.simulation, "estimate_stopping", record_threads)
-        argv = ["sweep-tau", "--anchor", "[0.5,0.5]", "--delta", "0.1",
-                "--alphas", "0.01", "--trials", "2"]
-        for value in ("3", "5"):
-            monkeypatch.setenv("EWM_THREADS", value)
-            assert run(capsys, *argv)[0] == 0
-        assert run(capsys, *argv, "--threads", "2")[0] == 0
-        assert seen == [3, 5, 2]
+        for options, *_ in PARSER_SHAPE["sweep-tau"] if environ else []:
+            monkeypatch.setenv("EWM_" + options[-1].lstrip("-").replace("-", "_").upper(), "abc")
+        code, _, err = run(capsys, *SWEEP, *flags)
+        assert (code, err, seen) == (0, "", [threads])
 
     def test_tiny_rate_with_a_cap_runs(self, capsys):
         # finite scores, but 1.25 log(1/alpha) / J* overflows: the chunk is
@@ -545,7 +547,6 @@ TARGETS = (["[0.42,0.3,0.28]", "[0.55,0.45]", "[0.26,0.24,0.25,0.25]"],
            ["[0.5,0.3,0.2]", "[0.8,0.2]", "[1,2]", '["x"]', "nope"])
 PAIRS = (["0,1", "2,0"], ["0,0", "9,0", "-1,0", "a,b", "1"])
 SEEDS = (["0", "7", "-1", "18446744073709551616"], ["abc", ""])
-THREADS_ENV = [None, "1", "abc", "", "0", "-2", "2.5"]
 
 
 def field(kind):
@@ -613,32 +614,32 @@ def stream_dir(tmp_path_factory):
 
 def _fuzz_examples(test):
     """Every hand-found case, as an explicit example of the fuzz test."""
-    cases = [(argv, env) for argv, env, _ in BAD_COUNTS.values()] + [
-        (["detect", *FAIR, "--alpha", "0.02", "--stream", "STREAMS/letter.csv"], None),
-        (["detect", *FAIR, "--alpha", "0.02", "--stream", "STREAMS/binary.csv",
-          "--budget", "18446744073709551616"], None),
-        (["detect", *FAIR, "--alpha", "0.02", "--method", "baseline",
-          "--stream", "STREAMS/outside.csv"], None),
-        (["jstar", "--anchor", '["a",0.5]', "--delta", "0.1"], None),
-        (["generate", *FAIR, "--pair", "0,1", "--steps", "-1"], None),
-        ([*SWEEP[:-1], "18446744073709551616"], None),
-        (["sweep-tau", *FAIR, "--alphas", "1e-320", "--trials", "2"], None),
-        (["calibrate-null", *FAIR, "--alphas", "1e-320", "--trials", "2"], None),
-        *((argv, None) for argv in SUBNORMAL_JSTAR.values()),
-        *((argv, None) for argv in TINY_DELTA.values()),
+    cases = [argv for argv, _ in BAD_COUNTS.values()] + [
+        ["detect", *FAIR, "--alpha", "0.02", "--stream", "STREAMS/letter.csv"],
+        ["detect", *FAIR, "--alpha", "0.02", "--stream", "STREAMS/binary.csv",
+         "--budget", "18446744073709551616"],
+        ["detect", *FAIR, "--alpha", "0.02", "--method", "baseline",
+         "--stream", "STREAMS/outside.csv"],
+        ["jstar", "--anchor", '["a",0.5]', "--delta", "0.1"],
+        ["generate", *FAIR, "--pair", "0,1", "--steps", "-1"],
+        [*SWEEP[:-1], "18446744073709551616"],
+        ["sweep-tau", *FAIR, "--alphas", "1e-320", "--trials", "2"],
+        ["calibrate-null", *FAIR, "--alphas", "1e-320", "--trials", "2"],
+        *SUBNORMAL_JSTAR.values(),
+        *TINY_DELTA.values(),
     ]
-    for argv, env in cases:
-        test = example(argv=argv, threads_env=env)(test)
+    for argv in cases:
+        test = example(argv=argv)(test)
     return test
 
 
 class TestFuzz:
     @settings(max_examples=300)
     @_fuzz_examples
-    @given(argv=argvs(), threads_env=st.sampled_from(THREADS_ENV))
-    def test_any_argv_exits_cleanly(self, stream_dir, argv, threads_env):
+    @given(argv=argvs())
+    def test_any_argv_exits_cleanly(self, stream_dir, argv):
         argv = [a.replace("STREAMS", str(stream_dir)) for a in argv]
-        code, err = run_isolated(argv, threads_env)
+        code, _, err = run_isolated(argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in err
 
@@ -664,8 +665,8 @@ class TestStreamBytes:
         rows = b"".join(b"%d,0,1" % t + end for t in range(plain))
         head = b"step,v," + poison if in_header else b"step,v,s" + end + rows + poison
         stream.write_bytes(head + tail)
-        code, err = run_isolated(["detect", *FAIR, "--alpha", "1e-30", "--method", method,
-                                  "--stream", str(stream)])
+        code, _, err = run_isolated(["detect", *FAIR, "--alpha", "1e-30", "--method", method,
+                                     "--stream", str(stream)])
         assert code == 1 and "Traceback" not in err and len(err) < 300
         assert err.startswith("ewm: error: ") and err.count("\n") == 1
 
@@ -734,7 +735,7 @@ class TestJsonInputs:
             return
         json_file.write_bytes(text.encode("utf-8", "surrogatepass"))
         argv = [a.replace("TEXT", text).replace("FILE", str(json_file)) for a in JSON_SITES[site]]
-        code, err = run_isolated(argv)
+        code, _, err = run_isolated(argv)
         assert code in (0, 1) and "Traceback" not in err
         if code:
             assert err.startswith("ewm: error: ") and err.count("\n") == 1 and len(err) < 300

@@ -1,8 +1,9 @@
 """Byte-for-byte golden outputs of reduced-size CLI runs, kept in tests/golden/.
 
 ``GOLDENS`` is the one place a golden's command is written, as the argv that prints it.  Each
-runs in-process and in a fresh interpreter, every ``sweep-tau`` entry at ``--threads 1`` and
-``2``, as any worker count must reproduce a sweep's table.  An entry written before a change to
+runs in-process and in a fresh interpreter started as ``python -m ewm.cli`` starts, every
+``sweep-tau`` entry at ``--threads 1`` and ``2``, as any worker count must reproduce a sweep's
+table.  An entry written before a change to
 the path it runs pins that the path kept its bytes.  The one input no entry writes,
 ``detect-null-stream.csv``, holds 4,000 pairs drawn independently from the anchor by
 
@@ -17,6 +18,7 @@ import argparse
 import builtins
 import math
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -31,6 +33,7 @@ from ewm.coupling import write_stream_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 NULL_STREAM = GOLDEN / "detect-null-stream.csv"
+STREAM = str(GOLDEN / "generate-pair.csv")  # the watermarked stream both detect goldens read
 TRACE = "maxmin2-trace.csv"  # maxmin2's --trace, written to the working directory
 SUM = builtins.sum  # kept for compensated_sum, which stands in for it
 ANCHORS = {"n2": "[0.5,0.5]", "n4": "[0.25,0.25,0.25,0.25]"}
@@ -43,7 +46,7 @@ NOISY = ["sweep-tau", "--anchor", "[0.85,0.15]", "--delta", "0.14", "--alphas", 
 CALIBRATE = ["calibrate-null", *FAIR, "--alphas", "0.1,0.05,0.02", "--trials", "500", "--seed", "1"]
 SHIFTED = ["calibrate-null", *FAIR, "--q-null", "[0.55,0.45]"]
 GENERATE = ["generate", *ANCHOR3, "--steps", "400", "--seed", "7"]
-DETECT = ["detect", *ANCHOR3, "--alpha", "1e-30", "--stream", str(GOLDEN / "generate-pair.csv")]
+DETECT = ["detect", *ANCHOR3, "--alpha", "1e-30", "--stream", STREAM]
 DETECT_NULL = ["detect", *ANCHOR3, "--alpha", "0.02", "--stream", str(NULL_STREAM)]
 GOLDENS = {
     # roundrobin and random run the block engine, random at three Philox words per two steps,
@@ -121,7 +124,8 @@ def test_run_matches_golden(tmp_path, monkeypatch, name, argv):
 @pytest.fixture(scope="module")
 def fresh(request, tmp_path_factory):
     """``{id: future of (directory, process)}``: a fresh interpreter for each selected run."""
-    probe = "import sys; sys.modules['scipy'] = None; from ewm.cli import main; sys.exit(main())"
+    probe = ("import sys, runpy; sys.modules['scipy'] = None; "  # as `python -m ewm.cli` starts
+             "runpy.run_module('ewm.cli', run_name='__main__', alter_sys=True)")
     env = dict(os.environ, PYTHONPATH=str(Path(ewm.__file__).resolve().parents[1]))
 
     def run(argv, directory):  # scipy, a test-only reference, is blocked
@@ -141,6 +145,30 @@ def test_fresh_process_matches_golden(request, fresh, name, argv):
     assert done.returncode == 0, done.stderr.decode()
     (directory / name).write_bytes(done.stdout)
     assert_goldens(directory, name, argv)
+
+
+# (first line, pattern, replacement): ``STREAM`` rewritten line by line from that line on, as
+# `sed` would; each variant holds the same pairs, so both detectors must print the same bytes
+STREAM_VARIANTS = {
+    "crlf": (0, "$", "\r"),  # plain rows still, so one parse per block
+    "space": (1, ",", ", "),  # rows only the csv path reads
+    "quoted": (1, r",(\d*)$", r',"\1"'),  # the csv path too
+}
+
+
+@pytest.mark.parametrize("variant", sorted(STREAM_VARIANTS))
+@pytest.mark.parametrize("name", ["detect-evalue.json", "detect-baseline.json"],
+                         ids=["evalue", "baseline"])
+def test_detect_on_a_rewritten_stream_matches_golden(tmp_path, monkeypatch, name, variant):
+    start, pattern, replacement = STREAM_VARIANTS[variant]
+    lines = Path(STREAM).read_text().splitlines()
+    stream = tmp_path / f"{variant}.csv"
+    stream.write_bytes("".join((line if i < start else re.sub(pattern, replacement, line)) + "\n"
+                               for i, line in enumerate(lines)).encode())
+    monkeypatch.chdir(tmp_path)
+    argv = [str(stream) if a == STREAM else a for a in GOLDENS[name]]
+    assert main([*argv, "--out", name]) == 0
+    assert_goldens(tmp_path, name, argv)
 
 
 def test_goldens_cover_every_golden_file_and_subcommand():
