@@ -109,12 +109,8 @@ def parse_alpha_grid(token: str) -> list[float]:
 
 
 def _resolve_anchor(args) -> NeighborhoodSpec:
-    if args.anchor is not None:
-        payload = args.anchor  # inline wins over --anchor-file
-    elif args.anchor_file is not None:
-        payload = Path(args.anchor_file).read_bytes()  # JSON's bytes: UTF-8, -16 or -32
-    else:
-        raise FormatError("provide --anchor or --anchor-file")
+    # JSON's bytes from a file: UTF-8, -16 or -32
+    payload = args.anchor if args.anchor_file is None else Path(args.anchor_file).read_bytes()
     return make_neighborhood(make_distribution(_parse_json(payload)), args.delta)
 
 
@@ -138,9 +134,8 @@ def _cmd_jstar(args, spec: NeighborhoodSpec) -> int:
     return 0
 
 
-def _cmd_maxmin2(args) -> int:
-    sol = two_token_maxmin(args.p, args.delta, args.grid, args.refinements)
-    spec = make_neighborhood(make_distribution([args.p, 1.0 - args.p]), args.delta)
+def _cmd_maxmin2(args, spec: NeighborhoodSpec) -> int:
+    sol = two_token_maxmin(spec, args.grid, args.refinements)
     j = jstar(spec)
     if args.trace:
         _write(args.trace, simulation._write_csv, "refinement,r00,r11,objective", sol.trace)
@@ -195,8 +190,6 @@ def _cmd_calibrate_null(args, spec: NeighborhoodSpec) -> int:
 
 
 def _cmd_generate(args, spec: NeighborhoodSpec) -> int:
-    if (args.pair is None) == (args.target is None):
-        raise FormatError("provide exactly one of --pair or --target")
     if args.pair is not None:
         w = extreme_coupling(spec, _parse_pair(args.pair))
     else:
@@ -262,23 +255,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def sub(name, func, help, anchored=True) -> argparse.ArgumentParser:
+    def sub(name, func, help) -> argparse.ArgumentParser:
         p = subs.add_parser(name, help=help)
-        if anchored:
-            p.add_argument("--anchor", help="inline JSON array of anchor weights")
-            p.add_argument("--anchor-file", help="path to a JSON array of anchor weights")
-            p.add_argument("--delta", type=float, required=True, help="L1 radius")
-            # resolved when run_command calls func, so a bad anchor is its typed error too
-            p.set_defaults(func=lambda args: func(args, _resolve_anchor(args)))
-        else:
-            p.set_defaults(func=func)
+        anchor = p.add_mutually_exclusive_group(required=True)
+        anchor.add_argument("--anchor", help="inline JSON array of anchor weights")
+        anchor.add_argument("--anchor-file", help="path to a JSON array of anchor weights")
+        p.add_argument("--delta", type=float, required=True, help="L1 radius")
+        # resolved when run_command calls func, so a bad anchor is its typed error too
+        p.set_defaults(func=lambda args: func(args, _resolve_anchor(args)))
         return p
 
     sub("jstar", _cmd_jstar, "closed-form optimal growth rate")
 
-    p = sub("maxmin2", _cmd_maxmin2, "two-token max-min grid solver", anchored=False)
-    p.add_argument("--p", type=float, required=True, help="anchor weight of symbol 0")
-    p.add_argument("--delta", type=float, required=True)
+    p = sub("maxmin2", _cmd_maxmin2, "two-token max-min grid solver (n = 2)")
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--refinements", type=int, default=4)
     p.add_argument("--trace", help="CSV trace of incumbents per refinement")
@@ -300,8 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub("generate", _cmd_generate, "sample a watermarked stream to CSV")
-    p.add_argument("--pair", help="vertex target as 'gain,loss'")
-    p.add_argument("--target", help="inline JSON target distribution")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--pair", help="vertex target as 'gain,loss'")
+    target.add_argument("--target", help="inline JSON target distribution")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
 

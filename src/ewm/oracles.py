@@ -35,8 +35,8 @@ import numpy as np
 from .coupling import PathSpec
 from .errors import BadParamsError, TooLargeError
 from .evalue import EValueTable, _check_dims, jstar, kernel_of, optimal_evalue
-from .simplex import (ExtremePair, NeighborhoodSpec, VocabDistribution, _check_pair, _count,
-                      _real, entropy, enumerate_extremes)
+from .simplex import (ExtremePair, NeighborhoodSpec, _check_pair, _count, _real, entropy,
+                      enumerate_extremes)
 
 # Refuse cycle enumerations beyond this many cycles (the full cap at n = 8 fits).
 _CYCLE_BUDGET = 100_000
@@ -132,31 +132,27 @@ def cycle_condition_check(e: EValueTable, max_cycle_len: int) -> bool:
     return True
 
 
-def two_token_maxmin(
-    p: float, delta: float, grid: int, refinements: int
-) -> TwoTokenSolution:
+def two_token_maxmin(spec: NeighborhoodSpec, grid: int, refinements: int) -> TwoTokenSolution:
     """Nested grid search for the two-token max-min program.
 
     Maximizes, over row-stochastic 2x2 kernels parameterized by the diagonal
     ``(r00, r11)`` in (0,1)^2,
 
-        H(p0) + p log r00 + (1-p) log r11
+        H(p0) + p log r00 + q log r11
               + (delta/2) * min( log((1-r00)/r11), log((1-r11)/r00) )
 
-    where ``p0 = (p, 1-p)``, for :func:`_real` ``p`` and ``delta``.  The row-stochastic
-    parameterization pins the null expectation at exactly 1, where the optimum lives.  Each
-    of the ``refinements`` (a count) re-grids a window shrunk by a factor ``grid`` (a count in
-    64..1024) around the incumbent, at cell centers so the open-interval constraint holds.
+    where ``spec`` holds the anchor ``p0 = (p, q)`` (n = 2) and the radius ``delta``.  The
+    row-stochastic parameterization pins the null expectation at exactly 1, where the optimum
+    lives.  Each of the ``refinements`` (a count) re-grids a window shrunk by a factor ``grid``
+    (a count in 64..1024) around the incumbent, at cell centers so the open-interval constraint
+    holds.
     """
-    p, delta = _real(p, "p"), _real(delta, "delta")
-    if not (0.0 < p < 1.0):
-        raise BadParamsError(f"p must lie in (0, 1), got {p!r}")
-    if not (0.0 < delta < 2.0) or min(p, 1.0 - p) <= delta:
-        raise BadParamsError(f"need min(p, 1-p) > delta > 0, got p={p!r}, delta={delta!r}")
+    if spec.n != 2:
+        raise BadParamsError(f"the two-token solver needs n = 2, got n = {spec.n}")
     grid = _count(grid, "grid", 64, 1024)  # each pass holds several grid x grid arrays
     refinements = _count(refinements, "refinements")
 
-    h = entropy(VocabDistribution(np.array([p, 1.0 - p])))
+    (p, q), delta, h = spec.anchor.weights.tolist(), spec.delta, entropy(spec.anchor)
     lo = np.array([0.0, 0.0])
     hi = np.array([1.0, 1.0])
     trace: list[tuple[int, float, float, float]] = []
@@ -166,7 +162,7 @@ def two_token_maxmin(
         obj = (
             h
             + p * np.log(r00)
-            + (1.0 - p) * np.log(r11)
+            + q * np.log(r11)
             + delta / 2.0 * np.minimum(
                 np.log((1.0 - r00) / r11), np.log((1.0 - r11) / r00)
             )

@@ -74,8 +74,9 @@ def test_criterion_3_two_token_solver():
     start = time.perf_counter()
     gaps = {}
     for p in (0.2, 0.5, 0.75):
-        sol = ewm.two_token_maxmin(p, 0.01, 256, 4)
-        gaps[p] = abs(sol.value - ewm.jstar(spec_of([p, 1.0 - p], 0.01)))
+        spec = spec_of([p, 1.0 - p], 0.01)
+        sol = ewm.two_token_maxmin(spec, 256, 4)
+        gaps[p] = abs(sol.value - ewm.jstar(spec))
     elapsed = time.perf_counter() - start
     ok = max(gaps.values()) <= 1e-4 and elapsed < 10.0
     _gate(

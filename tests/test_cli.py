@@ -35,7 +35,7 @@ BAD_COUNTS = {
                         "cycle length cap must be >= 2"),
     "threads-negative": ([*SWEEP, "--threads", "-4"], "threads must be >= 1"),
     "threads-0": ([*SWEEP, "--threads", "0"], "threads must be >= 1"),
-    "grid-1025": (["maxmin2", "--p", "0.3", "--delta", "0.1", "--grid", "1025"],
+    "grid-1025": (["maxmin2", "--anchor", "[0.3,0.7]", "--delta", "0.1", "--grid", "1025"],
                   "grid must lie in 64..1024"),
     "alphas-count-10001": (["sweep-tau", *FAIR, "--alphas", "log:0.1:0.01:10001",
                             "--trials", "2"], "grid count must lie in 2..10000"),
@@ -137,13 +137,6 @@ class TestJstarCommand:
         code, out, _ = run(capsys, "jstar", "--anchor-file", str(path), "--delta", "0.1")
         assert code == 0 and abs(json.loads(out)["jstar"] - 0.494632) < 5e-7
 
-    def test_inline_wins_over_file(self, capsys, tmp_path):
-        path = tmp_path / "anchor.json"
-        path.write_text("[0.2, 0.8]")
-        _, out, _ = run(capsys, "jstar", "--anchor", "[0.5,0.5]",
-                        "--anchor-file", str(path), "--delta", "0.1")
-        assert abs(json.loads(out)["jstar"] - 0.494632) < 5e-7
-
     def test_anchor_reads_no_path(self, capsys, tmp_path):
         # a file is read only through --anchor-file
         path = tmp_path / "a.json"
@@ -162,48 +155,70 @@ class TestImport:
         assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
-H = (("-h", "--help"), False, argparse.SUPPRESS, None, None)
-ANCHOR = [(("--anchor",), False, None, None, None), (("--anchor-file",), False, None, None, None),
-          (("--delta",), True, None, float, None)]
-OUT = (("--out",), False, None, None, None)
-# parser -> its actions in order, as (option strings, required, default, type, choices); the
-# --help text holds the same facts, but argparse wraps it at the terminal's width
+H = (("-h", "--help"), False, argparse.SUPPRESS, None, None, ())
+ANCHOR = [(("--anchor",), False, None, None, None, ("--anchor-file",)),
+          (("--anchor-file",), False, None, None, None, ("--anchor",)),
+          (("--delta",), True, None, float, None, ())]
+OUT = (("--out",), False, None, None, None, ())
+# parser -> its actions in order, as (option strings, required, default, type, choices, the
+# options of the other members of its mutually exclusive group); the --help text holds the
+# same facts, but argparse wraps it at the terminal's width
 PARSER_SHAPE = {
     "ewm": [H, (("command",), True, None, None, ("jstar", "maxmin2", "sweep-tau",
                                                   "calibrate-null", "generate", "detect",
-                                                  "decompose", "audit"))],
+                                                  "decompose", "audit"), ())],
     "jstar": [H, *ANCHOR, OUT],
-    "maxmin2": [H, (("--p",), True, None, float, None), (("--delta",), True, None, float, None),
-                (("--grid",), False, 256, int, None), (("--refinements",), False, 4, int, None),
-                (("--trace",), False, None, None, None), OUT],
-    "sweep-tau": [H, *ANCHOR, (("--alphas",), True, None, None, None),
-                  (("--trials",), False, 10_000, int, None), (("--seed",), False, 0, int, None),
-                  (("--policy",), False, "fixed:0,1", None, None),
-                  (("--horizon-cap",), False, None, int, None),
-                  (("--threads",), False, 1, int, None), OUT],
-    "calibrate-null": [H, *ANCHOR, (("--alphas",), True, None, None, None),
-                       (("--trials",), False, 10_000, int, None),
-                       (("--horizon",), False, None, int, None),
-                       (("--q-null",), False, None, None, None),
-                       (("--seed",), False, 0, int, None), OUT],
-    "generate": [H, *ANCHOR, (("--pair",), False, None, None, None),
-                 (("--target",), False, None, None, None), (("--steps",), True, None, int, None),
-                 (("--seed",), False, 0, int, None), OUT],
-    "detect": [H, *ANCHOR, (("--alpha",), True, None, float, None),
-               (("--method",), False, "evalue", None, ("evalue", "baseline")),
-               (("--stream",), True, None, None, None), (("--budget",), False, None, int, None),
-               OUT],
-    "decompose": [H, *ANCHOR, (("--target",), True, None, None, None), OUT],
-    "audit": [H, *ANCHOR, (("--perturbations",), False, 200, int, None),
-              (("--magnitude",), False, 0.05, float, None),
-              (("--max-cycle-len",), False, None, int, None), (("--seed",), False, 0, int, None),
-              OUT],
+    "maxmin2": [H, *ANCHOR, (("--grid",), False, 256, int, None, ()),
+                (("--refinements",), False, 4, int, None, ()),
+                (("--trace",), False, None, None, None, ()), OUT],
+    "sweep-tau": [H, *ANCHOR, (("--alphas",), True, None, None, None, ()),
+                  (("--trials",), False, 10_000, int, None, ()),
+                  (("--seed",), False, 0, int, None, ()),
+                  (("--policy",), False, "fixed:0,1", None, None, ()),
+                  (("--horizon-cap",), False, None, int, None, ()),
+                  (("--threads",), False, 1, int, None, ()), OUT],
+    "calibrate-null": [H, *ANCHOR, (("--alphas",), True, None, None, None, ()),
+                       (("--trials",), False, 10_000, int, None, ()),
+                       (("--horizon",), False, None, int, None, ()),
+                       (("--q-null",), False, None, None, None, ()),
+                       (("--seed",), False, 0, int, None, ()), OUT],
+    "generate": [H, *ANCHOR, (("--pair",), False, None, None, None, ("--target",)),
+                 (("--target",), False, None, None, None, ("--pair",)),
+                 (("--steps",), True, None, int, None, ()),
+                 (("--seed",), False, 0, int, None, ()), OUT],
+    "detect": [H, *ANCHOR, (("--alpha",), True, None, float, None, ()),
+               (("--method",), False, "evalue", None, ("evalue", "baseline"), ()),
+               (("--stream",), True, None, None, None, ()),
+               (("--budget",), False, None, int, None, ()), OUT],
+    "decompose": [H, *ANCHOR, (("--target",), True, None, None, None, ()), OUT],
+    "audit": [H, *ANCHOR, (("--perturbations",), False, 200, int, None, ()),
+              (("--magnitude",), False, 0.05, float, None, ()),
+              (("--max-cycle-len",), False, None, int, None, ()),
+              (("--seed",), False, 0, int, None, ()), OUT],
 }
 
 
 def parser_shape(parser):
+    def others(a):  # the options a mutually exclusive group holds besides a's
+        return tuple(o for group in parser._mutually_exclusive_groups if a in group._group_actions
+                     for b in group._group_actions if b is not a for o in b.option_strings)
+
     return [(tuple(a.option_strings) or (a.dest,), a.required, a.default, a.type,
-             None if a.choices is None else tuple(a.choices)) for a in parser._actions]
+             None if a.choices is None else tuple(a.choices), others(a)) for a in parser._actions]
+
+
+# subcommand -> its flags besides the anchor's, each run kept small in case it runs
+REST = {
+    "jstar": [],
+    "maxmin2": ["--grid", "64", "--refinements", "1"],
+    "sweep-tau": ["--alphas", "0.01", "--trials", "2", "--horizon-cap", "50"],
+    "calibrate-null": ["--alphas", "0.05", "--trials", "2", "--horizon", "3"],
+    "generate": ["--pair", "0,1", "--steps", "3"],
+    "detect": ["--alpha", "0.02",
+               "--stream", str(Path(__file__).parent / "golden" / "generate-pair.csv")],
+    "decompose": ["--target", "[0.55,0.45]"],
+    "audit": ["--perturbations", "1"],
+}
 
 
 class TestParserShape:
@@ -216,6 +231,26 @@ class TestParserShape:
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
+
+
+class TestOneSource:
+    """One anchor source for every subcommand and one target for generate: giving neither or
+    both is a usage error, before anything is read or run."""
+
+    @pytest.mark.parametrize("command", sorted(REST))
+    @pytest.mark.parametrize("given", ["neither", "both"])
+    def test_anchor_comes_from_exactly_one_flag(self, capsys, tmp_path, command, given):
+        path = tmp_path / "anchor.json"
+        path.write_text("[0.5, 0.5]")
+        anchor = {"neither": [], "both": ["--anchor", "[0.5,0.5]", "--anchor-file", str(path)]}
+        code, out, err = run(capsys, command, *anchor[given], "--delta", "0.1", *REST[command])
+        assert (code, out) == (2, "") and "--anchor-file" in err
+
+    @pytest.mark.parametrize("target", [[], ["--pair", "0,1", "--target", "[0.55,0.45]"]],
+                             ids=["neither", "both"])
+    def test_generate_target_comes_from_exactly_one_flag(self, capsys, target):
+        code, out, err = run(capsys, "generate", *FAIR, *target, "--steps", "3")
+        assert (code, out) == (2, "") and "--target" in err
 
 
 class TestErrors:
@@ -360,14 +395,22 @@ class TestDetectReadsLazily:
 class TestMaxmin2Command:
     def test_report_and_trace(self, capsys, tmp_path):
         trace = tmp_path / "trace.csv"
-        code, out, _ = run(capsys, "maxmin2", "--p", "0.5", "--delta", "0.1",
-                           "--grid", "64", "--refinements", "2", "--trace", str(trace))
+        code, out, _ = run(capsys, "maxmin2", *FAIR, "--grid", "64", "--refinements", "2",
+                           "--trace", str(trace))
         assert code == 0
         payload = json.loads(out)
         assert payload["abs_error"] <= 1e-4
         lines = trace.read_text().splitlines()
         assert lines[0] == "refinement,r00,r11,objective"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("anchor, delta, message", [
+        ("[0.4,0.3,0.3]", "0.1", "the two-token solver needs n = 2"),
+        ("[0.3,0.7]", "0.5", "min anchor weight 0.3 must exceed delta 0.5"),
+    ], ids=["three-symbols", "delta-past-the-anchor"])
+    def test_bad_neighborhood_is_a_typed_error(self, capsys, anchor, delta, message):
+        code, out, err = run(capsys, "maxmin2", "--anchor", anchor, "--delta", delta)
+        assert code == 1 and out == "" and message in err
 
 
 class TestDecomposeCommand:
@@ -572,14 +615,13 @@ def argvs(draw):
 
     command = draw(st.sampled_from(["jstar", "maxmin2", "sweep-tau", "calibrate-null",
                                     "generate", "detect", "decompose", "audit"]))
-    if command == "maxmin2":
-        return [command, *flags(p=field((["0.3", "0.5", "0.6"], BAD_REALS)),
-                                delta=field(DELTAS), refinements=counts(4),
-                                grid=field(([str(g) for g in range(64, 129)], ["63", "0", "x"]))),
-                *maybe(trace=st.just("STREAMS/trace.csv"))]
     anchor = flags(anchor=field(ANCHORS)) if draw(st.integers(0, 9)) else []
     argv = [command, *anchor, *flags(delta=field(DELTAS))]
-    if command == "sweep-tau":
+    if command == "maxmin2":
+        argv += flags(refinements=counts(4),
+                      grid=field(([str(g) for g in range(64, 129)], ["63", "0", "x"])))
+        argv += maybe(trace=st.just("STREAMS/trace.csv"))
+    elif command == "sweep-tau":
         argv += flags(alphas=field(ALPHAS), trials=counts(20), policy=field(POLICIES),
                       horizon_cap=counts(2000), seed=field(SEEDS))
         argv += maybe(threads=st.sampled_from(["-4", "0", "1", "x"]))
@@ -621,7 +663,9 @@ def _fuzz_examples(test):
         ["detect", *FAIR, "--alpha", "0.02", "--method", "baseline",
          "--stream", "STREAMS/outside.csv"],
         ["jstar", "--anchor", '["a",0.5]', "--delta", "0.1"],
+        ["jstar", *FAIR, "--anchor-file", "STREAMS/good.csv"],
         ["generate", *FAIR, "--pair", "0,1", "--steps", "-1"],
+        ["generate", *FAIR, "--pair", "0,1", "--target", "[0.55,0.45]", "--steps", "3"],
         [*SWEEP[:-1], "18446744073709551616"],
         ["sweep-tau", *FAIR, "--alphas", "1e-320", "--trials", "2"],
         ["calibrate-null", *FAIR, "--alphas", "1e-320", "--trials", "2"],

@@ -92,7 +92,7 @@ GOLDENS = {
     "generate-pair.csv": [*GENERATE, "--pair", "0,1"],  # also DETECT's watermarked stream
     "generate-target.csv": [*GENERATE, "--target", "[0.43,0.32,0.25]"],
     "jstar.json": ["jstar", *ANCHOR3],  # the closed-form rate
-    "maxmin2.json": ["maxmin2", "--p", "0.3", "--delta", "0.1", "--grid", "64",
+    "maxmin2.json": ["maxmin2", "--anchor", "[0.3,0.7]", "--delta", "0.1", "--grid", "64",
                      "--refinements", "3", "--trace", TRACE],  # the two-token solver
     "detect-evalue.json": [*DETECT, "--method", "evalue"],
     "detect-baseline.json": [*DETECT, "--method", "baseline"],
@@ -100,6 +100,11 @@ GOLDENS = {
     # the baseline screened its tails
     "detect-evalue-null.json": [*DETECT_NULL, "--method", "evalue"],
     "detect-baseline-null.json": [*DETECT_NULL, "--method", "baseline"],
+    # the null stream's match rate, 0.3425, is well above this anchor's 0.25, so the baseline
+    # decides, in the third block at alpha 0.02 (530 at 0.03): its schedule moves the bytes
+    "detect-baseline-null-n4.json": ["detect", "--anchor", ANCHORS["n4"], "--delta", "0.1",
+                                     "--alpha", "0.02", "--method", "baseline",
+                                     "--stream", str(NULL_STREAM)],
     "decompose.json": ["decompose", *ANCHOR3, "--target", "[0.42,0.3,0.28]"],  # vertex weights
     "audit.json": ["audit", *ANCHOR3, "--perturbations", "4", "--seed", "3"],
 }

@@ -285,8 +285,9 @@ class TestCycleCondition:
 class TestTwoTokenMaxmin:
     def test_matches_closed_form(self):
         for p in (0.2, 0.5, 0.75):
-            sol = ewm.two_token_maxmin(p, 0.01, 256, 4)
-            j = ewm.jstar(spec_of([p, 1.0 - p], 0.01))
+            spec = spec_of([p, 1.0 - p], 0.01)
+            sol = ewm.two_token_maxmin(spec, 256, 4)
+            j = ewm.jstar(spec)
             assert abs(sol.value - j) <= 1e-4
             assert abs(sol.r00 - 0.995) < 1e-3
             assert abs(sol.r11 - 0.995) < 1e-3
@@ -294,25 +295,27 @@ class TestTwoTokenMaxmin:
     def test_convergence_grid(self):
         for p in (0.2, 0.5, 0.75):
             for delta in (0.01, 0.1):
-                sol = ewm.two_token_maxmin(p, delta, 128, 3)
-                j = ewm.jstar(spec_of([p, 1.0 - p], delta))
+                spec = spec_of([p, 1.0 - p], delta)
+                sol = ewm.two_token_maxmin(spec, 128, 3)
+                j = ewm.jstar(spec)
                 assert abs(sol.value - j) <= 1e-4
 
     def test_trace_shape(self):
-        sol = ewm.two_token_maxmin(0.5, 0.1, 64, 2)
+        sol = ewm.two_token_maxmin(spec_of([0.5, 0.5], 0.1), 64, 2)
         assert len(sol.trace) == 2
         assert sol.trace[0][0] == 0 and sol.trace[1][0] == 1
         assert sol.trace[1][3] >= sol.trace[0][3]  # refinement never worsens
 
     def test_bad_params(self):
+        fair = spec_of([0.5, 0.5], 0.01)
+        with pytest.raises(BadParamsError, match="needs n = 2, got n = 3"):
+            ewm.two_token_maxmin(spec_of([0.4, 0.3, 0.3], 0.01), 256, 4)
         with pytest.raises(BadParamsError):
-            ewm.two_token_maxmin(0.5, 0.6, 256, 4)  # delta >= min(p, 1-p)
+            ewm.two_token_maxmin(fair, 32, 4)
         with pytest.raises(BadParamsError):
-            ewm.two_token_maxmin(0.5, 0.01, 32, 4)
+            ewm.two_token_maxmin(fair, 1025, 4)
         with pytest.raises(BadParamsError):
-            ewm.two_token_maxmin(0.5, 0.01, 1025, 4)
-        with pytest.raises(BadParamsError):
-            ewm.two_token_maxmin(0.5, 0.01, 256, 0)
+            ewm.two_token_maxmin(fair, 256, 0)
 
 
 class TestSaddleCheck:

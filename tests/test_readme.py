@@ -1,11 +1,14 @@
-"""The README's library sketch runs and gives the values its comments state."""
+"""The README's library sketch runs and gives the values its comments state, and its CLI
+examples parse."""
 
 import math
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from ewm.cli import build_parser
 from ewm.errors import IndexOutOfRangeError
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -36,3 +39,18 @@ def test_the_library_sketch_gives_the_values_in_its_comments():
     assert last_comment.startswith("IndexOutOfRangeError")
     with pytest.raises(IndexOutOfRangeError):
         exec(last, namespace)
+
+
+def cli_examples():
+    """The argv of each ``ewm`` line in the code block under "CLI", ``\\`` lines joined."""
+    block = re.search(r"## CLI\n.*?```\n(.*?)```", README, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("ewm ")]
+
+
+def test_the_cli_examples_parse():
+    examples = cli_examples()
+    assert {argv[0] for argv in examples} == {"jstar", "maxmin2", "sweep-tau", "calibrate-null",
+                                               "generate", "detect", "decompose", "audit"}
+    for argv in examples:  # parse only: a usage error raises SystemExit
+        build_parser().parse_args(argv)

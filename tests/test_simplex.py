@@ -295,9 +295,9 @@ COUNT_SITES = {
                        "steps", 0, None, 3),
     "cycle-cap": (lambda k: ewm.cycle_condition_check(CYCLE_TABLE, k), "cycle length cap",
                   2, None, 3),
-    "maxmin-grid": (lambda k: ewm.two_token_maxmin(0.3, 0.1, k, 1), "grid", 64, 1024, 64),
-    "maxmin-refinements": (lambda k: ewm.two_token_maxmin(0.3, 0.1, 64, k), "refinements",
-                           1, None, 2),
+    "maxmin-grid": (lambda k: ewm.two_token_maxmin(FAIR, k, 1), "grid", 64, 1024, 64),
+    "maxmin-refinements": (lambda k: ewm.two_token_maxmin(FAIR, 64, k), "refinements", 1, None,
+                           2),
     "saddle-perturbations": (lambda k: ewm.saddle_check(THREE, k, 0.05, ewm.trial_rng(3)),
                              "perturbations", 0, None, 2),
     "trial-rng-seed": (lambda k: ewm.trial_rng(k).random(), "seed", 0, 2**128 - 1, 3),
@@ -353,9 +353,6 @@ REAL_SITES = {
                             BadParamsError, "null match probability", 0.5),
     "neighborhood-delta": (lambda x: ewm.make_neighborhood(FAIR.anchor, x).delta,
                            InvalidSpecError, "delta", 0.1),
-    "maxmin-p": (lambda x: ewm.two_token_maxmin(x, 0.1, 64, 1), BadParamsError, "p", 0.3),
-    "maxmin-delta": (lambda x: ewm.two_token_maxmin(0.3, x, 64, 1), BadParamsError, "delta",
-                     0.1),
     "saddle-magnitude": (lambda x: ewm.saddle_check(THREE, 2, x, ewm.trial_rng(3)),
                          BadParamsError, "magnitude", 0.05),
     "horizon-alpha": (lambda x: ewm.default_horizon(FAIR, x), BadAlphaError, "alpha", 0.01),
