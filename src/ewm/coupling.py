@@ -43,10 +43,12 @@ from .simplex import (
     NeighborhoodSpec,
     VocabDistribution,
     _count,
+    _dense,
     _freeze,
     _indices,
     _reals,
     _shown,
+    enumerate_extremes,
     extreme_target,
     reconstruct_mixture,
 )
@@ -122,9 +124,13 @@ def extreme_coupling(spec: NeighborhoodSpec, pair: ExtremePair) -> CouplingMatri
     return make_coupling(_vertex_joints(spec, [pair])[0], target, spec.anchor)
 
 
-def _vertex_joints(spec: NeighborhoodSpec, pairs: list[ExtremePair]) -> np.ndarray:
-    """The ``(m, n, n)`` joints of in-range vertices ``pairs``, unchecked: ``diag(p0)`` with
-    ``delta/2`` added at (gain, loss) and taken from (loss, loss), as :func:`path_coupling`."""
+def _vertex_joints(spec: NeighborhoodSpec, pairs: list[ExtremePair] | None) -> np.ndarray:
+    """The ``(m, n, n)`` joints of in-range vertices ``pairs`` (None: every vertex, listed once the
+    budget allows them), unchecked: ``diag(p0)`` with ``delta/2`` added at (gain, loss) and taken
+    from (loss, loss), as :func:`path_coupling`."""
+    m = len(pairs) if pairs is not None else spec.n * (spec.n - 1)
+    _dense(m * spec.n**2, f"{m:,} vertex joints at n = {spec.n}")
+    pairs = pairs if pairs is not None else enumerate_extremes(spec)
     (gain, loss), rows = np.array([(p.gain, p.loss) for p in pairs]).T, np.arange(len(pairs))
     w, half = np.tile(np.diag(spec.anchor.weights), (len(pairs), 1, 1)), spec.delta / 2.0
     w[rows, gain, loss] += half

@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, NegativeWeightError, ZeroRowError
-from .simplex import NeighborhoodSpec, _ball_sup, _freeze, _reals, entropy
+from .simplex import NeighborhoodSpec, _ball_sup, _dense, _freeze, _reals, entropy
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +79,7 @@ def optimal_evalue(spec: NeighborhoodSpec) -> EValueTable:
     (a subnormal anchor weight) is refused as not finite.
     """
     p0 = spec.anchor.weights
-    n = spec.n
+    _dense((n := spec.n) * n, f"the n = {n} score table")
     with np.errstate(over="ignore"):
         scores = spec.delta / (2.0 * (n - 1)) / p0[np.newaxis, :] * np.ones((n, n))
         idx = np.arange(n)

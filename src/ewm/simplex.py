@@ -41,6 +41,7 @@ from .errors import (
     NegativeWeightError,
     OutsideNeighborhoodError,
     SumNotOneError,
+    TooLargeError,
     TooShortError,
 )
 
@@ -50,6 +51,14 @@ SIMPLEX_ATOL = 1e-9
 RECONSTRUCT_ATOL = 1e-10
 # Arithmetic identities (entropy/growth-rate cross-checks, marginal sums).
 EXACT_ATOL = 1e-12
+# Cells of one dense table at most: n <= 2,048 for an n x n table, 45 for every vertex's joint.
+_MAX_CELLS = 2**22
+
+
+def _dense(cells: int, what: str) -> None:
+    """Refuse, before it is allocated, a dense table of more than ``_MAX_CELLS`` cells."""
+    if cells > _MAX_CELLS:
+        raise TooLargeError(f"{what} needs {cells:,} cells, over the budget of {_MAX_CELLS:,}")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

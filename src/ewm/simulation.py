@@ -33,8 +33,8 @@ trial to the block engine, which continues it as ``FixedPair(A)`` at word = step
 wealth.  Both engines consume each stream exactly as drawing one value at a time would.
 ``calibrate_null`` reads, through ``_read``, raw words of a :func:`trial_rng` generator, as
 ``random`` consumes them; per ``4_000_000 // horizon`` streams: all outcomes, then all seeds,
-row-major, a long row read until it crosses or no longer can (each row at its own words).  A
-word ``w`` reads as ``Generator.random``'s ``(w >> 11) * 2**-53``.
+row-major, each row at its own words in reads sized from the null drift, until it crosses or
+no longer can.  A word ``w`` reads as ``Generator.random``'s ``(w >> 11) * 2**-53``.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ _MASK64 = (1 << 64) - 1
 _ALPHA_STRIDE = 0x9E3779B97F4A7C15  # golden-ratio odd constant
 _STEP_CHUNK = 128  # uniforms per draw of the stepwise loop's HistoryGreedy
 _UNIT_TRIALS = 2**16  # trials per sweep work unit at most, so its seed lists stay bounded
+_PAIR_CELLS = 256  # cells read and folded (15.5 ns each) in one placement pair (3.4-4.2 us)
 
 
 def mix64(x: int) -> int:
@@ -285,8 +286,8 @@ def _vertex_table(spec: NeighborhoodSpec, pair: ExtremePair | None) -> tuple:
     """``pair``'s, else (None) every vertex's (lexicographic) :func:`_cell_lookup`, flat log scores
     and CDFs less their last entry (a uniform past it lands in the last cell, as the lookup's does)
     as lists, and J*; the last call's is kept, so a sweep builds one (both arguments positional)."""
-    pairs = [pair] if pair is not None else enumerate_extremes(spec)
-    cdfs = np.cumsum(_vertex_joints(spec, pairs).reshape(len(pairs), -1), axis=1)
+    joints = _vertex_joints(spec, [pair] if pair is not None else None)
+    cdfs = np.cumsum(joints.reshape(len(joints), -1), axis=1)
     log_flat = optimal_evalue(spec).log_scores.ravel()
     return _cell_lookup(cdfs, log_flat), log_flat.tolist(), cdfs[:, :-1].tolist(), jstar(spec)
 
@@ -464,6 +465,17 @@ def _may_cross(wealth: np.ndarray, left: int, top: float, threshold: float) -> n
     return (wealth * (1.0 + g * np.sign(wealth)) + left * top * (1.0 + g) >= threshold) | (g > 0.5)
 
 
+def _null_reads(log_flat: np.ndarray, q_null, anchor, alpha: float, horizon: int) -> tuple:
+    """:func:`calibrate_null`'s threshold, top log score (at least 0) and steps per equal read."""
+    threshold, top, w = math.log(1.0 / alpha), max(float(log_flat.max()), 0.0), horizon
+    log_flat, mass = log_flat[(m := np.outer(q_null.weights, anchor.weights).ravel()) > 0], m[m > 0]
+    if -math.inf < (d := float(mass @ log_flat)) < top:  # the null drift, else whole rows
+        stop = max(1.0, (horizon * top - threshold) / (top - d))  # past it, the drift cannot cross
+        want = stop + 4.0 * math.sqrt(stop * (mass @ (log_flat - d) ** 2)) / (top - d)  # + 4 sigma
+        w = horizon if horizon - want <= _PAIR_CELLS else math.ceil(want)  # stop early if it pays
+    return threshold, top, -(-w // -(-w // _BLOCK_CELLS))  # reads of _BLOCK_CELLS steps at most
+
+
 def calibrate_null(spec: NeighborhoodSpec, alpha: float, trials: int, horizon: int,
                    q_null: VocabDistribution, rng: np.random.Generator) -> float:
     """Fraction of independent null streams whose wealth ever crosses.
@@ -472,9 +484,8 @@ def calibrate_null(spec: NeighborhoodSpec, alpha: float, trials: int, horizon: i
     the null the score table must guard against; the returned rate must stay at or below alpha up
     to Monte Carlo noise.  ``trials`` and ``horizon`` are counts; ``rng`` is a Philox generator
     (:func:`trial_rng`), left just past the draws: per block of ``4_000_000 // horizon`` streams
-    (at least one), all outcomes, then all seeds, row-major, one :func:`_read` of each per
-    ``_BLOCK_CELLS`` sub-block, a row past ``_BLOCK_CELLS // 16`` steps in chunks of that many,
-    until it crosses or :func:`_may_cross` says it cannot (layout kept).
+    (at least one), all outcomes, then all seeds, row-major, each row at its own words in reads
+    of :func:`_null_reads` steps, until it crosses or :func:`_may_cross` says it cannot.
     """
     alpha = _check_alpha(alpha)
     trials, horizon = _count(trials, "trials"), _count(horizon, "horizon")
@@ -482,7 +493,7 @@ def calibrate_null(spec: NeighborhoodSpec, alpha: float, trials: int, horizon: i
     if not isinstance(bitgen := rng.bit_generator, np.random.Philox):
         raise BadParamsError(f"calibrate_null takes a Philox generator, got {type(bitgen).__name__}")
     log_flat = optimal_evalue(spec).log_scores.ravel()
-    threshold, top = math.log(1.0 / alpha), max(float(log_flat.max()), 0.0)
+    threshold, top, chunk = _null_reads(log_flat, q_null, spec.anchor, alpha, horizon)
     row = _cell_lookup(np.cumsum(q_null.weights)[np.newaxis], np.arange(spec.n) * spec.n)
     col = _cell_lookup(np.cumsum(spec.anchor.weights)[np.newaxis], np.arange(spec.n))
     now, reader = bitgen.state, np.random.Philox(key=0)  # the caller's, of numpy arrays
@@ -490,10 +501,10 @@ def calibrate_null(spec: NeighborhoodSpec, alpha: float, trials: int, horizon: i
     half, pos = {f: now[f] for f in ("has_uint32", "uinteger")}, 4 * ctr + now["buffer_pos"] - 4
     key = key & _MASK64, key >> 64  # a pair, as _read takes keys
 
-    block, hits, chunk = max(1, 4_000_000 // horizon), 0, max(1, _BLOCK_CELLS // 16)
+    block, hits = max(1, 4_000_000 // horizon), 0
     for lo in range(0, trials if _may_cross(np.zeros(1), horizon, top, threshold)[0] else 0, block):
         b, at = min(block, trials - lo), pos + 2 * lo * horizon  # the block's first word
-        for r in range(0, b, rows := _BLOCK_CELLS // min(horizon, chunk)):
+        for r in range(0, b, rows := _BLOCK_CELLS // chunk):
             live, wealth = np.arange(r, min(r + rows, b)), 0.0
             for c in range(0, horizon, chunk):
                 k = min(chunk, horizon - c)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import ewm
 from ewm.cli import build_parser, main, parse_alpha_grid
-from ewm.errors import FormatError
+from ewm.errors import FormatError, TooLargeError
 
 
 def run(capsys, *argv):
@@ -343,6 +344,60 @@ class TestErrors:
         code, _, _ = run(capsys, "detect", "--anchor", "[0.5,0.5]", "--delta", "0.1",
                          "--alpha", "0.02", "--stream", "/nonexistent/stream.csv")
         assert code == 1
+
+
+# name -> (n, argv after the neighborhood): a subcommand whose dense table is one past the
+# 2**22-cell budget: an n x n score table or vertex joint at n = 2,049, and every vertex's
+# joint, n (n - 1) n**2 cells, at n = 46 for the adaptive policies
+PAST_BUDGET = {
+    "detect-evalue": (2049, ["detect", "--alpha", "0.05", "--method", "evalue", "--stream"]),
+    "calibrate-null": (2049, ["calibrate-null", "--alphas", "0.05", "--trials", "10",
+                              "--horizon", "10"]),
+    "generate": (2049, ["generate", "--pair", "0,1", "--steps", "10"]),
+    "audit": (2049, ["audit", "--perturbations", "1"]),
+    "sweep-tau-fixed": (2049, ["sweep-tau", "--alphas", "0.05", "--trials", "2",
+                               "--policy", "fixed:0,1", "--horizon-cap", "10"]),
+    **{f"sweep-tau-{policy}": (46, ["sweep-tau", "--alphas", "0.05", "--trials", "2",
+                                    "--policy", policy, "--horizon-cap", "10"])
+       for policy in ("roundrobin", "random", "greedy")},
+}
+
+
+class TestDenseBudget:
+    def test_the_budget_is_2_to_the_22_cells(self):
+        ewm.simplex._dense(2**22, "a table")
+        with pytest.raises(TooLargeError, match="a table needs 4,194,305 cells"):
+            ewm.simplex._dense(2**22 + 1, "a table")
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+    @pytest.mark.parametrize("case", PAST_BUDGET)
+    def test_a_table_past_the_budget_is_refused_before_it_is_allocated(self, tmp_path, case):
+        # one table past the budget holds at least 32 MiB; the refused run's peak RSS grows
+        # by far less than that over the interpreter's after import
+        n, argv = PAST_BUDGET[case]
+        (anchor := tmp_path / "anchor.json").write_text(json.dumps([1.0 / n] * n))
+        (stream := tmp_path / "stream.csv").write_text("step,v,s\n0,0,1\n")
+        argv = [argv[0], "--anchor-file", str(anchor), "--delta", str(0.5 / n), *argv[1:]]
+        argv += [str(stream)] if argv[-1] == "--stream" else []
+        probe = textwrap.dedent("""
+            import sys
+            from ewm.cli import run_command
+
+            def peak_kib():
+                with open("/proc/self/status") as fh:
+                    return next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:"))
+
+            before = peak_kib()
+            code = run_command(sys.argv[1:])
+            print(code, (peak_kib() - before) / 1024)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(ewm.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        *_, code, growth_mib = done.stdout.split()  # after any output of a run that went on
+        assert code == "1" and float(growth_mib) < 8.0
+        assert done.stderr.startswith("ewm: error: ") and "Traceback" not in done.stderr
+        assert "cells, over the budget of 4,194,304" in done.stderr
 
 
 class TestDetectReadsLazily:

@@ -85,10 +85,18 @@ GOLDENS = {
     "calibrate-null-pruned.csv": ["calibrate-null", *ANCHOR3, "--q-null", "[0.45,0.25,0.3]",
                                   "--alphas", "0.1,0.02", "--trials", "300", "--horizon", "3000",
                                   "--seed", "4"],
-    # rows one step past their first 1,024-step chunk, so each row still live reads a one-word
-    # second chunk; written before the one Philox reader built its own state
+    # rows of 1,025 steps, which the null drift reads in a first chunk of 530 (529 at alpha
+    # 0.02) and, for the rows still live, a second of the rest; written before the one Philox
+    # reader built its own state
     "calibrate-null-chunk-edge.csv": [*SHIFTED, "--alphas", "0.05,0.02", "--trials", "4000",
                                       "--horizon", "1025", "--seed", "5"],
+    # a wide ball, whose null drift (-0.049 against a top log score of 3.9) stops a row too late
+    # for a shorter read to pay: whole rows one step past a 16,384-cell sub-block, in two equal
+    # reads of 8,193 and 8,192 steps; written before calibrate-null sized its reads from the drift
+    "calibrate-null-drift-edge.csv": ["calibrate-null", "--anchor", "[0.02,0.98]", "--delta",
+                                      "0.0196", "--q-null", "[0.0102,0.9898]", "--alphas",
+                                      "0.2,0.05", "--trials", "400", "--horizon", "16385",
+                                      "--seed", "6"],
     "generate-pair.csv": [*GENERATE, "--pair", "0,1"],  # also DETECT's watermarked stream
     "generate-target.csv": [*GENERATE, "--target", "[0.43,0.32,0.25]"],
     "jstar.json": ["jstar", *ANCHOR3],  # the closed-form rate

@@ -42,6 +42,8 @@ def spec_of(weights, delta):
 
 FAIR = spec_of([0.5, 0.5], 0.1)
 THREE = spec_of([0.4, 0.3, 0.3], 0.2)
+OPEN = spec_of([0.5, 0.5], 0.3)  # doubled, its null drift is above 0
+WIDE = spec_of([0.02, 0.98], 0.0196)  # delta near the smallest weight: a null drift near 0
 
 
 class TestSeeding:
@@ -1035,28 +1037,45 @@ class TestCalibrateNull:
 
     @pytest.mark.parametrize("block_cells", [7, 1_000, 16_384])
     def test_sub_blocks_match_whole_blocks(self, monkeypatch, block_cells):
-        # (spec, alpha, trials, horizon, doubled table): whole rows per sub-block, rows of 3
-        # or 20 split into chunks, horizons above 16,384, and with 1,000 cells or more, 4,001 x
-        # 1,000 and 2 x 2,000,001 cells that each span two 4M-cell blocks; the doubled table
-        # crosses mid-row.  Rows of one column chunk, of one step more and of several chunks
-        # are read a row at a time and leave once they can no longer cross; pruning as if the
-        # largest log score were the next one down must then change a rate
-        chunk = max(1, block_cells // 16)
+        # (spec, alpha, trials, horizon, doubled table): whole rows per sub-block, rows of 3 or
+        # 20, horizons above 16,384, and with 1,000 cells or more, 4,001 x 1,000 and 2 x
+        # 2,000,001 cells that each span two 4M-cell blocks; the doubled table crosses mid-row.
+        # A horizon given as a rule is found from the chunk c that calibrate_null picks there:
+        # the longest rows, of at most block_cells steps, read in one chunk, the shortest whose
+        # last read is one word, and the shortest read in three chunks or more.  The wide ball
+        # (drift near 0) and the doubled table at delta 0.3 (drift above 0) read whole rows in the
+        # fewest equal reads, and the 4,000 x 1,025 geometry a chunk below 1,024.  Rows leave once
+        # they can no longer cross; pruning as if the largest log score were the next one down
+        # must change the rate of 2-step rows, which then read nothing, and at 7 cells that of
+        # the doubled 3-symbol table mid-row.  With more cells a read ends mid-row only where a
+        # row 4 sigma above the null drift can no longer cross, so no rate there tells it apart
+        one, past = (lambda h, c: c == h), (lambda h, c: h % c == 1)
+        several = (lambda h, c: h > 2 * c + 2)
         cases = [(FAIR, 0.3, 9, 3, True), (FAIR, 0.3, 50, 20, True), (FAIR, 0.05, 30, 31, False),
-                 (FAIR, 0.3, 2, 16_390, True), (FAIR, 0.3, 60, chunk, False),
-                 (FAIR, 0.3, 60, chunk + 1, False), (FAIR, 0.2, 40, 4 * chunk + 3, False),
-                 (THREE, 0.12, 300, 2, False), (THREE, 0.3, 60, chunk + 1, False),
-                 (THREE, 0.15, 300, 4 * chunk + 3, False), (THREE, 0.3, 30, 4 * chunk + 3, True)]
+                 (FAIR, 0.3, 2, 16_390, True), (FAIR, 0.3, 60, one, False),
+                 (FAIR, 0.3, 60, past, False), (FAIR, 0.2, 40, several, False),
+                 (THREE, 0.12, 300, 2, False), (THREE, 0.3, 60, one, False),
+                 (THREE, 0.15, 300, several, False), (THREE, 0.15, 300, several, True),
+                 (WIDE, 0.05, 20, 500, False), (FAIR, 0.05, 60, 1_025, False),
+                 (OPEN, 0.12, 30, several, True)]
         if block_cells >= 1_000:
             cases += [(FAIR, 0.05, 4_001, 1_000, False), (FAIR, 1e-3, 2, 2_000_001, False),
                       (FAIR, 0.3, 3, 40_000, True)]
         monkeypatch.setattr(ewm.simulation, "_BLOCK_CELLS", block_cells)
-        may_cross, rates, pruned = ewm.simulation._may_cross, set(), set()
+        may_cross, rates, pruned = ewm.simulation._may_cross, set(), {}
         for spec, alpha, trials, horizon, double in cases:
             q = ewm.extreme_target(spec, ewm.ExtremePair(0, 1))
             optimal = ewm.optimal_evalue(spec)
             e = ewm.make_evalue_table(2.0 * optimal.scores) if double else optimal
             monkeypatch.setattr(ewm.simulation, "optimal_evalue", lambda spec, e=e: e)
+            chunk = null_chunk(spec, alpha, q, e)
+            if callable(horizon):
+                up = range(block_cells, 0, -1) if horizon is one else range(2, 64 * block_cells)
+                horizon = next(h for h in up if horizon(h, chunk(h)))
+            if spec is WIDE or spec is OPEN:  # whole rows, in the fewest equal reads
+                assert chunk(horizon) == -(-horizon // -(-horizon // block_cells))
+            if horizon == 1_025:
+                assert chunk(horizon) < 1_024
             got, want, mutant = ewm.trial_rng(21), ewm.trial_rng(21), ewm.trial_rng(21)
             for twin in (got, want, mutant):  # each stands mid-buffer, a 32-bit half word kept
                 twin.random(3)
@@ -1070,10 +1089,21 @@ class TestCalibrateNull:
                 second = float(np.unique(e.log_scores)[-2])
                 monkeypatch.setattr(ewm.simulation, "_may_cross",
                                     lambda w, left, top, thr: may_cross(w, left, second, thr))
-                pruned.add(ewm.calibrate_null(spec, alpha, trials, horizon, q, mutant) != rate)
+                mutated = ewm.calibrate_null(spec, alpha, trials, horizon, q, mutant)
+                pruned[alpha, double] = mutated != rate
                 monkeypatch.setattr(ewm.simulation, "_may_cross", may_cross)
         assert any(0.0 < r < 1.0 for r in rates)
-        assert True in pruned
+        assert pruned[0.12, False] and (block_cells != 7 or pruned[0.15, True])
+
+    def test_every_row_crosses_at_a_one_word_last_read(self, monkeypatch):
+        # each step adds log(1/alpha) / 42.5, the drift is the top score, so rows are read whole:
+        # at 7 cells 43 steps are seven reads, the last of one word, where every row crosses
+        monkeypatch.setattr(ewm.simulation, "_BLOCK_CELLS", 7)
+        e = ewm.make_evalue_table(np.full((2, 2), 0.3 ** (-1.0 / 42.5)))
+        monkeypatch.setattr(ewm.simulation, "optimal_evalue", lambda spec: e)
+        q = ewm.extreme_target(FAIR, ewm.ExtremePair(0, 1))
+        assert null_chunk(FAIR, 0.3, q, e)(43) == 7
+        assert ewm.calibrate_null(FAIR, 0.3, 5, 43, q, ewm.trial_rng(3)) == 1.0
 
     def test_a_row_at_minus_infinity_leaves_quietly(self, monkeypatch):
         # a zero score sends the wealth to -inf, which can no longer cross: no inf - inf is taken
@@ -1149,6 +1179,12 @@ def adaptive_null_rate(spec, e, adversary, alpha, streams=10_000, steps=400):
 def words_of(u):
     """The 64-bit words, low 11 bits 0, that ``Generator.random`` reads as the uniforms ``u``."""
     return (u * 2.0**53).astype(np.uint64) << np.uint64(11)
+
+
+def null_chunk(spec, alpha, q_null, e):
+    """The steps per read that ``calibrate_null`` picks under table ``e``, by horizon."""
+    return lambda h: ewm.simulation._null_reads(e.log_scores.ravel(), q_null, spec.anchor, alpha,
+                                                h)[2]
 
 
 def whole_block_calibrate(spec, alpha, trials, horizon, q_null, rng, e):
