@@ -74,9 +74,9 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _write(out: str | None, write, *args) -> None:
-    """The one writer: ``write(fh, *args)`` to the file ``out``, with LF line endings, or stdout."""
+    """The one writer: ``write(fh, *args)`` to the UTF-8 file ``out``, LF line endings, or stdout."""
     if out:
-        with open(out, "w", newline="") as fh:
+        with open(out, "w", newline="", encoding="utf-8") as fh:
             write(fh, *args)
     else:
         write(sys.stdout, *args)
@@ -202,7 +202,7 @@ def _cmd_generate(args, spec: NeighborhoodSpec) -> int:
 
 
 def _cmd_detect(args, spec: NeighborhoodSpec) -> int:
-    with open(args.stream, newline="") as fh:  # rows are read only as far as the detector goes
+    with open(args.stream, newline="", encoding="utf-8") as fh:  # read as far as the detector goes
         stream = read_stream_csv(fh)
         if args.method == "evalue":
             report = batch_detect(optimal_evalue(spec), args.alpha, stream, args.budget)

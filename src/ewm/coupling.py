@@ -143,9 +143,16 @@ def mixture_coupling(spec: NeighborhoodSpec, mix: MixtureDecomposition) -> Coupl
     marginals are (reconstructed q, p0)."""
     if abs((total := float(np.sum([w for _, w in mix.terms]))) - 1.0) > EXACT_ATOL:
         raise BadWeightsError(f"mixture weights sum to {total!r}")
-    target = reconstruct_mixture(spec, mix)  # checks each pair before its joint is indexed
-    return make_coupling(sum(w * _vertex_joints(spec, [pair])[0] for pair, w in mix.terms),
-                         target, spec.anchor)  # one vertex joint at a time, not m n^2 floats
+    target = reconstruct_mixture(spec, mix)  # checks each pair before its cells are indexed
+    _dense(spec.n**2, f"a joint at n = {spec.n}")
+    total, half = np.zeros(spec.n), spec.delta / 2.0
+    for pair, w in mix.terms:  # the vertex joints summed in term order, the same floats cell by
+        (diag := spec.anchor.weights.copy())[pair.loss] -= half  # cell: each one's diagonal,
+        total += w * diag
+    joint = np.diag(total)
+    for pair, w in mix.terms:  # then its one cell off the diagonal
+        joint[pair.gain, pair.loss] += w * half
+    return make_coupling(joint, target, spec.anchor)
 
 
 def path_coupling(spec: NeighborhoodSpec, path: PathSpec) -> CouplingMatrix:

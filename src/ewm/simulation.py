@@ -283,13 +283,14 @@ def default_horizon(spec: NeighborhoodSpec, alpha: float, factor: float = 10.0) 
 
 @lru_cache(maxsize=1)
 def _vertex_table(spec: NeighborhoodSpec, pair: ExtremePair | None) -> tuple:
-    """``pair``'s, else (None) every vertex's (lexicographic) :func:`_cell_lookup`, flat log scores
-    and CDFs less their last entry (a uniform past it lands in the last cell, as the lookup's does)
-    as lists, and J*; the last call's is kept, so a sweep builds one (both arguments positional)."""
+    """``pair``'s, else (None) every vertex's (lexicographic) :func:`_cell_lookup`, count, J* and
+    (None only) the step loop's flat log scores and CDFs less their last entry (a uniform past it
+    lands in the last cell) as lists; the last call's is kept for a sweep (arguments positional)."""
     joints = _vertex_joints(spec, [pair] if pair is not None else None)
     cdfs = np.cumsum(joints.reshape(len(joints), -1), axis=1)
     log_flat = optimal_evalue(spec).log_scores.ravel()
-    return _cell_lookup(cdfs, log_flat), log_flat.tolist(), cdfs[:, :-1].tolist(), jstar(spec)
+    lists = (log_flat.tolist(), cdfs[:, :-1].tolist()) if pair is None else None
+    return _cell_lookup(cdfs, log_flat), len(cdfs), jstar(spec), lists
 
 
 def _run_stepwise(
@@ -298,8 +299,8 @@ def _run_stepwise(
     """The one step loop of ``HistoryGreedy`` and rejecting ``RandomPair`` trials: stop steps (-1
     when censored) and final wealth, one per seed.  :func:`_read` places each trial at word 0, each
     step plays the vertex ``push`` gave, and absorbed greedy trials go on in :func:`_run_blocks`."""
-    _, log_flat, cdfs, _ = _vertex_table(spec, None)
-    m, threshold, greedy = len(cdfs), math.log(1.0 / alpha), isinstance(policy, HistoryGreedy)
+    _, m, _, (log_flat, cdfs) = _vertex_table(spec, None)
+    threshold, greedy = math.log(1.0 / alpha), isinstance(policy, HistoryGreedy)
     stops, wealth, absorbed = np.full(len(seeds), -1, dtype=np.int64), np.empty(len(seeds)), []
     rng = np.random.Generator(bitgen := np.random.Philox(key=0))  # placed at each trial's word 0
     draw = lambda *_: int(rng.integers(m))  # noqa: E731 -- RandomPair's push: the next vertex
@@ -347,8 +348,8 @@ def _run_blocks(
     (an :func:`enumerate_extremes` index) to ``cap``.  A pass reads one chunk (about 1.25
     expected stops in whole Philox blocks, at most ``_BLOCK_CELLS`` steps) of each live row, in
     blocks of at most ``_BLOCK_CELLS`` cells; the rows left run on together in the next pass."""
-    lookup, _, cdfs, rate = _vertex_table(spec, policy if isinstance(policy, FixedPair) else None)
-    m, random, threshold = len(cdfs), isinstance(policy, RandomPair), math.log(1.0 / alpha)
+    lookup, m, rate, _ = _vertex_table(spec, policy if isinstance(policy, FixedPair) else None)
+    random, threshold = isinstance(policy, RandomPair), math.log(1.0 / alpha)
     expected = min(1.25 * threshold / rate, _BLOCK_CELLS)  # inf for a subnormal J*
     chunk = min(_BLOCK_CELLS, 4 * max(16, (int(expected) + 19) // 4))
     bitgen = np.random.Philox(key=0)  # re-keyed for every row

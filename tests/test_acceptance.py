@@ -17,7 +17,7 @@ from scipy.stats import binom
 import ewm
 from ewm.cli import parse_alpha_grid
 
-from conftest import noise_profile, random_spec, random_target
+from conftest import noise_profile, random_spec, random_target, spec_of
 
 _THREADS = min(os.cpu_count() or 1, 8)
 
@@ -25,10 +25,6 @@ _THREADS = min(os.cpu_count() or 1, 8)
 def _gate(name: str, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     assert ok, f"{name}: {detail}"
-
-
-def spec_of(weights, delta):
-    return ewm.make_neighborhood(ewm.make_distribution(weights), delta)
 
 
 def test_criterion_1_closed_form_cross_checks():

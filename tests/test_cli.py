@@ -1,10 +1,6 @@
 import argparse
 import io
 import json
-import os
-import subprocess
-import sys
-import textwrap
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -17,6 +13,8 @@ import ewm
 from ewm.cli import build_parser, main, parse_alpha_grid
 from ewm.errors import FormatError, TooLargeError
 
+from conftest import needs_vmhwm, peak_growth_mib, run_fresh
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -27,59 +25,121 @@ def run(capsys, *argv):
 FAIR = ["--anchor", "[0.5,0.5]", "--delta", "0.1"]
 THREE = ["--anchor", "[0.4,0.3,0.3]", "--delta", "0.1"]
 SWEEP = ["sweep-tau", *FAIR, "--alphas", "0.01", "--trials", "2", "--horizon-cap", "50"]
-# name -> (argv, stderr fragment): counts that were once masked or clamped, and
-# magnitudes that once overflowed, each end in a typed error.
-BAD_COUNTS = {
-    "horizon-0": (["calibrate-null", *FAIR, "--alphas", "0.05", "--trials", "10",
-                   "--horizon", "0"], "horizon must be >= 1"),
-    "max-cycle-len-0": (["audit", *THREE, "--perturbations", "1", "--max-cycle-len", "0"],
-                        "cycle length cap must be >= 2"),
-    "threads-negative": ([*SWEEP, "--threads", "-4"], "threads must be >= 1"),
-    "threads-0": ([*SWEEP, "--threads", "0"], "threads must be >= 1"),
-    "grid-1025": (["maxmin2", "--anchor", "[0.3,0.7]", "--delta", "0.1", "--grid", "1025"],
-                  "grid must lie in 64..1024"),
-    "alphas-count-10001": (["sweep-tau", *FAIR, "--alphas", "log:0.1:0.01:10001",
-                            "--trials", "2"], "grid count must lie in 2..10000"),
-    **{f"magnitude-{m}": (["audit", *THREE, "--perturbations", "1", "--magnitude", m],
-                          "magnitude") for m in ("inf", "nan", "1e308")},
+# Each stream file, in the stream_dir directory, that "STREAMS/<name>.csv" names in an argv
+STREAMS = {
+    "good": (Path(__file__).parent / "golden" / "generate-pair.csv").read_text(),
+    "binary": "step,v,s\n" + "".join(f"{t},{t % 2},{t % 3 % 2}\n" for t in range(150)),
+    "letter": "step,v,s\n0,a,1\n",
+    "outside": "step,v,s\n0,7,1\n",
+    "negative": "step,v,s\n0,-1,0\n",
+    "short": "step,v,s\n0,1\n",
+    "huge": "step,v,s\n0,99999999999999999999999,0\n",
+    "header-only": "step,v,s\n",
+    "no-header": "0,1,1\n",
+    "empty": "",
 }
 
-# name -> (argv, stderr fragment): each malformed token the parsers refuse
-BAD_TOKENS = {
-    "log-grid-number": (["sweep-tau", *FAIR, "--alphas", "log:1e-2:x:4", "--trials", "2"],
-                        "malformed grid token"),
-    "empty-alphas": (["sweep-tau", *FAIR, "--alphas", " , ", "--trials", "2"],
-                     "empty alpha list"),
-    "pair-three-fields": (["generate", *FAIR, "--pair", "0,1,2", "--steps", "3"],
-                          "expected 'gain,loss'"),
-    "pair-non-integer": (["generate", *FAIR, "--pair", "0,x", "--steps", "3"], "malformed pair"),
-    "unknown-policy": ([*SWEEP, "--policy", "sneaky"], "unknown policy"),
-    # JSON strings and null are not weights; the strings once passed as floats
-    "anchor-strings": (["jstar", "--anchor", '["0.5","0.5"]', "--delta", "0.1"],
-                       "weights must be numbers"),
-    "anchor-null": (["jstar", "--anchor", "null", "--delta", "0.1"], "weights must be numbers"),
-}
+
+@pytest.fixture(scope="module")
+def stream_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("streams")
+    for name, text in STREAMS.items():
+        (directory / f"{name}.csv").write_text(text)
+    return directory
 
 
 # a valid neighborhood whose J* (about 5.5e-318) is subnormal and whose scores overflow
 SUBNORMAL = ["--anchor", "[1,1e-320]", "--delta", "5e-321"]
 SUBNORMAL_SWEEP = ["sweep-tau", *SUBNORMAL, "--alphas", "0.01", "--trials", "2"]
-SUBNORMAL_JSTAR = {
-    "fixed-capped": [*SUBNORMAL_SWEEP, "--horizon-cap", "1000"],
-    "fixed": SUBNORMAL_SWEEP,
-    "roundrobin": [*SUBNORMAL_SWEEP, "--policy", "roundrobin"],
-    "calibrate-null": ["calibrate-null", *SUBNORMAL, "--alphas", "0.01", "--trials", "2"],
-    "jstar": ["jstar", *SUBNORMAL],
+NO_HORIZON = "ewm: error: J* = 5.522676e-318 is too small for a default horizon"
+DETECT = ["detect", *FAIR, "--alpha", "0.02", "--stream"]
+# group -> {case: (argv, exit code, stderr fragment)}: each input the CLI refuses.  It exits with
+# that code, prints nothing to stdout and no traceback, and its last stderr line starts "ewm: "
+# and holds the fragment; only a usage error (exit code 2) prints the usage first.
+TYPED_ERRORS = {
+    "unknown subcommand": {"": (["frobnicate"], 2, "invalid choice: 'frobnicate'")},
+    "unknown flag": {"": (["jstar", *FAIR, "--nope"], 2, "unrecognized arguments: --nope")},
+    "runtime": {"": (["jstar", "--anchor", "[0.5,0.6]", "--delta", "0.1"], 1,
+                     "ewm: error: weights sum to 1.1")},
+    "non-integer row": {m: ([*DETECT, "STREAMS/letter.csv", "--method", m], 1,
+                            "ewm: error: non-integer stream row") for m in ("evalue", "baseline")},
+    "outside vocabulary": {m: ([*DETECT, "STREAMS/outside.csv", "--method", m], 1,
+                               "out of range for n=2") for m in ("evalue", "baseline")},
+    "non-numeric weight": {"": (["jstar", "--anchor", '["a",0.5]', "--delta", "0.1"], 1,
+                                "weights must be numbers")},
+    # checked before the --out file is opened
+    "negative steps": {"": (["generate", *FAIR, "--pair", "0,1", "--steps", "-1", "--out",
+                             "STREAMS/negative-steps.csv"], 1, "steps must be >= 0")},
+    # 1/alpha overflows to inf, which once gave an "undecided" report with an Infinity threshold
+    "subnormal alpha": {"": (["detect", *FAIR, "--alpha", "1e-320", "--stream",
+                              "STREAMS/binary.csv"], 1, "ewm: error: alpha must lie in (0, 1)")},
+    "missing stream": {"": ([*DETECT, "STREAMS/missing.csv"], 1, "ewm: io error: [Errno 2]")},
+    # counts that were once masked or clamped, and magnitudes that once overflowed
+    "bad count": {
+        "horizon-0": (["calibrate-null", *FAIR, "--alphas", "0.05", "--trials", "10",
+                       "--horizon", "0"], 1, "horizon must be >= 1"),
+        "max-cycle-len-0": (["audit", *THREE, "--perturbations", "1", "--max-cycle-len", "0"], 1,
+                            "cycle length cap must be >= 2"),
+        "threads-negative": ([*SWEEP, "--threads", "-4"], 1, "threads must be >= 1"),
+        "threads-0": ([*SWEEP, "--threads", "0"], 1, "threads must be >= 1"),
+        "grid-1025": (["maxmin2", "--anchor", "[0.3,0.7]", "--delta", "0.1", "--grid", "1025"], 1,
+                      "grid must lie in 64..1024"),
+        "alphas-count-10001": (["sweep-tau", *FAIR, "--alphas", "log:0.1:0.01:10001",
+                                "--trials", "2"], 1, "grid count must lie in 2..10000"),
+        **{f"magnitude-{m}": (["audit", *THREE, "--perturbations", "1", "--magnitude", m], 1,
+                              "magnitude") for m in ("inf", "nan", "1e308")},
+    },
+    # each malformed token the parsers refuse
+    "bad token": {
+        "log-grid-number": (["sweep-tau", *FAIR, "--alphas", "log:1e-2:x:4", "--trials", "2"], 1,
+                            "malformed grid token"),
+        "empty-alphas": (["sweep-tau", *FAIR, "--alphas", " , ", "--trials", "2"], 1,
+                         "empty alpha list"),
+        "pair-three-fields": (["generate", *FAIR, "--pair", "0,1,2", "--steps", "3"], 1,
+                              "expected 'gain,loss'"),
+        "pair-non-integer": (["generate", *FAIR, "--pair", "0,x", "--steps", "3"], 1,
+                             "malformed pair"),
+        "unknown-policy": ([*SWEEP, "--policy", "sneaky"], 1, "unknown policy"),
+        # JSON strings and null are not weights; the strings once passed as floats
+        "anchor-strings": (["jstar", "--anchor", '["0.5","0.5"]', "--delta", "0.1"], 1,
+                           "weights must be numbers"),
+        "anchor-null": (["jstar", "--anchor", "null", "--delta", "0.1"], 1,
+                        "weights must be numbers"),
+    },
+    # log(1/alpha) / J* and the diagonal scores overflow to inf, which once traced back at int()
+    # or printed a non-JSON Infinity
+    "subnormal J*": {
+        "fixed-capped": ([*SUBNORMAL_SWEEP, "--horizon-cap", "1000"], 1,
+                         "ewm: error: scores must be finite"),
+        "fixed": (SUBNORMAL_SWEEP, 1, NO_HORIZON),
+        "roundrobin": ([*SUBNORMAL_SWEEP, "--policy", "roundrobin"], 1, NO_HORIZON),
+        "calibrate-null": (["calibrate-null", *SUBNORMAL, "--alphas", "0.01", "--trials", "2"], 1,
+                           NO_HORIZON),
+        "jstar": (["jstar", *SUBNORMAL], 1, "ewm: error: report holds an infinite value"),
+    },
+    # deltas so small that the off-diagonal mass delta / (2(n-1)) underflows to 0, whose log
+    # once traced back with a math domain error
+    "tiny delta": {
+        "jstar-fair": (["jstar", "--anchor", "[0.5,0.5]", "--delta", "5e-324"], 1,
+                       "ewm: error: delta 5e-324 is too small"),
+        "sweep-fair": (["sweep-tau", "--anchor", "[0.5,0.5]", "--delta", "5e-324", "--alphas",
+                        "0.01", "--trials", "2"], 1, "ewm: error: delta 5e-324 is too small"),
+        "jstar-subnormal-anchor": (["jstar", "--anchor", "[1,1e-323]", "--delta", "5e-324"], 1,
+                                   "ewm: error: delta 5e-324 is too small"),
+        "jstar-three": (["jstar", "--anchor", "[0.4,0.3,0.3]", "--delta", "1e-323"], 1,
+                        "ewm: error: delta 1e-323 is too small"),
+    },
 }
 
-# deltas so small that the off-diagonal mass delta / (2(n-1)) underflows to 0
-TINY_DELTA = {
-    "jstar-fair": ["jstar", "--anchor", "[0.5,0.5]", "--delta", "5e-324"],
-    "sweep-fair": ["sweep-tau", "--anchor", "[0.5,0.5]", "--delta", "5e-324",
-                   "--alphas", "0.01", "--trials", "2"],
-    "jstar-subnormal-anchor": ["jstar", "--anchor", "[1,1e-323]", "--delta", "5e-324"],
-    "jstar-three": ["jstar", "--anchor", "[0.4,0.3,0.3]", "--delta", "1e-323"],
-}
+
+def typed_errors(stream_dir, group, *cases):
+    """Run ``cases`` of ``group`` in :data:`TYPED_ERRORS` (none given: each of its cases)."""
+    rows = TYPED_ERRORS[group]
+    for argv, code, fragment in [rows[case] for case in cases or rows]:
+        got, out, err = run_isolated([a.replace("STREAMS", str(stream_dir)) for a in argv])
+        *usage, line = err.splitlines()
+        assert (got, out, bool(usage)) == (code, "", code == 2) and "Traceback" not in err, argv
+        assert line.startswith("ewm: ") and fragment in line, argv
 
 
 def run_isolated(argv):
@@ -149,11 +209,9 @@ class TestJstarCommand:
 class TestImport:
     def test_import_leaves_multiprocessing_unloaded(self):
         # the worker pool is the only user of multiprocessing and is made on first use
-        src = str(Path(ewm.__file__).resolve().parents[1])
         probe = ("import sys, ewm.cli; sys.exit(int(any(name in sys.modules for name in "
                  "('multiprocessing', 'concurrent.futures'))))")
-        env = dict(os.environ, PYTHONPATH=src)
-        assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+        assert run_fresh(probe).returncode == 0
 
 
 H = (("-h", "--help"), False, argparse.SUPPRESS, None, None, ())
@@ -255,56 +313,37 @@ class TestOneSource:
 
 
 class TestErrors:
-    def test_unknown_subcommand_usage_error(self, capsys):
-        code, _, _ = run(capsys, "frobnicate")
-        assert code == 2
+    """Each test runs its group of :data:`TYPED_ERRORS`."""
 
-    def test_unknown_flag_usage_error(self, capsys):
-        code, _, _ = run(capsys, "jstar", "--anchor", "[0.5,0.5]", "--delta", "0.1", "--nope")
-        assert code == 2
+    def test_unknown_subcommand_usage_error(self, stream_dir):
+        typed_errors(stream_dir, "unknown subcommand")
 
-    def test_runtime_error_exit_one(self, capsys):
-        code, _, err = run(capsys, "jstar", "--anchor", "[0.5,0.6]", "--delta", "0.1")
-        assert code == 1 and "error" in err
+    def test_unknown_flag_usage_error(self, stream_dir):
+        typed_errors(stream_dir, "unknown flag")
 
-    def test_non_integer_stream_row(self, capsys, tmp_path):
-        stream = tmp_path / "stream.csv"
-        stream.write_text("step,v,s\n0,a,1\n")
-        for method in ("evalue", "baseline"):
-            code, _, err = run(capsys, "detect", "--anchor", "[0.5,0.5]", "--delta", "0.1",
-                               "--alpha", "0.02", "--method", method, "--stream", str(stream))
-            assert code == 1 and "non-integer stream row" in err
+    def test_runtime_error_exit_one(self, stream_dir):
+        typed_errors(stream_dir, "runtime")
 
-    def test_symbol_outside_vocabulary(self, capsys, tmp_path):
-        stream = tmp_path / "stream.csv"
-        stream.write_text("step,v,s\n0,7,1\n")
-        for method in ("evalue", "baseline"):
-            code, out, err = run(capsys, "detect", "--anchor", "[0.5,0.5]", "--delta", "0.1",
-                                 "--alpha", "0.02", "--method", method, "--stream", str(stream))
-            assert code == 1 and out == "" and "out of range for n=2" in err
+    def test_non_integer_stream_row(self, stream_dir):
+        typed_errors(stream_dir, "non-integer row")
 
-    def test_non_numeric_anchor_weight(self, capsys):
-        code, out, err = run(capsys, "jstar", "--anchor", '["a",0.5]', "--delta", "0.1")
-        assert code == 1 and out == "" and "weights must be numbers" in err
-        assert "Traceback" not in err
+    def test_symbol_outside_vocabulary(self, stream_dir):
+        typed_errors(stream_dir, "outside vocabulary")
 
-    def test_negative_steps(self, capsys, tmp_path):
-        code, _, err = run(capsys, "generate", "--anchor", "[0.5,0.5]", "--delta", "0.1",
-                           "--pair", "0,1", "--steps", "-1", "--out", str(tmp_path / "s.csv"))
-        assert code == 1 and "steps must be >= 0" in err and "Traceback" not in err
-        assert not (tmp_path / "s.csv").exists()  # checked before the file is opened
+    def test_non_numeric_anchor_weight(self, stream_dir):
+        typed_errors(stream_dir, "non-numeric weight")
 
-    @pytest.mark.parametrize("case", sorted(BAD_COUNTS))
-    def test_bad_count_is_a_typed_error(self, case):
-        argv, message = BAD_COUNTS[case]
-        code, _, err = run_isolated(argv)
-        assert code == 1 and message in err and "Traceback" not in err
+    def test_negative_steps(self, stream_dir):
+        typed_errors(stream_dir, "negative steps")
+        assert not (stream_dir / "negative-steps.csv").exists()
 
-    @pytest.mark.parametrize("case", sorted(BAD_TOKENS))
-    def test_bad_token_is_a_typed_error(self, case):
-        argv, message = BAD_TOKENS[case]
-        code, out, err = run_isolated(argv)
-        assert code == 1 and out == "" and message in err and "Traceback" not in err
+    @pytest.mark.parametrize("case", sorted(TYPED_ERRORS["bad count"]))
+    def test_bad_count_is_a_typed_error(self, stream_dir, case):
+        typed_errors(stream_dir, "bad count", case)
+
+    @pytest.mark.parametrize("case", sorted(TYPED_ERRORS["bad token"]))
+    def test_bad_token_is_a_typed_error(self, stream_dir, case):
+        typed_errors(stream_dir, "bad token", case)
 
     def test_out_of_memory_is_a_typed_error(self, capsys, monkeypatch):
         def exhausted(config, threads=1):
@@ -315,35 +354,30 @@ class TestErrors:
         assert code == 1 and out == "" and "Traceback" not in err
         assert err.startswith("ewm: error: out of memory: Unable to allocate")
 
-    def test_subnormal_alpha_is_a_typed_error(self, capsys, tmp_path):
-        # 1/alpha overflows to inf, which once gave an "undecided" report
-        # with an Infinity threshold
-        stream = tmp_path / "stream.csv"
-        run(capsys, "generate", *FAIR, "--pair", "0,1", "--steps", "5000", "--out", str(stream))
-        code, out, err = run(capsys, "detect", *FAIR, "--alpha", "1e-320",
-                             "--stream", str(stream))
-        assert code == 1 and out == "" and "Traceback" not in err
-        assert err.startswith("ewm: error: alpha must lie in (0, 1)")
+    def test_subnormal_alpha_is_a_typed_error(self, stream_dir):
+        typed_errors(stream_dir, "subnormal alpha")
 
-    @pytest.mark.parametrize("argv", SUBNORMAL_JSTAR.values(), ids=SUBNORMAL_JSTAR.keys())
-    def test_subnormal_jstar_is_a_typed_error(self, capsys, argv):
-        # log(1/alpha) / J* and the diagonal scores overflow to inf, which once
-        # traced back at int() or printed a non-JSON Infinity
-        code, out, err = run(capsys, *argv)
-        assert code == 1 and out == "" and "Traceback" not in err
-        assert err.startswith("ewm: error: ")
+    @pytest.mark.parametrize("case", TYPED_ERRORS["subnormal J*"])
+    def test_subnormal_jstar_is_a_typed_error(self, stream_dir, case):
+        typed_errors(stream_dir, "subnormal J*", case)
 
-    @pytest.mark.parametrize("argv", TINY_DELTA.values(), ids=TINY_DELTA.keys())
-    def test_underflowing_delta_is_a_typed_error(self, capsys, argv):
-        # log(delta / (2(n-1))) once traced back with a math domain error
-        code, out, err = run(capsys, *argv)
-        assert code == 1 and out == "" and "Traceback" not in err
-        assert err.startswith("ewm: error: delta ") and "too small" in err
+    @pytest.mark.parametrize("case", TYPED_ERRORS["tiny delta"])
+    def test_underflowing_delta_is_a_typed_error(self, stream_dir, case):
+        typed_errors(stream_dir, "tiny delta", case)
 
-    def test_missing_stream_file(self, capsys):
-        code, _, _ = run(capsys, "detect", "--anchor", "[0.5,0.5]", "--delta", "0.1",
-                         "--alpha", "0.02", "--stream", "/nonexistent/stream.csv")
-        assert code == 1
+    def test_missing_stream_file(self, stream_dir):
+        typed_errors(stream_dir, "missing stream")
+
+    def test_files_are_utf8_whatever_the_locale(self, stream_dir):
+        # under an ASCII locale a UTF-8 row once read as "unreadable stream file ... 'ascii' codec"
+        (stream := stream_dir / "accent.csv").write_text("step,v,s\n1,\u00e9,1\n", "utf-8")
+        out = stream_dir / "jstar.json"
+        for argv, code, fragment in (([*DETECT, str(stream)], 1, "non-integer stream row"),
+                                     (["jstar", *THREE, "--out", str(out)], 0, "")):
+            done = run_fresh("import sys; from ewm.cli import main; sys.exit(main(sys.argv[1:]))",
+                             *argv, env={"PYTHONUTF8": "0", "LC_ALL": "C"})
+            assert done.returncode == code and fragment in done.stderr, done.stderr
+        assert out.read_bytes() == (Path(__file__).parent / "golden" / "jstar.json").read_bytes()
 
 
 # name -> (n, argv after the neighborhood): a subcommand whose dense table is one past the
@@ -354,6 +388,9 @@ PAST_BUDGET = {
     "calibrate-null": (2049, ["calibrate-null", "--alphas", "0.05", "--trials", "10",
                               "--horizon", "10"]),
     "generate": (2049, ["generate", "--pair", "0,1", "--steps", "10"]),
+    "generate-target": (2049, ["generate", "--target", json.dumps([1.1 / 2049, 0.9 / 2049]
+                                                                  + [1 / 2049] * 2047),
+                               "--steps", "10"]),
     "audit": (2049, ["audit", "--perturbations", "1"]),
     "sweep-tau-fixed": (2049, ["sweep-tau", "--alphas", "0.05", "--trials", "2",
                                "--policy", "fixed:0,1", "--horizon-cap", "10"]),
@@ -369,7 +406,7 @@ class TestDenseBudget:
         with pytest.raises(TooLargeError, match="a table needs 4,194,305 cells"):
             ewm.simplex._dense(2**22 + 1, "a table")
 
-    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+    @needs_vmhwm
     @pytest.mark.parametrize("case", PAST_BUDGET)
     def test_a_table_past_the_budget_is_refused_before_it_is_allocated(self, tmp_path, case):
         # one table past the budget holds at least 32 MiB; the refused run's peak RSS grows
@@ -379,23 +416,9 @@ class TestDenseBudget:
         (stream := tmp_path / "stream.csv").write_text("step,v,s\n0,0,1\n")
         argv = [argv[0], "--anchor-file", str(anchor), "--delta", str(0.5 / n), *argv[1:]]
         argv += [str(stream)] if argv[-1] == "--stream" else []
-        probe = textwrap.dedent("""
-            import sys
-            from ewm.cli import run_command
-
-            def peak_kib():
-                with open("/proc/self/status") as fh:
-                    return next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:"))
-
-            before = peak_kib()
-            code = run_command(sys.argv[1:])
-            print(code, (peak_kib() - before) / 1024)
-        """)
-        env = dict(os.environ, PYTHONPATH=str(Path(ewm.__file__).resolve().parents[1]))
-        done = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
-                              text=True, env=env, timeout=120)
-        *_, code, growth_mib = done.stdout.split()  # after any output of a run that went on
-        assert code == "1" and float(growth_mib) < 8.0
+        growth_mib, done = peak_growth_mib("import sys\nfrom ewm.cli import run_command", "",
+                                           "print(run_command(sys.argv[1:]))", *argv)
+        assert done.stdout.split()[-2] == "1" and growth_mib < 8.0  # after any output of a run
         assert done.stderr.startswith("ewm: error: ") and "Traceback" not in done.stderr
         assert "cells, over the budget of 4,194,304" in done.stderr
 
@@ -616,18 +639,6 @@ class TestAuditCommand:
 # field is malformed or an edge value one time in six, so most cases get past
 # the first check and reach the deeper ones.
 
-STREAMS = {
-    "good": (Path(__file__).parent / "golden" / "generate-pair.csv").read_text(),
-    "binary": "step,v,s\n" + "".join(f"{t},{t % 2},{t % 3 % 2}\n" for t in range(150)),
-    "letter": "step,v,s\n0,a,1\n",
-    "outside": "step,v,s\n0,7,1\n",
-    "negative": "step,v,s\n0,-1,0\n",
-    "short": "step,v,s\n0,1\n",
-    "huge": "step,v,s\n0,99999999999999999999999,0\n",
-    "header-only": "step,v,s\n",
-    "no-header": "0,1,1\n",
-    "empty": "",
-}
 BAD_REALS = ["0", "-1", "1", "2", "nan", "inf", "-inf", "1e-300", "1e308", "abc", ""]
 # (good values, malformed or edge values) per kind of field
 ANCHORS = (["[0.5,0.5]", "[0.4,0.3,0.3]", "[0.25,0.25,0.25,0.25]", "[0.2,0.8]",
@@ -701,31 +712,16 @@ def argvs(draw):
     return argv
 
 
-@pytest.fixture(scope="module")
-def stream_dir(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("streams")
-    for name, text in STREAMS.items():
-        (directory / f"{name}.csv").write_text(text)
-    return directory
-
-
 def _fuzz_examples(test):
     """Every hand-found case, as an explicit example of the fuzz test."""
-    cases = [argv for argv, _ in BAD_COUNTS.values()] + [
-        ["detect", *FAIR, "--alpha", "0.02", "--stream", "STREAMS/letter.csv"],
+    cases = [argv for rows in TYPED_ERRORS.values() for argv, _, _ in rows.values()] + [
         ["detect", *FAIR, "--alpha", "0.02", "--stream", "STREAMS/binary.csv",
          "--budget", "18446744073709551616"],
-        ["detect", *FAIR, "--alpha", "0.02", "--method", "baseline",
-         "--stream", "STREAMS/outside.csv"],
-        ["jstar", "--anchor", '["a",0.5]', "--delta", "0.1"],
         ["jstar", *FAIR, "--anchor-file", "STREAMS/good.csv"],
-        ["generate", *FAIR, "--pair", "0,1", "--steps", "-1"],
         ["generate", *FAIR, "--pair", "0,1", "--target", "[0.55,0.45]", "--steps", "3"],
         [*SWEEP[:-1], "18446744073709551616"],
         ["sweep-tau", *FAIR, "--alphas", "1e-320", "--trials", "2"],
         ["calibrate-null", *FAIR, "--alphas", "1e-320", "--trials", "2"],
-        *SUBNORMAL_JSTAR.values(),
-        *TINY_DELTA.values(),
     ]
     for argv in cases:
         test = example(argv=argv)(test)

@@ -11,11 +11,7 @@ from ewm.coupling import _GUIDE, _cell_lookup, _vertex_joints
 from ewm.errors import BadWeightsError, FormatError, InvalidPairError, InvalidPathError
 from ewm.simulation import _vertex_table
 
-from conftest import path_gain, random_spec, random_target
-
-
-def spec_of(weights, delta):
-    return ewm.make_neighborhood(ewm.make_distribution(weights), delta)
+from conftest import path_gain, random_spec, random_target, spec_of
 
 
 class TestExtremeCoupling:
@@ -50,7 +46,7 @@ class TestExtremeCoupling:
         joints = _vertex_joints(spec, pairs)
         assert joints.tobytes() == np.stack([w.joint for w in paths]).tobytes()
         cdfs = np.stack([w.cdf for w in paths])
-        assert np.array(_vertex_table(spec, None)[2]).tobytes() == cdfs[:, :-1].tobytes()
+        assert np.array(_vertex_table(spec, None)[3][1]).tobytes() == cdfs[:, :-1].tobytes()
         for pair, cdf in zip(pairs, cdfs):
             assert ewm.extreme_coupling(spec, pair).cdf.tobytes() == cdf.tobytes()
         for pair in (ewm.ExtremePair(0, n), ewm.ExtremePair(n, 0), ewm.ExtremePair(n + 3, n)):
@@ -113,9 +109,15 @@ class TestMixtureCoupling:
 
     def test_mixture_linearity(self):
         rng = np.random.default_rng(10)
-        for _ in range(20):
-            spec = random_spec(rng)
-            mix = ewm.decompose_target(spec, random_target(rng, spec))
+        mixes = [(spec := random_spec(rng), ewm.decompose_target(spec, random_target(rng, spec)))
+                 for _ in range(20)]
+        # 80 terms drawn with repeats from a 12-symbol ball's 132 vertices, and one pair thrice
+        pairs = ewm.enumerate_extremes(spec := random_spec(rng, n=12))
+        for terms in (zip([pairs[k] for k in rng.integers(len(pairs), size=80)],
+                          rng.dirichlet(np.ones(80))),
+                      zip([pairs[5], pairs[5], pairs[0], pairs[5]], (0.3, 0.2, 0.1, 0.4))):
+            mixes.append((spec, ewm.MixtureDecomposition(tuple(terms))))
+        for spec, mix in mixes:
             w = ewm.mixture_coupling(spec, mix)
             manual = sum(
                 wt * ewm.extreme_coupling(spec, pair).joint for pair, wt in mix.terms

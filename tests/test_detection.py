@@ -24,11 +24,7 @@ from ewm.errors import (
 )
 from ewm.simplex import _shown
 
-from conftest import random_spec
-
-
-def spec_of(weights, delta):
-    return ewm.make_neighborhood(ewm.make_distribution(weights), delta)
+from conftest import random_spec, spec_of
 
 
 def fair_table():

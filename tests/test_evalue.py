@@ -6,11 +6,7 @@ import pytest
 import ewm
 from ewm.errors import DimensionMismatchError, FormatError, NegativeWeightError, ZeroRowError
 
-from conftest import noise_profile, random_spec
-
-
-def spec_of(weights, delta):
-    return ewm.make_neighborhood(ewm.make_distribution(weights), delta)
+from conftest import noise_profile, random_spec, spec_of
 
 
 class TestOptimalEvalue:

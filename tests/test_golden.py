@@ -17,19 +17,17 @@ unchanged where ``sum`` compensates its float rounding, as Python 3.12's does.
 import argparse
 import builtins
 import math
-import os
 import re
-import subprocess
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import ewm
 from ewm.cli import build_parser, main
 from ewm.coupling import write_stream_csv
+
+from conftest import run_fresh
 
 GOLDEN = Path(__file__).parent / "golden"
 NULL_STREAM = GOLDEN / "detect-null-stream.csv"
@@ -139,11 +137,9 @@ def fresh(request, tmp_path_factory):
     """``{id: future of (directory, process)}``: a fresh interpreter for each selected run."""
     probe = ("import sys, runpy; sys.modules['scipy'] = None; "  # as `python -m ewm.cli` starts
              "runpy.run_module('ewm.cli', run_name='__main__', alter_sys=True)")
-    env = dict(os.environ, PYTHONPATH=str(Path(ewm.__file__).resolve().parents[1]))
 
     def run(argv, directory):  # scipy, a test-only reference, is blocked
-        return directory, subprocess.run([sys.executable, "-c", probe, *argv], cwd=directory,
-                                         env=env, capture_output=True, timeout=120)
+        return directory, run_fresh(probe, *argv, cwd=directory, text=False)
 
     ids = {item.callspec.id for item in request.session.items
            if item.originalname == "test_fresh_process_matches_golden"}

@@ -10,11 +10,7 @@ import ewm
 from ewm import oracles
 from ewm.errors import BadParamsError, TooLargeError
 
-from conftest import path_gain, random_spec
-
-
-def spec_of(weights, delta):
-    return ewm.make_neighborhood(ewm.make_distribution(weights), delta)
+from conftest import path_gain, random_spec, spec_of
 
 
 def table_of_logs(m):

@@ -22,11 +22,7 @@ from ewm.errors import (
 )
 from ewm.simplex import _count, _real, _reals
 
-from conftest import noise_profile, random_spec, random_target
-
-
-def spec_of(weights, delta):
-    return ewm.make_neighborhood(ewm.make_distribution(weights), delta)
+from conftest import noise_profile, random_spec, random_target, spec_of
 
 
 class TestMakeDistribution:

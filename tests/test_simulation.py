@@ -4,12 +4,9 @@ import io
 import itertools
 import math
 import os
-import subprocess
-import sys
 import textwrap
 import tracemalloc
 from bisect import bisect_right
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,9 +32,7 @@ from ewm.simulation import (
     choose_pair,
 )
 
-
-def spec_of(weights, delta):
-    return ewm.make_neighborhood(ewm.make_distribution(weights), delta)
+from conftest import needs_vmhwm, peak_growth_mib, run_fresh, spec_of
 
 
 FAIR = spec_of([0.5, 0.5], 0.1)
@@ -64,23 +59,6 @@ class TestSeeding:
             for lo, hi in ((0, 0), (0, 1), (0, 50), (37, 140), (2**40, 2**40 + 3)):
                 expected = [ewm.trial_seed(base, ai, t) for t in range(lo, hi)]
                 assert _trial_seeds(base, ai, lo, hi) == expected
-
-
-def peak_growth_mib(setup: str, small: str, large: str) -> float:
-    """How far the statement ``large`` raises the peak RSS (VmHWM, in MiB) of a fresh interpreter
-    that has imported ewm and run ``setup``, then ``small``."""
-    code = textwrap.dedent("""
-        import ewm
-
-        def peak_kib():
-            with open("/proc/self/status") as fh:
-                return next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:"))
-    """) + "\n".join([textwrap.dedent(setup), small, "before = peak_kib()", large,
-                      "print((peak_kib() - before) / 1024)"])
-    src = str(Path(ewm.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    return float(out.stdout)
 
 
 def word_position(state):
@@ -658,7 +636,7 @@ class TestEstimateStopping:
         assert ewm.estimate_stopping(config, threads=1) == uncapped
         assert sizes == [3, 3, 3, 1] * 2
 
-    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+    @needs_vmhwm
     def test_memory_does_not_grow_with_the_trials(self):
         # a work unit holds at most 2**16 trials, so its seed lists no longer grow with them
         setup = """
@@ -668,7 +646,7 @@ class TestEstimateStopping:
                                               policy=ewm.FixedPair(0, 1))
                 ewm.estimate_stopping(config)
         """
-        assert peak_growth_mib(setup, "sweep(10**5)", "sweep(4 * 10**5)") < 20.0
+        assert peak_growth_mib(setup, "sweep(10**5)", "sweep(4 * 10**5)")[0] < 20.0
 
     def test_csv_shape(self):
         config = ewm.ExperimentConfig(
@@ -805,7 +783,6 @@ class TestBlockEngine:
                                           policy=policy, base_seed=5)
             ewm.simulation.write_sweep_csv(sys.stdout, ewm.estimate_stopping(config))
         """)
-        src = str(Path(ewm.__file__).resolve().parents[1])
         a, b = spec_of([0.4, 0.3, 0.3], 0.1), spec_of([0.25, 0.25, 0.25, 0.25], 0.1)
         _vertex_table.cache_clear()
         for sweeps, (spec, policy) in enumerate(((a, "fixed"), (a, "roundrobin"),
@@ -816,9 +793,8 @@ class TestBlockEngine:
             buf = io.StringIO()
             ewm.simulation.write_sweep_csv(buf, ewm.estimate_stopping(config))
             argv = [str(spec.anchor.weights.tolist()), policy]
-            fresh = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                                   text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-            assert buf.getvalue() == fresh.stdout
+            fresh = run_fresh(code, *argv)
+            assert buf.getvalue() == fresh.stdout, fresh.stderr
             info = _vertex_table.cache_info()
             assert (info.misses, info.currsize) == (sweeps, 1)
             _vertex_table(spec, config.policy if policy == "fixed" else None)  # the key kept
@@ -1115,12 +1091,12 @@ class TestCalibrateNull:
         rate = ewm.calibrate_null(FAIR, 0.3, 200, 5_000, q, ewm.trial_rng(3))
         assert rate == whole_block_calibrate(FAIR, 0.3, 200, 5_000, q, ewm.trial_rng(3), e) > 0.0
 
-    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+    @needs_vmhwm
     def test_memory_does_not_grow_with_the_horizon(self):
         # one stream of 10^7 steps: a whole row would be several 80 MB arrays
         setup = "spec = ewm.make_neighborhood(ewm.make_distribution([0.5, 0.5]), 0.1)"
         run = "ewm.calibrate_null(spec, 0.05, 1, {}, spec.anchor, ewm.trial_rng(0))"
-        assert peak_growth_mib(setup, run.format(100), run.format(10**7)) < 32.0
+        assert peak_growth_mib(setup, run.format(100), run.format(10**7))[0] < 32.0
 
 
 class TestAdaptiveNull:
