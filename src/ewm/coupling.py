@@ -145,11 +145,11 @@ def mixture_coupling(spec: NeighborhoodSpec, mix: MixtureDecomposition) -> Coupl
         raise BadWeightsError(f"mixture weights sum to {total!r}")
     target = reconstruct_mixture(spec, mix)  # checks each pair before its cells are indexed
     _dense(spec.n**2, f"a joint at n = {spec.n}")
-    total, half = np.zeros(spec.n), spec.delta / 2.0
+    diagonal, half = np.zeros(spec.n), spec.delta / 2.0
     for pair, w in mix.terms:  # the vertex joints summed in term order, the same floats cell by
-        (diag := spec.anchor.weights.copy())[pair.loss] -= half  # cell: each one's diagonal,
-        total += w * diag
-    joint = np.diag(total)
+        (term := spec.anchor.weights.copy())[pair.loss] -= half  # cell: each one's diagonal,
+        diagonal += w * term
+    joint = np.diag(diagonal)
     for pair, w in mix.terms:  # then its one cell off the diagonal
         joint[pair.gain, pair.loss] += w * half
     return make_coupling(joint, target, spec.anchor)

@@ -26,13 +26,13 @@ def spec_of(weights, delta):
     return ewm.make_neighborhood(ewm.make_distribution(weights), delta)
 
 
-def run_fresh(code, *argv, cwd=None, text=True, env=None, timeout=120):
+def run_fresh(code, *argv, cwd=None, text=True, env=None):
     """``python -c code *argv`` in a fresh interpreter, under :data:`CHILD_FLAGS`, that imports
     the ewm under test, with ``env`` over this environment; its stdout and stderr are captured,
-    as text or (not ``text``) bytes."""
+    as text or (not ``text``) bytes, and it is stopped after 120 s."""
     env = {**os.environ, "PYTHONPATH": str(Path(ewm.__file__).resolve().parents[1]), **(env or {})}
     return subprocess.run([sys.executable, *CHILD_FLAGS, "-c", code, *argv], cwd=cwd, env=env,
-                          capture_output=True, text=text, timeout=timeout)
+                          capture_output=True, text=text, timeout=120)
 
 
 def peak_growth_mib(setup: str, small: str, large: str, *argv: str):
